@@ -15,16 +15,17 @@
 //      call formal, an enforce invariant). Each task owns a distinct
 //      output slot in the already-built skeleton.
 //
-//   2. **Execution**: with one worker the tasks run inline at their
-//      planning site — exactly the classic sequential pass. With N
-//      workers they run on a work-stealing thread pool; every worker
-//      owns a private prover (results transfer through the shared
-//      sharded query cache) and a private expression arena that the
-//      main program adopts after the pool quiesces. Because tasks are
-//      pure functions of their captured inputs (prover answers are
-//      deterministic, caches are memoization only) and slots are
-//      position-addressed, the merged output is identical for every
-//      worker count and schedule.
+//   2. **Execution**: every task runs its own cube search on some
+//      worker. Every worker owns a private prover, statistics registry
+//      and expression arena (adopted by the main program afterwards);
+//      all workers' provers answer through the run's one shared prover
+//      cache. With one worker the queue is drained on the calling
+//      thread with worker 0's state; with N workers it runs on a
+//      work-stealing thread pool. It is the same path either way:
+//      tasks are pure functions of their captured inputs (prover
+//      answers are deterministic, caches are memoization only) and
+//      slots are position-addressed, so the merged output and the work
+//      counters are identical for every worker count and schedule.
 //
 //===----------------------------------------------------------------------===//
 
@@ -119,15 +120,14 @@ struct C2bpTool::Impl {
   C2bpOptions Options;
   StatsRegistry *Stats;
 
-  /// Prover for the sequential (one-worker) mode.
-  prover::Prover MainProver;
-  /// Cross-worker result cache; created only for parallel runs.
-  std::unique_ptr<prover::SharedProverCache> SharedCache;
+  /// The run's prover cache, unless the caller supplied one.
+  std::unique_ptr<prover::SharedProverCache> OwnedCache;
 
-  /// One per pool thread: a private prover and statistics registry
-  /// (merged at report time) plus a private expression arena (adopted
-  /// by the main program once the pool has quiesced). A worker is only
-  /// ever touched by the pool thread with the matching id.
+  /// One per worker: a private prover and statistics registry (merged
+  /// at report time) plus a private expression arena (adopted by the
+  /// main program once execution has finished). A worker is only ever
+  /// touched by the thread with the matching pool id, or by the calling
+  /// thread when there is a single worker.
   struct Worker {
     StatsRegistry Stats;
     prover::Prover Prover;
@@ -150,9 +150,6 @@ struct C2bpTool::Impl {
     /// Non-null only when the points-to-backed oracle is active.
     alias::ProgramAliasOracle *ProgOracle = nullptr;
     std::unique_ptr<logic::WPEngine> WP;
-    /// Sequential mode only: one cube search per procedure so the F/G
-    /// result cache spans statements, exactly as before the sharding.
-    std::unique_ptr<CubeSearch> Cubes;
     /// Predicates in scope: parallel vectors of formula and bp var name.
     std::vector<ExprRef> ScopePreds;
     std::vector<std::string> ScopeNames;
@@ -168,7 +165,6 @@ struct C2bpTool::Impl {
     std::function<void(CubeSearch &, bp::BProgram &)> Fn;
   };
   std::vector<DeferredTask> Pending;
-  bool Parallel = false;
 
   // Planning cursor.
   std::unique_ptr<bp::BProgram> BP;
@@ -177,8 +173,7 @@ struct C2bpTool::Impl {
 
   Impl(const Program &P, const PredicateSet &Preds,
        logic::LogicContext &Ctx, C2bpOptions Options, StatsRegistry *Stats)
-      : P(P), Preds(Preds), Ctx(Ctx), Options(Options), Stats(Stats),
-        MainProver(Ctx, Stats, Options.ExternalCache) {
+      : P(P), Preds(Preds), Ctx(Ctx), Options(Options), Stats(Stats) {
     PT = std::make_unique<alias::PointsTo>(P, Options.AliasMode);
     MR = std::make_unique<alias::ModRef>(P, *PT);
     for (const FuncDecl *F : P.Functions)
@@ -192,31 +187,18 @@ struct C2bpTool::Impl {
   /// Classifies one finished transfer-function task for the flight
   /// recorder: it *recomputed* if any raw cube enumeration ran, it was
   /// *reused* if it was answered purely from the cross-iteration memo.
-  /// Tasks that needed neither (syntactic fast paths, F-cache hits,
-  /// trivial WPs) are counted in neither column.
-  static void noteTaskReuse(StatsRegistry *St, uint64_t Searches,
+  /// Tasks that needed neither (syntactic fast paths, trivial WPs) are
+  /// counted in neither column.
+  static void noteTaskReuse(StatsRegistry &St, uint64_t Searches,
                             uint64_t MemoHits) {
-    if (!St)
-      return;
     if (Searches)
-      St->add("c2bp.stmts_recomputed");
+      St.add("c2bp.stmts_recomputed");
     else if (MemoHits)
-      St->add("c2bp.stmts_reused");
+      St.add("c2bp.stmts_reused");
   }
 
-  /// Runs \p Fn now (sequential mode) or queues it for the pool.
+  /// Queues \p Fn for the execution phase.
   void defer(std::function<void(CubeSearch &, bp::BProgram &)> Fn) {
-    if (!Parallel) {
-      TraceSpan Span("c2bp.cube_search", "c2bp");
-      if (Span.enabled())
-        Span.arg("proc", CurScope->F->Name);
-      CubeSearch &CS = *CurScope->Cubes;
-      uint64_t Searches0 = CS.searchesRun(), MemoHits0 = CS.memoHits();
-      Fn(CS, *BP);
-      noteTaskReuse(Stats, CS.searchesRun() - Searches0,
-                    CS.memoHits() - MemoHits0);
-      return;
-    }
     Pending.push_back({CurScope, std::move(Fn)});
   }
 
@@ -234,10 +216,6 @@ struct C2bpTool::Impl {
       FS.Oracle = std::make_unique<logic::ShapeAliasOracle>();
     }
     FS.WP = std::make_unique<logic::WPEngine>(Ctx, *FS.Oracle);
-    if (!Parallel)
-      FS.Cubes = std::make_unique<CubeSearch>(Ctx, MainProver, *FS.Oracle,
-                                              Options.Cubes, Stats,
-                                              Options.Memo);
     for (ExprRef E : Preds.Globals) {
       FS.ScopePreds.push_back(E);
       FS.ScopeNames.push_back(predName(E));
@@ -611,36 +589,44 @@ struct C2bpTool::Impl {
   }
 
   uint64_t totalProverCalls() const {
-    uint64_t N = MainProver.numCalls();
+    uint64_t N = 0;
     for (const auto &W : Workers)
       N += W->Prover.numCalls();
     return N;
+  }
+
+  /// Runs one task on \p WK. A fresh cube search per task keeps every
+  /// task a pure function of its inputs, so the work it does is the
+  /// same whichever worker picks it up; repeated sub-queries across
+  /// tasks are absorbed by the run's prover cache instead.
+  void runTask(Worker &WK, DeferredTask &T) {
+    TraceSpan Span("c2bp.cube_search", "c2bp");
+    if (Span.enabled())
+      Span.arg("proc", T.FS->F->Name);
+    CubeSearch CS(Ctx, WK.Prover, *T.FS->Oracle, Options.Cubes, &WK.Stats,
+                  Options.Memo);
+    T.Fn(CS, *WK.Arena);
+    noteTaskReuse(WK.Stats, CS.searchesRun(), CS.memoHits());
   }
 
   void runPending() {
     TraceSpan Span("c2bp.execute", "c2bp");
     if (Span.enabled())
       Span.arg("tasks", static_cast<uint64_t>(Pending.size()));
-    ThreadPool Pool(static_cast<unsigned>(Options.NumWorkers));
-    for (DeferredTask &T : Pending) {
-      Pool.submit([this, &T] {
-        int W = ThreadPool::currentWorkerId();
-        assert(W >= 0 && static_cast<size_t>(W) < Workers.size());
-        Worker &WK = *Workers[W];
-        TraceSpan TaskSpan("c2bp.cube_search", "c2bp");
-        if (TaskSpan.enabled())
-          TaskSpan.arg("proc", T.FS->F->Name);
-        // A fresh cube search per task: its F/G result cache is
-        // task-local, which keeps every task a pure function of its
-        // inputs — repeated sub-queries are absorbed by the shared
-        // prover cache instead.
-        CubeSearch CS(Ctx, WK.Prover, *T.FS->Oracle, Options.Cubes,
-                      &WK.Stats, Options.Memo);
-        T.Fn(CS, *WK.Arena);
-        noteTaskReuse(&WK.Stats, CS.searchesRun(), CS.memoHits());
-      });
+    if (Workers.size() == 1) {
+      for (DeferredTask &T : Pending)
+        runTask(*Workers[0], T);
+    } else {
+      ThreadPool Pool(static_cast<unsigned>(Workers.size()));
+      for (DeferredTask &T : Pending) {
+        Pool.submit([this, &T] {
+          int W = ThreadPool::currentWorkerId();
+          assert(W >= 0 && static_cast<size_t>(W) < Workers.size());
+          runTask(*Workers[W], T);
+        });
+      }
+      Pool.wait();
     }
-    Pool.wait();
     Pending.clear();
     // Results are merged in planning order by construction (tasks wrote
     // into position-addressed slots); all that remains is keeping the
@@ -658,24 +644,19 @@ struct C2bpTool::Impl {
       Span.arg("predicates", static_cast<uint64_t>(Preds.totalCount()));
       Span.arg("workers", Options.NumWorkers);
     }
-    Parallel = Options.NumWorkers > 1;
-    if (Parallel) {
-      // The caller's run-wide cache (when given) takes precedence over
-      // a private per-run cache: it carries results across iterations
-      // and down to the persistent backend.
-      prover::SharedProverCache *Shared = Options.ExternalCache;
-      if (!Shared && Options.UseSharedProverCache) {
-        SharedCache = std::make_unique<prover::SharedProverCache>();
-        Shared = SharedCache.get();
-      }
-      for (int W = 0; W != Options.NumWorkers; ++W)
-        Workers.push_back(std::make_unique<Worker>(Ctx, Shared));
+    // The caller's run-wide cache (when given) takes precedence over a
+    // per-run one: it carries results across iterations and down to the
+    // persistent backend.
+    prover::SharedProverCache *Cache = Options.ExternalCache;
+    if (!Cache) {
+      OwnedCache = std::make_unique<prover::SharedProverCache>();
+      Cache = OwnedCache.get();
     }
+    for (int W = 0; W < std::max(1, Options.NumWorkers); ++W)
+      Workers.push_back(std::make_unique<Worker>(Ctx, Cache));
 
     BP = std::make_unique<bp::BProgram>();
     {
-      // Sequential mode folds the cube searches into the plan walk, so
-      // this phase span covers both planning and (inline) execution.
       TraceSpan PlanSpan("c2bp.plan", "c2bp");
       for (ExprRef E : Preds.Globals)
         BP->Globals.push_back(predName(E));
@@ -683,8 +664,7 @@ struct C2bpTool::Impl {
         if (F->Body)
           abstractFunction(*F);
     }
-    if (Parallel)
-      runPending();
+    runPending();
     if (Stats) {
       Stats->set("c2bp.predicates", Preds.totalCount());
       Stats->set("c2bp.prover_calls", totalProverCalls());

@@ -22,6 +22,11 @@
 ///   * enforce      -> the per-procedure data invariant F(false)
 ///                     (Section 5.1).
 ///
+/// A run plans the skeleton sequentially, then executes the deferred
+/// cube searches on C2bpOptions::NumWorkers workers (one = the calling
+/// thread), all answering through one prover cache. The boolean
+/// program and the work counters do not depend on the worker count.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef C2BP_C2BP_H
@@ -51,23 +56,21 @@ struct C2bpOptions {
   /// the purely syntactic shape oracle is used.
   bool UseAliasAnalysis = true;
   alias::Mode AliasMode = alias::Mode::Das;
-  /// Worker threads for the per-statement cube searches. 1 = the
-  /// classic sequential pass; N > 1 shards the statement-level
-  /// abstraction tasks over a work-stealing pool with one private
-  /// prover per worker and a shared query cache. Output is
-  /// byte-identical for every N (results are merged in statement
-  /// order); only wall-clock and cache statistics change.
+  /// Worker threads for the per-statement cube searches. Every N runs
+  /// the same plan-then-execute path: the statement-level abstraction
+  /// tasks go to N workers (N = 1 drains them on the calling thread),
+  /// each with a private prover over the run's one prover cache.
+  /// Output and work counters are identical for every N (results are
+  /// merged in statement order); only wall-clock time changes.
   int NumWorkers = 1;
-  /// Share prover results across workers (parallel mode only).
-  bool UseSharedProverCache = true;
   /// Cross-iteration cube-search memo, owned by the CEGAR driver; this
   /// run replays results committed by earlier iterations and stages its
   /// own. Null = every search runs fresh (standalone c2bp, ablations).
   AbstractionMemo *Memo = nullptr;
   /// A caller-owned shared prover cache (the CEGAR driver's run-wide
-  /// cache, possibly backed by a persistent CacheBackend). When set it
-  /// is used by the sequential prover *and* all workers, overriding
-  /// UseSharedProverCache; results then survive across iterations.
+  /// cache, possibly backed by a persistent CacheBackend). When set,
+  /// every worker's prover uses it instead of a cache private to this
+  /// run, so results survive across iterations.
   prover::SharedProverCache *ExternalCache = nullptr;
 };
 

@@ -229,15 +229,6 @@ Dnf CubeSearch::findF(const std::vector<ExprRef> &V, ExprRef Phi) {
   if (Phi->isFalse())
     return {};
 
-  if (Options.CacheResults) {
-    auto It = Cache.find({V, Phi});
-    if (It != Cache.end()) {
-      if (Stats)
-        Stats->add("c2bp.f_cache_hits");
-      return It->second;
-    }
-  }
-
   Dnf Result;
   bool Done = false;
 
@@ -302,9 +293,6 @@ Dnf CubeSearch::findF(const std::vector<ExprRef> &V, ExprRef Phi) {
 
   if (!Done)
     Result = searchWithMemo(V, Phi);
-
-  if (Options.CacheResults)
-    Cache[{V, Phi}] = Result;
   return Result;
 }
 

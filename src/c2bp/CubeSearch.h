@@ -17,7 +17,9 @@
 ///   3. a syntactic cone-of-influence pass shrinking V per query;
 ///   4. syntactic fast paths (phi or !phi textually in E(V)), and the
 ///      optional recursive distribution of F over && / || ;
-///   5. result caching (on top of the prover's own query cache);
+///   5. result caching, done one layer down: every implication goes
+///      through the run's shared prover cache, so a repeated (cube, phi)
+///      check is a cache hit rather than a prover call;
 ///   k. an optional maximum cube length (precision/speed trade-off —
 ///      the paper reports k = 3 suffices in most cases).
 ///
@@ -31,7 +33,6 @@
 #include "prover/Prover.h"
 #include "support/Stats.h"
 
-#include <map>
 #include <vector>
 
 namespace slam {
@@ -65,8 +66,6 @@ struct CubeSearchOptions {
   bool PruneSupersets = true;
   /// Distribute F through && (exact) and || (may lose precision).
   bool DistributeF = false;
-  /// Cache F results per (V, phi).
-  bool CacheResults = true;
 };
 
 class AbstractionMemo; // From AbstractionMemo.h (which includes this).
@@ -128,30 +127,6 @@ private:
   uint64_t NumCubes = 0;
   uint64_t NumSearches = 0;
   uint64_t NumMemoHits = 0;
-
-  /// Keys on the stable hash-consed expression ids, not on ExprRef
-  /// pointer values: pointer order varies run to run (allocator layout,
-  /// ASLR), which made cache iteration — and any behavior derived from
-  /// it — nondeterministic across runs, while ids are assigned in
-  /// creation order and reproduce.
-  struct CacheKey {
-    std::vector<unsigned> VIds;
-    unsigned PhiId;
-
-    CacheKey(const std::vector<logic::ExprRef> &V, logic::ExprRef Phi)
-        : PhiId(Phi->id()) {
-      VIds.reserve(V.size());
-      for (logic::ExprRef E : V)
-        VIds.push_back(E->id());
-    }
-
-    bool operator<(const CacheKey &O) const {
-      if (PhiId != O.PhiId)
-        return PhiId < O.PhiId;
-      return VIds < O.VIds;
-    }
-  };
-  std::map<CacheKey, Dnf> Cache;
 };
 
 } // namespace c2bp

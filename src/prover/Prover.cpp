@@ -148,6 +148,12 @@ std::vector<Literal> minimizeCore(std::vector<Literal> Core) {
 
 } // namespace
 
+Prover::Prover(logic::LogicContext &Ctx, StatsRegistry *Stats,
+               SharedProverCache *Shared)
+    : Ctx(Ctx), Stats(Stats),
+      OwnedCache(Shared ? nullptr : std::make_unique<SharedProverCache>()),
+      Cache(Shared ? *Shared : *OwnedCache) {}
+
 Satisfiability Prover::checkSatUncached(ExprRef Phi) {
   SatSolver Solver;
   SkeletonEncoder Encoder(Solver);
@@ -214,17 +220,17 @@ Satisfiability Prover::timedCheck(ExprRef Phi) {
   return Result;
 }
 
-Satisfiability Prover::noteSharedHit(SharedProverCache::Outcome Kind,
-                                     Satisfiability Value) {
+Satisfiability Prover::noteCacheHit(SharedProverCache::Outcome Kind,
+                                    Satisfiability Value) {
   const char *Counter = nullptr;
   switch (Kind) {
   case SharedProverCache::Outcome::Hit:
     ++NumCacheHits;
-    Counter = "prover.shared_cache_hits";
+    Counter = "prover.cache_hits";
     break;
   case SharedProverCache::Outcome::WaitHit:
     ++NumCacheHits;
-    Counter = "prover.shared_cache_hits";
+    Counter = "prover.cache_hits";
     if (Stats)
       Stats->add("prover.shared_wait_hits");
     break;
@@ -252,63 +258,18 @@ Satisfiability Prover::checkSat(ExprRef Phi) {
   if (Phi->isFalse())
     return Satisfiability::Unsat;
 
-  if (!CachingEnabled) {
-    ++NumCalls;
-    if (Stats)
-      Stats->add("prover.calls");
-    return timedCheck(Phi);
-  }
-
-  // Shared (cross-worker) cache path: the shared cache subsumes the
-  // private one so hit accounting stays comparable across workers. On
-  // a miss the Lookup carries the reserved slot; publishing through it
-  // releases it, and any path that skips the publish (a throwing
+  // On a miss the Lookup carries the reserved slot; publishing through
+  // it releases it, and any path that skips the publish (a throwing
   // decision procedure) abandons it on destruction rather than leaving
   // waiters parked forever.
-  if (Shared) {
-    SharedProverCache::Lookup L = Shared->lookupOrReserve(Phi);
-    if (L.Kind != SharedProverCache::Outcome::Miss)
-      return noteSharedHit(L.Kind, L.Value);
-    ++NumCalls;
-    if (Stats)
-      Stats->add("prover.calls");
-    Satisfiability Result = timedCheck(Phi);
-    L.Slot.publish(Result);
-    return Result;
-  }
-
-  // Private cache, negation-canonical: strip a top-level ! and keep one
-  // slot per polarity, deriving Sat for one side from Unsat of the
-  // other (the validity pairs of the cube search make this common).
-  bool Positive = Phi->kind() != ExprKind::Not;
-  ExprRef Base = Positive ? Phi : Phi->op(0);
-  auto It = Cache.find(Base);
-  if (It != Cache.end()) {
-    std::optional<Satisfiability> &Own =
-        Positive ? It->second.Pos : It->second.Neg;
-    if (Own) {
-      ++NumCacheHits;
-      if (Stats)
-        Stats->add("prover.cache_hits");
-      return *Own;
-    }
-    std::optional<Satisfiability> &Opposite =
-        Positive ? It->second.Neg : It->second.Pos;
-    if (Opposite && *Opposite == Satisfiability::Unsat) {
-      Own = Satisfiability::Sat; // !psi Unsat => psi valid => psi Sat.
-      ++NumNegCacheHits;
-      if (Stats)
-        Stats->add("prover.neg_cache_hits");
-      return Satisfiability::Sat;
-    }
-  }
-
+  SharedProverCache::Lookup L = Cache.lookupOrReserve(Phi);
+  if (L.Kind != SharedProverCache::Outcome::Miss)
+    return noteCacheHit(L.Kind, L.Value);
   ++NumCalls;
   if (Stats)
     Stats->add("prover.calls");
   Satisfiability Result = timedCheck(Phi);
-  CacheEntry &E = Cache[Base];
-  (Positive ? E.Pos : E.Neg) = Result;
+  L.Slot.publish(Result);
   return Result;
 }
 

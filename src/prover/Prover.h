@@ -12,14 +12,14 @@
 /// conjunction decided by the Nelson–Oppen EUF+LIA combination, and a
 /// greedily minimized conflict core fed back as a blocking clause.
 ///
-/// All query results are cached (Section 5.2, optimization five). The
-/// cache is negation-canonical: entries are keyed on the formula with a
-/// top-level `!` stripped and hold one result per polarity, so the
-/// UNSAT(phi) half of a validity pair answers the UNSAT(!phi) half for
-/// free whenever phi was unsatisfiable. A Prover may additionally be
-/// attached to a SharedProverCache, in which case results transfer
-/// between the worker provers of a parallel abstraction run; each
-/// worker remains single-threaded and owns its Prover exclusively.
+/// All query results are cached (Section 5.2, optimization five), and
+/// every query goes through one SharedProverCache: the one the caller
+/// injects (shared by the worker provers of an abstraction run, or by a
+/// whole CEGAR run over a persistent backend), or else one the Prover
+/// owns. The cache is negation-canonical, so the UNSAT(phi) half of a
+/// validity pair answers the UNSAT(!phi) half for free whenever phi was
+/// unsatisfiable. Each worker remains single-threaded and owns its
+/// Prover exclusively.
 ///
 /// The caller's statistics registry records the number of genuine
 /// prover calls and cache hits so benchmarks can reproduce the paper's
@@ -34,8 +34,7 @@
 #include "prover/ProverCache.h"
 #include "support/Stats.h"
 
-#include <optional>
-#include <unordered_map>
+#include <memory>
 
 namespace slam {
 namespace prover {
@@ -54,9 +53,10 @@ enum class Satisfiability { Sat, Unsat, Unknown };
 /// SharedProverCache.
 class Prover {
 public:
+  /// \p Shared, when non-null, must outlive the Prover; without it the
+  /// Prover caches into a SharedProverCache of its own.
   explicit Prover(logic::LogicContext &Ctx, StatsRegistry *Stats = nullptr,
-                  SharedProverCache *Shared = nullptr)
-      : Ctx(Ctx), Stats(Stats), Shared(Shared) {}
+                  SharedProverCache *Shared = nullptr);
 
   /// Is `Antecedent => Consequent` valid?
   Validity implies(logic::ExprRef Antecedent, logic::ExprRef Consequent);
@@ -67,52 +67,40 @@ public:
   /// Number of non-cached satisfiability decisions performed. This is
   /// the "theorem prover calls" column of Tables 1 and 2.
   uint64_t numCalls() const { return NumCalls; }
-  /// Exact-entry cache hits (private or shared, including hits obtained
-  /// by waiting out another worker's in-flight call).
+  /// Exact-entry cache hits (including hits obtained by waiting out
+  /// another worker's in-flight call, and persistent-backend hits).
   uint64_t numCacheHits() const { return NumCacheHits; }
   /// Hits answered from the opposite polarity's Unsat result.
   uint64_t numNegCacheHits() const { return NumNegCacheHits; }
 
-  /// Enables/disables the query cache (ablation hook).
-  void setCachingEnabled(bool Enabled) { CachingEnabled = Enabled; }
-
-  /// Attaches/detaches a cross-worker result cache.
-  void setSharedCache(SharedProverCache *Cache) { Shared = Cache; }
-
 private:
   Satisfiability checkSatUncached(logic::ExprRef Phi);
 
-  /// Counts a non-Miss shared-cache outcome into the right counters
-  /// (prover.shared_cache_hits / neg_cache_hits / disk_cache_hits) and
-  /// returns its value.
-  Satisfiability noteSharedHit(SharedProverCache::Outcome Kind,
-                               Satisfiability Value);
+  /// Counts a non-Miss cache outcome into the right counters
+  /// (prover.cache_hits / neg_cache_hits / disk_cache_hits) and returns
+  /// its value.
+  Satisfiability noteCacheHit(SharedProverCache::Outcome Kind,
+                              Satisfiability Value);
 
   /// checkSatUncached plus observability: a "prover.query" trace span,
   /// a sample in the prover.query_us latency histogram, and the
   /// slow-query log (trace::slowQueryMillis).
   Satisfiability timedCheck(logic::ExprRef Phi);
 
-  /// Private per-prover entry: one result slot per polarity of the
-  /// negation-stripped base formula.
-  struct CacheEntry {
-    std::optional<Satisfiability> Pos, Neg;
-  };
-
   logic::LogicContext &Ctx;
   StatsRegistry *Stats;
-  SharedProverCache *Shared;
+  /// Set only when no cache was injected.
+  std::unique_ptr<SharedProverCache> OwnedCache;
+  SharedProverCache &Cache;
   /// Antecedent/consequent of the implication currently being decided
   /// (set by implies() so the slow-query log can print the implication
   /// rather than its desugared satisfiability query). The Prover is
   /// single-threaded, so plain members suffice.
   logic::ExprRef CurAntecedent = nullptr;
   logic::ExprRef CurConsequent = nullptr;
-  std::unordered_map<logic::ExprRef, CacheEntry> Cache;
   uint64_t NumCalls = 0;
   uint64_t NumCacheHits = 0;
   uint64_t NumNegCacheHits = 0;
-  bool CachingEnabled = true;
 };
 
 } // namespace prover

@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A satisfiability-query cache shared by all worker provers of a
-/// parallel abstraction run, so a cube implication discharged on one
-/// worker is a cache hit on every other (Section 5.2's caching,
+/// The prover's one satisfiability-query cache (Section 5.2's caching,
 /// extended across threads — prover-call volume is the cost the paper
-/// and its successors engineer around).
+/// and its successors engineer around). It is shared by all worker
+/// provers of an abstraction run, so a cube implication discharged on
+/// one worker is a cache hit on every other; a Prover given none owns
+/// one.
 ///
 /// Four design points:
 ///

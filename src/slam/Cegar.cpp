@@ -36,7 +36,8 @@ SlamResult slamtool::checkProgram(const Program &P,
   // which every iteration's abstraction and Newton's feasibility
   // queries go through — so results flow across iterations in memory
   // and across runs on disk. No backend, no run-wide cache: each
-  // iteration keeps its classic per-run caching behavior.
+  // iteration's abstraction and Newton's prover keep a cache of their
+  // own.
   std::unique_ptr<prover::FileCacheBackend> OwnedBackend;
   prover::CacheBackend *Backend = Options.Backend;
   if (!Backend && !Options.ProverCachePath.empty()) {
@@ -61,8 +62,7 @@ SlamResult slamtool::checkProgram(const Program &P,
     C2bpOpts.ExternalCache = RunCache.get();
 
   auto CacheHits = [&] {
-    return S->get("prover.cache_hits") + S->get("prover.shared_cache_hits") +
-           S->get("prover.neg_cache_hits");
+    return S->get("prover.cache_hits") + S->get("prover.neg_cache_hits");
   };
 
   for (int Iter = 0; Iter != Options.Cegar.MaxIterations; ++Iter) {

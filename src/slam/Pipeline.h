@@ -54,8 +54,8 @@ struct BebopToolOptions {
 
 /// Observability settings, as plain data. Installation of the trace
 /// recorder / slow-query threshold and emission of the files is the
-/// drivers' job (tools/ObservabilityFlags.h); the pipeline itself only
-/// ever reads the already-installed globals.
+/// drivers' job (tools::ObservabilityFlags in tools/PipelineFlags.h);
+/// the pipeline itself only ever reads the already-installed globals.
 struct ObservabilityOptions {
   /// Chrome trace-event JSON output path; empty = tracing off.
   std::string TraceOutPath;
@@ -82,8 +82,6 @@ struct PipelineOptions {
   /// An injected backend (tests); takes precedence over
   /// ProverCachePath and is not owned.
   prover::CacheBackend *Backend = nullptr;
-  /// c2bp --stats: dump the raw counter registry to stderr.
-  bool PrintStats = false;
 };
 
 } // namespace slamtool

@@ -139,14 +139,12 @@ TEST_F(CubeSearchTest, ConeOfInfluenceSavesQueries) {
   CubeSearchOptions NoCone;
   NoCone.ConeOfInfluence = false;
   NoCone.SyntacticFastPaths = false;
-  NoCone.CacheResults = false;
   CubeSearch CS1 = make(NoCone);
   CS1.findF(V, parse("x < 4"));
   uint64_t Without = CS1.cubesChecked();
 
   CubeSearchOptions Cone;
   Cone.SyntacticFastPaths = false;
-  Cone.CacheResults = false;
   CubeSearch CS2 = make(Cone);
   Dnf D = CS2.findF(V, parse("x < 4"));
   uint64_t With = CS2.cubesChecked();
@@ -171,14 +169,19 @@ TEST_F(CubeSearchTest, SyntacticFastPathNeedsNoProver) {
 }
 
 TEST_F(CubeSearchTest, CachingAvoidsRecomputation) {
+  // A repeated search enumerates its cubes again, but every implication
+  // it checks is answered from the prover cache.
   auto V = preds({"x < 5", "x == 2"});
   CubeSearchOptions O;
   O.SyntacticFastPaths = false;
   CubeSearch CS = make(O);
-  CS.findF(V, parse("x < 4"));
-  uint64_t Once = CS.cubesChecked();
-  CS.findF(V, parse("x < 4"));
-  EXPECT_EQ(CS.cubesChecked(), Once);
+  Dnf First = CS.findF(V, parse("x < 4"));
+  uint64_t Calls = P.numCalls();
+  uint64_t Hits = P.numCacheHits();
+  EXPECT_GT(Calls, 0u);
+  EXPECT_EQ(CS.findF(V, parse("x < 4")), First);
+  EXPECT_EQ(P.numCalls(), Calls);
+  EXPECT_GT(P.numCacheHits(), Hits);
 }
 
 TEST_F(CubeSearchTest, DistributionThroughAnd) {

@@ -1,14 +1,14 @@
 //===- ParallelAbstractionTest.cpp - -j N determinism (tentpole) ------------===//
 //
-// The parallel abstraction contract: for every worker count N the
-// produced boolean program is byte-identical to the sequential pass,
-// and the shared prover cache only ever helps (its hit counters are
-// monotone nondecreasing in N).
+// The parallel abstraction contract: every worker count N runs the same
+// plan-then-execute path, so the produced boolean program is
+// byte-identical to the one-worker run and so are the work counters.
 //
 //===----------------------------------------------------------------------===//
 
 #include "c2bp/C2bp.h"
 
+#include "c2bp/AbstractionMemo.h"
 #include "cfront/Normalize.h"
 #include "workloads/Workloads.h"
 
@@ -22,12 +22,14 @@ namespace {
 struct RunResult {
   bool Ok = false;
   std::string Text;
-  uint64_t SharedHits = 0;
+  uint64_t Cubes = 0;
   uint64_t ProverCalls = 0;
+  uint64_t MemoHits = 0;
+  uint64_t MemoMisses = 0;
 };
 
 RunResult abstractWith(const std::string &Source, const std::string &PredText,
-                       int Workers) {
+                       int Workers, int MaxCubeLength = -1) {
   RunResult R;
   DiagnosticEngine Diags;
   logic::LogicContext Ctx;
@@ -41,6 +43,11 @@ RunResult abstractWith(const std::string &Source, const std::string &PredText,
     return R;
   C2bpOptions Options;
   Options.NumWorkers = Workers;
+  Options.Cubes.MaxCubeLength = MaxCubeLength;
+  // A memo exercises the memo counters; with nothing committed yet,
+  // every search is a miss that stages its result.
+  AbstractionMemo Memo;
+  Options.Memo = &Memo;
   StatsRegistry Stats;
   auto BP = abstractProgram(*P, *PS, Ctx, Diags, Options, &Stats);
   EXPECT_TRUE(BP != nullptr) << Diags.str();
@@ -48,33 +55,40 @@ RunResult abstractWith(const std::string &Source, const std::string &PredText,
     return R;
   R.Ok = true;
   R.Text = BP->str();
-  R.SharedHits = Stats.get("prover.shared_cache_hits") +
-                 Stats.get("prover.neg_cache_hits");
+  R.Cubes = Stats.get("c2bp.cubes_checked");
   R.ProverCalls = Stats.get("prover.calls");
+  R.MemoHits = Stats.get("c2bp.memo_hits");
+  R.MemoMisses = Stats.get("c2bp.memo_misses");
   return R;
 }
 
-// One sweep over every Table 2 workload at -j 1/2/4/8 checks both
-// halves of the parallel contract: (a) the boolean program is
-// byte-identical to the sequential pass at every worker count, and
-// (b) the shared prover cache only helps — combined hit counters are
-// monotone nondecreasing in N. (N = 1 runs the sequential pass with no
-// shared cache, so its shared-hit count is zero and anchors the chain.)
-TEST(ParallelAbstraction, ByteIdenticalAndCacheMonotoneAcrossWorkerCounts) {
-  for (const workloads::Workload *W : workloads::table2Workloads()) {
-    SCOPED_TRACE(W->Name);
-    RunResult Sequential = abstractWith(W->Source, W->Predicates, 1);
-    ASSERT_TRUE(Sequential.Ok);
-    uint64_t PreviousHits = 0;
-    for (int N : {2, 4, 8}) {
-      SCOPED_TRACE("N=" + std::to_string(N));
-      RunResult Parallel = abstractWith(W->Source, W->Predicates, N);
-      ASSERT_TRUE(Parallel.Ok);
-      EXPECT_EQ(Parallel.Text, Sequential.Text);
-      EXPECT_GE(Parallel.SharedHits, PreviousHits);
-      PreviousHits = Parallel.SharedHits;
-    }
+/// Runs \p W at -j 1/2/4/8 and checks every run against the -j 1 one.
+void expectSameAtEveryWorkerCount(const workloads::Workload &W,
+                                  int MaxCubeLength) {
+  SCOPED_TRACE(W.Name + " k=" + std::to_string(MaxCubeLength));
+  RunResult One = abstractWith(W.Source, W.Predicates, 1, MaxCubeLength);
+  ASSERT_TRUE(One.Ok);
+  EXPECT_GT(One.ProverCalls, 0u);
+  for (int N : {2, 4, 8}) {
+    SCOPED_TRACE("N=" + std::to_string(N));
+    RunResult R = abstractWith(W.Source, W.Predicates, N, MaxCubeLength);
+    ASSERT_TRUE(R.Ok);
+    EXPECT_EQ(R.Text, One.Text);
+    EXPECT_EQ(R.Cubes, One.Cubes);
+    EXPECT_EQ(R.ProverCalls, One.ProverCalls);
+    EXPECT_EQ(R.MemoHits, One.MemoHits);
+    EXPECT_EQ(R.MemoMisses, One.MemoMisses);
   }
+}
+
+// Every Table 2 workload at the paper's k = 3, plus partition at
+// unlimited k: the boolean program and the work counters (cubes
+// checked, prover calls, memo hits and misses) are the same at every
+// worker count.
+TEST(ParallelAbstraction, ByteIdenticalAndCountersIdenticalAcrossWorkerCounts) {
+  for (const workloads::Workload *W : workloads::table2Workloads())
+    expectSameAtEveryWorkerCount(*W, 3);
+  expectSameAtEveryWorkerCount(workloads::partitionWorkload(), -1);
 }
 
 // Repeated parallel runs of the same abstraction must also agree with
@@ -88,30 +102,6 @@ TEST(ParallelAbstraction, RepeatedRunsAgree) {
     ASSERT_TRUE(Again.Ok);
     EXPECT_EQ(Again.Text, First.Text);
   }
-}
-
-// Disabling the shared cache must not change the output either — only
-// the number of prover calls.
-TEST(ParallelAbstraction, OutputUnchangedWithoutSharedCache) {
-  const workloads::Workload &W = workloads::partitionWorkload();
-  RunResult Shared = abstractWith(W.Source, W.Predicates, 4);
-  ASSERT_TRUE(Shared.Ok);
-
-  DiagnosticEngine Diags;
-  logic::LogicContext Ctx;
-  auto P = cfront::frontend(W.Source, Diags);
-  ASSERT_TRUE(P != nullptr) << Diags.str();
-  auto PS = parsePredicateFile(Ctx, W.Predicates, Diags);
-  ASSERT_TRUE(PS.has_value()) << Diags.str();
-  C2bpOptions Options;
-  Options.NumWorkers = 4;
-  Options.UseSharedProverCache = false;
-  StatsRegistry Stats;
-  auto BP = abstractProgram(*P, *PS, Ctx, Diags, Options, &Stats);
-  ASSERT_TRUE(BP != nullptr) << Diags.str();
-  EXPECT_EQ(BP->str(), Shared.Text);
-  EXPECT_EQ(Stats.get("prover.shared_cache_hits"), 0u);
-  EXPECT_GE(Stats.get("prover.calls"), Shared.ProverCalls);
 }
 
 } // namespace

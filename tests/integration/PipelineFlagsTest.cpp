@@ -103,16 +103,19 @@ TEST(PipelineFlags, MalformedPropertyPairIsAUsageError) {
 TEST(PipelineFlags, C2bpSpecificFlags) {
   PipelineArgs PA;
   EXPECT_EQ(parse(ToolKind::C2bp,
-                  {"p.c", "e.txt", "--no-shared-cache", "--no-cone",
-                   "--alias", "andersen", "--stats", "--prover-cache",
-                   "c.log"},
+                  {"p.c", "e.txt", "--no-cone", "--alias", "andersen",
+                   "--prover-cache", "c.log"},
                   PA),
             std::nullopt);
-  EXPECT_FALSE(PA.Options.C2bp.UseSharedProverCache);
   EXPECT_FALSE(PA.Options.C2bp.Cubes.ConeOfInfluence);
   EXPECT_EQ(PA.Options.C2bp.AliasMode, alias::Mode::Andersen);
-  EXPECT_TRUE(PA.Options.PrintStats);
   EXPECT_EQ(PA.Options.ProverCachePath, "c.log");
+  // Deleted knobs are usage errors: --report prints the counters, and
+  // every run has one prover cache.
+  for (const char *Gone : {"--stats", "--no-shared-cache"}) {
+    PipelineArgs PB;
+    EXPECT_EQ(parse(ToolKind::C2bp, {"p.c", "e.txt", Gone}, PB), 2) << Gone;
+  }
 }
 
 TEST(PipelineFlags, BebopSpecificFlags) {

@@ -22,6 +22,8 @@ struct RunOutcome {
   uint64_t ProverCalls = 0;
   std::vector<bebop::TraceStep> Trace;
   std::unique_ptr<cfront::Program> Prog;
+  /// Owns the statements the trace steps point into.
+  std::unique_ptr<bp::BProgram> BP;
 };
 
 RunOutcome runWorkload(const Workload &W, logic::LogicContext &Ctx,
@@ -40,10 +42,10 @@ RunOutcome runWorkload(const Workload &W, logic::LogicContext &Ctx,
   StatsRegistry Stats;
   c2bp::C2bpOptions Options;
   Options.Cubes.MaxCubeLength = MaxCubeLength;
-  auto BP =
+  Out.BP =
       c2bp::abstractProgram(*Out.Prog, *PS, Ctx, Diags, Options, &Stats);
-  EXPECT_TRUE(BP != nullptr) << W.Name;
-  bebop::Bebop Checker(*BP);
+  EXPECT_TRUE(Out.BP != nullptr) << W.Name;
+  bebop::Bebop Checker(*Out.BP);
   auto R = Checker.run(W.Entry);
   Out.Violated = R.AssertViolated;
   Out.Trace = std::move(R.Trace);

@@ -128,14 +128,6 @@ TEST_F(ProverTest, DeepFormulaUsesNoRecursion) {
   EXPECT_EQ(P.checkSat(Phi), Satisfiability::Sat);
 }
 
-TEST_F(ProverTest, CachingCanBeDisabled) {
-  P.setCachingEnabled(false);
-  EXPECT_EQ(implies("y == 2", "y < 4"), Validity::Valid);
-  uint64_t Calls = P.numCalls();
-  EXPECT_EQ(implies("y == 2", "y < 4"), Validity::Valid);
-  EXPECT_EQ(P.numCalls(), Calls + 1);
-}
-
 TEST_F(ProverTest, PointerReasoning) {
   EXPECT_EQ(implies("p == q", "p->val == q->val"), Validity::Valid);
   EXPECT_EQ(implies("p->val != q->val", "p != q"), Validity::Valid);

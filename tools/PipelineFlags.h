@@ -21,6 +21,12 @@
 /// --help (exit 0) and a one-line "unknown option ... (try --help)" to
 /// stderr otherwise (exit 2).
 ///
+/// ObservabilityFlags then turns the parsed observability options into
+/// effect: it installs the global trace recorder and slow-query
+/// threshold before the pipeline runs, and writes the requested
+/// trace/stats files afterwards. Each main calls install() before the
+/// pipeline and finish() once it has its final StatsRegistry.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TOOLS_PIPELINEFLAGS_H
@@ -29,10 +35,13 @@
 #include "slam/Pipeline.h"
 #include "slam/SafetySpec.h"
 #include "support/CliArgs.h"
+#include "support/Stats.h"
 #include "support/ThreadPool.h"
+#include "support/Trace.h"
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -104,7 +113,6 @@ inline void printHelp(ToolKind Tool) {
         "                          (default: 1; 0 = one per hardware\n"
         "                          thread); output is identical for every "
         "-j\n"
-        "  --no-shared-cache       per-worker prover caches only\n"
         "  --no-cone               disable the cone-of-influence "
         "optimization\n"
         "  --no-enforce            do not emit the enforce data invariant\n"
@@ -113,7 +121,6 @@ inline void printHelp(ToolKind Tool) {
         "andersen,\n"
         "                          steensgaard\n"
         "  --prover-cache <file>   persist prover results across runs\n"
-        "  --stats                 print statistics to stderr\n"
         "%s",
         Common);
     return;
@@ -265,10 +272,6 @@ inline std::optional<int> parsePipelineFlags(ToolKind Tool, int Argc,
 
     // -- c2bp only ---------------------------------------------------
     if (Tool == ToolKind::C2bp) {
-      if (!std::strcmp(Arg, "--no-shared-cache")) {
-        O.C2bp.UseSharedProverCache = false;
-        continue;
-      }
       if (!std::strcmp(Arg, "--no-cone")) {
         O.C2bp.Cubes.ConeOfInfluence = false;
         continue;
@@ -295,10 +298,6 @@ inline std::optional<int> parsePipelineFlags(ToolKind Tool, int Argc,
           std::fprintf(stderr, "%s: unknown alias mode '%s'\n", Name, V);
           return 2;
         }
-        continue;
-      }
-      if (!std::strcmp(Arg, "--stats")) {
-        O.PrintStats = true;
         continue;
       }
     }
@@ -345,6 +344,75 @@ inline std::optional<int> parsePipelineFlags(ToolKind Tool, int Argc,
   }
   return std::nullopt;
 }
+
+/// Puts one tool run's ObservabilityOptions into effect (see the file
+/// comment); one implementation so the three mains cannot drift apart.
+class ObservabilityFlags {
+public:
+  explicit ObservabilityFlags(const slamtool::ObservabilityOptions &Opts)
+      : Opts(Opts) {}
+
+  /// Installs the trace recorder and slow-query threshold. Call after
+  /// flag parsing, before any pipeline work.
+  void install() {
+    if (Opts.SlowQueryMillis >= 0)
+      trace::setSlowQueryMillis(Opts.SlowQueryMillis);
+    if (Opts.TraceOutPath.empty())
+      return;
+    Recorder = std::make_unique<TraceRecorder>();
+    TraceRecorder::setActive(Recorder.get());
+  }
+
+  bool wantReport() const { return Opts.Report; }
+
+  /// Uninstalls the recorder and writes the requested files. Returns
+  /// false (after a message on stderr) if any file cannot be written.
+  bool finish(const char *Tool, const StatsRegistry &Stats) {
+    bool Ok = true;
+    if (Recorder) {
+      TraceRecorder::setActive(nullptr);
+      std::string Err;
+      if (!Recorder->writeChromeJson(Opts.TraceOutPath, &Err)) {
+        std::fprintf(stderr, "%s: cannot write trace '%s': %s\n", Tool,
+                     Opts.TraceOutPath.c_str(), Err.c_str());
+        Ok = false;
+      }
+    }
+    if (!Opts.StatsJsonPath.empty()) {
+      std::string Doc = statsToJson(Stats);
+      std::FILE *F = std::fopen(Opts.StatsJsonPath.c_str(), "w");
+      if (!F || std::fwrite(Doc.data(), 1, Doc.size(), F) != Doc.size()) {
+        std::fprintf(stderr, "%s: cannot write stats '%s'\n", Tool,
+                     Opts.StatsJsonPath.c_str());
+        Ok = false;
+      }
+      if (F)
+        std::fclose(F);
+    }
+    return Ok;
+  }
+
+  /// Compact report used by the c2bp/bebop drivers (slam prints the
+  /// CEGAR flight recorder instead): counters/gauges, then one summary
+  /// line per latency histogram.
+  static void printStatsReport(std::FILE *Out, const StatsRegistry &Stats) {
+    std::fprintf(Out, "-- stats --\n%s", Stats.str().c_str());
+    for (const auto &[Name, H] : Stats.allHistograms()) {
+      if (H.count() == 0)
+        continue;
+      std::fprintf(Out,
+                   "%s: count=%llu mean_us=%.1f max_us=%llu\n", Name.c_str(),
+                   static_cast<unsigned long long>(H.count()),
+                   static_cast<double>(H.sumMicros()) /
+                       static_cast<double>(H.count()),
+                   static_cast<unsigned long long>(H.maxMicros()));
+    }
+  }
+
+private:
+  slamtool::ObservabilityOptions Opts;
+  std::unique_ptr<TraceRecorder> Recorder;
+};
 
 } // namespace tools
 } // namespace slam

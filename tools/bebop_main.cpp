@@ -9,7 +9,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "ObservabilityFlags.h"
 #include "PipelineFlags.h"
 #include "bebop/Bebop.h"
 #include "bp/BPParser.h"

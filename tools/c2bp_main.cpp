@@ -12,7 +12,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "ObservabilityFlags.h"
 #include "PipelineFlags.h"
 #include "c2bp/C2bp.h"
 #include "cfront/Normalize.h"
@@ -89,8 +88,6 @@ int main(int argc, char **argv) {
     return 1;
   }
   std::printf("%s", BP->str().c_str());
-  if (PA.Options.PrintStats)
-    std::fprintf(stderr, "%s", Stats.str().c_str());
   // stdout carries the boolean program, so the report goes to stderr.
   if (Obs.wantReport())
     tools::ObservabilityFlags::printStatsReport(stderr, Stats);

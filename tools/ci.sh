@@ -17,9 +17,12 @@
 #   incremental  slam twice against one --prover-cache file; asserts
 #              byte-identical stdout and a warm run answered almost
 #              entirely from the persistent cache
+#   determinism  c2bp and slam on the examples at -j 1/2/4; asserts
+#              identical stdout and identical work counters
+#              (c2bp.cubes_checked, prover.calls, slam.iterations)
 #   all        every job above, in order
 #
-# Usage: tools/ci.sh [default|tsan|asan|release|observability|incremental|all]
+# Usage: tools/ci.sh [default|tsan|asan|release|observability|incremental|determinism|all]
 #
 #===----------------------------------------------------------------------===#
 
@@ -58,7 +61,7 @@ run_release() {
   cmake -B "$ROOT/build-release" -S "$ROOT" -DSLAM_SANITIZE= \
     -DCMAKE_BUILD_TYPE=Release
   cmake --build "$ROOT/build-release" -j
-  # Kept narrow (this runs in a 1-CPU container): the suites guarding
+  # Kept narrow to bound the job's time: the suites guarding
   # behavior that once hid behind assertions — Rational overflow
   # poisoning, Simplex Unknown propagation, and the BDD engine with its
   # differential and deep-chain regressions.
@@ -120,6 +123,49 @@ print(f"ci: warm run: {warm_calls} prover calls "
 PY
 }
 
+run_determinism() {
+  echo "=== ci: determinism: identical output and counters at -j 1/2/4 ==="
+  cmake -B "$ROOT/build" -S "$ROOT" -DSLAM_SANITIZE=
+  cmake --build "$ROOT/build" -j --target slam c2bp
+  local TMP EX="$ROOT/examples/programs" BIN="$ROOT/build/tools"
+  TMP="$(mktemp -d)"
+  trap 'rm -rf "$TMP"' RETURN
+  # Runs one case (a name, then the command) once per worker count.
+  # Every run's stdout and exit status must equal the -j 1 run's, and
+  # so must its work counters: every -j takes the same abstraction path
+  # through the same one prover cache.
+  check_case() {
+    local NAME="$1" J RC
+    shift
+    for J in 1 2 4; do
+      RC=0
+      "$@" -j "$J" --stats-json "$TMP/$NAME.j$J.json" \
+        > "$TMP/$NAME.j$J.out" || RC=$?
+      echo "exit status $RC" >> "$TMP/$NAME.j$J.out"
+    done
+    cmp "$TMP/$NAME.j1.out" "$TMP/$NAME.j2.out"
+    cmp "$TMP/$NAME.j1.out" "$TMP/$NAME.j4.out"
+    python3 - "$NAME" "$TMP/$NAME".j{1,2,4}.json <<'PY'
+import json, sys
+name, paths = sys.argv[1], sys.argv[2:]
+keys = ("c2bp.cubes_checked", "prover.calls", "slam.iterations")
+runs = [json.load(open(p))["counters"] for p in paths]
+for k in keys:
+    vals = [r.get(k, 0) for r in runs]
+    assert len(set(vals)) == 1, f"{name}: {k} differs at -j 1/2/4: {vals}"
+assert runs[0].get("prover.calls", 0) > 0, f"{name}: no prover work?"
+print(f"ci: {name}: identical stdout and counters at -j 1/2/4 (" +
+      ", ".join(f"{k}={runs[0].get(k, 0)}" for k in keys) + ")")
+PY
+  }
+  check_case c2bp-partition "$BIN/c2bp" "$EX/partition.c" "$EX/partition.preds"
+  check_case slam-locking "$BIN/slam" "$EX/locking.c" \
+    --lock AcquireLock,ReleaseLock
+  check_case slam-locking_bug "$BIN/slam" "$EX/locking_bug.c" \
+    --lock AcquireLock,ReleaseLock
+  check_case slam-irp "$BIN/slam" "$EX/irp.c" --irp CompleteRequest,MarkPending
+}
+
 case "$JOB" in
   default) run_default ;;
   tsan)    run_tsan ;;
@@ -127,7 +173,8 @@ case "$JOB" in
   release) run_release ;;
   observability) run_observability ;;
   incremental) run_incremental ;;
-  all)     run_default; run_tsan; run_asan; run_release; run_observability; run_incremental ;;
-  *) echo "ci.sh: unknown job '$JOB' (default|tsan|asan|release|observability|incremental|all)" >&2; exit 2 ;;
+  determinism) run_determinism ;;
+  all)     run_default; run_tsan; run_asan; run_release; run_observability; run_incremental; run_determinism ;;
+  *) echo "ci.sh: unknown job '$JOB' (default|tsan|asan|release|observability|incremental|determinism|all)" >&2; exit 2 ;;
 esac
 echo "=== ci: $JOB passed ==="

@@ -16,7 +16,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "ObservabilityFlags.h"
 #include "PipelineFlags.h"
 #include "cfront/Normalize.h"
 #include "slam/Cegar.h"
