@@ -1,29 +1,23 @@
-//===- bench_slam.cpp - Cold vs warm end-to-end SLAM runs -------------------===//
+//===- bench_slam.cpp - SLAM runs with and without the memo ---------------===//
 //
 // Part of the SLAM/C2bp reproduction. MIT license; see LICENSE.
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures what the incremental machinery buys on the driver models:
-// each model is checked twice against one persistent prover cache — a
-// cold run that fills the file and a warm run that should answer nearly
-// every prover query from it — plus a memo-off run to isolate the
-// cross-iteration abstraction reuse. `--json` emits the
-// benchutil::JsonReport schema instead of the table.
+// Measures what the cross-iteration abstraction memo buys on the driver
+// models: each model is checked once with the memo and once without
+// (`--no-incremental`). `--json` emits the benchutil::JsonReport schema
+// instead of the table.
 //
 //===----------------------------------------------------------------------===//
 
-#include "prover/CacheBackend.h"
 #include "slam/Cegar.h"
 #include "support/Timer.h"
 #include "workloads/Workloads.h"
 
 #include "BenchUtil.h"
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -36,20 +30,17 @@ struct CheckedRun {
   double Seconds = 0;
   int Iterations = 0;
   uint64_t ProverCalls = 0;
-  uint64_t DiskHits = 0;
   uint64_t MemoHits = 0;
   uint64_t StmtsReused = 0;
   bool Validated = false;
 };
 
-CheckedRun runOnce(const workloads::DriverModel &M,
-                   const std::string &CachePath, bool Incremental) {
+CheckedRun runOnce(const workloads::DriverModel &M, bool Incremental) {
   logic::LogicContext Ctx;
   DiagnosticEngine Diags;
   StatsRegistry Stats;
   slamtool::PipelineOptions Options;
   Options.C2bp.Cubes.MaxCubeLength = 3;
-  Options.ProverCachePath = CachePath;
   Options.Cegar.Incremental = Incremental;
   Timer T;
   auto R = slamtool::checkSafety(M.Source, M.Spec, Ctx, Diags, Options,
@@ -61,48 +52,15 @@ CheckedRun runOnce(const workloads::DriverModel &M,
     Out.Validated = R->V == SlamResult::Verdict::Validated;
   }
   Out.ProverCalls = Stats.get("prover.calls");
-  Out.DiskHits = Stats.get("prover.disk_cache_hits");
   Out.MemoHits = Stats.get("c2bp.memo_hits");
   Out.StmtsReused = Stats.get("c2bp.stmts_reused");
   return Out;
 }
 
-std::string cachePathFor(const std::string &Model) {
-  const char *Dir = std::getenv("TMPDIR");
-  return std::string(Dir && *Dir ? Dir : "/tmp") + "/bench_slam_" + Model +
-         ".cache";
-}
-
-/// Steady-state CEGAR against a pre-warmed persistent cache.
-void BM_WarmCegar(benchmark::State &State) {
-  auto Drivers = workloads::table1Drivers();
-  const workloads::DriverModel &M = Drivers.front();
-  std::string Path = cachePathFor(M.Name + "_bm");
-  std::remove(Path.c_str());
-  runOnce(M, Path, /*Incremental=*/true); // Fill the cache.
-  for (auto _ : State) {
-    CheckedRun R = runOnce(M, Path, /*Incremental=*/true);
-    State.counters["prover_calls"] = static_cast<double>(R.ProverCalls);
-    State.counters["disk_hits"] = static_cast<double>(R.DiskHits);
-  }
-  std::remove(Path.c_str());
-}
-
-BENCHMARK(BM_WarmCegar)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int main(int argc, char **argv) {
-  bool Json = false;
-  // Strip --json before google-benchmark sees the argument list.
-  int Out = 1;
-  for (int I = 1; I < argc; ++I) {
-    if (!std::strcmp(argv[I], "--json"))
-      Json = true;
-    else
-      argv[Out++] = argv[I];
-  }
-  argc = Out;
+  bool Json = argc > 1 && !std::strcmp(argv[1], "--json");
 
   benchutil::JsonReport Report("bench_slam");
   auto emit = [&](const std::string &Name, const CheckedRun &R) {
@@ -110,7 +68,6 @@ int main(int argc, char **argv) {
     Report.metric("seconds", R.Seconds);
     Report.metric("iterations", static_cast<uint64_t>(R.Iterations));
     Report.metric("prover_calls", R.ProverCalls);
-    Report.metric("disk_hits", R.DiskHits);
     Report.metric("memo_hits", R.MemoHits);
     Report.metric("stmts_reused", R.StmtsReused);
     Report.metric("validated", R.Validated);
@@ -118,40 +75,28 @@ int main(int argc, char **argv) {
   };
 
   if (!Json)
-    std::printf("\nCold vs warm SLAM runs (one persistent prover cache "
-                "per model)\n%-14s %-8s %9s %6s %8s %7s %7s\n", "model",
-                "run", "time (s)", "iters", "prover", "disk", "memo");
+    std::printf("\nSLAM runs with and without the abstraction memo\n"
+                "%-14s %-8s %9s %6s %8s %7s\n", "model", "run",
+                "time (s)", "iters", "prover", "memo");
   for (const auto &M : workloads::table1Drivers()) {
-    std::string Path = cachePathFor(M.Name);
-    std::remove(Path.c_str());
-    CheckedRun NoMemo = runOnce(M, "", /*Incremental=*/false);
-    CheckedRun Cold = runOnce(M, Path, /*Incremental=*/true);
-    CheckedRun Warm = runOnce(M, Path, /*Incremental=*/true);
-    std::remove(Path.c_str());
+    CheckedRun Memo = runOnce(M, /*Incremental=*/true);
+    CheckedRun NoMemo = runOnce(M, /*Incremental=*/false);
     if (Json) {
+      emit(M.Name + "/memo", Memo);
       emit(M.Name + "/no-memo", NoMemo);
-      emit(M.Name + "/cold", Cold);
-      emit(M.Name + "/warm", Warm);
       continue;
     }
     auto row = [&](const char *Kind, const CheckedRun &R) {
-      std::printf("%-14s %-8s %9.3f %6d %8llu %7llu %7llu\n",
-                  M.Name.c_str(), Kind, R.Seconds, R.Iterations,
+      std::printf("%-14s %-8s %9.3f %6d %8llu %7llu\n", M.Name.c_str(), Kind,
+                  R.Seconds, R.Iterations,
                   static_cast<unsigned long long>(R.ProverCalls),
-                  static_cast<unsigned long long>(R.DiskHits),
                   static_cast<unsigned long long>(R.MemoHits));
     };
+    row("memo", Memo);
     row("no-memo", NoMemo);
-    row("cold", Cold);
-    row("warm", Warm);
   }
 
-  if (Json) {
+  if (Json)
     std::printf("%s", Report.str().c_str());
-    return 0;
-  }
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

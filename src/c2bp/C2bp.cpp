@@ -120,8 +120,8 @@ struct C2bpTool::Impl {
   C2bpOptions Options;
   StatsRegistry *Stats;
 
-  /// The run's prover cache, unless the caller supplied one.
-  std::unique_ptr<prover::SharedProverCache> OwnedCache;
+  /// The run's one prover cache, shared by every worker's prover.
+  prover::SharedProverCache Cache;
 
   /// One per worker: a private prover and statistics registry (merged
   /// at report time) plus a private expression arena (adopted by the
@@ -371,7 +371,7 @@ struct C2bpTool::Impl {
     for (size_t I = 0; I != FS->ScopePreds.size(); ++I) {
       ExprRef E = FS->ScopePreds[I];
       ExprRef WpPos = FS->WP->assignment(Lhs, Rhs, E);
-      if (Options.SkipUnchanged && WpPos == E)
+      if (WpPos == E)
         continue; // Optimization 2: definitely unaffected.
       // choose over F(WP(s, e)) / F(WP(s, !e)). A WP that dereferences
       // NULL is undefined; the predicate is invalidated to unknown.
@@ -644,16 +644,8 @@ struct C2bpTool::Impl {
       Span.arg("predicates", static_cast<uint64_t>(Preds.totalCount()));
       Span.arg("workers", Options.NumWorkers);
     }
-    // The caller's run-wide cache (when given) takes precedence over a
-    // per-run one: it carries results across iterations and down to the
-    // persistent backend.
-    prover::SharedProverCache *Cache = Options.ExternalCache;
-    if (!Cache) {
-      OwnedCache = std::make_unique<prover::SharedProverCache>();
-      Cache = OwnedCache.get();
-    }
     for (int W = 0; W < std::max(1, Options.NumWorkers); ++W)
-      Workers.push_back(std::make_unique<Worker>(Ctx, Cache));
+      Workers.push_back(std::make_unique<Worker>(Ctx, &Cache));
 
     BP = std::make_unique<bp::BProgram>();
     {

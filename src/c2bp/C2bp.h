@@ -50,8 +50,6 @@ struct C2bpOptions {
   CubeSearchOptions Cubes;
   /// Emit the enforce data invariant (Section 5.1).
   bool UseEnforce = true;
-  /// Optimization 2: skip updates whose WP is syntactically unchanged.
-  bool SkipUnchanged = true;
   /// Use the points-to analysis to prune Morris disjuncts; without it
   /// the purely syntactic shape oracle is used.
   bool UseAliasAnalysis = true;
@@ -67,11 +65,6 @@ struct C2bpOptions {
   /// run replays results committed by earlier iterations and stages its
   /// own. Null = every search runs fresh (standalone c2bp, ablations).
   AbstractionMemo *Memo = nullptr;
-  /// A caller-owned shared prover cache (the CEGAR driver's run-wide
-  /// cache, possibly backed by a persistent CacheBackend). When set,
-  /// every worker's prover uses it instead of a cache private to this
-  /// run, so results survive across iterations.
-  prover::SharedProverCache *ExternalCache = nullptr;
 };
 
 /// One abstraction run. The logic context must be the one the

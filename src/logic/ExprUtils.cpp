@@ -7,7 +7,6 @@
 #include "logic/ExprUtils.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 using namespace slam;
 using namespace slam::logic;
@@ -164,46 +163,4 @@ ExprRef logic::substituteAll(
 
 ExprRef logic::clone(LogicContext &Ctx, ExprRef E) {
   return substImpl(Ctx, E, {});
-}
-
-support::Fingerprint logic::structuralFingerprint(ExprRef E) {
-  // Post-order over the DAG with memoization on the interned node, so
-  // shared subterms are hashed once and deep Not/And chains cannot
-  // overflow the stack.
-  std::unordered_map<ExprRef, support::Fingerprint> Memo;
-  struct Frame {
-    ExprRef E;
-    unsigned NextOp;
-  };
-  std::vector<Frame> Stack;
-  Stack.push_back({E, 0});
-  while (!Stack.empty()) {
-    Frame &F = Stack.back();
-    if (Memo.count(F.E)) {
-      Stack.pop_back();
-      continue;
-    }
-    if (F.NextOp < F.E->numOperands()) {
-      ExprRef Child = F.E->op(F.NextOp++);
-      if (!Memo.count(Child))
-        Stack.push_back({Child, 0});
-      continue;
-    }
-    support::Fingerprint FP;
-    FP.combine(0x534c414d31ull); // Domain tag ("SLAM1"): versions the scheme.
-    FP.combine(static_cast<uint64_t>(F.E->kind()));
-    if (F.E->kind() == ExprKind::IntLit || F.E->kind() == ExprKind::BoolLit)
-      FP.combine(static_cast<uint64_t>(F.E->intValue()));
-    if (!F.E->name().empty())
-      FP.combine(support::hashBytes(F.E->name()));
-    FP.combine(F.E->numOperands());
-    for (ExprRef Op : F.E->operands()) {
-      const support::Fingerprint &C = Memo.at(Op);
-      FP.combine(C.Hi);
-      FP.combine(C.Lo);
-    }
-    Memo.emplace(F.E, FP);
-    Stack.pop_back();
-  }
-  return Memo.at(E);
 }

@@ -16,7 +16,6 @@
 #define LOGIC_EXPRUTILS_H
 
 #include "logic/Expr.h"
-#include "support/Fingerprint.h"
 
 #include <set>
 #include <string>
@@ -63,16 +62,6 @@ ExprRef substituteAll(LogicContext &Ctx, ExprRef E,
 /// Rebuilds \p E inside \p Ctx when it was created by another context.
 /// (All tools share one context in practice; this supports tests.)
 ExprRef clone(LogicContext &Ctx, ExprRef E);
-
-/// A structural 128-bit fingerprint of \p E: a Merkle hash over
-/// (kind, integer value, name, child fingerprints). Two structurally
-/// equal expressions fingerprint identically in *any* process on *any*
-/// platform — unlike hash-consed ids, which are creation-order within
-/// one context — so fingerprints are the keys of everything persisted
-/// across runs (the on-disk prover cache). Iterative (explicit
-/// worklist): weakest preconditions nest tens of thousands of nodes
-/// deep. Cost is O(nodes) with sharing-aware memoization per call.
-support::Fingerprint structuralFingerprint(ExprRef E);
 
 } // namespace logic
 } // namespace slam

@@ -238,10 +238,6 @@ Satisfiability Prover::noteCacheHit(SharedProverCache::Outcome Kind,
     ++NumNegCacheHits;
     Counter = "prover.neg_cache_hits";
     break;
-  case SharedProverCache::Outcome::DiskHit:
-    ++NumCacheHits;
-    Counter = "prover.disk_cache_hits";
-    break;
   case SharedProverCache::Outcome::Miss:
     assert(false && "a miss is not a hit");
     break;

@@ -14,12 +14,11 @@
 ///
 /// All query results are cached (Section 5.2, optimization five), and
 /// every query goes through one SharedProverCache: the one the caller
-/// injects (shared by the worker provers of an abstraction run, or by a
-/// whole CEGAR run over a persistent backend), or else one the Prover
-/// owns. The cache is negation-canonical, so the UNSAT(phi) half of a
-/// validity pair answers the UNSAT(!phi) half for free whenever phi was
-/// unsatisfiable. Each worker remains single-threaded and owns its
-/// Prover exclusively.
+/// injects (shared by the worker provers of an abstraction run), or
+/// else one the Prover owns. The cache is negation-canonical, so the
+/// UNSAT(phi) half of a validity pair answers the UNSAT(!phi) half for
+/// free whenever phi was unsatisfiable. Each worker remains
+/// single-threaded and owns its Prover exclusively.
 ///
 /// The caller's statistics registry records the number of genuine
 /// prover calls and cache hits so benchmarks can reproduce the paper's
@@ -68,7 +67,7 @@ public:
   /// the "theorem prover calls" column of Tables 1 and 2.
   uint64_t numCalls() const { return NumCalls; }
   /// Exact-entry cache hits (including hits obtained by waiting out
-  /// another worker's in-flight call, and persistent-backend hits).
+  /// another worker's in-flight call).
   uint64_t numCacheHits() const { return NumCacheHits; }
   /// Hits answered from the opposite polarity's Unsat result.
   uint64_t numNegCacheHits() const { return NumNegCacheHits; }
@@ -77,8 +76,7 @@ private:
   Satisfiability checkSatUncached(logic::ExprRef Phi);
 
   /// Counts a non-Miss cache outcome into the right counters
-  /// (prover.cache_hits / neg_cache_hits / disk_cache_hits) and returns
-  /// its value.
+  /// (prover.cache_hits / neg_cache_hits) and returns its value.
   Satisfiability noteCacheHit(SharedProverCache::Outcome Kind,
                               Satisfiability Value);
 

@@ -6,8 +6,6 @@
 
 #include "prover/ProverCache.h"
 
-#include "logic/ExprUtils.h"
-#include "prover/CacheBackend.h"
 #include "prover/Prover.h"
 
 #include <cassert>
@@ -21,21 +19,6 @@ std::pair<ExprRef, bool> SharedProverCache::canonicalize(ExprRef Phi) {
   if (Phi->kind() == ExprKind::Not)
     return {Phi->op(0), false};
   return {Phi, true};
-}
-
-support::Fingerprint SharedProverCache::fingerprintFor(ExprRef Base) {
-  {
-    std::lock_guard<std::mutex> L(FpM);
-    auto It = FpMemo.find(Base);
-    if (It != FpMemo.end())
-      return It->second;
-  }
-  // Hash outside the lock — this is the expensive part — and tolerate
-  // two workers racing to compute the same (identical) value.
-  support::Fingerprint FP = logic::structuralFingerprint(Base);
-  std::lock_guard<std::mutex> L(FpM);
-  FpMemo.emplace(Base, FP);
-  return FP;
 }
 
 SharedProverCache::Lookup SharedProverCache::lookupOrReserve(ExprRef Phi) {
@@ -63,33 +46,10 @@ SharedProverCache::Lookup SharedProverCache::lookupOrReserve(ExprRef Phi) {
     E.State[Slot] = SlotState::InFlight;
   }
 
-  // In-memory miss with the slot held in-flight: probe the persistent
-  // layer (outside the shard lock — fingerprinting and the backend's
-  // own lock must not serialize the shard). Concurrent identical
-  // queries are parked on the condition variable, so the backend sees
-  // one probe per query, and a disk answer published here wakes them
-  // as ordinary WaitHits.
-  if (Backend) {
-    support::Fingerprint FP = fingerprintFor(Base);
-    std::optional<Satisfiability> OnDisk = Backend->probe(FP, Positive);
-    if (!OnDisk) {
-      // The disk stores only genuine decisions, never derived entries,
-      // so re-derive here: opposite-polarity Unsat => this side Sat.
-      std::optional<Satisfiability> Opposite = Backend->probe(FP, !Positive);
-      if (Opposite && *Opposite == Satisfiability::Unsat)
-        OnDisk = Satisfiability::Sat;
-    }
-    if (OnDisk) {
-      publishImpl(Phi, *OnDisk, /*Persist=*/false);
-      return {Outcome::DiskHit, *OnDisk, Reservation()};
-    }
-  }
-
   return {Outcome::Miss, Satisfiability::Unknown, Reservation(this, Phi)};
 }
 
-void SharedProverCache::publishImpl(ExprRef Phi, Satisfiability Result,
-                                    bool Persist) {
+void SharedProverCache::publishImpl(ExprRef Phi, Satisfiability Result) {
   auto [Base, Positive] = canonicalize(Phi);
   int Slot = Positive ? 0 : 1;
   Shard &S = shardFor(Base);
@@ -111,10 +71,6 @@ void SharedProverCache::publishImpl(ExprRef Phi, Satisfiability Result,
     }
   }
   S.Cv.notify_all();
-  // Only the polarity actually decided is persisted; the derived
-  // opposite is recomputed from it on every load.
-  if (Persist && Backend)
-    Backend->record(fingerprintFor(Base), Positive, Result);
 }
 
 void SharedProverCache::abandonImpl(ExprRef Phi) {
@@ -134,7 +90,7 @@ void SharedProverCache::abandonImpl(ExprRef Phi) {
 void SharedProverCache::Reservation::publish(Satisfiability Result) {
   assert(Cache && "publishing through an empty reservation");
   SharedProverCache *C = std::exchange(Cache, nullptr);
-  C->publishImpl(Phi, Result, /*Persist=*/true);
+  C->publishImpl(Phi, Result);
 }
 
 void SharedProverCache::Reservation::abandon() {

@@ -12,7 +12,7 @@
 /// one worker is a cache hit on every other; a Prover given none owns
 /// one.
 ///
-/// Four design points:
+/// Three design points:
 ///
 ///   * **Sharded + mutex-striped.** Entries are distributed over a fixed
 ///     set of shards by the stable hash-consed id of the queried
@@ -37,21 +37,12 @@
 ///     back to Empty and wakes waiters so they can re-reserve, instead
 ///     of deadlocking them on a result that will never come.
 ///
-///   * **Persistent under, memory over.** An optional CacheBackend sits
-///     below the in-memory shards: an in-memory miss probes the backend
-///     (keyed on structural fingerprints — hash-consed ids are not
-///     stable across runs) before the caller is told to run the prover,
-///     and each genuinely new result is recorded for the next run. The
-///     backend is consulted while the slot is held in-flight, so
-///     concurrent identical queries cost one disk probe, not N.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef PROVER_PROVERCACHE_H
 #define PROVER_PROVERCACHE_H
 
 #include "logic/Expr.h"
-#include "support/Fingerprint.h"
 
 #include <condition_variable>
 #include <cstdint>
@@ -63,24 +54,17 @@ namespace slam {
 namespace prover {
 
 enum class Satisfiability; // From Prover.h (included by users of both).
-class CacheBackend;
 
 /// Shared, sharded satisfiability cache. Bound to one LogicContext:
 /// keys are interned expression nodes of that context.
 class SharedProverCache {
 public:
-  /// \p Backend, when non-null, persists results across runs; it must
-  /// outlive the cache. No backend means a purely in-memory cache.
-  explicit SharedProverCache(CacheBackend *Backend = nullptr)
-      : Backend(Backend) {}
-
   /// How a lookup was (or was not) answered.
   enum class Outcome {
     Miss,    ///< Not cached; the caller holds the slot and must publish.
     Hit,     ///< Answered from a completed in-memory entry.
     NegHit,  ///< Answered from the opposite polarity's Unsat result.
     WaitHit, ///< Answered after blocking on another worker's in-flight call.
-    DiskHit, ///< Answered from the persistent backend.
   };
 
   /// RAII claim on an in-flight slot. Exactly one of two things happens
@@ -105,8 +89,8 @@ public:
     /// True while the slot is held (i.e. publish is still owed).
     explicit operator bool() const { return Cache != nullptr; }
 
-    /// Publishes \p Result into the reserved slot, records it to the
-    /// backend, wakes waiters, and releases the claim.
+    /// Publishes \p Result into the reserved slot, wakes waiters, and
+    /// releases the claim.
     void publish(Satisfiability Result);
 
   private:
@@ -125,9 +109,8 @@ public:
     Reservation Slot;     ///< Engaged exactly when Kind == Miss.
   };
 
-  /// Looks \p Phi up in memory, then (on a miss) in the backend. A Miss
-  /// returns an engaged Reservation the caller publishes through; all
-  /// other outcomes carry the answer.
+  /// Looks \p Phi up. A Miss returns an engaged Reservation the caller
+  /// publishes through; all other outcomes carry the answer.
   Lookup lookupOrReserve(logic::ExprRef Phi);
 
   /// Entries resident across all shards (for reporting).
@@ -163,20 +146,10 @@ private:
   }
 
   /// Fills the slot for \p Phi with \p Result and wakes waiters.
-  /// \p Persist additionally records it to the backend (false for
-  /// results that *came from* the backend, so warm runs append
-  /// nothing they already know).
-  void publishImpl(logic::ExprRef Phi, Satisfiability Result, bool Persist);
+  void publishImpl(logic::ExprRef Phi, Satisfiability Result);
   void abandonImpl(logic::ExprRef Phi);
 
-  /// The structural fingerprint of \p Base, memoized: WPs recur across
-  /// cubes and fingerprinting is O(formula size).
-  support::Fingerprint fingerprintFor(logic::ExprRef Base);
-
   Shard Shards[NumShards];
-  CacheBackend *Backend;
-  std::mutex FpM;
-  std::unordered_map<logic::ExprRef, support::Fingerprint> FpMemo;
 };
 
 } // namespace prover

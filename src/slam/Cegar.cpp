@@ -10,7 +10,6 @@
 #include "cfront/Normalize.h"
 #include "cfront/Parser.h"
 #include "cfront/Sema.h"
-#include "prover/CacheBackend.h"
 #include "slam/Newton.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
@@ -31,25 +30,9 @@ SlamResult slamtool::checkProgram(const Program &P,
   StatsRegistry LocalStats;
   StatsRegistry *S = Stats ? Stats : &LocalStats;
 
-  // Cross-run persistence: a backend (injected, or opened from
-  // --prover-cache) is layered under a *run-wide* shared prover cache,
-  // which every iteration's abstraction and Newton's feasibility
-  // queries go through — so results flow across iterations in memory
-  // and across runs on disk. No backend, no run-wide cache: each
-  // iteration's abstraction and Newton's prover keep a cache of their
-  // own.
-  std::unique_ptr<prover::FileCacheBackend> OwnedBackend;
-  prover::CacheBackend *Backend = Options.Backend;
-  if (!Backend && !Options.ProverCachePath.empty()) {
-    OwnedBackend =
-        std::make_unique<prover::FileCacheBackend>(Options.ProverCachePath);
-    Backend = OwnedBackend.get();
-  }
-  std::unique_ptr<prover::SharedProverCache> RunCache;
-  if (Backend)
-    RunCache = std::make_unique<prover::SharedProverCache>(Backend);
-
-  prover::Prover NewtonProver(Ctx, S, RunCache.get());
+  // Each iteration's abstraction owns its prover cache (C2bpTool), and
+  // Newton's feasibility queries go through this prover's own.
+  prover::Prover NewtonProver(Ctx, S);
 
   // Cross-iteration reuse: the memo outlives the per-iteration C2bp
   // tools; each iteration replays searches committed by earlier ones
@@ -58,8 +41,6 @@ SlamResult slamtool::checkProgram(const Program &P,
   c2bp::C2bpOptions C2bpOpts = Options.C2bp;
   if (Options.Cegar.Incremental)
     C2bpOpts.Memo = &Memo;
-  if (RunCache)
-    C2bpOpts.ExternalCache = RunCache.get();
 
   auto CacheHits = [&] {
     return S->get("prover.cache_hits") + S->get("prover.neg_cache_hits");
@@ -78,7 +59,6 @@ SlamResult slamtool::checkProgram(const Program &P,
     Rec.Predicates = Result.Predicates.totalCount();
     uint64_t Calls0 = S->get("prover.calls");
     uint64_t Hits0 = CacheHits();
-    uint64_t Disk0 = S->get("prover.disk_cache_hits");
     uint64_t Cubes0 = S->get("c2bp.cubes_checked");
     uint64_t Reused0 = S->get("c2bp.stmts_reused");
     uint64_t Recomp0 = S->get("c2bp.stmts_recomputed");
@@ -104,7 +84,6 @@ SlamResult slamtool::checkProgram(const Program &P,
     auto FinishRecord = [&] {
       Rec.ProverCalls = S->get("prover.calls") - Calls0;
       Rec.CacheHits = CacheHits() - Hits0;
-      Rec.DiskHits = S->get("prover.disk_cache_hits") - Disk0;
       Rec.Cubes = S->get("c2bp.cubes_checked") - Cubes0;
       Rec.StmtsReused = S->get("c2bp.stmts_reused") - Reused0;
       Rec.StmtsRecomputed = S->get("c2bp.stmts_recomputed") - Recomp0;
@@ -124,14 +103,14 @@ SlamResult slamtool::checkProgram(const Program &P,
     Rec.NewtonSeconds = NewtonTime.seconds();
     Rec.NewPredicates = NR.NewPreds.totalCount();
     FinishRecord();
-    if (NR.Feasible) {
-      Result.V = SlamResult::Verdict::BugFound;
+    if (NR.Feasible || NR.NewPreds.totalCount() == 0) {
+      Result.V = NR.Feasible ? SlamResult::Verdict::BugFound
+                             : SlamResult::Verdict::Unknown;
+      // The steps' statements belong to this iteration's boolean
+      // program, which dies on return; keep only what outlives it.
       Result.Trace = std::move(Check.Trace);
-      return Result;
-    }
-    if (NR.NewPreds.totalCount() == 0) {
-      Result.V = SlamResult::Verdict::Unknown;
-      Result.Trace = std::move(Check.Trace);
+      for (bebop::TraceStep &Step : Result.Trace)
+        Step.Stmt = nullptr;
       return Result;
     }
     for (logic::ExprRef E : NR.NewPreds.Globals)

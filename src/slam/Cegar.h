@@ -37,8 +37,7 @@ struct IterationRecord {
   int Iteration = 0;        ///< 1-based iteration number.
   size_t Predicates = 0;    ///< Predicates entering the iteration.
   uint64_t ProverCalls = 0; ///< Uncached prover decisions this iteration.
-  uint64_t CacheHits = 0;   ///< Prover cache hits (private+shared+negation).
-  uint64_t DiskHits = 0;    ///< Queries answered from the persistent cache.
+  uint64_t CacheHits = 0;   ///< Prover cache hits (exact+negation).
   uint64_t Cubes = 0;       ///< Cubes enumerated by the C2bp searches.
   uint64_t StmtsReused = 0; ///< Statements replayed from the memo untouched.
   uint64_t StmtsRecomputed = 0; ///< Statements that re-ran a cube search.
@@ -58,7 +57,9 @@ struct SlamResult {
   Verdict V = Verdict::Unknown;
   int Iterations = 0;
   /// The violating path (for BugFound), as C statement ids with
-  /// procedure names.
+  /// procedure names. Every step's Stmt is null: the boolean program it
+  /// pointed into belongs to the CEGAR iteration that found the path
+  /// and is destroyed before the result is returned.
   std::vector<bebop::TraceStep> Trace;
   /// Final predicate set (for reporting).
   c2bp::PredicateSet Predicates;
@@ -68,9 +69,10 @@ struct SlamResult {
 
 /// Runs the SLAM loop on a parsed+analyzed+normalized program with the
 /// given initial predicates (often just the property seeds). Honors
-/// Options.Cegar (loop control, incremental reuse), Options.C2bp (the
-/// per-iteration abstraction), and Options.ProverCachePath/Backend
-/// (cross-run prover-result persistence).
+/// Options.Cegar (loop control, incremental reuse) and Options.C2bp (the
+/// per-iteration abstraction). Each iteration's abstraction answers its
+/// prover queries through a cache of its own, and Newton's prover owns
+/// another; only the AbstractionMemo carries results across iterations.
 SlamResult checkProgram(const cfront::Program &P,
                         const c2bp::PredicateSet &InitialPreds,
                         logic::LogicContext &Ctx,

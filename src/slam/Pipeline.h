@@ -22,10 +22,6 @@
 #include <string>
 
 namespace slam {
-namespace prover {
-class CacheBackend;
-}
-
 namespace slamtool {
 
 /// The CEGAR driver's knobs (Section 6.1's loop).
@@ -73,15 +69,6 @@ struct PipelineOptions {
   BebopToolOptions Bebop;
   CegarOptions Cegar;
   ObservabilityOptions Obs;
-
-  /// Path of the persistent prover-result log (`--prover-cache`);
-  /// empty = no persistence. The CEGAR driver (or the c2bp driver)
-  /// opens a FileCacheBackend here and layers a run-wide shared prover
-  /// cache over it.
-  std::string ProverCachePath;
-  /// An injected backend (tests); takes precedence over
-  /// ProverCachePath and is not owned.
-  prover::CacheBackend *Backend = nullptr;
 };
 
 } // namespace slamtool

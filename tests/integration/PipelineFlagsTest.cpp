@@ -47,7 +47,6 @@ TEST(PipelineFlags, SlamDefaults) {
   EXPECT_EQ(PA.Options.Cegar.MaxIterations, 24);
   EXPECT_EQ(PA.Options.Cegar.EntryProc, "main");
   EXPECT_TRUE(PA.Options.Cegar.Incremental);
-  EXPECT_TRUE(PA.Options.ProverCachePath.empty());
 
   PipelineArgs PB;
   EXPECT_EQ(parse(ToolKind::C2bp, {"prog.c", "preds.txt"}, PB),
@@ -81,7 +80,7 @@ TEST(PipelineFlags, SlamSpecificFlags) {
   EXPECT_EQ(parse(ToolKind::Slam,
                   {"p.c", "--lock", "Acq,Rel", "--entry", "start",
                    "--max-iters", "7", "-k", "2", "-j", "2",
-                   "--prover-cache", "cache.log", "--no-incremental"},
+                   "--no-incremental"},
                   PA),
             std::nullopt);
   EXPECT_TRUE(PA.HaveSpec);
@@ -89,8 +88,10 @@ TEST(PipelineFlags, SlamSpecificFlags) {
   EXPECT_EQ(PA.Options.Cegar.MaxIterations, 7);
   EXPECT_EQ(PA.Options.C2bp.Cubes.MaxCubeLength, 2);
   EXPECT_EQ(PA.Options.C2bp.NumWorkers, 2);
-  EXPECT_EQ(PA.Options.ProverCachePath, "cache.log");
   EXPECT_FALSE(PA.Options.Cegar.Incremental);
+  // Deleted: prover results are not persisted across runs.
+  PipelineArgs PB;
+  EXPECT_EQ(parse(ToolKind::Slam, {"p.c", "--prover-cache", "c.log"}, PB), 2);
 }
 
 TEST(PipelineFlags, MalformedPropertyPairIsAUsageError) {
@@ -103,16 +104,13 @@ TEST(PipelineFlags, MalformedPropertyPairIsAUsageError) {
 TEST(PipelineFlags, C2bpSpecificFlags) {
   PipelineArgs PA;
   EXPECT_EQ(parse(ToolKind::C2bp,
-                  {"p.c", "e.txt", "--no-cone", "--alias", "andersen",
-                   "--prover-cache", "c.log"},
-                  PA),
+                  {"p.c", "e.txt", "--no-cone", "--alias", "andersen"}, PA),
             std::nullopt);
   EXPECT_FALSE(PA.Options.C2bp.Cubes.ConeOfInfluence);
   EXPECT_EQ(PA.Options.C2bp.AliasMode, alias::Mode::Andersen);
-  EXPECT_EQ(PA.Options.ProverCachePath, "c.log");
-  // Deleted knobs are usage errors: --report prints the counters, and
-  // every run has one prover cache.
-  for (const char *Gone : {"--stats", "--no-shared-cache"}) {
+  // Deleted knobs are usage errors: --report prints the counters, every
+  // run has one prover cache, and nothing is persisted across runs.
+  for (const char *Gone : {"--stats", "--no-shared-cache", "--prover-cache"}) {
     PipelineArgs PB;
     EXPECT_EQ(parse(ToolKind::C2bp, {"p.c", "e.txt", Gone}, PB), 2) << Gone;
   }
@@ -178,7 +176,7 @@ TEST(PipelineFlags, PositionalCountIsEnforced) {
 
 TEST(PipelineFlags, MissingFlagValueIsAUsageError) {
   PipelineArgs PA;
-  EXPECT_EQ(parse(ToolKind::Slam, {"p.c", "--prover-cache"}, PA), 2);
+  EXPECT_EQ(parse(ToolKind::Slam, {"p.c", "--max-iters"}, PA), 2);
   PipelineArgs PB;
   EXPECT_EQ(parse(ToolKind::Bebop, {"p.bp", "--invariant", "proc"}, PB),
             2);

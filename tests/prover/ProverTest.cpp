@@ -12,16 +12,18 @@ using namespace slam::logic;
 
 namespace {
 
+ExprRef parseFormula(LogicContext &Ctx, const std::string &Text) {
+  DiagnosticEngine Diags;
+  ExprRef E = parseExpr(Ctx, Text, Diags);
+  EXPECT_TRUE(E != nullptr) << Diags.str();
+  return E;
+}
+
 class ProverTest : public ::testing::Test {
 protected:
   ProverTest() : P(Ctx, &Stats) {}
 
-  ExprRef parse(const std::string &Text) {
-    DiagnosticEngine Diags;
-    ExprRef E = parseExpr(Ctx, Text, Diags);
-    EXPECT_TRUE(E != nullptr) << Diags.str();
-    return E;
-  }
+  ExprRef parse(const std::string &Text) { return parseFormula(Ctx, Text); }
 
   Validity implies(const std::string &A, const std::string &C) {
     return P.implies(parse(A), parse(C));
@@ -167,5 +169,43 @@ TEST_P(ProverBoundsSweep, StrictVsNonStrict) {
 
 INSTANTIATE_TEST_SUITE_P(Bounds, ProverBoundsSweep,
                          ::testing::Values(-7, -1, 0, 1, 5, 42, 1000));
+
+// The reservation protocol the -j N workers rely on: a miss hands out an
+// RAII claim on the in-flight slot.
+
+TEST(SharedProverCache, AbandonedReservationFreesTheSlot) {
+  // Destroying an unpublished Reservation (an exception, an Unknown
+  // budget bailout) must return the slot to Empty so the query can be
+  // retried — not wedge it in-flight forever.
+  LogicContext Ctx;
+  ExprRef Phi = parseFormula(Ctx, "x == 1");
+  SharedProverCache C;
+  {
+    auto L = C.lookupOrReserve(Phi);
+    ASSERT_EQ(L.Kind, SharedProverCache::Outcome::Miss);
+    // L.Slot destroyed unpublished.
+  }
+  auto L2 = C.lookupOrReserve(Phi);
+  ASSERT_EQ(L2.Kind, SharedProverCache::Outcome::Miss);
+  L2.Slot.publish(Satisfiability::Sat);
+  auto L3 = C.lookupOrReserve(Phi);
+  EXPECT_EQ(L3.Kind, SharedProverCache::Outcome::Hit);
+  EXPECT_EQ(L3.Value, Satisfiability::Sat);
+}
+
+TEST(SharedProverCache, MovedFromReservationDoesNotAbandon) {
+  LogicContext Ctx;
+  ExprRef Phi = parseFormula(Ctx, "x == 1");
+  SharedProverCache C;
+  auto L = C.lookupOrReserve(Phi);
+  ASSERT_EQ(L.Kind, SharedProverCache::Outcome::Miss);
+  {
+    SharedProverCache::Reservation Moved = std::move(L.Slot);
+    EXPECT_FALSE(static_cast<bool>(L.Slot));
+    Moved.publish(Satisfiability::Sat);
+  }
+  // The publish through the moved-to reservation stuck.
+  EXPECT_EQ(C.lookupOrReserve(Phi).Kind, SharedProverCache::Outcome::Hit);
+}
 
 } // namespace

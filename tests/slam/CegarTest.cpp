@@ -122,6 +122,31 @@ TEST_F(CegarTest, RealBugSurvivesRefinement) {
   EXPECT_EQ(R.V, SlamResult::Verdict::BugFound);
 }
 
+TEST_F(CegarTest, ResultTraceHoldsNoBooleanStatements) {
+  // The boolean program a trace step's Stmt pointed into dies with the
+  // CEGAR iteration that found the path, so the returned trace must not
+  // point into it: procedure names and C statement ids only.
+  auto R = check(R"(
+    void AcquireLock() { }
+    void ReleaseLock() { }
+    int nondet();
+    void main() {
+      int flag;
+      flag = nondet();
+      if (flag > 0) {
+        AcquireLock();
+      }
+      if (flag <= 0) {
+        ReleaseLock();
+      }
+    }
+  )");
+  ASSERT_EQ(R.V, SlamResult::Verdict::BugFound);
+  ASSERT_FALSE(R.Trace.empty());
+  for (const bebop::TraceStep &Step : R.Trace)
+    EXPECT_EQ(Step.Stmt, nullptr) << Step.ProcName;
+}
+
 TEST_F(CegarTest, LoopWithLockDiscipline) {
   auto R = check(R"(
     void AcquireLock() { }

@@ -1,22 +1,17 @@
-//===- IncrementalTest.cpp - Cross-iteration and cross-run reuse -----------===//
+//===- IncrementalTest.cpp - Cross-iteration reuse ------------------------===//
 //
-// The two reuse layers behind `--prover-cache` and the abstraction
-// memo, checked for the property that makes them safe to ship: they
-// change how much work runs, never what the pipeline answers. Memo
-// on/off, cold/warm, and corrupt-cache runs must all produce the same
-// verdict, iteration count, predicate set, and trace; the stats then
-// pin down that the warm paths actually skipped the work.
+// The abstraction memo, checked for the property that makes it safe to
+// ship: it changes how much work runs, never what the pipeline answers.
+// Memo on/off runs must produce the same verdict, iteration count,
+// predicate set, and trace; the stats then pin down that the memo
+// actually skipped the work.
 //
 //===----------------------------------------------------------------------===//
 
 #include "slam/Cegar.h"
 
-#include "prover/CacheBackend.h"
-
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 using namespace slam;
@@ -130,98 +125,4 @@ TEST(Incremental, NonIncrementalLogsNoReuse) {
   runPipeline(O, R);
   for (const IterationRecord &Rec : R.Result.FlightLog)
     EXPECT_EQ(Rec.StmtsReused, 0u);
-}
-
-TEST(Incremental, WarmPersistentCacheSkipsTheProver) {
-  std::string Path = ::testing::TempDir() + "incr_warm.log";
-  std::remove(Path.c_str());
-  PipelineOptions O = baseOptions();
-  O.ProverCachePath = Path;
-
-  PipeRun Cold;
-  runPipeline(O, Cold);
-  uint64_t ColdCalls = Cold.Stats.get("prover.calls");
-  EXPECT_GT(ColdCalls, 0u);
-  EXPECT_EQ(Cold.Stats.get("prover.disk_cache_hits"), 0u);
-
-  // Same options, fresh context: everything must come back identical,
-  // with >= 90% of the prover queries answered from the file.
-  PipeRun Warm;
-  runPipeline(O, Warm);
-  EXPECT_EQ(resultKey(Warm.Result), resultKey(Cold.Result));
-  EXPECT_GT(Warm.Stats.get("prover.disk_cache_hits"), 0u);
-  EXPECT_LE(Warm.Stats.get("prover.calls") * 10, ColdCalls);
-
-  // The warm flight recorder reports its disk hits per iteration.
-  uint64_t Disk = 0;
-  for (const IterationRecord &Rec : Warm.Result.FlightLog)
-    Disk += Rec.DiskHits;
-  EXPECT_EQ(Disk, Warm.Stats.get("prover.disk_cache_hits"));
-  std::remove(Path.c_str());
-}
-
-TEST(Incremental, InjectedBackendTakesPrecedenceOverPath) {
-  // An injected backend (embedders, tests) must win over
-  // ProverCachePath — here the path is unwritable garbage that would
-  // fail loudly if opened.
-  std::string Path = ::testing::TempDir() + "incr_injected.log";
-  std::remove(Path.c_str());
-  {
-    prover::FileCacheBackend Backend(Path);
-    PipelineOptions O = baseOptions();
-    O.ProverCachePath = "/nonexistent-dir/never-created.log";
-    O.Backend = &Backend;
-
-    PipeRun Cold;
-    runPipeline(O, Cold);
-    uint64_t ColdCalls = Cold.Stats.get("prover.calls");
-    EXPECT_GT(ColdCalls, 0u);
-    EXPECT_GT(Backend.pendingEntries(), 0u);
-
-    PipeRun Warm;
-    runPipeline(O, Warm);
-    EXPECT_EQ(resultKey(Warm.Result), resultKey(Cold.Result));
-    EXPECT_LE(Warm.Stats.get("prover.calls") * 10, ColdCalls);
-  }
-  // After the backend's exit flush, so the file is not recreated.
-  std::remove(Path.c_str());
-}
-
-TEST(Incremental, CorruptCacheFileRunsColdAndHeals) {
-  std::string Path = ::testing::TempDir() + "incr_corrupt.log";
-  {
-    std::ofstream Out(Path, std::ios::trunc);
-    Out << "** not a prover cache **\ngarbage line\n";
-  }
-  PipelineOptions O = baseOptions();
-  O.ProverCachePath = Path;
-  PipeRun R;
-  runPipeline(O, R);
-  // The damaged file cost a warning, not the verdict and not a crash.
-  EXPECT_EQ(R.Result.V, SlamResult::Verdict::Validated);
-  EXPECT_EQ(R.Stats.get("prover.disk_cache_hits"), 0u);
-
-  // The run's exit flush rewrote the file; a second run is warm.
-  PipeRun Warm;
-  runPipeline(O, Warm);
-  EXPECT_EQ(resultKey(Warm.Result), resultKey(R.Result));
-  EXPECT_GT(Warm.Stats.get("prover.disk_cache_hits"), 0u);
-  std::remove(Path.c_str());
-}
-
-TEST(Incremental, MemoAndPersistentCacheCompose) {
-  // Both layers on, parallel workers, warm disk: still the same answer.
-  std::string Path = ::testing::TempDir() + "incr_compose.log";
-  std::remove(Path.c_str());
-  PipelineOptions O = baseOptions();
-  O.ProverCachePath = Path;
-  O.C2bp.NumWorkers = 2;
-  PipeRun Cold;
-  runPipeline(O, Cold);
-  PipeRun Warm;
-  runPipeline(O, Warm);
-  EXPECT_EQ(resultKey(Warm.Result), resultKey(Cold.Result));
-  EXPECT_GT(Warm.Stats.get("c2bp.memo_hits"), 0u);
-  EXPECT_GT(Warm.Stats.get("prover.disk_cache_hits"), 0u);
-  std::remove(Path.c_str());
 }

@@ -15,7 +15,7 @@
 ///
 /// and gets back a fully-populated slamtool::PipelineOptions plus the
 /// positional inputs. Shared flags (observability, cube search,
-/// workers, the prover cache) are therefore spelled, validated, and
+/// workers) are therefore spelled, validated, and
 /// documented identically across tools, and `--help` / unknown-option
 /// behavior cannot drift: every tool prints its usage to stdout on
 /// --help (exit 0) and a one-line "unknown option ... (try --help)" to
@@ -97,7 +97,6 @@ inline void printHelp(ToolKind Tool) {
         "  -j <n>                  worker threads per abstraction pass\n"
         "                          (default: 1; 0 = one per hardware "
         "thread)\n"
-        "  --prover-cache <file>   persist prover results across runs\n"
         "  --no-incremental        re-abstract every statement on every\n"
         "                          iteration (disable the reuse memo)\n"
         "%s",
@@ -120,7 +119,6 @@ inline void printHelp(ToolKind Tool) {
         "  --alias <mode>          points-to mode: das (default), "
         "andersen,\n"
         "                          steensgaard\n"
-        "  --prover-cache <file>   persist prover results across runs\n"
         "%s",
         Common);
     return;
@@ -223,13 +221,6 @@ inline std::optional<int> parsePipelineFlags(ToolKind Tool, int Argc,
         if (O.C2bp.NumWorkers == 0)
           O.C2bp.NumWorkers =
               static_cast<int>(ThreadPool::defaultConcurrency());
-        continue;
-      }
-      if (!std::strcmp(Arg, "--prover-cache")) {
-        const char *V = Value(Arg);
-        if (!V)
-          return 2;
-        O.ProverCachePath = V;
         continue;
       }
     }

@@ -50,7 +50,9 @@ int main(int argc, char **argv) {
   Obs.install();
   StatsRegistry Stats;
   bebop::Bebop Checker(*P, &Stats);
-  auto R = Checker.run(Options.EntryProc);
+  // An invariant must come from the complete fixpoint, so a requested
+  // one keeps propagation going past the first violation.
+  auto R = Checker.run(Options.EntryProc, Options.InvariantProc.empty());
   std::printf("assert violated: %s\n", R.AssertViolated ? "yes" : "no");
   if (R.AssertViolated) {
     std::printf("failing procedure: %s\n", R.FailingProc.c_str());

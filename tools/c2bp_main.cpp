@@ -15,11 +15,9 @@
 #include "PipelineFlags.h"
 #include "c2bp/C2bp.h"
 #include "cfront/Normalize.h"
-#include "prover/CacheBackend.h"
 
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <sstream>
 
 using namespace slam;
@@ -50,18 +48,6 @@ int main(int argc, char **argv) {
     return 2;
   }
 
-  c2bp::C2bpOptions Options = PA.Options.C2bp;
-  // Standalone persistence: one run is one "iteration", so only the
-  // prover cache (not the cross-iteration memo) applies here.
-  std::unique_ptr<prover::FileCacheBackend> Backend;
-  std::unique_ptr<prover::SharedProverCache> RunCache;
-  if (!PA.Options.ProverCachePath.empty()) {
-    Backend = std::make_unique<prover::FileCacheBackend>(
-        PA.Options.ProverCachePath);
-    RunCache = std::make_unique<prover::SharedProverCache>(Backend.get());
-    Options.ExternalCache = RunCache.get();
-  }
-
   tools::ObservabilityFlags Obs(PA.Options.Obs);
   Obs.install();
   StatsRegistry Stats;
@@ -80,8 +66,8 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  auto BP = c2bp::abstractProgram(*Program, *Preds, Ctx, Diags, Options,
-                                  &Stats);
+  auto BP = c2bp::abstractProgram(*Program, *Preds, Ctx, Diags,
+                                  PA.Options.C2bp, &Stats);
   if (!BP) {
     std::fprintf(stderr, "%s", Diags.str().c_str());
     Obs.finish("c2bp", Stats);

@@ -87,17 +87,16 @@ int main(int argc, char **argv) {
 
   if (Obs.wantReport()) {
     std::printf("\nCEGAR flight recorder:\n");
-    std::printf("%5s %6s %7s %6s %6s %7s %6s %6s %10s %9s %9s %9s %6s\n",
-                "iter", "preds", "prover", "hits", "disk", "cubes", "reuse",
+    std::printf("%5s %6s %7s %6s %7s %6s %6s %10s %9s %9s %9s %6s\n",
+                "iter", "preds", "prover", "hits", "cubes", "reuse",
                 "recomp", "bdd-nodes", "c2bp(s)", "bebop(s)", "newton(s)",
                 "new");
     for (const slamtool::IterationRecord &Rec : R->FlightLog)
-      std::printf("%5d %6zu %7llu %6llu %6llu %7llu %6llu %6llu %10llu "
+      std::printf("%5d %6zu %7llu %6llu %7llu %6llu %6llu %10llu "
                   "%9.3f %9.3f %9.3f %6zu\n",
                   Rec.Iteration, Rec.Predicates,
                   static_cast<unsigned long long>(Rec.ProverCalls),
                   static_cast<unsigned long long>(Rec.CacheHits),
-                  static_cast<unsigned long long>(Rec.DiskHits),
                   static_cast<unsigned long long>(Rec.Cubes),
                   static_cast<unsigned long long>(Rec.StmtsReused),
                   static_cast<unsigned long long>(Rec.StmtsRecomputed),
