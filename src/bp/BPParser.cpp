@@ -7,6 +7,7 @@
 #include "bp/BPParser.h"
 
 #include <cctype>
+#include <charconv>
 #include <map>
 #include <set>
 
@@ -132,7 +133,10 @@ std::vector<Token> lex(std::string_view Source) {
         Advance();
       }
       T.Kind = Tok::Int;
-      T.IntValue = std::stoll(Text);
+      if (std::from_chars(Text.data(), Text.data() + Text.size(), T.IntValue)
+              .ec != std::errc())
+        T.Kind = Tok::Error; // Out of the int64 range.
+      T.Text = std::move(Text);
       Out.push_back(std::move(T));
       continue;
     }
@@ -243,7 +247,11 @@ private:
     return false;
   }
   void error(const std::string &Message) {
-    Diags.error(cur().Loc, Message + " (found '" + cur().Text + "')");
+    // The lexer leaves an out-of-range integer literal as an Error token.
+    bool BadInt = at(Tok::Error) &&
+                  std::isdigit(static_cast<unsigned char>(cur().Text[0]));
+    Diags.error(cur().Loc, BadInt ? "integer literal out of range"
+                                  : Message + " (found '" + cur().Text + "')");
   }
 
   bool parseNameList(std::vector<std::string> &Out) {

@@ -7,6 +7,7 @@
 #include "cfront/Lexer.h"
 
 #include <cctype>
+#include <charconv>
 #include <map>
 
 using namespace slam;
@@ -91,7 +92,9 @@ std::vector<Token> cfront::tokenize(std::string_view Source) {
       }
       Token T;
       T.Kind = TokKind::IntLit;
-      T.IntValue = std::stoll(Text);
+      if (std::from_chars(Text.data(), Text.data() + Text.size(), T.IntValue)
+              .ec != std::errc())
+        T.Kind = TokKind::Error; // The literal is out of the int64 range.
       T.Text = std::move(Text);
       T.Loc = Loc;
       Tokens.push_back(std::move(T));

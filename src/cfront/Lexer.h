@@ -73,7 +73,7 @@ struct Token {
 };
 
 /// Tokenizes a whole buffer; comments (// and /* */) are skipped. A
-/// TokKind::Error token carries the offending character in Text.
+/// TokKind::Error token carries the offending character or literal in Text.
 std::vector<Token> tokenize(std::string_view Source);
 
 /// Counts the newline-terminated lines of \p Source (the "lines" column

@@ -8,6 +8,7 @@
 
 #include "cfront/Lexer.h"
 
+#include <cctype>
 #include <map>
 
 using namespace slam;
@@ -63,7 +64,11 @@ private:
     return false;
   }
   void error(const std::string &Message) {
-    Diags.error(cur().Loc, Message + " (found '" + cur().Text + "')");
+    // The lexer leaves an out-of-range integer literal as an Error token.
+    bool BadInt = at(TokKind::Error) &&
+                  std::isdigit(static_cast<unsigned char>(cur().Text[0]));
+    Diags.error(cur().Loc, BadInt ? "integer literal out of range"
+                                  : Message + " (found '" + cur().Text + "')");
   }
 
   // -- Types ----------------------------------------------------------------

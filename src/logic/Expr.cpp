@@ -52,7 +52,7 @@ size_t LogicContext::KeyHash::operator()(const Key &K) const {
     H ^= V + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
   };
   Mix(std::hash<int64_t>()(K.IntValue));
-  Mix(std::hash<std::string>()(K.Name));
+  Mix(std::hash<std::string_view>()(K.Name));
   for (ExprRef Op : K.Ops)
     Mix(std::hash<unsigned>()(Op->id()));
   return H;
@@ -69,8 +69,7 @@ ExprRef LogicContext::make(ExprKind Kind, int64_t IntValue, std::string Name,
   // state; holding the mutex here makes concurrent expression building
   // safe (nodes are immutable once the pointer escapes the lock).
   std::lock_guard<std::mutex> L(InternM);
-  Key K{Kind, IntValue, Name, Ops};
-  auto It = Interned.find(K);
+  auto It = Interned.find(Key{Kind, IntValue, Name, Ops});
   if (It != Interned.end())
     return It->second;
   unsigned Size = 1;
@@ -79,7 +78,7 @@ ExprRef LogicContext::make(ExprKind Kind, int64_t IntValue, std::string Name,
   Nodes.emplace_back(Expr(Kind, IntValue, std::move(Name), std::move(Ops),
                           static_cast<unsigned>(Nodes.size()), Size));
   ExprRef E = &Nodes.back();
-  Interned.emplace(std::move(K), E);
+  Interned.emplace(Key{Kind, IntValue, E->Name, E->Ops}, E);
   return E;
 }
 
@@ -116,8 +115,11 @@ ExprRef LogicContext::index(ExprRef Base, ExprRef Idx) {
   return make(ExprKind::Index, 0, "", {Base, Idx});
 }
 
+// Constants fold only when the int64 result is defined; otherwise the
+// node stays, and the prover's arithmetic poisons it (Unknown).
+
 ExprRef LogicContext::neg(ExprRef E) {
-  if (E->kind() == ExprKind::IntLit)
+  if (E->kind() == ExprKind::IntLit && E->intValue() != INT64_MIN)
     return intLit(-E->intValue());
   if (E->kind() == ExprKind::Neg)
     return E->op(0);
@@ -125,8 +127,10 @@ ExprRef LogicContext::neg(ExprRef E) {
 }
 
 ExprRef LogicContext::add(ExprRef L, ExprRef R) {
-  if (L->kind() == ExprKind::IntLit && R->kind() == ExprKind::IntLit)
-    return intLit(L->intValue() + R->intValue());
+  int64_t Sum;
+  if (L->kind() == ExprKind::IntLit && R->kind() == ExprKind::IntLit &&
+      !__builtin_add_overflow(L->intValue(), R->intValue(), &Sum))
+    return intLit(Sum);
   if (L->kind() == ExprKind::IntLit && L->intValue() == 0)
     return R;
   if (R->kind() == ExprKind::IntLit && R->intValue() == 0)
@@ -135,16 +139,20 @@ ExprRef LogicContext::add(ExprRef L, ExprRef R) {
 }
 
 ExprRef LogicContext::sub(ExprRef L, ExprRef R) {
-  if (L->kind() == ExprKind::IntLit && R->kind() == ExprKind::IntLit)
-    return intLit(L->intValue() - R->intValue());
+  int64_t Difference;
+  if (L->kind() == ExprKind::IntLit && R->kind() == ExprKind::IntLit &&
+      !__builtin_sub_overflow(L->intValue(), R->intValue(), &Difference))
+    return intLit(Difference);
   if (R->kind() == ExprKind::IntLit && R->intValue() == 0)
     return L;
   return make(ExprKind::Sub, 0, "", {L, R});
 }
 
 ExprRef LogicContext::mul(ExprRef L, ExprRef R) {
-  if (L->kind() == ExprKind::IntLit && R->kind() == ExprKind::IntLit)
-    return intLit(L->intValue() * R->intValue());
+  int64_t Product;
+  if (L->kind() == ExprKind::IntLit && R->kind() == ExprKind::IntLit &&
+      !__builtin_mul_overflow(L->intValue(), R->intValue(), &Product))
+    return intLit(Product);
   if (L->kind() == ExprKind::IntLit && L->intValue() == 1)
     return R;
   if (R->kind() == ExprKind::IntLit && R->intValue() == 1)
@@ -155,9 +163,15 @@ ExprRef LogicContext::mul(ExprRef L, ExprRef R) {
   return make(ExprKind::Mul, 0, "", {L, R});
 }
 
+/// True if L / R and L % R on int64 literals are defined.
+static bool divisionFolds(ExprRef L, ExprRef R) {
+  return L->kind() == ExprKind::IntLit && R->kind() == ExprKind::IntLit &&
+         R->intValue() != 0 &&
+         !(L->intValue() == INT64_MIN && R->intValue() == -1);
+}
+
 ExprRef LogicContext::div(ExprRef L, ExprRef R) {
-  if (L->kind() == ExprKind::IntLit && R->kind() == ExprKind::IntLit &&
-      R->intValue() != 0)
+  if (divisionFolds(L, R))
     return intLit(L->intValue() / R->intValue());
   if (R->kind() == ExprKind::IntLit && R->intValue() == 1)
     return L;
@@ -165,8 +179,7 @@ ExprRef LogicContext::div(ExprRef L, ExprRef R) {
 }
 
 ExprRef LogicContext::mod(ExprRef L, ExprRef R) {
-  if (L->kind() == ExprKind::IntLit && R->kind() == ExprKind::IntLit &&
-      R->intValue() != 0)
+  if (divisionFolds(L, R))
     return intLit(L->intValue() % R->intValue());
   return make(ExprKind::Mod, 0, "", {L, R});
 }
@@ -224,6 +237,19 @@ ExprRef LogicContext::notE(ExprRef E) {
   return make(ExprKind::Not, 0, "", {E});
 }
 
+/// True if \p Ops holds some phi and notE(phi), matched by structure
+/// (so that no negation is interned): x and Not(x), or a comparison and
+/// the one of negated kind.
+static bool hasComplementPair(const std::vector<ExprRef> &Ops) {
+  for (ExprRef A : Ops)
+    for (ExprRef B : Ops)
+      if ((A->kind() == ExprKind::Not && A->op(0) == B) ||
+          (isCmpKind(A->kind()) && B->kind() == negateCmp(A->kind()) &&
+           A->op(0) == B->op(0) && A->op(1) == B->op(1)))
+        return true;
+  return false;
+}
+
 ExprRef LogicContext::andE(ExprRef L, ExprRef R) {
   return andE(std::vector<ExprRef>{L, R});
 }
@@ -246,9 +272,8 @@ ExprRef LogicContext::andE(std::vector<ExprRef> Ops) {
       Flat.push_back(Op);
   }
   // A conjunction containing both phi and !phi is false.
-  for (ExprRef Op : Flat)
-    if (std::find(Flat.begin(), Flat.end(), notE(Op)) != Flat.end())
-      return False;
+  if (hasComplementPair(Flat))
+    return False;
   if (Flat.empty())
     return True;
   if (Flat.size() == 1)
@@ -277,9 +302,8 @@ ExprRef LogicContext::orE(std::vector<ExprRef> Ops) {
     if (std::find(Flat.begin(), Flat.end(), Op) == Flat.end())
       Flat.push_back(Op);
   }
-  for (ExprRef Op : Flat)
-    if (std::find(Flat.begin(), Flat.end(), notE(Op)) != Flat.end())
-      return True;
+  if (hasComplementPair(Flat))
+    return True;
   if (Flat.empty())
     return False;
   if (Flat.size() == 1)

@@ -19,11 +19,14 @@
 #ifndef LOGIC_EXPR_H
 #define LOGIC_EXPR_H
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -138,6 +141,27 @@ private:
 
 using ExprRef = const Expr *;
 
+/// Maps one LogicContext's expressions to ints via a vector indexed by
+/// the dense Expr::id(); clear() just bumps a 64-bit generation stamp.
+class ExprIdMap {
+public:
+  /// The value stored for \p E, or -1.
+  int lookup(ExprRef E) const {
+    unsigned Id = E->id();
+    return Id < Slots.size() && Slots[Id].first == Gen ? Slots[Id].second : -1;
+  }
+  void insert(ExprRef E, int Value) {
+    if (E->id() >= Slots.size())
+      Slots.resize(E->id() + 1 + Slots.size());
+    Slots[E->id()] = {Gen, Value};
+  }
+  void clear() { ++Gen; }
+
+private:
+  std::vector<std::pair<uint64_t, int>> Slots; ///< (generation, value)
+  uint64_t Gen = 1;
+};
+
 /// Owns and interns Expr nodes. Smart constructors perform light
 /// canonicalization (constant folding, flattening of And/Or, double
 /// negation, pushing ! through comparisons) so that the weakest
@@ -196,14 +220,16 @@ private:
   ExprRef make(ExprKind Kind, int64_t IntValue, std::string Name,
                std::vector<ExprRef> Ops);
 
+  /// Views a name and operands: a lookup copies nothing, and a stored
+  /// key views its own node's (deque nodes never move).
   struct Key {
     ExprKind Kind;
     int64_t IntValue;
-    std::string Name;
-    std::vector<ExprRef> Ops;
+    std::string_view Name;
+    std::span<const ExprRef> Ops;
     bool operator==(const Key &O) const {
       return Kind == O.Kind && IntValue == O.IntValue && Name == O.Name &&
-             Ops == O.Ops;
+             std::ranges::equal(Ops, O.Ops);
     }
   };
   struct KeyHash {

@@ -7,6 +7,7 @@
 #include "logic/Parser.h"
 
 #include <cctype>
+#include <charconv>
 
 using namespace slam;
 using namespace slam::logic;
@@ -74,7 +75,10 @@ private:
   int64_t CurInt = 0;
 
   void error(const std::string &Message) {
-    Diags.error(SourceLoc(1, static_cast<unsigned>(Pos + 1)), Message);
+    bool BadInt = Cur == Tok::Error &&
+                  std::isdigit(static_cast<unsigned char>(CurText[0]));
+    Diags.error(SourceLoc(1, static_cast<unsigned>(Pos + 1)),
+                BadInt ? "integer literal out of range" : Message);
   }
 
   void advance() {
@@ -94,8 +98,12 @@ private:
       while (Pos < Text.size() &&
              std::isdigit(static_cast<unsigned char>(Text[Pos])))
         ++Pos;
-      CurInt = std::stoll(std::string(Text.substr(Start, Pos - Start)));
       Cur = Tok::Int;
+      if (std::from_chars(Text.data() + Start, Text.data() + Pos, CurInt).ec !=
+          std::errc()) {
+        Cur = Tok::Error; // Out of the int64 range; see error().
+        CurText = std::string(Text.substr(Start, Pos - Start));
+      }
       return;
     }
     if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {

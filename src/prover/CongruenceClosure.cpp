@@ -6,98 +6,108 @@
 
 #include "prover/CongruenceClosure.h"
 
-#include <deque>
-
 using namespace slam;
 using namespace slam::prover;
-using logic::ExprKind;
 using logic::ExprRef;
 
+void CongruenceClosure::clear() {
+  for (int I = 0; I != numTerms(); ++I)
+    Uses[I].clear();
+  Terms.clear();
+  Ids.clear();
+  Signatures.clear();
+  Disequalities.clear();
+  Conflict = false;
+}
+
 int CongruenceClosure::addTerm(ExprRef E) {
-  auto It = Ids.find(E);
-  if (It != Ids.end())
-    return It->second;
+  int Known = Ids.lookup(E);
+  if (Known >= 0)
+    return Known;
 
-  std::vector<int> Kids;
-  Kids.reserve(E->numOperands());
-  for (ExprRef Op : E->operands())
-    Kids.push_back(addTerm(Op));
+  assert(E->numOperands() <= 2 && "terms have at most two operands");
+  int Kid0 = E->numOperands() > 0 ? addTerm(E->op(0)) : -1;
+  int Kid1 = E->numOperands() > 1 ? addTerm(E->op(1)) : -1;
+  int Id = static_cast<int>(Terms.size());
+  Terms.push_back({E, Kid0, Kid1, Id, 0});
+  if (Uses.size() == Terms.size() - 1)
+    Uses.emplace_back();
+  Ids.insert(E, Id);
+  if (Kid0 < 0)
+    return Id; // A leaf is its own class.
 
-  int Id = static_cast<int>(Exprs.size());
-  Exprs.push_back(E);
-  Children.push_back(Kids);
-  Parent.push_back(Id);
-  Rank.push_back(0);
-  Uses.emplace_back();
-  Ids.emplace(E, Id);
-
-  for (int Kid : Kids)
-    Uses[find(Kid)].push_back(Id);
-
+  Uses[find(Kid0)].push_back(Id);
+  if (Kid1 >= 0)
+    Uses[find(Kid1)].push_back(Id);
   // Congruence at creation: if a term with the same signature already
   // exists, the two are equal.
-  std::string Sig = signatureOf(Id);
-  auto [SigIt, Inserted] = Signatures.emplace(Sig, Id);
-  if (!Inserted && !areEqual(SigIt->second, Id))
-    mergeClasses(SigIt->second, Id);
+  int Existing = findOrInsertSignature(signatureOf(Id));
+  if (Existing >= 0 && !areEqual(Existing, Id))
+    mergeClasses(Existing, Id);
   return Id;
 }
 
 int CongruenceClosure::find(int A) {
-  while (Parent[A] != A) {
-    Parent[A] = Parent[Parent[A]];
-    A = Parent[A];
+  while (Terms[A].Parent != A) {
+    Terms[A].Parent = Terms[Terms[A].Parent].Parent;
+    A = Terms[A].Parent;
   }
   return A;
 }
 
-std::string CongruenceClosure::signatureOf(int Id) {
-  ExprRef E = Exprs[Id];
-  std::string Sig = std::to_string(static_cast<int>(E->kind()));
-  Sig += '#';
-  if (E->kind() == ExprKind::IntLit || E->kind() == ExprKind::BoolLit)
-    Sig += std::to_string(E->intValue());
-  Sig += E->name();
-  // Leaves are their own unique signatures; keying them by expression id
-  // keeps distinct variables in distinct classes.
-  if (Children[Id].empty() && E->kind() != ExprKind::IntLit &&
-      E->kind() != ExprKind::NullLit && E->kind() != ExprKind::BoolLit)
-    Sig += "@" + std::to_string(Id);
-  for (int Kid : Children[Id]) {
-    Sig += ',';
-    Sig += std::to_string(find(Kid));
+CongruenceClosure::Signature CongruenceClosure::signatureOf(int Id) {
+  const Term &T = Terms[Id];
+  return {Id, find(T.Kid0), T.Kid1 < 0 ? -1 : find(T.Kid1)};
+}
+
+int CongruenceClosure::findSignature(const Signature &S) const {
+  for (size_t I = 0; I != Signatures.size(); ++I) {
+    const Signature &T = Signatures[I];
+    ExprRef A = Terms[T.Term].E, B = Terms[S.Term].E;
+    if (T.Kid0 == S.Kid0 && T.Kid1 == S.Kid1 && A->kind() == B->kind() &&
+        A->name() == B->name())
+      return static_cast<int>(I);
   }
-  return Sig;
+  return -1;
+}
+
+int CongruenceClosure::findOrInsertSignature(const Signature &S) {
+  int I = findSignature(S);
+  if (I >= 0)
+    return Signatures[I].Term;
+  Signatures.push_back(S);
+  return -1;
 }
 
 bool CongruenceClosure::mergeClasses(int A, int B) {
-  std::deque<std::pair<int, int>> Pending;
+  Pending.clear();
   Pending.emplace_back(A, B);
 
-  while (!Pending.empty()) {
-    auto [X, Y] = Pending.front();
-    Pending.pop_front();
+  for (size_t Next = 0; Next != Pending.size(); ++Next) {
+    auto [X, Y] = Pending[Next];
     int RX = find(X), RY = find(Y);
     if (RX == RY)
       continue;
-    if (Rank[RX] < Rank[RY])
+    if (Terms[RX].Rank < Terms[RY].Rank)
       std::swap(RX, RY);
-    else if (Rank[RX] == Rank[RY])
-      ++Rank[RX];
+    else if (Terms[RX].Rank == Terms[RY].Rank)
+      ++Terms[RX].Rank;
 
     // RY joins RX. Any term using a member of RY changes signature.
-    std::vector<int> Affected = std::move(Uses[RY]);
-    Uses[RY].clear();
-    for (int Term : Affected)
-      Signatures.erase(signatureOf(Term));
-    Parent[RY] = RX;
-    for (int Term : Affected) {
-      std::string Sig = signatureOf(Term);
-      auto [It, Inserted] = Signatures.emplace(Sig, Term);
-      if (!Inserted && !areEqual(It->second, Term))
-        Pending.emplace_back(It->second, Term);
-      Uses[RX].push_back(Term);
+    for (int Term : Uses[RY]) {
+      if (int I = findSignature(signatureOf(Term)); I >= 0) {
+        Signatures[I] = Signatures.back();
+        Signatures.pop_back();
+      }
     }
+    Terms[RY].Parent = RX;
+    for (int Term : Uses[RY]) {
+      int Existing = findOrInsertSignature(signatureOf(Term));
+      if (Existing >= 0 && !areEqual(Existing, Term))
+        Pending.emplace_back(Existing, Term);
+    }
+    Uses[RX].insert(Uses[RX].end(), Uses[RY].begin(), Uses[RY].end());
+    Uses[RY].clear();
   }
   return checkDisequalities();
 }

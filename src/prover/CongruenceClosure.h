@@ -14,6 +14,9 @@
 /// derive facts like p == q  ==>  p->f == q->f — exactly the
 /// contrapositive aliasing rule of the paper's footnote 3.
 ///
+/// Terms are found by their dense Expr::id() and signatures are
+/// fixed-size integer records; clear() keeps all storage for reuse.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PROVER_CONGRUENCECLOSURE_H
@@ -21,9 +24,6 @@
 
 #include "logic/Expr.h"
 
-#include <map>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace slam {
@@ -32,8 +32,12 @@ namespace prover {
 /// Union-find based congruence closure with use-lists.
 class CongruenceClosure {
 public:
+  /// Forgets every term, equality and disequality.
+  void clear();
+
   /// Registers \p E (and its subterms) and returns its node id. Adding
-  /// the same expression twice returns the same id.
+  /// the same expression twice returns the same id. Terms have at most
+  /// two operands.
   int addTerm(logic::ExprRef E);
 
   /// Asserts A == B and propagates congruence. Returns false if this
@@ -48,27 +52,42 @@ public:
   /// Representative node id of A's class.
   int find(int A);
 
-  int numTerms() const { return static_cast<int>(Exprs.size()); }
+  int numTerms() const { return static_cast<int>(Terms.size()); }
 
-  logic::ExprRef exprOf(int Id) const { return Exprs[Id]; }
+  logic::ExprRef exprOf(int Id) const { return Terms[Id].E; }
 
   /// True if some asserted disequality has been violated.
   bool inConflict() const { return Conflict; }
 
 private:
-  std::string signatureOf(int Id);
+  struct Term {
+    logic::ExprRef E;
+    int Kid0, Kid1; ///< Operand terms; -1 if absent.
+    int Parent, Rank;
+  };
+  /// A function application's signature: the symbol (kind and name) of
+  /// Term and its children's representatives (Kid1 is -1 for unary
+  /// terms). Leaves are their own classes and have none.
+  struct Signature {
+    int Term, Kid0, Kid1;
+  };
+
+  Signature signatureOf(int Id);
   bool mergeClasses(int A, int B);
   bool checkDisequalities();
+  /// The term stored under \p S's key, or -1 after storing \p S.
+  int findOrInsertSignature(const Signature &S);
+  /// Index of the table's entry for \p S's key, or -1.
+  int findSignature(const Signature &S) const;
 
-  std::vector<logic::ExprRef> Exprs;
-  std::vector<std::vector<int>> Children;
-  std::vector<int> Parent; // Union-find parent links.
-  std::vector<int> Rank;
+  std::vector<Term> Terms;
   /// Terms that have a child in a given class representative.
   std::vector<std::vector<int>> Uses;
-  std::unordered_map<logic::ExprRef, int> Ids;
-  std::map<std::string, int> Signatures;
+  logic::ExprIdMap Ids;
+  /// The signature table; a few dozen terms at most, so a flat array.
+  std::vector<Signature> Signatures;
   std::vector<std::pair<int, int>> Disequalities;
+  std::vector<std::pair<int, int>> Pending; // mergeClasses' FIFO.
   bool Conflict = false;
 };
 

@@ -129,7 +129,8 @@ private:
 /// Greedy unsat-core minimization: drop literals whose removal keeps the
 /// conjunction unsatisfiable. Produces much stronger blocking clauses
 /// than blocking the full model.
-std::vector<Literal> minimizeCore(std::vector<Literal> Core) {
+std::vector<Literal> minimizeCore(TheorySolver &Theory,
+                                  std::vector<Literal> Core) {
   if (Core.size() > 24)
     return Core; // Too expensive to shrink; block the full model.
   for (size_t I = 0; I < Core.size();) {
@@ -138,7 +139,7 @@ std::vector<Literal> minimizeCore(std::vector<Literal> Core) {
     for (size_t J = 0; J != Core.size(); ++J)
       if (J != I)
         Without.push_back(Core[J]);
-    if (checkConjunction(Without) == TheoryResult::Unsat)
+    if (Theory.check(Without) == TheoryResult::Unsat)
       Core = std::move(Without);
     else
       ++I;
@@ -170,14 +171,14 @@ Satisfiability Prover::checkSatUncached(ExprRef Phi) {
     for (const auto &[Atom, Var] : Encoder.atoms())
       Lits.push_back({Atom, Solver.modelValue(Var)});
 
-    TheoryResult TR = checkConjunction(Lits);
+    TheoryResult TR = Theory.check(Lits);
     if (TR == TheoryResult::Sat)
       return Satisfiability::Sat;
     if (TR == TheoryResult::Unknown)
       SawUnknownModel = true;
 
     std::vector<Literal> Core =
-        TR == TheoryResult::Unsat ? minimizeCore(Lits) : Lits;
+        TR == TheoryResult::Unsat ? minimizeCore(Theory, Lits) : Lits;
     std::vector<int> Blocking;
     Blocking.reserve(Core.size());
     for (const Literal &L : Core) {

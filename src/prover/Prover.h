@@ -9,7 +9,7 @@
 /// whether `cube => phi` is valid. Plays the role of Simplify/Vampyre in
 /// the paper's implementation. Internally a lazy-SMT loop: a DPLL
 /// enumeration of the boolean skeleton, with each candidate model's atom
-/// conjunction decided by the Nelson–Oppen EUF+LIA combination, and a
+/// conjunction decided by the Prover's own TheorySolver (EUF+LIA), and a
 /// greedily minimized conflict core fed back as a blocking clause.
 ///
 /// All query results are cached (Section 5.2, optimization five), and
@@ -31,6 +31,7 @@
 
 #include "logic/Expr.h"
 #include "prover/ProverCache.h"
+#include "prover/Theory.h"
 #include "support/Stats.h"
 
 #include <memory>
@@ -90,6 +91,7 @@ private:
   /// Set only when no cache was injected.
   std::unique_ptr<SharedProverCache> OwnedCache;
   SharedProverCache &Cache;
+  TheorySolver Theory;
   /// Antecedent/consequent of the implication currently being decided
   /// (set by implies() so the slow-query log can print the implication
   /// rather than its desugared satisfiability query). The Prover is

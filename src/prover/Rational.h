@@ -29,7 +29,8 @@ namespace prover {
 /// An exact rational number num/den with den > 0, always normalized.
 /// The reserved representation den == 0 is the overflow poison: any
 /// operation with a poisoned operand (or whose result leaves the 64-bit
-/// range) yields poison.
+/// range) yields poison. `+`, `*` and `<` of two integers first try an
+/// overflow-checked int64 fast path.
 class Rational {
 public:
   Rational() : Num(0), Den(1) {}
@@ -68,6 +69,9 @@ public:
   }
 
   Rational operator+(const Rational &O) const {
+    int64_t Sum;
+    if (Den == 1 && O.Den == 1 && !__builtin_add_overflow(Num, O.Num, &Sum))
+      return fromRaw(Sum, 1);
     if (isOverflow() || O.isOverflow())
       return overflow();
     __int128 N = (__int128)Num * O.Den + (__int128)O.Num * Den;
@@ -78,6 +82,10 @@ public:
   Rational operator-(const Rational &O) const { return *this + (-O); }
 
   Rational operator*(const Rational &O) const {
+    int64_t Product;
+    if (Den == 1 && O.Den == 1 &&
+        !__builtin_mul_overflow(Num, O.Num, &Product))
+      return fromRaw(Product, 1);
     if (isOverflow() || O.isOverflow())
       return overflow();
     __int128 N = (__int128)Num * O.Num;
@@ -108,6 +116,8 @@ public:
   }
   bool operator!=(const Rational &O) const { return !(*this == O); }
   bool operator<(const Rational &O) const {
+    if (Den == 1 && O.Den == 1)
+      return Num < O.Num;
     return (__int128)Num * O.Den < (__int128)O.Num * Den;
   }
   bool operator<=(const Rational &O) const { return !(O < *this); }

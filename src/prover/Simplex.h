@@ -12,6 +12,10 @@
 /// relaxation for integer feasibility. This is the arithmetic half of
 /// the Nelson–Oppen prover the paper obtains from Simplify/Vampyre.
 ///
+/// The tableau rows are dense. Probes and branch-and-bound save and
+/// restore the state on a reused stack, so with clear() a reused solver
+/// stops allocating once it has warmed up.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PROVER_SIMPLEX_H
@@ -19,27 +23,35 @@
 
 #include "prover/Rational.h"
 
-#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace slam {
 namespace prover {
 
-/// A linear combination of solver variables: var index -> coefficient.
-using LinearExpr = std::map<int, Rational>;
+/// One term of a linear combination.
+struct LinearTerm {
+  int Var;
+  Rational Coeff;
+};
+
+/// A linear combination of solver variables, sorted by variable, each
+/// variable at most once.
+using LinearExpr = std::vector<LinearTerm>;
 
 /// Feasibility answer; Unknown arises when the branch-and-bound node
 /// budget is exhausted or when Rational arithmetic overflows 64 bits
 /// (the poisoned solver answers conservatively rather than wrong).
 enum class LinResult { Sat, Unsat, Unknown };
 
-/// Incremental-by-copy Simplex instance. Build the problem with
-/// newVar/addRow/assertBound, then call check(). The object is cheap to
-/// copy, which is how branch-and-bound and entailment probes explore
-/// hypothetical constraints.
+/// Incremental Simplex instance. Build the problem with
+/// newVar/defineVar/assertLower/assertUpper, then call check().
 class Simplex {
 public:
+  /// Forgets every variable and bound; keeps the buffers.
+  void clear();
+
   /// Creates a fresh variable; \p Integer requests integrality during
   /// branch-and-bound (every SIL-C variable is an integer).
   int newVar(bool Integer = true);
@@ -51,47 +63,79 @@ public:
 
   /// Asserts Var >= Bound. Returns false on an immediately detected
   /// bound clash (lower > upper).
-  bool assertLower(int Var, const Rational &Bound);
+  bool assertLower(int Var, const Rational &Bound) {
+    return assertBound(Var, Bound, /*IsUpper=*/false);
+  }
 
   /// Asserts Var <= Bound.
-  bool assertUpper(int Var, const Rational &Bound);
+  bool assertUpper(int Var, const Rational &Bound) {
+    return assertBound(Var, Bound, /*IsUpper=*/true);
+  }
 
   /// Decides feasibility over the integers (for integer-marked vars).
   /// \p NodeBudget bounds branch-and-bound nodes.
   LinResult check(int NodeBudget = 200);
 
   /// After a Sat check(), the value of \p Var in the found model.
-  Rational value(int Var) const;
+  Rational value(int Var) const { return S.Assignment[Var]; }
 
-  /// Convenience probe: is the current system plus `Expr <= Bound`
-  /// satisfiable? Does not modify this solver.
+  /// Probes: is the current system plus `Expr <= Bound` (`Expr >=
+  /// Bound`) satisfiable? The solver is left as it was.
   LinResult probeUpper(const LinearExpr &Expr, const Rational &Bound,
-                       int NodeBudget = 200) const;
-
-  /// Probe for `Expr >= Bound`.
+                       int NodeBudget = 200) {
+    return probe(Expr, Bound, /*Upper=*/true, NodeBudget);
+  }
   LinResult probeLower(const LinearExpr &Expr, const Rational &Bound,
-                       int NodeBudget = 200) const;
+                       int NodeBudget = 200) {
+    return probe(Expr, Bound, /*Upper=*/false, NodeBudget);
+  }
 
-  int numVars() const { return static_cast<int>(Lower.size()); }
+  int numVars() const { return S.NumVars; }
 
 private:
+  /// Everything a probe or a branch may change. Tableau row R, dense over
+  /// the vars, says BasicOf[R] = sum of coeff * var (rows past numRows()
+  /// are spare storage).
+  struct State {
+    int NumVars = 0;
+    std::vector<std::vector<Rational>> Tab;
+    std::vector<int> BasicOf;
+    std::vector<int> RowOf; ///< Tableau row of a basic var, else -1.
+    std::vector<std::optional<Rational>> Lower, Upper;
+    std::vector<Rational> Assignment;
+    std::vector<char> IsInteger;
+    bool Poisoned = false;
+  };
+
+  Rational &at(int Row, int Var) { return S.Tab[Row][Var]; }
+  int numRows() const { return static_cast<int>(S.BasicOf.size()); }
+
+  bool assertBound(int Var, const Rational &Bound, bool IsUpper);
   LinResult checkRational();
   void pivot(int Basic, int NonBasic);
   void pivotAndUpdate(int Basic, int NonBasic, const Rational &NewValue);
   LinResult branchAndBound(int &NodeBudget);
+  /// Adds Delta * (column Var) to the assignment of the basic var of
+  /// every row but \p SkipRow.
+  void ripple(int Var, const Rational &Delta, int SkipRow = -1);
+  LinResult probe(const LinearExpr &Expr, const Rational &Bound, bool Upper,
+                  int NodeBudget);
+
+  /// Saves the state on the stack; pop() restores it.
+  void push() {
+    if (Depth == Saved.size())
+      Saved.emplace_back();
+    Saved[Depth++] = S;
+  }
+  void pop() { std::swap(S, Saved[--Depth]); }
 
   /// Records whether \p R is the overflow poison; once set, check()
   /// answers Unknown (the tableau can no longer be trusted).
-  void note(const Rational &R) { Poisoned |= R.isOverflow(); }
+  void note(const Rational &R) { S.Poisoned |= R.isOverflow(); }
 
-  /// Row per basic variable: Basic = sum of coeff * nonbasic.
-  std::map<int, LinearExpr> Rows;
-  std::vector<std::optional<Rational>> Lower;
-  std::vector<std::optional<Rational>> Upper;
-  std::vector<Rational> Assignment;
-  std::vector<bool> IsInteger;
-  std::vector<bool> IsBasic;
-  bool Poisoned = false;
+  State S;
+  std::vector<State> Saved; ///< Saved[0, Depth) is the stack.
+  size_t Depth = 0;
 };
 
 } // namespace prover

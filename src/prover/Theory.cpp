@@ -6,11 +6,7 @@
 
 #include "prover/Theory.h"
 
-#include "prover/CongruenceClosure.h"
-#include "prover/Simplex.h"
-
 #include <algorithm>
-#include <map>
 #include <optional>
 
 using namespace slam;
@@ -39,100 +35,104 @@ bool containsArith(ExprRef E) {
   return false;
 }
 
-/// One combined-check instance.
-class Combination {
-public:
-  TheoryResult run(const std::vector<Literal> &Literals);
+/// The integer value of a constant term (NULL is 0).
+int64_t valueOf(ExprRef C) {
+  return C->kind() == ExprKind::NullLit ? 0 : C->intValue();
+}
 
-private:
-  /// Linearizes a term into unit-var + leaf-var coefficients. Leaves
-  /// (variables, derefs, fields, indices, address-ofs, non-linear
-  /// operators) become LIA variables shared with the EUF side.
-  LinearExpr linearize(ExprRef E);
+} // namespace
 
-  int leafVar(ExprRef E);
-
-  /// Adds one literal's arithmetic meaning to \p S; negative equalities
-  /// are deferred to the split check. Returns false on infeasibility.
-  bool addAtomToLIA(Simplex &S, ExprRef Atom, bool Positive);
-
-  void collectConstantsAndAddrs(ExprRef E);
-
-  static constexpr int UnitVar = 0;
-
-  CongruenceClosure CC;
-  std::map<ExprRef, int> LeafVars;
-  std::vector<ExprRef> LeafOrder;
-  std::vector<ExprRef> ConstantTerms;
-  std::vector<ExprRef> AddrOfVarTerms;
-  std::vector<std::pair<ExprRef, ExprRef>> Disequalities;
-  bool SawUnknown = false;
-};
-
-LinearExpr Combination::linearize(ExprRef E) {
+TheorySolver::Span TheorySolver::linearize(ExprRef E) {
+  size_t Begin = Arena.size();
   switch (E->kind()) {
   case ExprKind::IntLit:
-    return {{UnitVar, Rational(E->intValue())}};
+    Arena.push_back({UnitVar, Rational(E->intValue())});
+    return {Begin, Begin + 1};
   case ExprKind::NullLit:
-    return {};
+    return {Begin, Begin};
   case ExprKind::Neg: {
-    LinearExpr Inner = linearize(E->op(0));
-    for (auto &[Var, Coeff] : Inner)
-      Coeff = -Coeff;
+    Span Inner = linearize(E->op(0));
+    for (size_t I = Inner.Begin; I != Inner.End; ++I)
+      Arena[I].Coeff = -Arena[I].Coeff;
     return Inner;
   }
   case ExprKind::Add:
   case ExprKind::Sub: {
-    LinearExpr L = linearize(E->op(0));
-    LinearExpr R = linearize(E->op(1));
-    bool Negate = E->kind() == ExprKind::Sub;
-    for (const auto &[Var, Coeff] : R) {
-      Rational &Slot = L[Var];
-      Slot += Negate ? -Coeff : Coeff;
-      if (Slot.isZero())
-        L.erase(Var);
-    }
-    return L;
+    Span L = linearize(E->op(0));
+    Span R = linearize(E->op(1));
+    return combine(L, R, E->kind() == ExprKind::Sub);
   }
   case ExprKind::Mul: {
     // Linear only when one side is a constant.
-    LinearExpr L = linearize(E->op(0));
-    LinearExpr R = linearize(E->op(1));
-    auto ConstantOf = [](const LinearExpr &X) -> std::optional<Rational> {
-      if (X.empty())
+    Span L = linearize(E->op(0));
+    Span R = linearize(E->op(1));
+    auto ConstantOf = [this](Span X) -> std::optional<Rational> {
+      if (X.Begin == X.End)
         return Rational(0);
-      if (X.size() == 1 && X.begin()->first == UnitVar)
-        return X.begin()->second;
+      if (X.End - X.Begin == 1 && Arena[X.Begin].Var == UnitVar)
+        return Arena[X.Begin].Coeff;
       return std::nullopt;
     };
-    if (auto C = ConstantOf(L)) {
-      for (auto &[Var, Coeff] : R)
-        Coeff *= *C;
-      return R;
-    }
-    if (auto C = ConstantOf(R)) {
-      for (auto &[Var, Coeff] : L)
-        Coeff *= *C;
+    std::optional<Rational> C;
+    if ((C = ConstantOf(L)))
+      std::swap(L, R);
+    else
+      C = ConstantOf(R);
+    if (C) {
+      for (size_t I = L.Begin; I != L.End; ++I)
+        Arena[I].Coeff *= *C;
       return L;
     }
-    return {{leafVar(E), Rational(1)}};
+    break;
   }
   default:
-    return {{leafVar(E), Rational(1)}};
+    break;
   }
+  Arena.push_back({leafVar(E), Rational(1)});
+  return {Arena.size() - 1, Arena.size()};
 }
 
-int Combination::leafVar(ExprRef E) {
-  auto It = LeafVars.find(E);
-  if (It != LeafVars.end())
-    return It->second;
-  int Var = static_cast<int>(LeafOrder.size()) + 1; // 0 is the unit var.
-  LeafVars.emplace(E, Var);
+TheorySolver::Span TheorySolver::combine(Span L, Span R, bool Negate) {
+  // Slot-wise L[v] + (+-R[v]); like a map update, a sum that cancels to
+  // zero is dropped while L's own entries are kept as they are.
+  size_t Begin = Arena.size();
+  size_t I = L.Begin, J = R.Begin;
+  while (I != L.End || J != R.End) {
+    if (J == R.End || (I != L.End && Arena[I].Var < Arena[J].Var)) {
+      Arena.push_back(Arena[I++]);
+      continue;
+    }
+    LinearTerm T = Arena[J++];
+    if (Negate)
+      T.Coeff = -T.Coeff;
+    if (I != L.End && Arena[I].Var == T.Var)
+      T.Coeff = Arena[I++].Coeff + T.Coeff;
+    if (!T.Coeff.isZero())
+      Arena.push_back(T);
+  }
+  return {Begin, Arena.size()};
+}
+
+const LinearExpr &TheorySolver::difference(ExprRef A, ExprRef B) {
+  Span L = linearize(A);
+  Span R = linearize(B);
+  Span D = combine(L, R, /*Negate=*/true);
+  Diff.assign(Arena.begin() + D.Begin, Arena.begin() + D.End);
+  Arena.clear();
+  return Diff;
+}
+
+int TheorySolver::leafVar(ExprRef E) {
+  int Var = LeafVars.lookup(E);
+  if (Var >= 0)
+    return Var;
+  Var = static_cast<int>(LeafOrder.size()) + 1; // 0 is the unit var.
+  LeafVars.insert(E, Var);
   LeafOrder.push_back(E);
   return Var;
 }
 
-void Combination::collectConstantsAndAddrs(ExprRef E) {
+void TheorySolver::collectConstantsAndAddrs(ExprRef E) {
   if (E->kind() == ExprKind::IntLit || E->kind() == ExprKind::NullLit) {
     if (std::find(ConstantTerms.begin(), ConstantTerms.end(), E) ==
         ConstantTerms.end())
@@ -147,39 +147,42 @@ void Combination::collectConstantsAndAddrs(ExprRef E) {
     collectConstantsAndAddrs(Op);
 }
 
-bool Combination::addAtomToLIA(Simplex &S, ExprRef Atom, bool Positive) {
+bool TheorySolver::addAtomToLIA(ExprRef Atom, bool Positive) {
   ExprKind Kind = Positive ? Atom->kind() : logic::negateCmp(Atom->kind());
   if (Kind == ExprKind::Ne) {
     Disequalities.emplace_back(Atom->op(0), Atom->op(1));
     return true;
   }
-  LinearExpr Diff = linearize(Atom->op(0));
-  for (const auto &[Var, Coeff] : linearize(Atom->op(1))) {
-    Rational &Slot = Diff[Var];
-    Slot -= Coeff;
-    if (Slot.isZero())
-      Diff.erase(Var);
-  }
-  int Slack = S.defineVar(Diff, /*Integer=*/true);
+  int Slack = LIA.defineVar(difference(Atom->op(0), Atom->op(1)), true);
   switch (Kind) {
   case ExprKind::Eq:
-    return S.assertLower(Slack, Rational(0)) &&
-           S.assertUpper(Slack, Rational(0));
+    return LIA.assertLower(Slack, Rational(0)) &&
+           LIA.assertUpper(Slack, Rational(0));
   case ExprKind::Lt:
-    return S.assertUpper(Slack, Rational(-1));
+    return LIA.assertUpper(Slack, Rational(-1));
   case ExprKind::Le:
-    return S.assertUpper(Slack, Rational(0));
+    return LIA.assertUpper(Slack, Rational(0));
   case ExprKind::Gt:
-    return S.assertLower(Slack, Rational(1));
+    return LIA.assertLower(Slack, Rational(1));
   case ExprKind::Ge:
-    return S.assertLower(Slack, Rational(0));
+    return LIA.assertLower(Slack, Rational(0));
   default:
     assert(false && "not a comparison");
     return true;
   }
 }
 
-TheoryResult Combination::run(const std::vector<Literal> &Literals) {
+TheoryResult TheorySolver::check(const std::vector<Literal> &Literals) {
+  // A trivially empty conjunction is satisfiable.
+  if (Literals.empty())
+    return TheoryResult::Sat;
+  CC.clear();
+  LeafVars.clear();
+  LeafOrder.clear();
+  ConstantTerms.clear();
+  AddrOfVarTerms.clear();
+  SawUnknown = false;
+
   // ---- EUF side ---------------------------------------------------------
   bool HasArith = false;
   for (const Literal &L : Literals) {
@@ -216,10 +219,7 @@ TheoryResult Combination::run(const std::vector<Literal> &Literals) {
   for (size_t I = 0; I != ConstantTerms.size(); ++I) {
     for (size_t J = I + 1; J != ConstantTerms.size(); ++J) {
       ExprRef A = ConstantTerms[I], B = ConstantTerms[J];
-      auto ValueOf = [](ExprRef E) {
-        return E->kind() == ExprKind::NullLit ? 0 : E->intValue();
-      };
-      bool Ok = ValueOf(A) == ValueOf(B)
+      bool Ok = valueOf(A) == valueOf(B)
                     ? CC.assertEqual(CC.addTerm(A), CC.addTerm(B))
                     : CC.assertDisequal(CC.addTerm(A), CC.addTerm(B));
       if (!Ok)
@@ -236,8 +236,7 @@ TheoryResult Combination::run(const std::vector<Literal> &Literals) {
         return TheoryResult::Unsat;
     }
     for (ExprRef C : ConstantTerms) {
-      int64_t V = C->kind() == ExprKind::NullLit ? 0 : C->intValue();
-      if (V == 0 &&
+      if (valueOf(C) == 0 &&
           !CC.assertDisequal(CC.addTerm(AddrOfVarTerms[I]), CC.addTerm(C)))
         return TheoryResult::Unsat;
     }
@@ -249,16 +248,19 @@ TheoryResult Combination::run(const std::vector<Literal> &Literals) {
     return TheoryResult::Sat; // EUF conflicts were detected above.
 
   // ---- Leaf discovery (fixes simplex variable ids) ------------------------
+  // Leaf I is LIA variable I + 1; variable 0 is the unit.
   for (const Literal &L : Literals) {
     (void)linearize(L.Atom->op(0));
     (void)linearize(L.Atom->op(1));
   }
+  Arena.clear();
 
   // Propagation between the theories only matters when some leaf has
   // functional structure (congruence can then derive new facts).
   bool NeedPropagation = false;
   for (ExprRef Leaf : LeafOrder)
     NeedPropagation |= Leaf->numOperands() != 0;
+  int NumLeaves = static_cast<int>(LeafOrder.size());
   int MaxRounds = NeedPropagation ? 8 : 1;
 
   // ---- Combination loop ---------------------------------------------------
@@ -267,52 +269,49 @@ TheoryResult Combination::run(const std::vector<Literal> &Literals) {
   // fixpoint. Negative equalities get a complete integer split check.
   for (int Round = 0; Round != MaxRounds; ++Round) {
     Disequalities.clear();
-    Simplex S;
-    int Unit = S.newVar(true);
+    LIA.clear();
+    int Unit = LIA.newVar(true);
     (void)Unit;
     assert(Unit == UnitVar && "unit variable must be variable 0");
-    if (!S.assertLower(UnitVar, Rational(1)) ||
-        !S.assertUpper(UnitVar, Rational(1)))
+    if (!LIA.assertLower(UnitVar, Rational(1)) ||
+        !LIA.assertUpper(UnitVar, Rational(1)))
       return TheoryResult::Unsat;
-    for (size_t I = 0; I != LeafOrder.size(); ++I)
-      S.newVar(true);
+    for (int I = 0; I != NumLeaves; ++I)
+      LIA.newVar(true);
 
     for (const Literal &L : Literals)
-      if (!addAtomToLIA(S, L.Atom, L.Positive))
+      if (!addAtomToLIA(L.Atom, L.Positive))
         return TheoryResult::Unsat;
 
     // AddrOf leaves are positive addresses.
-    for (ExprRef Leaf : LeafOrder)
-      if (Leaf->kind() == ExprKind::AddrOf)
-        if (!S.assertLower(LeafVars[Leaf], Rational(1)))
+    for (int I = 0; I != NumLeaves; ++I)
+      if (LeafOrder[I]->kind() == ExprKind::AddrOf)
+        if (!LIA.assertLower(I + 1, Rational(1)))
           return TheoryResult::Unsat;
 
     // EUF -> LIA: leaves in the same congruence class are equal numbers;
     // a leaf congruent to an integer literal is pinned to its value.
-    for (size_t I = 0; I != LeafOrder.size(); ++I) {
+    for (int I = 0; I != NumLeaves; ++I) {
       int TI = CC.addTerm(LeafOrder[I]);
-      for (size_t J = I + 1; J != LeafOrder.size(); ++J) {
-        int TJ = CC.addTerm(LeafOrder[J]);
-        if (!CC.areEqual(TI, TJ))
+      for (int J = I + 1; J != NumLeaves; ++J) {
+        if (!CC.areEqual(TI, CC.addTerm(LeafOrder[J])))
           continue;
-        LinearExpr Diff{{LeafVars[LeafOrder[I]], Rational(1)},
-                        {LeafVars[LeafOrder[J]], Rational(-1)}};
-        int Slack = S.defineVar(Diff, true);
-        if (!S.assertLower(Slack, Rational(0)) ||
-            !S.assertUpper(Slack, Rational(0)))
+        Diff.assign({{I + 1, Rational(1)}, {J + 1, Rational(-1)}});
+        int Slack = LIA.defineVar(Diff, true);
+        if (!LIA.assertLower(Slack, Rational(0)) ||
+            !LIA.assertUpper(Slack, Rational(0)))
           return TheoryResult::Unsat;
       }
       for (ExprRef C : ConstantTerms) {
         if (!CC.areEqual(TI, CC.addTerm(C)))
           continue;
-        int64_t V = C->kind() == ExprKind::NullLit ? 0 : C->intValue();
-        if (!S.assertLower(LeafVars[LeafOrder[I]], Rational(V)) ||
-            !S.assertUpper(LeafVars[LeafOrder[I]], Rational(V)))
+        if (!LIA.assertLower(I + 1, Rational(valueOf(C))) ||
+            !LIA.assertUpper(I + 1, Rational(valueOf(C))))
           return TheoryResult::Unsat;
       }
     }
 
-    LinResult Base = S.check();
+    LinResult Base = LIA.check();
     if (Base == LinResult::Unsat)
       return TheoryResult::Unsat;
     if (Base == LinResult::Unknown)
@@ -325,39 +324,29 @@ TheoryResult Combination::run(const std::vector<Literal> &Literals) {
     bool Strengthened = true;
     while (Strengthened) {
       Strengthened = false;
-      for (auto It = Disequalities.begin(); It != Disequalities.end();) {
-        LinearExpr Diff = linearize(It->first);
-        for (const auto &[Var, Coeff] : linearize(It->second)) {
-          Rational &Slot = Diff[Var];
-          Slot -= Coeff;
-          if (Slot.isZero())
-            Diff.erase(Var);
-        }
-        LinResult Lo = S.probeUpper(Diff, Rational(-1));
-        LinResult Hi = S.probeLower(Diff, Rational(1));
+      for (size_t K = 0; K != Disequalities.size();) {
+        const LinearExpr &D =
+            difference(Disequalities[K].first, Disequalities[K].second);
+        LinResult Lo = LIA.probeUpper(D, Rational(-1));
+        LinResult Hi = LIA.probeLower(D, Rational(1));
         if (Lo == LinResult::Unsat && Hi == LinResult::Unsat)
           return TheoryResult::Unsat;
         if (Lo == LinResult::Unknown || Hi == LinResult::Unknown)
           SawUnknown = true;
-        if (Lo == LinResult::Unsat && Hi == LinResult::Sat) {
-          int Slack = S.defineVar(Diff, true);
-          if (!S.assertLower(Slack, Rational(1)))
+        bool OnlyHi = Lo == LinResult::Unsat && Hi == LinResult::Sat;
+        bool OnlyLo = Hi == LinResult::Unsat && Lo == LinResult::Sat;
+        if (OnlyHi || OnlyLo) {
+          int Slack = LIA.defineVar(D, true);
+          if (OnlyHi ? !LIA.assertLower(Slack, Rational(1))
+                     : !LIA.assertUpper(Slack, Rational(-1)))
             return TheoryResult::Unsat;
-          It = Disequalities.erase(It);
+          Disequalities.erase(Disequalities.begin() + K);
           Strengthened = true;
           continue;
         }
-        if (Hi == LinResult::Unsat && Lo == LinResult::Sat) {
-          int Slack = S.defineVar(Diff, true);
-          if (!S.assertUpper(Slack, Rational(-1)))
-            return TheoryResult::Unsat;
-          It = Disequalities.erase(It);
-          Strengthened = true;
-          continue;
-        }
-        ++It;
+        ++K;
       }
-      if (Strengthened && S.check() == LinResult::Unsat)
+      if (Strengthened && LIA.check() == LinResult::Unsat)
         return TheoryResult::Unsat;
     }
 
@@ -367,18 +356,17 @@ TheoryResult Combination::run(const std::vector<Literal> &Literals) {
     // LIA -> EUF: entailed equalities between shared leaves (and between
     // leaves and integer constants) feed congruence closure.
     bool Merged = false;
-    auto Entailed = [&](const LinearExpr &Diff) {
-      return S.probeUpper(Diff, Rational(-1)) == LinResult::Unsat &&
-             S.probeLower(Diff, Rational(1)) == LinResult::Unsat;
+    auto Entailed = [&](const LinearExpr &D) {
+      return LIA.probeUpper(D, Rational(-1)) == LinResult::Unsat &&
+             LIA.probeLower(D, Rational(1)) == LinResult::Unsat;
     };
-    for (size_t I = 0; I != LeafOrder.size() && !Merged; ++I) {
+    for (int I = 0; I != NumLeaves && !Merged; ++I) {
       int TI = CC.addTerm(LeafOrder[I]);
-      for (size_t J = I + 1; J != LeafOrder.size() && !Merged; ++J) {
+      for (int J = I + 1; J != NumLeaves && !Merged; ++J) {
         int TJ = CC.addTerm(LeafOrder[J]);
         if (CC.areEqual(TI, TJ))
           continue;
-        LinearExpr Diff{{LeafVars[LeafOrder[I]], Rational(1)},
-                        {LeafVars[LeafOrder[J]], Rational(-1)}};
+        Diff.assign({{I + 1, Rational(1)}, {J + 1, Rational(-1)}});
         if (Entailed(Diff)) {
           if (!CC.assertEqual(TI, TJ))
             return TheoryResult::Unsat;
@@ -390,9 +378,7 @@ TheoryResult Combination::run(const std::vector<Literal> &Literals) {
       for (ExprRef C : ConstantTerms) {
         if (CC.areEqual(TI, CC.addTerm(C)))
           continue;
-        int64_t V = C->kind() == ExprKind::NullLit ? 0 : C->intValue();
-        LinearExpr Diff{{LeafVars[LeafOrder[I]], Rational(1)},
-                        {UnitVar, Rational(-V)}};
+        Diff.assign({{UnitVar, -Rational(valueOf(C))}, {I + 1, Rational(1)}});
         if (Entailed(Diff)) {
           if (!CC.assertEqual(TI, CC.addTerm(C)))
             return TheoryResult::Unsat;
@@ -406,14 +392,4 @@ TheoryResult Combination::run(const std::vector<Literal> &Literals) {
   }
 
   return SawUnknown ? TheoryResult::Unknown : TheoryResult::Sat;
-}
-
-} // namespace
-
-TheoryResult prover::checkConjunction(const std::vector<Literal> &Literals) {
-  // A trivially empty conjunction is satisfiable.
-  if (Literals.empty())
-    return TheoryResult::Sat;
-  Combination C;
-  return C.run(Literals);
 }

@@ -22,12 +22,17 @@
 /// which the abstraction tolerates by conservatively weakening — exactly
 /// the paper's treatment of incomplete provers.
 ///
+/// A TheorySolver clears its buffers between checks instead of freeing
+/// them, so once warmed up a check allocates nothing.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PROVER_THEORY_H
 #define PROVER_THEORY_H
 
 #include "logic/Expr.h"
+#include "prover/CongruenceClosure.h"
+#include "prover/Simplex.h"
 
 #include <vector>
 
@@ -42,8 +47,46 @@ struct Literal {
 
 enum class TheoryResult { Sat, Unsat, Unknown };
 
-/// Stateless entry point: decides one conjunction of literals.
-TheoryResult checkConjunction(const std::vector<Literal> &Literals);
+/// Decides conjunctions of literals, reusing its buffers across checks.
+/// Not thread-safe: each Prover owns one.
+class TheorySolver {
+public:
+  /// Decides the conjunction of \p Literals.
+  TheoryResult check(const std::vector<Literal> &Literals);
+
+private:
+  /// A linear combination in Arena[Begin, End), sorted by variable.
+  struct Span {
+    size_t Begin, End;
+  };
+
+  /// Linearizes a term into unit-var + leaf-var coefficients. Leaves
+  /// (variables, derefs, fields, indices, address-ofs, non-linear
+  /// operators) become LIA variables shared with the EUF side.
+  Span linearize(logic::ExprRef E);
+  Span combine(Span L, Span R, bool Negate); ///< L + R or L - R.
+  /// Diff := the linearization of A - B.
+  const LinearExpr &difference(logic::ExprRef A, logic::ExprRef B);
+  int leafVar(logic::ExprRef E);
+
+  /// Adds a literal's arithmetic meaning to LIA; negative equalities are
+  /// deferred to the split check. Returns false on infeasibility.
+  bool addAtomToLIA(logic::ExprRef Atom, bool Positive);
+  void collectConstantsAndAddrs(logic::ExprRef E);
+
+  static constexpr int UnitVar = 0;
+
+  CongruenceClosure CC;
+  Simplex LIA;
+  logic::ExprIdMap LeafVars;
+  std::vector<logic::ExprRef> LeafOrder;
+  std::vector<logic::ExprRef> ConstantTerms;
+  std::vector<logic::ExprRef> AddrOfVarTerms;
+  std::vector<std::pair<logic::ExprRef, logic::ExprRef>> Disequalities;
+  std::vector<LinearTerm> Arena; ///< linearize()'s scratch.
+  LinearExpr Diff;               ///< Argument buffer for the Simplex.
+  bool SawUnknown = false;
+};
 
 } // namespace prover
 } // namespace slam

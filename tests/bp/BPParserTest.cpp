@@ -114,4 +114,15 @@ TEST_F(BPParserTest, SyntaxErrors) {
   EXPECT_EQ(parseBProgram("void f() begin x := ; end", Diags), nullptr);
 }
 
+TEST_F(BPParserTest, OutOfRangeIntegerLiteralIsADiagnostic) {
+  DiagnosticEngine Diags;
+  EXPECT_EQ(parseBProgram("void main() begin\n  decl a;\n"
+                          "  a := 99999999999999999999;\nend\n",
+                          Diags),
+            nullptr);
+  EXPECT_NE(Diags.str().find("3:8: error: integer literal out of range"),
+            std::string::npos)
+      << Diags.str();
+}
+
 } // namespace

@@ -167,6 +167,13 @@ TEST_F(ParserTest, SyntaxErrors) {
   expectError("unknown g;", "expected a type");
 }
 
+TEST_F(ParserTest, OutOfRangeIntegerLiteralInProgramIsADiagnostic) {
+  expectError("void f() { int x; x = 99999999999999999999; }",
+              "integer literal out of range");
+  expectError("int a[99999999999999999999];", "integer literal out of range");
+  EXPECT_NE(parse("void f() { int x; x = 9223372036854775807; }"), nullptr);
+}
+
 TEST_F(ParserTest, RecordsSourceLines) {
   auto P = parse("int x;\nint y;\n");
   EXPECT_EQ(P->SourceLines, 2u);

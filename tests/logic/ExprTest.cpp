@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 using namespace slam::logic;
 
 namespace {
@@ -68,6 +70,44 @@ TEST_F(ExprTest, AndFlattensAndDetectsContradiction) {
   EXPECT_EQ(Nested->numOperands(), 2u);
   EXPECT_TRUE(Ctx.andE(P, Ctx.notE(P))->isFalse());
   EXPECT_TRUE(Ctx.orE(P, Ctx.notE(P))->isTrue());
+}
+
+TEST_F(ExprTest, ComplementPairsAreFoundWithoutInterningNegations) {
+  ExprRef X = Ctx.var("x"), Y = Ctx.var("y");
+  std::vector<ExprRef> Cmps = {Ctx.lt(X, Ctx.intLit(5)), Ctx.eq(Y, X),
+                               Ctx.ge(Y, Ctx.intLit(0)), Ctx.ne(X, Y)};
+  size_t Before = Ctx.numNodes();
+  ExprRef Conj = Ctx.andE(Cmps);
+  EXPECT_EQ(Conj->kind(), ExprKind::And);
+  EXPECT_EQ(Ctx.numNodes(), Before + 1); // Only the And node itself.
+  ExprRef Disj = Ctx.orE(Cmps);
+  EXPECT_EQ(Disj->kind(), ExprKind::Or);
+  EXPECT_EQ(Ctx.numNodes(), Before + 2);
+  // Pairs in either order, among other operands, and around And/Or.
+  EXPECT_TRUE(
+      Ctx.andE({Cmps[0], Cmps[1], Ctx.ge(X, Ctx.intLit(5))})->isFalse());
+  EXPECT_TRUE(Ctx.orE({Ctx.notE(Conj), Cmps[2], Conj})->isTrue());
+  EXPECT_TRUE(Ctx.andE({Disj, Cmps[1], Ctx.notE(Disj)})->isFalse());
+}
+
+TEST_F(ExprTest, ConstantFoldingOnlyWhenDefined) {
+  ExprRef Max = Ctx.intLit(INT64_MAX), Min = Ctx.intLit(INT64_MIN);
+  ExprRef MinusOne = Ctx.intLit(-1);
+  EXPECT_EQ(Ctx.add(Max, Ctx.intLit(1))->str(), "9223372036854775807 + 1");
+  EXPECT_EQ(Ctx.mul(Ctx.intLit(INT64_C(4611686018427387904)), Ctx.intLit(4))
+                ->kind(),
+            ExprKind::Mul);
+  EXPECT_EQ(Ctx.sub(Min, Ctx.intLit(1))->kind(), ExprKind::Sub);
+  EXPECT_EQ(Ctx.add(Min, MinusOne)->kind(), ExprKind::Add);
+  EXPECT_EQ(Ctx.neg(Min)->kind(), ExprKind::Neg);
+  EXPECT_EQ(Ctx.div(Min, MinusOne)->kind(), ExprKind::Div);
+  EXPECT_EQ(Ctx.mod(Min, MinusOne)->kind(), ExprKind::Mod);
+  // In-range constants still fold, up to the int64 limits.
+  EXPECT_EQ(Ctx.sub(Ctx.sub(Ctx.intLit(0), Max), Ctx.intLit(1)), Min);
+  EXPECT_EQ(Ctx.div(Min, Ctx.intLit(1)), Min);
+  EXPECT_EQ(Ctx.div(Ctx.intLit(-7), Ctx.intLit(2)), Ctx.intLit(-3));
+  EXPECT_EQ(Ctx.mod(Ctx.intLit(-7), Ctx.intLit(2)), Ctx.intLit(-1));
+  EXPECT_EQ(Ctx.mul(Max, MinusOne), Ctx.intLit(-INT64_MAX));
 }
 
 TEST_F(ExprTest, AddrOfDerefFolds) {

@@ -109,4 +109,16 @@ TEST_F(ParserTest, Errors) {
   expectError("a[1 == 2"); // Missing ']'.
 }
 
+TEST_F(ParserTest, OutOfRangeIntegerLiteralInPredicateIsADiagnostic) {
+  for (const char *Text : {"99999999999999999999 == curr",
+                           "-9223372036854775808 < v"}) {
+    DiagnosticEngine Diags;
+    EXPECT_EQ(parseExpr(Ctx, Text, Diags), nullptr) << Text;
+    EXPECT_NE(Diags.str().find("integer literal out of range"),
+              std::string::npos)
+        << Diags.str();
+  }
+  EXPECT_EQ(parse("9223372036854775807 > v")->op(0)->intValue(), INT64_MAX);
+}
+
 } // namespace

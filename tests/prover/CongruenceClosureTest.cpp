@@ -93,4 +93,29 @@ TEST_F(CCTest, ArithmeticTermsCongruent) {
   EXPECT_TRUE(CC.areEqual(X1, Y1));
 }
 
+TEST_F(CCTest, ClearForgetsEqualitiesAndDisequalities) {
+  int X = CC.addTerm(parse("x")), Y = CC.addTerm(parse("y"));
+  int Z = CC.addTerm(parse("z")), W = CC.addTerm(parse("w"));
+  CC.addTerm(parse("*x"));
+  EXPECT_TRUE(CC.assertEqual(X, Y));
+  EXPECT_TRUE(CC.assertDisequal(Z, W));
+  EXPECT_FALSE(CC.assertEqual(Z, W));
+  EXPECT_TRUE(CC.inConflict());
+
+  CC.clear();
+  EXPECT_EQ(CC.numTerms(), 0);
+  EXPECT_FALSE(CC.inConflict());
+  // Re-added in another order, so ids are reused for other terms.
+  int DY = CC.addTerm(parse("*y")), DX = CC.addTerm(parse("*x"));
+  W = CC.addTerm(parse("w"));
+  Z = CC.addTerm(parse("z"));
+  X = CC.addTerm(parse("x"));
+  Y = CC.addTerm(parse("y"));
+  EXPECT_FALSE(CC.areEqual(X, Y));
+  EXPECT_FALSE(CC.areEqual(DX, DY));
+  EXPECT_TRUE(CC.assertEqual(Z, W));
+  EXPECT_TRUE(CC.assertEqual(X, Y));
+  EXPECT_TRUE(CC.areEqual(DX, DY));
+}
+
 } // namespace

@@ -69,6 +69,16 @@ TEST(Rational, OverflowPoisonFromArithmetic) {
   EXPECT_TRUE((Tiny * Tiny).isOverflow());
 }
 
+TEST(Rational, IntegerFastPathsOverflowToPoison) {
+  EXPECT_TRUE((Rational(INT64_MAX) + Rational(1)).isOverflow());
+  EXPECT_TRUE((Rational(INT64_MIN) * Rational(-1)).isOverflow());
+  EXPECT_TRUE((Rational(INT64_MIN) + Rational(-1)).isOverflow());
+  EXPECT_EQ(Rational(INT64_MAX) + Rational(INT64_MIN), Rational(-1));
+  EXPECT_EQ(Rational(INT64_MIN / 2) * Rational(2), Rational(INT64_MIN));
+  EXPECT_TRUE(Rational(INT64_MIN) < Rational(INT64_MAX));
+  EXPECT_FALSE(Rational(3) < Rational(3));
+}
+
 TEST(Rational, OverflowPoisonIsSticky) {
   Rational P = Rational::overflow();
   EXPECT_TRUE((P + Rational(1)).isOverflow());

@@ -131,7 +131,7 @@ TEST(Simplex, DenseSystem) {
   for (int I = 0; I != 10; ++I) {
     int V = S.newVar();
     Vars.push_back(V);
-    Sum[V] = Rational(1);
+    Sum.push_back({V, Rational(1)});
     EXPECT_TRUE(S.assertLower(V, Rational(0)));
     EXPECT_TRUE(S.assertUpper(V, Rational(9)));
   }
@@ -166,7 +166,7 @@ TEST(Simplex, OverflowPoisonsProbes) {
   int X = S.newVar();
   EXPECT_TRUE(S.assertLower(X, Rational(INT64_MAX / 4)));
   LinearExpr Huge;
-  Huge[X] = Rational(1000000);
+  Huge.push_back({X, Rational(1000000)});
   EXPECT_EQ(S.probeUpper(Huge, Rational(0)), LinResult::Unknown);
   EXPECT_EQ(S.probeLower(Huge, Rational(0)), LinResult::Unknown);
 }

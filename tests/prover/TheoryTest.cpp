@@ -14,8 +14,13 @@ namespace {
 
 class TheoryTest : public ::testing::Test {
 protected:
-  /// Parses "atom" or "!atom" entries into literals.
+  /// Decides \p Entries with a fresh solver.
   TheoryResult check(const std::vector<std::string> &Entries) {
+    return TheorySolver().check(literals(Entries));
+  }
+
+  /// Parses "atom" or "~atom" entries into literals.
+  std::vector<Literal> literals(const std::vector<std::string> &Entries) {
     std::vector<Literal> Lits;
     for (const std::string &Entry : Entries) {
       bool Positive = true;
@@ -29,13 +34,41 @@ protected:
       EXPECT_TRUE(E != nullptr) << Diags.str();
       Lits.push_back({E, Positive});
     }
-    return checkConjunction(Lits);
+    return Lits;
   }
 
   LogicContext Ctx;
 };
 
 TEST_F(TheoryTest, EmptyIsSat) { EXPECT_EQ(check({}), TheoryResult::Sat); }
+
+TEST_F(TheoryTest, ReusedSolverAnswersLikeAFreshOne) {
+  // One solver decides the sequence forwards, then backwards; nothing of
+  // an earlier check may leak into a later one.
+  const std::vector<std::pair<std::vector<std::string>, TheoryResult>>
+      Cases = {
+          // An EUF conflict found before any arithmetic.
+          {{"p == q", "~p->val == q->val"}, TheoryResult::Unsat},
+          {{"x < 5", "x > 7"}, TheoryResult::Unsat},
+          // The unfolded constant overflows: poison, so Unknown.
+          {{"v == 9223372036854775807 + 1"}, TheoryResult::Unknown},
+          // LIA entails x == y, which congruence lifts to a[x] == a[y].
+          {{"x <= y", "y <= x", "a[x] == 3", "a[y] >= 3"}, TheoryResult::Sat},
+          {{"x <= y", "y <= x", "a[x] != a[y]"}, TheoryResult::Unsat},
+          {{"x >= 0", "x != 0", "x < 1"}, TheoryResult::Unsat},
+          {{"x == 2", "x < 4"}, TheoryResult::Sat},
+      };
+  TheorySolver Reused;
+  for (bool Backwards : {false, true}) {
+    for (size_t I = 0; I != Cases.size(); ++I) {
+      const auto &[Entries, Expected] =
+          Cases[Backwards ? Cases.size() - 1 - I : I];
+      SCOPED_TRACE(Entries.front());
+      ASSERT_EQ(check(Entries), Expected);
+      EXPECT_EQ(Reused.check(literals(Entries)), Expected);
+    }
+  }
+}
 
 TEST_F(TheoryTest, SimpleArithmeticUnsat) {
   EXPECT_EQ(check({"x < 5", "x > 7"}), TheoryResult::Unsat);

@@ -8,7 +8,7 @@
 #   tsan       ThreadSanitizer build + the concurrency-sensitive tests
 #              (parallel abstraction, prover, thread pool/support,
 #              concurrent span tracing)
-#   asan       AddressSanitizer build + full ctest suite
+#   asan       AddressSanitizer + UBSan build + full ctest suite
 #   release    Release (-DNDEBUG) build + full ctest suite (no check
 #              may live only in assert())
 #   observability  slam with --trace-out/--stats-json on the example
@@ -42,14 +42,14 @@ run_tsan() {
   cmake -B "$ROOT/build-tsan" -S "$ROOT" -DSLAM_SANITIZE=thread
   cmake --build "$ROOT/build-tsan" -j
   # The parallel abstraction tests drive the worker pool, the shared
-  # prover cache, and the merged statistics; the prover and support
-  # suites cover the pieces in isolation.
+  # prover cache, and the merged statistics; the prover, theory-solver
+  # and support suites cover the pieces in isolation.
   ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
-    -R 'ParallelAbstraction|ThreadPool|Stats|Prover|Trace|Histogram|Observability'
+    -R 'ParallelAbstraction|ThreadPool|Stats|Prover|Theory|CCTest|Simplex|Trace|Histogram|Observability'
 }
 
 run_asan() {
-  echo "=== ci: AddressSanitizer build + full test suite ==="
+  echo "=== ci: AddressSanitizer + UBSan build + full test suite ==="
   cmake -B "$ROOT/build-asan" -S "$ROOT" -DSLAM_SANITIZE=address
   cmake --build "$ROOT/build-asan" -j
   ctest --test-dir "$ROOT/build-asan" --output-on-failure -j
