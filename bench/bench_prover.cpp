@@ -13,7 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "logic/Parser.h"
+#include "c2bp/CExprToLogic.h"
 #include "prover/Prover.h"
 
 #include <benchmark/benchmark.h>
@@ -24,7 +24,7 @@ namespace {
 
 logic::ExprRef parse(logic::LogicContext &Ctx, const std::string &Text) {
   DiagnosticEngine Diags;
-  logic::ExprRef E = logic::parseExpr(Ctx, Text, Diags);
+  logic::ExprRef E = c2bp::parseExpr(Ctx, Text, Diags);
   assert(E && "benchmark formulas must parse");
   return E;
 }

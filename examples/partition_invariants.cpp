@@ -20,8 +20,8 @@
 
 #include "bebop/Bebop.h"
 #include "c2bp/C2bp.h"
+#include "c2bp/CExprToLogic.h"
 #include "cfront/Normalize.h"
-#include "logic/Parser.h"
 #include "prover/Prover.h"
 #include "workloads/Workloads.h"
 
@@ -68,7 +68,7 @@ int main() {
     std::vector<logic::ExprRef> Facts;
     for (const auto &[Name, Value] : Cube) {
       DiagnosticEngine D;
-      logic::ExprRef E = logic::parseExpr(Ctx, Name, D);
+      logic::ExprRef E = c2bp::parseExpr(Ctx, Name, D);
       Facts.push_back(Value ? E : Ctx.notE(E));
     }
     logic::ExprRef State = Ctx.andE(Facts);

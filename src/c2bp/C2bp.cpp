@@ -674,8 +674,6 @@ C2bpTool::~C2bpTool() = default;
 
 std::unique_ptr<bp::BProgram> C2bpTool::run() { return M->run(); }
 
-uint64_t C2bpTool::proverCalls() const { return M->totalProverCalls(); }
-
 std::unique_ptr<bp::BProgram>
 c2bp::abstractProgram(const Program &P, const PredicateSet &Preds,
                       logic::LogicContext &Ctx, DiagnosticEngine &Diags,

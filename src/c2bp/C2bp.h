@@ -79,16 +79,14 @@ public:
   /// Builds BP(P, E).
   std::unique_ptr<bp::BProgram> run();
 
-  /// Total theorem prover calls made (the paper's tables report this).
-  uint64_t proverCalls() const;
-
 private:
   struct Impl;
   std::unique_ptr<Impl> M;
 };
 
-/// Convenience: parse + analyze + normalize + abstract in one call.
-/// Returns nullptr with diagnostics on failure.
+/// Convenience: one C2bpTool run over \p P, which must already be
+/// analyzed and normalized (cfront::frontend). Abstraction reports no
+/// errors, so \p Diags is left untouched.
 std::unique_ptr<bp::BProgram>
 abstractProgram(const cfront::Program &P, const PredicateSet &Preds,
                 logic::LogicContext &Ctx, DiagnosticEngine &Diags,

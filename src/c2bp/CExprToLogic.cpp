@@ -6,6 +6,8 @@
 
 #include "c2bp/CExprToLogic.h"
 
+#include "cfront/Parser.h"
+
 using namespace slam;
 using namespace slam::c2bp;
 using namespace slam::cfront;
@@ -19,6 +21,10 @@ ExprRef c2bp::toLogic(LogicContext &Ctx, const Expr &E) {
   case CExprKind::NullLit:
     return Ctx.nullLit();
   case CExprKind::VarRef:
+    // Predicates are not name-resolved, and in them `true` and `false`
+    // are the boolean literals (cfront lexes them as identifiers).
+    if (!E.Var && (E.Name == "true" || E.Name == "false"))
+      return Ctx.boolLit(E.Name == "true");
     return Ctx.var(E.Name);
   case CExprKind::Unary:
     switch (E.UOp) {
@@ -90,4 +96,32 @@ ExprRef c2bp::conditionToLogic(LogicContext &Ctx, const Expr &E) {
     return L;
   // Residual scalar (should not occur post-normalization): e != 0.
   return Ctx.ne(L, Ctx.intLit(0));
+}
+
+/// True if \p E is in the predicate language: no calls, and & only of
+/// locations. Otherwise reports the first violation to \p Diags.
+static bool checkPredicate(LogicContext &Ctx, const Expr &E,
+                           DiagnosticEngine &Diags) {
+  if (E.Kind == CExprKind::Call) {
+    Diags.error(E.Loc, "call to '" + E.Name + "' in a predicate");
+    return false;
+  }
+  for (const Expr *Op : E.Ops)
+    if (!checkPredicate(Ctx, *Op, Diags))
+      return false;
+  if (E.Kind == CExprKind::Unary && E.UOp == UnaryOp::AddrOf &&
+      !toLogic(Ctx, *E.Ops[0])->isLocation()) {
+    Diags.error(E.Loc, "operand of & must be a location");
+    return false;
+  }
+  return true;
+}
+
+ExprRef c2bp::parseExpr(LogicContext &Ctx, std::string_view Text,
+                        DiagnosticEngine &Diags) {
+  Expr *E = nullptr;
+  std::unique_ptr<Program> Arena = parseExpression(Text, E, Diags);
+  if (!Arena || !checkPredicate(Ctx, *E, Diags))
+    return nullptr;
+  return toLogic(Ctx, *E);
 }

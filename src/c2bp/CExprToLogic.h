@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Converts (normalized, side-effect-free) C expressions into the
-/// predicate logic so the WP engine and prover can reason about them.
+/// predicate logic so the WP engine and prover can reason about them,
+/// and parses predicates through the same C expression grammar.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,9 @@
 
 #include "cfront/AST.h"
 #include "logic/Expr.h"
+#include "support/Diagnostics.h"
+
+#include <string_view>
 
 namespace slam {
 namespace c2bp {
@@ -27,6 +31,14 @@ logic::ExprRef toLogic(logic::LogicContext &Ctx, const cfront::Expr &E);
 /// already been turned into comparisons by the normalizer).
 logic::ExprRef conditionToLogic(logic::LogicContext &Ctx,
                                 const cfront::Expr &E);
+
+/// Parses one predicate: a pure C boolean expression with no function
+/// calls (Section 4), such as `curr->val > v` in Figure 1. `true` and
+/// `false` are its boolean literals. Returns nullptr after reporting to
+/// \p Diags when the text is malformed, has trailing input, calls a
+/// function or takes the address of a non-location.
+logic::ExprRef parseExpr(logic::LogicContext &Ctx, std::string_view Text,
+                         DiagnosticEngine &Diags);
 
 } // namespace c2bp
 } // namespace slam

@@ -229,71 +229,14 @@ Dnf CubeSearch::findF(const std::vector<ExprRef> &V, ExprRef Phi) {
   if (Phi->isFalse())
     return {};
 
-  Dnf Result;
-  bool Done = false;
-
   // Optimization 4: phi (or its negation) may literally be in E(V).
-  if (Options.SyntacticFastPaths) {
-    for (size_t I = 0; I != V.size() && !Done; ++I) {
-      if (V[I] == Phi) {
-        Result = {Cube{{static_cast<int>(I), true}}};
-        Done = true;
-      } else if (Ctx.notE(V[I]) == Phi) {
-        Result = {Cube{{static_cast<int>(I), false}}};
-        Done = true;
-      }
-    }
+  for (size_t I = 0; I != V.size(); ++I) {
+    if (V[I] == Phi)
+      return {Cube{{static_cast<int>(I), true}}};
+    if (Ctx.notE(V[I]) == Phi)
+      return {Cube{{static_cast<int>(I), false}}};
   }
-
-  // Optional recursive distribution through the connectives.
-  if (!Done && Options.DistributeF &&
-      (Phi->kind() == logic::ExprKind::And ||
-       Phi->kind() == logic::ExprKind::Or)) {
-    bool IsAnd = Phi->kind() == logic::ExprKind::And;
-    std::vector<Dnf> Parts;
-    for (ExprRef Op : Phi->operands())
-      Parts.push_back(findF(V, Op));
-    if (IsAnd) {
-      // Conjunction of DNFs: cross product of cubes, dropping clashes.
-      Dnf Acc = {Cube{}};
-      for (const Dnf &Part : Parts) {
-        Dnf NextAcc;
-        for (const Cube &A : Acc) {
-          for (const Cube &B : Part) {
-            Cube Merged = A;
-            bool Clash = false;
-            for (const CubeLit &L : B) {
-              auto Same = [&L](const CubeLit &X) { return X.Var == L.Var; };
-              auto It = std::find_if(Merged.begin(), Merged.end(), Same);
-              if (It == Merged.end())
-                Merged.push_back(L);
-              else if (It->Positive != L.Positive)
-                Clash = true;
-            }
-            if (!Clash) {
-              std::sort(Merged.begin(), Merged.end(),
-                        [](const CubeLit &X, const CubeLit &Y) {
-                          return X.Var < Y.Var;
-                        });
-              NextAcc.push_back(std::move(Merged));
-            }
-          }
-        }
-        Acc = std::move(NextAcc);
-      }
-      Result = std::move(Acc);
-    } else {
-      for (Dnf &Part : Parts)
-        for (Cube &C : Part)
-          if (std::find(Result.begin(), Result.end(), C) == Result.end())
-            Result.push_back(std::move(C));
-    }
-    Done = true;
-  }
-
-  if (!Done)
-    Result = searchWithMemo(V, Phi);
-  return Result;
+  return searchWithMemo(V, Phi);
 }
 
 ExprRef CubeSearch::concretizeF(const std::vector<ExprRef> &V,

@@ -15,8 +15,7 @@
 ///      found implicants and of cubes implying !phi (so the result is a
 ///      disjunction of prime implicants);
 ///   3. a syntactic cone-of-influence pass shrinking V per query;
-///   4. syntactic fast paths (phi or !phi textually in E(V)), and the
-///      optional recursive distribution of F over && / || ;
+///   4. a syntactic fast path (phi or !phi textually in E(V));
 ///   5. result caching, done one layer down: every implication goes
 ///      through the run's shared prover cache, so a repeated (cube, phi)
 ///      check is a cache hit rather than a prover call;
@@ -58,14 +57,9 @@ struct CubeSearchOptions {
   /// Optimization 3: restrict V to predicates sharing (aliased)
   /// locations with phi before enumerating.
   bool ConeOfInfluence = true;
-  /// Optimization 4: return {b} / {!b} immediately when phi (or !phi)
-  /// is textually a predicate of V.
-  bool SyntacticFastPaths = true;
   /// Optimization 1: prune supersets of implicants and of
   /// contradiction cubes. Disabling enumerates every cube (ablation).
   bool PruneSupersets = true;
-  /// Distribute F through && (exact) and || (may lose precision).
-  bool DistributeF = false;
 };
 
 class AbstractionMemo; // From AbstractionMemo.h (which includes this).

@@ -6,7 +6,7 @@
 
 #include "c2bp/PredicateSet.h"
 
-#include "logic/Parser.h"
+#include "c2bp/CExprToLogic.h"
 #include "support/StringExtras.h"
 
 #include <algorithm>
@@ -64,7 +64,7 @@ c2bp::parsePredicateFile(logic::LogicContext &Ctx, std::string_view Text,
     }
     for (const std::string &Piece : splitAndTrim(Line, ',')) {
       DiagnosticEngine Local;
-      ExprRef E = logic::parseExpr(Ctx, Piece, Local);
+      ExprRef E = parseExpr(Ctx, Piece, Local);
       if (!E) {
         Diags.error(SourceLoc(static_cast<unsigned>(LineNo), 1),
                     "bad predicate '" + Piece + "': " + Local.str());
@@ -73,6 +73,12 @@ c2bp::parsePredicateFile(logic::LogicContext &Ctx, std::string_view Text,
       if (!E->isFormula()) {
         Diags.error(SourceLoc(static_cast<unsigned>(LineNo), 1),
                     "predicate '" + Piece + "' is not boolean");
+        return std::nullopt;
+      }
+      // A constant has no boolean variable in BP(P, E).
+      if (E->kind() == logic::ExprKind::BoolLit) {
+        Diags.error(SourceLoc(static_cast<unsigned>(LineNo), 1),
+                    "predicate '" + Piece + "' is constant");
         return std::nullopt;
       }
       if (Scope == "global")

@@ -32,6 +32,16 @@ public:
     return std::move(P);
   }
 
+  /// One expression and nothing after it; sets \p Out on success.
+  std::unique_ptr<Program> runExpression(Expr *&Out) {
+    Out = parseExpr();
+    if (Out && !at(TokKind::End)) {
+      error("unexpected trailing input");
+      Out = nullptr;
+    }
+    return Out ? std::move(P) : nullptr;
+  }
+
 private:
   std::vector<Token> Tokens;
   DiagnosticEngine &Diags;
@@ -665,4 +675,10 @@ std::unique_ptr<Program> cfront::parseProgram(std::string_view Source,
   if (Diags.hasErrors())
     return nullptr;
   return P;
+}
+
+std::unique_ptr<Program> cfront::parseExpression(std::string_view Text,
+                                                 Expr *&Out,
+                                                 DiagnosticEngine &Diags) {
+  return ParserImpl(Text, Diags).runExpression(Out);
 }

@@ -9,7 +9,8 @@
 /// definitions, typedefs, globals, and functions with the statement forms
 /// of Figure 1 / Figure 3 (assignments, calls, if/else, while, goto and
 /// labels, return, break/continue, assert). Produces an unresolved AST;
-/// Sema performs name resolution and type checking.
+/// Sema performs name resolution and type checking. The expression
+/// grammar also reads predicates (pure C boolean expressions, Section 4).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +30,12 @@ namespace cfront {
 /// was reported to \p Diags.
 std::unique_ptr<Program> parseProgram(std::string_view Source,
                                       DiagnosticEngine &Diags);
+
+/// Parses \p Text as one expression, with no trailing input, into \p Out.
+/// Returns the Program whose arena owns the (unresolved) AST, or nullptr
+/// after reporting a syntax error to \p Diags.
+std::unique_ptr<Program> parseExpression(std::string_view Text, Expr *&Out,
+                                         DiagnosticEngine &Diags);
 
 } // namespace cfront
 } // namespace slam

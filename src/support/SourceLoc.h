@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Lightweight source locations shared by the C-subset frontend, the
-/// predicate-file parser and the boolean-program parser.
+/// Lightweight source locations shared by the C-subset frontend (which
+/// also parses predicates) and the boolean-program parser.
 ///
 //===----------------------------------------------------------------------===//
 

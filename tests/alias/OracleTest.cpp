@@ -2,8 +2,8 @@
 
 #include "alias/Oracle.h"
 
+#include "c2bp/CExprToLogic.h"
 #include "cfront/Normalize.h"
-#include "logic/Parser.h"
 
 #include <gtest/gtest.h>
 
@@ -47,7 +47,7 @@ protected:
 
   ExprRef loc(const std::string &Text) {
     DiagnosticEngine Diags;
-    ExprRef E = logic::parseExpr(Ctx, Text, Diags);
+    ExprRef E = c2bp::parseExpr(Ctx, Text, Diags);
     EXPECT_TRUE(E != nullptr) << Diags.str();
     return E;
   }

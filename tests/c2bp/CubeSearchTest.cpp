@@ -2,7 +2,7 @@
 
 #include "c2bp/CubeSearch.h"
 
-#include "logic/Parser.h"
+#include "c2bp/CExprToLogic.h"
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,7 @@ protected:
 
   ExprRef parse(const std::string &Text) {
     DiagnosticEngine Diags;
-    ExprRef E = logic::parseExpr(Ctx, Text, Diags);
+    ExprRef E = c2bp::parseExpr(Ctx, Text, Diags);
     EXPECT_TRUE(E != nullptr) << Diags.str();
     return E;
   }
@@ -98,9 +98,7 @@ TEST_F(CubeSearchTest, PrimeImplicantsOnly) {
 
 TEST_F(CubeSearchTest, DisjunctionOfImplicants) {
   // Both x == 1 and x == 2 imply x >= 1 (with x <= 9 irrelevant).
-  CubeSearchOptions O;
-  O.SyntacticFastPaths = false;
-  CubeSearch CS = make(O);
+  CubeSearch CS = make();
   auto V = preds({"x == 1", "x == 2", "y == 7"});
   Dnf D = CS.findF(V, parse("x >= 1"));
   // Expect at least the two positive singleton cubes.
@@ -138,14 +136,11 @@ TEST_F(CubeSearchTest, ConeOfInfluenceSavesQueries) {
   auto V = preds({"x < 5", "x == 2", "a == 1", "b == 2", "c == 3"});
   CubeSearchOptions NoCone;
   NoCone.ConeOfInfluence = false;
-  NoCone.SyntacticFastPaths = false;
   CubeSearch CS1 = make(NoCone);
   CS1.findF(V, parse("x < 4"));
   uint64_t Without = CS1.cubesChecked();
 
-  CubeSearchOptions Cone;
-  Cone.SyntacticFastPaths = false;
-  CubeSearch CS2 = make(Cone);
+  CubeSearch CS2 = make();
   Dnf D = CS2.findF(V, parse("x < 4"));
   uint64_t With = CS2.cubesChecked();
   EXPECT_LT(With, Without);
@@ -172,9 +167,7 @@ TEST_F(CubeSearchTest, CachingAvoidsRecomputation) {
   // A repeated search enumerates its cubes again, but every implication
   // it checks is answered from the prover cache.
   auto V = preds({"x < 5", "x == 2"});
-  CubeSearchOptions O;
-  O.SyntacticFastPaths = false;
-  CubeSearch CS = make(O);
+  CubeSearch CS = make();
   Dnf First = CS.findF(V, parse("x < 4"));
   uint64_t Calls = P.numCalls();
   uint64_t Hits = P.numCacheHits();
@@ -182,16 +175,6 @@ TEST_F(CubeSearchTest, CachingAvoidsRecomputation) {
   EXPECT_EQ(CS.findF(V, parse("x < 4")), First);
   EXPECT_EQ(P.numCalls(), Calls);
   EXPECT_GT(P.numCacheHits(), Hits);
-}
-
-TEST_F(CubeSearchTest, DistributionThroughAnd) {
-  CubeSearchOptions O;
-  O.DistributeF = true;
-  CubeSearch CS = make(O);
-  auto V = preds({"x == 0", "y == 0"});
-  Dnf D = CS.findF(V, parse("x <= 0 && y <= 0"));
-  ASSERT_EQ(D.size(), 1u);
-  EXPECT_EQ(D[0].size(), 2u);
 }
 
 TEST_F(CubeSearchTest, GViaConcretization) {
@@ -214,20 +197,18 @@ TEST(CubeSearchDeterminism, IdenticalDnfsAcrossInstancesAndContexts) {
     logic::LogicContext Ctx;
     DiagnosticEngine Diags;
     for (int I = 0; I != Skew; ++I)
-      (void)logic::parseExpr(Ctx, "skew" + std::to_string(I) + " == 0",
+      (void)c2bp::parseExpr(Ctx, "skew" + std::to_string(I) + " == 0",
                              Diags);
     prover::Prover P(Ctx);
     logic::ShapeAliasOracle Oracle;
-    CubeSearchOptions O;
-    O.SyntacticFastPaths = false; // Route everything through the cache.
-    CubeSearch CS(Ctx, P, Oracle, O, nullptr);
+    CubeSearch CS(Ctx, P, Oracle, CubeSearchOptions(), nullptr);
     std::vector<ExprRef> V;
     for (const char *T : {"x < 5", "x == 2", "*p <= 0", "x == 0", "y == 7"})
-      V.push_back(logic::parseExpr(Ctx, T, Diags));
+      V.push_back(c2bp::parseExpr(Ctx, T, Diags));
     std::vector<Dnf> Out;
     for (const char *Q :
          {"x < 4", "*p + x <= 0", "x >= 1", "!(x < 5)", "x < 4"})
-      Out.push_back(CS.findF(V, logic::parseExpr(Ctx, Q, Diags)));
+      Out.push_back(CS.findF(V, c2bp::parseExpr(Ctx, Q, Diags)));
     Out.push_back(CS.findContradictions(V));
     return Out;
   };

@@ -65,6 +65,18 @@ TEST_F(PredicateSetTest, Errors) {
   EXPECT_FALSE(parsePredicateFile(Ctx, "f:\n x ==\n", Diags).has_value());
   Diags.clear();
   EXPECT_FALSE(parsePredicateFile(Ctx, "f:\n x + 1\n", Diags).has_value());
+  // A constant would name a boolean variable `true` or `false`.
+  for (const char *Constant : {"true", "false", "1 == 1", "x == x", "1 < 0"}) {
+    Diags.clear();
+    EXPECT_FALSE(parsePredicateFile(Ctx, std::string("f:\n") + Constant,
+                                    Diags)
+                     .has_value())
+        << Constant;
+    EXPECT_NE(Diags.str().find("predicate '" + std::string(Constant) +
+                               "' is constant"),
+              std::string::npos)
+        << Diags.str();
+  }
 }
 
 } // namespace

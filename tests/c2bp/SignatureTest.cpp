@@ -2,8 +2,8 @@
 
 #include "c2bp/Signatures.h"
 
+#include "c2bp/CExprToLogic.h"
 #include "cfront/Normalize.h"
-#include "logic/Parser.h"
 
 #include <gtest/gtest.h>
 
@@ -41,7 +41,7 @@ protected:
     std::vector<ExprRef> Out;
     for (const std::string &T : Texts) {
       DiagnosticEngine Diags;
-      ExprRef E = logic::parseExpr(Ctx, T, Diags);
+      ExprRef E = c2bp::parseExpr(Ctx, T, Diags);
       EXPECT_TRUE(E != nullptr) << Diags.str();
       Out.push_back(E);
     }

@@ -2,8 +2,8 @@
 
 #include "cfront/Interp.h"
 
+#include "c2bp/CExprToLogic.h"
 #include "cfront/Normalize.h"
-#include "logic/Parser.h"
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,7 @@ protected:
 
   logic::ExprRef parse(const std::string &Text) {
     DiagnosticEngine Diags;
-    return logic::parseExpr(Ctx, Text, Diags);
+    return c2bp::parseExpr(Ctx, Text, Diags);
   }
 
   logic::LogicContext Ctx;
@@ -210,9 +210,9 @@ TEST_F(InterpTest, EvalLogicAgainstState) {
     std::optional<Value> CurrNonNull, ValGtV, Undefined;
     void onStep(const Stmt &, bool) override {
       DiagnosticEngine D;
-      CurrNonNull = I->evalLogic(logic::parseExpr(*Ctx, "curr != NULL", D));
-      ValGtV = I->evalLogic(logic::parseExpr(*Ctx, "curr->val > v", D));
-      Undefined = I->evalLogic(logic::parseExpr(*Ctx, "mystery->val", D));
+      CurrNonNull = I->evalLogic(c2bp::parseExpr(*Ctx, "curr != NULL", D));
+      ValGtV = I->evalLogic(c2bp::parseExpr(*Ctx, "curr->val > v", D));
+      Undefined = I->evalLogic(c2bp::parseExpr(*Ctx, "mystery->val", D));
     }
     void afterStore(const Stmt &) override {}
   } Probe;

@@ -10,9 +10,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "c2bp/CExprToLogic.h"
 #include "cfront/Interp.h"
 #include "cfront/Normalize.h"
-#include "logic/Parser.h"
 #include "logic/WP.h"
 
 #include <gtest/gtest.h>
@@ -97,14 +97,14 @@ TEST_P(WPSemantics, MorrisAxiomIsExact) {
     ASSERT_TRUE(Assign != nullptr);
 
     DiagnosticEngine PD;
-    logic::ExprRef Phi = logic::parseExpr(Ctx, PredText, PD);
+    logic::ExprRef Phi = c2bp::parseExpr(Ctx, PredText, PD);
     ASSERT_TRUE(Phi != nullptr);
     // Rebuild the assignment sides as logic terms via the predicate
     // parser (the statement text is in the predicate language too).
     std::string LhsText = StmtText.substr(0, StmtText.find(" ="));
     std::string RhsText = StmtText.substr(StmtText.find("= ") + 2);
-    logic::ExprRef Lhs = logic::parseExpr(Ctx, LhsText, PD);
-    logic::ExprRef Rhs = logic::parseExpr(Ctx, RhsText, PD);
+    logic::ExprRef Lhs = c2bp::parseExpr(Ctx, LhsText, PD);
+    logic::ExprRef Rhs = c2bp::parseExpr(Ctx, RhsText, PD);
     ASSERT_TRUE(Lhs && Rhs) << StmtText;
     logic::ExprRef Wp = Engine.assignment(Lhs, Rhs, Phi);
 

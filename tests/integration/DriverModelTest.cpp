@@ -2,6 +2,7 @@
 
 #include "workloads/Workloads.h"
 
+#include "c2bp/CExprToLogic.h"
 #include "slam/Cegar.h"
 
 #include <gtest/gtest.h>
@@ -12,14 +13,18 @@ using slamtool::SlamResult;
 
 namespace {
 
-SlamResult checkDriver(const DriverModel &M) {
-  logic::LogicContext Ctx;
+SlamResult checkDriver(const DriverModel &M, logic::LogicContext &Ctx) {
   DiagnosticEngine Diags;
   slamtool::PipelineOptions Options;
   Options.C2bp.Cubes.MaxCubeLength = 3;
   auto R = slamtool::checkSafety(M.Source, M.Spec, Ctx, Diags, Options);
   EXPECT_TRUE(R.has_value()) << M.Name << ": " << Diags.str();
   return R.value_or(SlamResult{});
+}
+
+SlamResult checkDriver(const DriverModel &M) {
+  logic::LogicContext Ctx;
+  return checkDriver(M, Ctx);
 }
 
 TEST(DriverModels, GenerationIsDeterministic) {
@@ -45,6 +50,25 @@ TEST(DriverModels, SizesFollowThePaperOrdering) {
   EXPECT_GT(Lines("srdriver"), Lines("log"));
   EXPECT_GT(Lines("log"), Lines("openclos"));
   EXPECT_GT(Lines("openclos"), Lines("ioctl"));
+}
+
+TEST(DriverModels, DiscoveredPredicatesRoundTripThroughTheParser) {
+  // Bebop names a predicate's variable by its text, and readers such as
+  // examples/partition_invariants.cpp parse that text back, so every
+  // predicate the loop ends with must re-parse to the same node.
+  for (const DriverModel &M : table1Drivers()) {
+    logic::LogicContext Ctx;
+    SlamResult R = checkDriver(M, Ctx);
+    std::vector<logic::ExprRef> All = R.Predicates.Globals;
+    for (const auto &[Proc, V] : R.Predicates.PerProc)
+      All.insert(All.end(), V.begin(), V.end());
+    EXPECT_GT(All.size(), 1u) << M.Name;
+    for (logic::ExprRef E : All) {
+      DiagnosticEngine Diags;
+      EXPECT_EQ(c2bp::parseExpr(Ctx, E->str(), Diags), E)
+          << M.Name << ": " << E->str() << " " << Diags.str();
+    }
+  }
 }
 
 TEST(DriverModels, FloppyBugIsFound) {

@@ -405,10 +405,16 @@ std::string randomPredicates(Rng &R, int Count) {
   static const char *Ops[] = {"==", "<", "<=", ">", ">="};
   std::string Out = "f:\n";
   for (int I = 0; I != Count; ++I) {
-    Out += std::string("  ") + Vars[R.range(3)] + " " + Ops[R.range(5)] +
-           " ";
-    Out += R.range(2) ? Vars[R.range(3)]
-                      : std::to_string(int(R.range(9)) - 4);
+    unsigned Op = R.range(5);
+    unsigned Lhs = R.range(3);
+    Out += std::string("  ") + Vars[Lhs] + " " + Ops[Op] + " ";
+    if (R.range(2)) {
+      // `a < a` is constant, and predicate files reject constants.
+      unsigned Rhs = R.range(3);
+      Out += Vars[Rhs == Lhs ? (Rhs + 1) % 3 : Rhs];
+    } else {
+      Out += std::to_string(int(R.range(9)) - 4);
+    }
     Out += "\n";
   }
   return Out;

@@ -2,7 +2,7 @@
 
 #include "logic/AliasOracle.h"
 
-#include "logic/Parser.h"
+#include "c2bp/CExprToLogic.h"
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@ class AliasOracleTest : public ::testing::Test {
 protected:
   ExprRef loc(const std::string &Text) {
     DiagnosticEngine Diags;
-    ExprRef E = parseExpr(Ctx, Text, Diags);
+    ExprRef E = c2bp::parseExpr(Ctx, Text, Diags);
     EXPECT_TRUE(E && E->isLocation()) << Text;
     return E;
   }

@@ -2,7 +2,7 @@
 
 #include "logic/ExprUtils.h"
 
-#include "logic/Parser.h"
+#include "c2bp/CExprToLogic.h"
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@ class ExprUtilsTest : public ::testing::Test {
 protected:
   ExprRef parse(const std::string &Text) {
     DiagnosticEngine Diags;
-    ExprRef E = parseExpr(Ctx, Text, Diags);
+    ExprRef E = c2bp::parseExpr(Ctx, Text, Diags);
     EXPECT_TRUE(E != nullptr) << Diags.str();
     return E;
   }
@@ -88,7 +88,7 @@ TEST_F(ExprUtilsTest, SubstituteAllIsSimultaneous) {
 TEST_F(ExprUtilsTest, CloneAcrossContexts) {
   LogicContext Other;
   DiagnosticEngine Diags;
-  ExprRef Phi = parseExpr(Other, "p->val > v + 1", Diags);
+  ExprRef Phi = c2bp::parseExpr(Other, "p->val > v + 1", Diags);
   ExprRef Here = clone(Ctx, Phi);
   EXPECT_EQ(Here, parse("p->val > v + 1"));
 }

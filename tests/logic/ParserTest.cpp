@@ -1,6 +1,6 @@
-//===- ParserTest.cpp - Predicate-language parser --------------------------===//
+//===- ParserTest.cpp - Predicates through cfront's expression grammar -----===//
 
-#include "logic/Parser.h"
+#include "c2bp/CExprToLogic.h"
 
 #include <gtest/gtest.h>
 
@@ -13,14 +13,14 @@ class ParserTest : public ::testing::Test {
 protected:
   ExprRef parse(const std::string &Text) {
     DiagnosticEngine Diags;
-    ExprRef E = parseExpr(Ctx, Text, Diags);
+    ExprRef E = c2bp::parseExpr(Ctx, Text, Diags);
     EXPECT_TRUE(E != nullptr) << Diags.str();
     return E;
   }
 
   void expectError(const std::string &Text) {
     DiagnosticEngine Diags;
-    ExprRef E = parseExpr(Ctx, Text, Diags);
+    ExprRef E = c2bp::parseExpr(Ctx, Text, Diags);
     EXPECT_EQ(E, nullptr) << "parsed: " << (E ? E->str() : "");
     EXPECT_TRUE(Diags.hasErrors());
   }
@@ -109,11 +109,25 @@ TEST_F(ParserTest, Errors) {
   expectError("a[1 == 2"); // Missing ']'.
 }
 
+TEST_F(ParserTest, CallsAndAddressOfNonLocationsAreDiagnostics) {
+  // cfront's grammar accepts both; the predicate language does not.
+  for (auto [Text, Message] :
+       {std::pair{"f(x) == 1", "call to 'f' in a predicate"},
+        std::pair{"x < g()", "call to 'g' in a predicate"},
+        std::pair{"&5 == p", "operand of & must be a location"},
+        std::pair{"&(x + 1) == p", "operand of & must be a location"},
+        std::pair{"&true == p", "operand of & must be a location"}}) {
+    DiagnosticEngine Diags;
+    EXPECT_EQ(c2bp::parseExpr(Ctx, Text, Diags), nullptr) << Text;
+    EXPECT_NE(Diags.str().find(Message), std::string::npos) << Diags.str();
+  }
+}
+
 TEST_F(ParserTest, OutOfRangeIntegerLiteralInPredicateIsADiagnostic) {
   for (const char *Text : {"99999999999999999999 == curr",
                            "-9223372036854775808 < v"}) {
     DiagnosticEngine Diags;
-    EXPECT_EQ(parseExpr(Ctx, Text, Diags), nullptr) << Text;
+    EXPECT_EQ(c2bp::parseExpr(Ctx, Text, Diags), nullptr) << Text;
     EXPECT_NE(Diags.str().find("integer literal out of range"),
               std::string::npos)
         << Diags.str();

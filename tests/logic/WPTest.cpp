@@ -2,8 +2,8 @@
 
 #include "logic/WP.h"
 
+#include "c2bp/CExprToLogic.h"
 #include "logic/ExprUtils.h"
-#include "logic/Parser.h"
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,7 @@ protected:
 
   ExprRef parse(const std::string &Text) {
     DiagnosticEngine Diags;
-    ExprRef E = parseExpr(Ctx, Text, Diags);
+    ExprRef E = c2bp::parseExpr(Ctx, Text, Diags);
     EXPECT_TRUE(E != nullptr) << Diags.str();
     return E;
   }

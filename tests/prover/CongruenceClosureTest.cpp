@@ -2,7 +2,7 @@
 
 #include "prover/CongruenceClosure.h"
 
-#include "logic/Parser.h"
+#include "c2bp/CExprToLogic.h"
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,7 @@ class CCTest : public ::testing::Test {
 protected:
   ExprRef parse(const std::string &Text) {
     DiagnosticEngine Diags;
-    ExprRef E = parseExpr(Ctx, Text, Diags);
+    ExprRef E = c2bp::parseExpr(Ctx, Text, Diags);
     EXPECT_TRUE(E != nullptr) << Diags.str();
     return E;
   }

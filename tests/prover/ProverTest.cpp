@@ -2,7 +2,7 @@
 
 #include "prover/Prover.h"
 
-#include "logic/Parser.h"
+#include "c2bp/CExprToLogic.h"
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,7 @@ namespace {
 
 ExprRef parseFormula(LogicContext &Ctx, const std::string &Text) {
   DiagnosticEngine Diags;
-  ExprRef E = parseExpr(Ctx, Text, Diags);
+  ExprRef E = c2bp::parseExpr(Ctx, Text, Diags);
   EXPECT_TRUE(E != nullptr) << Diags.str();
   return E;
 }

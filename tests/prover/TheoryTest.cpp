@@ -2,7 +2,7 @@
 
 #include "prover/Theory.h"
 
-#include "logic/Parser.h"
+#include "c2bp/CExprToLogic.h"
 
 #include <gtest/gtest.h>
 
@@ -30,7 +30,7 @@ protected:
         Text = Text.substr(1);
       }
       DiagnosticEngine Diags;
-      ExprRef E = parseExpr(Ctx, Text, Diags);
+      ExprRef E = c2bp::parseExpr(Ctx, Text, Diags);
       EXPECT_TRUE(E != nullptr) << Diags.str();
       Lits.push_back({E, Positive});
     }

@@ -50,7 +50,7 @@ TEST_F(NewtonTest, FeasiblePathIsReported) {
       assert(x > 0);
     }
   )",
-                   "main:\n x == x\n");
+                   "main:\n");
   EXPECT_TRUE(R.Feasible);
 }
 
@@ -64,7 +64,7 @@ TEST_F(NewtonTest, InfeasiblePathYieldsPredicates) {
       assert(x == 5);
     }
   )",
-                   "main:\n 0 == 0\n");
+                   "main:\n");
   EXPECT_FALSE(R.Feasible);
   EXPECT_GT(R.NewPreds.totalCount(), 0u);
   bool Found = false;
@@ -106,9 +106,9 @@ TEST_F(NewtonTest, ExistingPredicatesNotRediscovered) {
       assert(x == 5);
     }
   )",
-                   "main:\n y == y\n");
+                   "main:\n y == 0\n");
   for (logic::ExprRef E : R.NewPreds.forProc("main"))
-    EXPECT_NE(E->str(), "y == y");
+    EXPECT_NE(E->str(), "y == 0");
 }
 
 } // namespace

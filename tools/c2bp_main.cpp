@@ -60,7 +60,12 @@ int main(int argc, char **argv) {
   }
   logic::LogicContext Ctx;
   auto Preds = c2bp::parsePredicateFile(Ctx, PredText, Diags);
-  if (!Preds) {
+  if (Preds)
+    for (const auto &[Scope, _] : Preds->PerProc)
+      if (!Program->findFunction(Scope))
+        Diags.error(SourceLoc(), "predicate scope '" + Scope +
+                                     "' names no procedure");
+  if (!Preds || Diags.hasErrors()) {
     std::fprintf(stderr, "%s", Diags.str().c_str());
     Obs.finish("c2bp", Stats);
     return 1;

@@ -16,9 +16,10 @@
 #   incremental  slam on the examples with and without
 #              --no-incremental; asserts byte-identical stdout and that
 #              the cross-iteration memo replays statements on locking.c
-#   determinism  c2bp and slam on the examples at -j 1/2/4; asserts
-#              identical stdout and identical work counters
-#              (c2bp.cubes_checked, prover.calls, slam.iterations)
+#   determinism  c2bp and slam on the examples, three times at -j 1
+#              (ASLR on) and at -j 2/4; asserts identical stdout, exit
+#              status and work counters (c2bp.cubes_checked,
+#              prover.calls, slam.iterations)
 #   all        every job above, in order
 #
 # Usage: tools/ci.sh [default|tsan|asan|release|observability|incremental|determinism|all]
@@ -122,37 +123,44 @@ PY
 }
 
 run_determinism() {
-  echo "=== ci: determinism: identical output and counters at -j 1/2/4 ==="
+  echo "=== ci: determinism: identical output and counters at -j 1 (x3)/2/4 ==="
   cmake -B "$ROOT/build" -S "$ROOT" -DSLAM_SANITIZE=
   cmake --build "$ROOT/build" -j --target slam c2bp
   local TMP EX="$ROOT/examples/programs" BIN="$ROOT/build/tools"
   TMP="$(mktemp -d)"
   trap 'rm -rf "$TMP"' RETURN
-  # Runs one case (a name, then the command) once per worker count.
-  # Every run's stdout and exit status must equal the -j 1 run's, and
-  # so must its work counters: every -j takes the same abstraction path
-  # through the same one prover cache.
+  # Repeated -j 1 runs only catch address-dependent output if each run
+  # gets fresh addresses.
+  if [ "$(cat /proc/sys/kernel/randomize_va_space 2>/dev/null)" = 0 ]; then
+    echo "ci: determinism needs ASLR (kernel.randomize_va_space is 0)" >&2
+    return 1
+  fi
+  # Runs one case (a name, then the command) three times at -j 1 and
+  # once each at -j 2 and -j 4. Every run's stdout and exit status must
+  # equal the first run's, and so must its work counters: the output is
+  # a pure function of the input, whatever the addresses or -j, and
+  # every -j takes the same abstraction path through the same one
+  # prover cache.
   check_case() {
-    local NAME="$1" J RC
+    local NAME="$1" RUN RC
     shift
-    for J in 1 2 4; do
+    for RUN in 1a 1b 1c 2 4; do
       RC=0
-      "$@" -j "$J" --stats-json "$TMP/$NAME.j$J.json" \
-        > "$TMP/$NAME.j$J.out" || RC=$?
-      echo "exit status $RC" >> "$TMP/$NAME.j$J.out"
+      "$@" -j "${RUN:0:1}" --stats-json "$TMP/$NAME.j$RUN.json" \
+        > "$TMP/$NAME.j$RUN.out" || RC=$?
+      echo "exit status $RC" >> "$TMP/$NAME.j$RUN.out"
+      cmp "$TMP/$NAME.j1a.out" "$TMP/$NAME.j$RUN.out"
     done
-    cmp "$TMP/$NAME.j1.out" "$TMP/$NAME.j2.out"
-    cmp "$TMP/$NAME.j1.out" "$TMP/$NAME.j4.out"
-    python3 - "$NAME" "$TMP/$NAME".j{1,2,4}.json <<'PY'
+    python3 - "$NAME" "$TMP/$NAME".j{1a,1b,1c,2,4}.json <<'PY'
 import json, sys
 name, paths = sys.argv[1], sys.argv[2:]
 keys = ("c2bp.cubes_checked", "prover.calls", "slam.iterations")
 runs = [json.load(open(p))["counters"] for p in paths]
 for k in keys:
     vals = [r.get(k, 0) for r in runs]
-    assert len(set(vals)) == 1, f"{name}: {k} differs at -j 1/2/4: {vals}"
+    assert len(set(vals)) == 1, f"{name}: {k} differs at -j 1/1/1/2/4: {vals}"
 assert runs[0].get("prover.calls", 0) > 0, f"{name}: no prover work?"
-print(f"ci: {name}: identical stdout and counters at -j 1/2/4 (" +
+print(f"ci: {name}: identical stdout and counters at -j 1 (x3)/2/4 (" +
       ", ".join(f"{k}={runs[0].get(k, 0)}" for k in keys) + ")")
 PY
   }
