@@ -557,14 +557,6 @@ std::set<int> PointsTo::valueCells(const Expr &PtrExpr) const {
   }
 }
 
-bool PointsTo::mayAlias(const Expr &A, const Expr &B) const {
-  std::set<int> CA = locationCells(A), CB = locationCells(B);
-  for (int C : CA)
-    if (CB.count(C))
-      return true;
-  return false;
-}
-
 bool PointsTo::isAddressTaken(const VarDecl &V) const {
   int C = varCell(&V);
   if (C < 0)

@@ -67,9 +67,6 @@ public:
   /// Abstract cells a pointer-valued C expression may point to.
   std::set<int> valueCells(const cfront::Expr &PtrExpr) const;
 
-  /// May the cells denoted by two C lvalues overlap?
-  bool mayAlias(const cfront::Expr &A, const cfront::Expr &B) const;
-
   /// Has &V been taken anywhere in the program (directly or via the
   /// points-to closure)?
   bool isAddressTaken(const cfront::VarDecl &V) const;

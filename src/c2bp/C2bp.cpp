@@ -15,17 +15,17 @@
 //      call formal, an enforce invariant). Each task owns a distinct
 //      output slot in the already-built skeleton.
 //
-//   2. **Execution**: every task runs its own cube search on some
-//      worker. Every worker owns a private prover, statistics registry
-//      and expression arena (adopted by the main program afterwards);
-//      all workers' provers answer through the run's one shared prover
-//      cache. With one worker the queue is drained on the calling
-//      thread with worker 0's state; with N workers it runs on a
-//      work-stealing thread pool. It is the same path either way:
-//      tasks are pure functions of their captured inputs (prover
-//      answers are deterministic, caches are memoization only) and
-//      slots are position-addressed, so the merged output and the work
-//      counters are identical for every worker count and schedule.
+//   2. **Execution**: one parallelFor over the planned tasks, in
+//      which every task runs its own cube search on whichever worker
+//      claims it. Every worker owns a private prover, statistics
+//      registry and expression arena (adopted by the main program
+//      afterwards); all workers' provers answer through the run's one
+//      shared prover cache. The calling thread is worker 0, so one
+//      worker runs the same loop with no thread spawned. Tasks are pure
+//      functions of their captured inputs (prover answers are
+//      deterministic, caches are memoization only) and slots are
+//      position-addressed, so the merged output and the work counters
+//      are identical for every worker count and schedule.
 //
 //===----------------------------------------------------------------------===//
 
@@ -38,11 +38,10 @@
 #include "logic/ExprUtils.h"
 #include "logic/WP.h"
 #include "prover/ProverCache.h"
-#include "support/ThreadPool.h"
+#include "support/ParallelFor.h"
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <cassert>
 #include <functional>
 
 using namespace slam;
@@ -126,8 +125,7 @@ struct C2bpTool::Impl {
   /// One per worker: a private prover and statistics registry (merged
   /// at report time) plus a private expression arena (adopted by the
   /// main program once execution has finished). A worker is only ever
-  /// touched by the thread with the matching pool id, or by the calling
-  /// thread when there is a single worker.
+  /// touched by the parallelFor participant with the matching id.
   struct Worker {
     StatsRegistry Stats;
     prover::Prover Prover;
@@ -142,8 +140,8 @@ struct C2bpTool::Impl {
   std::unique_ptr<alias::ModRef> MR;
   std::map<const FuncDecl *, ProcSignature> Signatures;
 
-  /// Per-procedure planning state, kept alive until the task pool has
-  /// drained (tasks reference the oracle and the scope vectors).
+  /// Per-procedure planning state, kept alive until every task has run
+  /// (tasks reference the oracle and the scope vectors).
   struct FuncScope {
     const FuncDecl *F = nullptr;
     std::unique_ptr<logic::AliasOracle> Oracle;
@@ -588,13 +586,6 @@ struct C2bpTool::Impl {
     CurProc = nullptr;
   }
 
-  uint64_t totalProverCalls() const {
-    uint64_t N = 0;
-    for (const auto &W : Workers)
-      N += W->Prover.numCalls();
-    return N;
-  }
-
   /// Runs one task on \p WK. A fresh cube search per task keeps every
   /// task a pure function of its inputs, so the work it does is the
   /// same whichever worker picks it up; repeated sub-queries across
@@ -613,20 +604,10 @@ struct C2bpTool::Impl {
     TraceSpan Span("c2bp.execute", "c2bp");
     if (Span.enabled())
       Span.arg("tasks", static_cast<uint64_t>(Pending.size()));
-    if (Workers.size() == 1) {
-      for (DeferredTask &T : Pending)
-        runTask(*Workers[0], T);
-    } else {
-      ThreadPool Pool(static_cast<unsigned>(Workers.size()));
-      for (DeferredTask &T : Pending) {
-        Pool.submit([this, &T] {
-          int W = ThreadPool::currentWorkerId();
-          assert(W >= 0 && static_cast<size_t>(W) < Workers.size());
-          runTask(*Workers[W], T);
-        });
-      }
-      Pool.wait();
-    }
+    parallelFor(static_cast<unsigned>(Workers.size()), Pending.size(),
+                [this](unsigned W, size_t I) {
+                  runTask(*Workers[W], Pending[I]);
+                });
     Pending.clear();
     // Results are merged in planning order by construction (tasks wrote
     // into position-addressed slots); all that remains is keeping the
@@ -640,13 +621,6 @@ struct C2bpTool::Impl {
 
   std::unique_ptr<bp::BProgram> run() {
     TraceSpan Span("c2bp.run", "c2bp");
-    if (Span.enabled()) {
-      Span.arg("predicates", static_cast<uint64_t>(Preds.totalCount()));
-      Span.arg("workers", Options.NumWorkers);
-    }
-    for (int W = 0; W < std::max(1, Options.NumWorkers); ++W)
-      Workers.push_back(std::make_unique<Worker>(Ctx, &Cache));
-
     BP = std::make_unique<bp::BProgram>();
     {
       TraceSpan PlanSpan("c2bp.plan", "c2bp");
@@ -656,11 +630,18 @@ struct C2bpTool::Impl {
         if (F->Body)
           abstractFunction(*F);
     }
-    runPending();
-    if (Stats) {
-      Stats->set("c2bp.predicates", Preds.totalCount());
-      Stats->set("c2bp.prover_calls", totalProverCalls());
+    // More workers than tasks would sit idle; build only those that run.
+    size_t NumWorkers = std::clamp<size_t>(Pending.size(), 1,
+                                           std::max(1, Options.NumWorkers));
+    for (size_t W = 0; W != NumWorkers; ++W)
+      Workers.push_back(std::make_unique<Worker>(Ctx, &Cache));
+    if (Span.enabled()) {
+      Span.arg("predicates", static_cast<uint64_t>(Preds.totalCount()));
+      Span.arg("workers", static_cast<uint64_t>(NumWorkers));
     }
+    runPending();
+    if (Stats)
+      Stats->set("c2bp.predicates", Preds.totalCount());
     return std::move(BP);
   }
 };

@@ -23,8 +23,9 @@
 ///                     (Section 5.1).
 ///
 /// A run plans the skeleton sequentially, then executes the deferred
-/// cube searches on C2bpOptions::NumWorkers workers (one = the calling
-/// thread), all answering through one prover cache. The boolean
+/// cube searches in one parallelFor on up to C2bpOptions::NumWorkers
+/// workers (the calling thread is worker 0), all answering through one
+/// prover cache. The boolean
 /// program and the work counters do not depend on the worker count.
 ///
 //===----------------------------------------------------------------------===//
@@ -55,8 +56,8 @@ struct C2bpOptions {
   bool UseAliasAnalysis = true;
   alias::Mode AliasMode = alias::Mode::Das;
   /// Worker threads for the per-statement cube searches. Every N runs
-  /// the same plan-then-execute path: the statement-level abstraction
-  /// tasks go to N workers (N = 1 drains them on the calling thread),
+  /// the same plan-then-execute loop: the statement-level abstraction
+  /// tasks go to min(N, tasks) workers, the calling thread among them,
   /// each with a private prover over the run's one prover cache.
   /// Output and work counters are identical for every N (results are
   /// merged in statement order); only wall-clock time changes.

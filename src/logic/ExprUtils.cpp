@@ -134,8 +134,11 @@ ExprRef rebuild(LogicContext &Ctx, ExprRef E, std::vector<ExprRef> Ops) {
   return nullptr;
 }
 
-ExprRef substImpl(LogicContext &Ctx, ExprRef E,
-                  const std::vector<std::pair<ExprRef, ExprRef>> &Map) {
+} // namespace
+
+ExprRef logic::substituteAll(
+    LogicContext &Ctx, ExprRef E,
+    const std::vector<std::pair<ExprRef, ExprRef>> &Map) {
   for (const auto &[From, To] : Map)
     if (E == From)
       return To;
@@ -144,23 +147,6 @@ ExprRef substImpl(LogicContext &Ctx, ExprRef E,
   std::vector<ExprRef> Ops;
   Ops.reserve(E->numOperands());
   for (ExprRef Op : E->operands())
-    Ops.push_back(substImpl(Ctx, Op, Map));
+    Ops.push_back(substituteAll(Ctx, Op, Map));
   return rebuild(Ctx, E, std::move(Ops));
-}
-
-} // namespace
-
-ExprRef logic::substitute(LogicContext &Ctx, ExprRef E, ExprRef From,
-                          ExprRef To) {
-  return substImpl(Ctx, E, {{From, To}});
-}
-
-ExprRef logic::substituteAll(
-    LogicContext &Ctx, ExprRef E,
-    const std::vector<std::pair<ExprRef, ExprRef>> &Map) {
-  return substImpl(Ctx, E, Map);
-}
-
-ExprRef logic::clone(LogicContext &Ctx, ExprRef E) {
-  return substImpl(Ctx, E, {});
 }

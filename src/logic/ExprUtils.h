@@ -47,21 +47,14 @@ bool mentions(ExprRef E, ExprRef Loc);
 /// (Section 2.1's "invalidated by unknown()").
 bool containsNullDeref(ExprRef E);
 
-/// Structural substitution: every occurrence of subterm \p From in \p E
-/// is replaced by \p To, rebuilding through the smart constructors (so
-/// folding applies). All terms are pure, so this is semantics-preserving
-/// capture-free substitution.
-ExprRef substitute(LogicContext &Ctx, ExprRef E, ExprRef From, ExprRef To);
-
-/// Applies a parallel substitution (all pairs replaced simultaneously,
-/// outermost match wins). Used to translate predicates between caller
-/// and callee scopes (Section 4.5).
+/// Structural parallel substitution: every occurrence of a subterm
+/// `From` of a pair in \p E is replaced by its `To` (all pairs replaced
+/// simultaneously, outermost match wins), rebuilding through the smart
+/// constructors (so folding applies). All terms are pure, so this is
+/// semantics-preserving capture-free substitution. Used to translate
+/// predicates between caller and callee scopes (Section 4.5).
 ExprRef substituteAll(LogicContext &Ctx, ExprRef E,
                       const std::vector<std::pair<ExprRef, ExprRef>> &Map);
-
-/// Rebuilds \p E inside \p Ctx when it was created by another context.
-/// (All tools share one context in practice; this supports tests.)
-ExprRef clone(LogicContext &Ctx, ExprRef E);
 
 } // namespace logic
 } // namespace slam

@@ -8,8 +8,9 @@
 /// One flag-parsing helper shared by the slam/c2bp/bebop mains. The
 /// mains used to funnel numeric flags through atoi, which silently
 /// turns `--max-iters banana` into 0; these helpers accept exactly the
-/// decimal integers (or finite decimals, for millisecond thresholds)
-/// and report everything else as a usage error naming the flag.
+/// decimal integers that fit the flag's int (or finite decimals, for
+/// millisecond thresholds) and report everything else as a usage error
+/// naming the flag, rather than truncating it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,7 @@
 #define SUPPORT_CLIARGS_H
 
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,21 +53,28 @@ inline bool parseDouble(const char *Text, double &Out) {
   return true;
 }
 
-/// Parses \p Text as the integer value of \p Flag with an inclusive
-/// minimum; on failure prints "<tool>: invalid value ... " to stderr
-/// and returns false (the main should exit 2).
+/// Parses \p Text as the int value of \p Flag, in [Min, INT_MAX]; on
+/// failure prints "<tool>: invalid value ..." or "<tool>: value ... is
+/// below/above ..." to stderr and returns false (the main should exit 2).
 inline bool intArg(const char *Tool, const char *Flag, const char *Text,
-                   long long Min, long long &Out) {
-  if (!parseInt(Text, Out)) {
+                   int Min, int &Out) {
+  long long V;
+  if (!parseInt(Text, V)) {
     std::fprintf(stderr, "%s: invalid value '%s' for %s (expected an integer)\n",
                  Tool, Text ? Text : "", Flag);
     return false;
   }
-  if (Out < Min) {
-    std::fprintf(stderr, "%s: value %lld for %s is below the minimum %lld\n",
-                 Tool, Out, Flag, Min);
+  if (V < Min) {
+    std::fprintf(stderr, "%s: value %lld for %s is below the minimum %d\n",
+                 Tool, V, Flag, Min);
     return false;
   }
+  if (V > INT_MAX) {
+    std::fprintf(stderr, "%s: value %lld for %s is above the maximum %d\n",
+                 Tool, V, Flag, INT_MAX);
+    return false;
+  }
+  Out = static_cast<int>(V);
   return true;
 }
 
@@ -79,16 +88,6 @@ inline bool msArg(const char *Tool, const char *Flag, const char *Text,
         Tool, Text ? Text : "", Flag);
     return false;
   }
-  return true;
-}
-
-/// Worker-count flag (-j): 0 means "one per hardware thread", which the
-/// caller maps through ThreadPool::defaultConcurrency().
-inline bool workersArg(const char *Tool, const char *Text, int &Out) {
-  long long V;
-  if (!intArg(Tool, "-j", Text, 0, V))
-    return false;
-  Out = static_cast<int>(V);
   return true;
 }
 

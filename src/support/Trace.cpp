@@ -7,7 +7,7 @@
 #include "support/Trace.h"
 
 #include "support/Json.h"
-#include "support/ThreadPool.h"
+#include "support/ParallelFor.h"
 
 #include <algorithm>
 #include <fstream>
@@ -69,7 +69,7 @@ std::string TraceRecorder::toChromeJson() const {
   W.key("traceEvents");
   W.beginArray();
 
-  // Thread-name metadata rows so the viewer labels the pool workers.
+  // Thread-name metadata rows so the viewer labels the loop workers.
   for (int Tid = 0; Tid <= MaxTid; ++Tid) {
     W.beginObject();
     W.kv("name", "thread_name");
@@ -135,7 +135,7 @@ TraceSpan::~TraceSpan() {
   TraceEvent E;
   E.Name = Name;
   E.Category = Category;
-  int Worker = ThreadPool::currentWorkerId();
+  int Worker = currentWorkerId();
   E.Tid = Worker < 0 ? 0 : Worker + 1;
   E.StartUs = StartUs;
   uint64_t End = R->nowUs();

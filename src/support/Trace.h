@@ -19,8 +19,9 @@
 ///     relaxed atomic load and a branch — no clock read, no allocation
 ///     (members are a pointer and PODs; the args vector stays empty).
 ///   * Span completion appends one event under a mutex. Spans may be
-///     opened concurrently from ThreadPool workers; events carry the
-///     pool worker id (tid = worker + 1, main/external threads are
+///     opened concurrently from parallelFor workers; events carry the
+///     loop's worker id (tid = worker + 1 at every worker count, the
+///     calling thread's worker 0 included; spans outside a loop are
 ///     tid 0) and serialization orders events deterministically by
 ///     (tid, start, sequence) so equal runs produce equal files.
 ///

@@ -328,7 +328,7 @@ TEST_F(AbstractionTest, OutputIsDeterministic) {
 
 TEST_F(AbstractionTest, StatsReportProverCalls) {
   abstract(PartitionSource, PartitionPreds);
-  EXPECT_GT(Stats.get("c2bp.prover_calls"), 0u);
+  EXPECT_GT(Stats.get("prover.calls"), 0u);
   EXPECT_EQ(Stats.get("c2bp.predicates"), 4u);
 }
 

@@ -183,3 +183,22 @@ TEST(PipelineFlags, MissingFlagValueIsAUsageError) {
   PipelineArgs PC;
   EXPECT_EQ(parse(ToolKind::Slam, {"p.c", "-k", "nonsense"}, PC), 2);
 }
+
+TEST(PipelineFlags, IntegerFlagsAboveIntMaxAreUsageErrors) {
+  // Each would wrap when narrowed to int: --max-iters to 0, -k to 0 and
+  // -j to 1.
+  PipelineArgs PA;
+  EXPECT_EQ(parse(ToolKind::Slam, {"p.c", "--max-iters", "4294967296"}, PA),
+            2);
+  PipelineArgs PB;
+  EXPECT_EQ(parse(ToolKind::C2bp, {"p.c", "e.txt", "-k", "4294967296"}, PB),
+            2);
+  PipelineArgs PC;
+  EXPECT_EQ(parse(ToolKind::C2bp, {"p.c", "e.txt", "-j", "4294967297"}, PC),
+            2);
+  // INT_MAX itself is accepted.
+  PipelineArgs PD;
+  EXPECT_EQ(parse(ToolKind::Slam, {"p.c", "--max-iters", "2147483647"}, PD),
+            std::nullopt);
+  EXPECT_EQ(PD.Options.Cegar.MaxIterations, 2147483647);
+}

@@ -55,25 +55,25 @@ TEST_F(ExprUtilsTest, SubstituteVariable) {
   // The paper's WP example: (x+1) < 5 simplifies to x < 4 only after the
   // prover; structurally [x+1/x] gives x + 1 < 5.
   ExprRef Phi = parse("x < 5");
-  ExprRef After = substitute(Ctx, Phi, Ctx.var("x"),
-                             Ctx.add(Ctx.var("x"), Ctx.intLit(1)));
+  ExprRef After = substituteAll(
+      Ctx, Phi, {{Ctx.var("x"), Ctx.add(Ctx.var("x"), Ctx.intLit(1))}});
   EXPECT_EQ(After, parse("x + 1 < 5"));
 }
 
 TEST_F(ExprUtilsTest, SubstituteLocation) {
   // prev = curr: (prev == NULL)[curr/prev] = (curr == NULL).
   ExprRef Phi = parse("prev == NULL");
-  EXPECT_EQ(substitute(Ctx, Phi, Ctx.var("prev"), Ctx.var("curr")),
+  EXPECT_EQ(substituteAll(Ctx, Phi, {{Ctx.var("prev"), Ctx.var("curr")}}),
             parse("curr == NULL"));
   // (prev->val > v)[curr/prev] = (curr->val > v).
-  EXPECT_EQ(substitute(Ctx, parse("prev->val > v"), Ctx.var("prev"),
-                       Ctx.var("curr")),
+  EXPECT_EQ(substituteAll(Ctx, parse("prev->val > v"),
+                          {{Ctx.var("prev"), Ctx.var("curr")}}),
             parse("curr->val > v"));
 }
 
 TEST_F(ExprUtilsTest, SubstituteFoldsThroughSmartConstructors) {
   ExprRef Phi = parse("x < 5");
-  ExprRef After = substitute(Ctx, Phi, Ctx.var("x"), Ctx.intLit(3));
+  ExprRef After = substituteAll(Ctx, Phi, {{Ctx.var("x"), Ctx.intLit(3)}});
   EXPECT_TRUE(After->isTrue());
 }
 
@@ -83,14 +83,6 @@ TEST_F(ExprUtilsTest, SubstituteAllIsSimultaneous) {
   ExprRef After = substituteAll(
       Ctx, Phi, {{Ctx.var("x"), Ctx.var("y")}, {Ctx.var("y"), Ctx.var("x")}});
   EXPECT_EQ(After, parse("y < x"));
-}
-
-TEST_F(ExprUtilsTest, CloneAcrossContexts) {
-  LogicContext Other;
-  DiagnosticEngine Diags;
-  ExprRef Phi = c2bp::parseExpr(Other, "p->val > v + 1", Diags);
-  ExprRef Here = clone(Ctx, Phi);
-  EXPECT_EQ(Here, parse("p->val > v + 1"));
 }
 
 } // namespace

@@ -3,7 +3,7 @@
 #include "support/Trace.h"
 
 #include "support/Json.h"
-#include "support/ThreadPool.h"
+#include "support/ParallelFor.h"
 
 #include <gtest/gtest.h>
 
@@ -91,17 +91,12 @@ TEST(Trace, CapturesArgs) {
 TEST(Trace, TagsWorkerThreadIds) {
   TraceRecorder R;
   ScopedRecorder Install(R);
-  {
-    ThreadPool Pool(2);
-    for (int I = 0; I != 16; ++I)
-      Pool.submit([] { TraceSpan Span("task", "test"); });
-    Pool.wait();
-  }
+  parallelFor(2, 16, [](unsigned, size_t) { TraceSpan Span("task", "test"); });
   std::vector<TraceEvent> Events = R.sortedEvents();
   ASSERT_EQ(Events.size(), 16u);
   std::set<int> Tids;
   for (const TraceEvent &E : Events) {
-    EXPECT_GE(E.Tid, 1); // Pool workers are tid 1..N, never main's 0.
+    EXPECT_GE(E.Tid, 1); // Loop workers are tid 1..N, never main's 0.
     EXPECT_LE(E.Tid, 2);
     Tids.insert(E.Tid);
   }
@@ -129,11 +124,8 @@ TEST(Trace, ChromeJsonIsValidAndNamesThreads) {
     TraceSpan Span("phase \"x\"", "test"); // Name needing escaping.
     Span.arg("file", std::string("a\\b.c"));
   }
-  {
-    ThreadPool Pool(1);
-    Pool.submit([] { TraceSpan Span("worker-task", "test"); });
-    Pool.wait();
-  }
+  parallelFor(1, 1,
+              [](unsigned, size_t) { TraceSpan Span("worker-task", "test"); });
   std::string Doc = R.toChromeJson();
   EXPECT_TRUE(json::isValid(Doc));
   EXPECT_NE(Doc.find("\"traceEvents\""), std::string::npos);

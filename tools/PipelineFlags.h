@@ -35,8 +35,8 @@
 #include "slam/Pipeline.h"
 #include "slam/SafetySpec.h"
 #include "support/CliArgs.h"
+#include "support/ParallelFor.h"
 #include "support/Stats.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <cstdio>
@@ -173,8 +173,6 @@ inline std::optional<int> parsePipelineFlags(ToolKind Tool, int Argc,
       Out.Inputs.push_back(Arg);
       continue;
     }
-    long long N;
-
     // -- Flags every tool accepts ------------------------------------
     if (!std::strcmp(Arg, "--help") || !std::strcmp(Arg, "-h")) {
       printHelp(Tool);
@@ -209,18 +207,16 @@ inline std::optional<int> parsePipelineFlags(ToolKind Tool, int Argc,
     if (Tool != ToolKind::Bebop) {
       if (!std::strcmp(Arg, "-k")) {
         const char *V = Value(Arg);
-        if (!V || !cli::intArg(Name, "-k", V, 0, N))
+        if (!V || !cli::intArg(Name, "-k", V, 0, O.C2bp.Cubes.MaxCubeLength))
           return 2;
-        O.C2bp.Cubes.MaxCubeLength = static_cast<int>(N);
         continue;
       }
       if (!std::strcmp(Arg, "-j")) {
         const char *V = Value(Arg);
-        if (!V || !cli::workersArg(Name, V, O.C2bp.NumWorkers))
+        if (!V || !cli::intArg(Name, "-j", V, 0, O.C2bp.NumWorkers))
           return 2;
-        if (O.C2bp.NumWorkers == 0)
-          O.C2bp.NumWorkers =
-              static_cast<int>(ThreadPool::defaultConcurrency());
+        if (O.C2bp.NumWorkers == 0) // One worker per hardware thread.
+          O.C2bp.NumWorkers = static_cast<int>(defaultConcurrency());
         continue;
       }
     }
@@ -250,9 +246,9 @@ inline std::optional<int> parsePipelineFlags(ToolKind Tool, int Argc,
       }
       if (!std::strcmp(Arg, "--max-iters")) {
         const char *V = Value(Arg);
-        if (!V || !cli::intArg(Name, "--max-iters", V, 1, N))
+        if (!V || !cli::intArg(Name, "--max-iters", V, 1,
+                               O.Cegar.MaxIterations))
           return 2;
-        O.Cegar.MaxIterations = static_cast<int>(N);
         continue;
       }
       if (!std::strcmp(Arg, "--no-incremental")) {

@@ -6,7 +6,7 @@
 # Jobs:
 #   default    RelWithDebInfo build + full ctest suite
 #   tsan       ThreadSanitizer build + the concurrency-sensitive tests
-#              (parallel abstraction, prover, thread pool/support,
+#              (parallel abstraction, prover, parallel loop/support,
 #              concurrent span tracing)
 #   asan       AddressSanitizer + UBSan build + full ctest suite
 #   release    Release (-DNDEBUG) build + full ctest suite (no check
@@ -17,9 +17,9 @@
 #              --no-incremental; asserts byte-identical stdout and that
 #              the cross-iteration memo replays statements on locking.c
 #   determinism  c2bp and slam on the examples, three times at -j 1
-#              (ASLR on) and at -j 2/4; asserts identical stdout, exit
-#              status and work counters (c2bp.cubes_checked,
-#              prover.calls, slam.iterations)
+#              (ASLR on) and five times each at -j 2/4; asserts
+#              identical stdout, exit status and work counters
+#              (c2bp.cubes_checked, prover.calls, slam.iterations)
 #   all        every job above, in order
 #
 # Usage: tools/ci.sh [default|tsan|asan|release|observability|incremental|determinism|all]
@@ -42,11 +42,11 @@ run_tsan() {
   echo "=== ci: ThreadSanitizer build + parallel tests ==="
   cmake -B "$ROOT/build-tsan" -S "$ROOT" -DSLAM_SANITIZE=thread
   cmake --build "$ROOT/build-tsan" -j
-  # The parallel abstraction tests drive the worker pool, the shared
+  # The parallel abstraction tests drive the parallel loop, the shared
   # prover cache, and the merged statistics; the prover, theory-solver
   # and support suites cover the pieces in isolation.
   ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
-    -R 'ParallelAbstraction|ThreadPool|Stats|Prover|Theory|CCTest|Simplex|Trace|Histogram|Observability'
+    -R 'ParallelAbstraction|ParallelFor|Stats|Prover|Theory|CCTest|Simplex|Trace|Histogram|Observability'
 }
 
 run_asan() {
@@ -123,7 +123,7 @@ PY
 }
 
 run_determinism() {
-  echo "=== ci: determinism: identical output and counters at -j 1 (x3)/2/4 ==="
+  echo "=== ci: determinism: identical output and counters at -j 1 (x3)/2 (x5)/4 (x5) ==="
   cmake -B "$ROOT/build" -S "$ROOT" -DSLAM_SANITIZE=
   cmake --build "$ROOT/build" -j --target slam c2bp
   local TMP EX="$ROOT/examples/programs" BIN="$ROOT/build/tools"
@@ -136,31 +136,32 @@ run_determinism() {
     return 1
   fi
   # Runs one case (a name, then the command) three times at -j 1 and
-  # once each at -j 2 and -j 4. Every run's stdout and exit status must
-  # equal the first run's, and so must its work counters: the output is
-  # a pure function of the input, whatever the addresses or -j, and
-  # every -j takes the same abstraction path through the same one
-  # prover cache.
+  # five times each at -j 2 and -j 4, since the workers claim tasks in
+  # a different interleaving on every run. Every run's stdout and exit
+  # status must equal the first run's, and so must its work counters:
+  # the output is a pure function of the input, whatever the addresses
+  # or -j, and every -j takes the same abstraction path through the
+  # same one prover cache.
   check_case() {
     local NAME="$1" RUN RC
     shift
-    for RUN in 1a 1b 1c 2 4; do
+    for RUN in 1a 1b 1c 2a 2b 2c 2d 2e 4a 4b 4c 4d 4e; do
       RC=0
       "$@" -j "${RUN:0:1}" --stats-json "$TMP/$NAME.j$RUN.json" \
         > "$TMP/$NAME.j$RUN.out" || RC=$?
       echo "exit status $RC" >> "$TMP/$NAME.j$RUN.out"
       cmp "$TMP/$NAME.j1a.out" "$TMP/$NAME.j$RUN.out"
     done
-    python3 - "$NAME" "$TMP/$NAME".j{1a,1b,1c,2,4}.json <<'PY'
+    python3 - "$NAME" "$TMP/$NAME".j*.json <<'PY'
 import json, sys
 name, paths = sys.argv[1], sys.argv[2:]
 keys = ("c2bp.cubes_checked", "prover.calls", "slam.iterations")
 runs = [json.load(open(p))["counters"] for p in paths]
 for k in keys:
     vals = [r.get(k, 0) for r in runs]
-    assert len(set(vals)) == 1, f"{name}: {k} differs at -j 1/1/1/2/4: {vals}"
+    assert len(set(vals)) == 1, f"{name}: {k} differs across runs: {vals}"
 assert runs[0].get("prover.calls", 0) > 0, f"{name}: no prover work?"
-print(f"ci: {name}: identical stdout and counters at -j 1 (x3)/2/4 (" +
+print(f"ci: {name}: identical stdout and counters at -j 1 (x3)/2 (x5)/4 (x5) (" +
       ", ".join(f"{k}={runs[0].get(k, 0)}" for k in keys) + ")")
 PY
   }

@@ -8,11 +8,10 @@
 // lives in tools/PipelineFlags.h, shared with c2bp and bebop).
 //
 // stdout carries only the stable result lines (verdict, iterations,
-// predicates, error path); everything run-dependent — prover-call
-// volume, cache effectiveness, the flight recorder — is behind
-// --report / --stats-json, so a cold run, a warm run against a
-// persistent cache, and a cache-disabled run print byte-identical
-// output.
+// predicates, error path); work counters and timings — prover-call
+// volume, cache effectiveness, the flight recorder — are behind
+// --report / --stats-json, so runs at any -j, with or without
+// --no-incremental, print byte-identical output.
 //
 //===----------------------------------------------------------------------===//
 
