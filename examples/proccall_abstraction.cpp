@@ -66,8 +66,7 @@ foo:
   alias::PointsTo PT(*Program);
   alias::ModRef MR(*Program, PT);
   c2bp::ProcSignature Sig = c2bp::computeSignature(
-      Ctx, *Program, *Program->findFunction("bar"),
-      Preds->forProc("bar"), PT, MR);
+      *Program, *Program->findFunction("bar"), Preds->forProc("bar"), PT, MR);
   std::printf("== Signature of bar ==\n");
   std::printf("return variable r: %s\n",
               Sig.RetVar ? Sig.RetVar->Name.c_str() : "<void>");

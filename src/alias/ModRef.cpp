@@ -64,23 +64,21 @@ ModRef::ModRef(const Program &P, const PointsTo &PT) : PT(PT) {
   }
 
   // Add callee effects transitively (the call graph may be cyclic).
-  auto CollectCalls = [](const FuncDecl *F, auto &&Self,
-                         const Stmt &S, std::set<const FuncDecl *> &Out) -> void {
-    (void)F;
+  auto CollectCalls = [](auto &&Self, const Stmt &S,
+                         std::set<const FuncDecl *> &Out) -> void {
     if (S.Kind == CStmtKind::CallStmt)
       Out.insert(S.CallE->Callee);
     for (const Stmt *Sub : {S.Then, S.Else, S.Body, S.Sub})
       if (Sub)
-        Self(F, Self, *Sub, Out);
+        Self(Self, *Sub, Out);
     for (const Stmt *Sub : S.Stmts)
-      Self(F, Self, *Sub, Out);
+      Self(Self, *Sub, Out);
   };
 
-  std::map<const FuncDecl *, std::set<const FuncDecl *>> Callees;
   for (const FuncDecl *F : P.Functions) {
     std::set<const FuncDecl *> Out;
     if (F->Body)
-      CollectCalls(F, CollectCalls, *F->Body, Out);
+      CollectCalls(CollectCalls, *F->Body, Out);
     Callees.emplace(F, std::move(Out));
   }
 

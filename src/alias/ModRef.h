@@ -31,12 +31,20 @@ public:
   /// array elements and anonymous heap cells).
   const std::set<int> &mod(const cfront::FuncDecl *F) const;
 
+  /// The procedures \p F calls directly, externs included.
+  const std::set<const cfront::FuncDecl *> &
+  callees(const cfront::FuncDecl *F) const {
+    return Callees.at(F);
+  }
+
 private:
   void collectDirect(const cfront::FuncDecl *F, const cfront::Stmt &S,
                      std::set<int> &Out) const;
 
   const PointsTo &PT;
   std::map<const cfront::FuncDecl *, std::set<int>> Mods;
+  std::map<const cfront::FuncDecl *, std::set<const cfront::FuncDecl *>>
+      Callees;
   std::set<int> Empty;
 };
 

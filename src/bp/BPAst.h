@@ -170,15 +170,17 @@ public:
   const BExpr *orE(const BExpr *L, const BExpr *R);
   const BExpr *choose(const BExpr *Pos, const BExpr *Neg);
 
-  /// Takes ownership of another program's arenas. The parallel
-  /// abstraction workers each build expressions into a private
-  /// BProgram (arena allocation is not thread-safe); once the pool has
-  /// quiesced, the main program adopts the worker arenas so every node
-  /// reachable from Procs stays alive. Node pointers remain valid: the
-  /// donor's deques are moved wholesale, never spliced element-wise.
-  /// The donor's Globals/Procs lists are deliberately ignored — callers
-  /// wire procedure structure explicitly, in deterministic order.
-  void adopt(std::unique_ptr<BProgram> Donor) {
+  /// Shares ownership of another program's arenas, so nodes allocated
+  /// there stay alive as long as this program. The parallel abstraction
+  /// workers build expressions into private BPrograms (arena allocation
+  /// is not thread-safe), which each procedure's arena adopts once the
+  /// parallel loop has returned; a program adopts the arenas of its
+  /// procedures, which the abstraction memo may share with later
+  /// rounds. Node pointers remain valid: the donor is kept whole, never
+  /// spliced element-wise. The donor's Globals/Procs lists are
+  /// deliberately ignored — callers wire procedure structure
+  /// explicitly, in deterministic order.
+  void adopt(std::shared_ptr<const BProgram> Donor) {
     AdoptedArenas.push_back(std::move(Donor));
   }
 
@@ -189,7 +191,7 @@ private:
   std::deque<BExpr> ExprArena;
   std::deque<BStmt> StmtArena;
   std::deque<BProc> ProcArena;
-  std::vector<std::unique_ptr<BProgram>> AdoptedArenas;
+  std::vector<std::shared_ptr<const BProgram>> AdoptedArenas;
 };
 
 /// Renders one statement at the given indent.

@@ -35,23 +35,57 @@
 ///     what keeps `c2bp.cubes_checked` (and all downstream output)
 ///     independent of the worker count.
 ///
-/// The memo holds no ExprRefs, only ids: entries never extend the life
-/// of expressions, and a stale id simply never matches again.
+/// The cube entries hold no ExprRefs, only ids: they never extend the
+/// life of expressions, and a stale id simply never matches again.
+///
+/// The memo also keeps the program facts, built once per run, and per
+/// procedure the boolean program last built for it, which a round whose
+/// procedure key matches reuses whole (committed entries only, as for
+/// cubes). Both hold for one program, context and set of
+/// output-affecting options, so the memo binds to the first it sees.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef C2BP_ABSTRACTIONMEMO_H
 #define C2BP_ABSTRACTIONMEMO_H
 
-#include "c2bp/CubeSearch.h"
+#include "c2bp/C2bp.h"
+#include "c2bp/Signatures.h"
 
 #include <map>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
+#include <tuple>
 #include <vector>
 
 namespace slam {
 namespace c2bp {
+
+/// What abstraction needs of the program besides its predicates.
+struct ProgramFacts {
+  ProgramFacts(const cfront::Program &P, alias::Mode Mode)
+      : P(P), PT(P, Mode), MR(P, PT) {}
+
+  /// \p F's signature over its local predicates \p Locals, recomputed
+  /// only when they differ from the last call's for \p F.
+  const ProcSignature &signature(const cfront::FuncDecl &F,
+                                 const std::vector<logic::ExprRef> &Locals) {
+    auto [It, New] = Signatures.try_emplace(&F);
+    if (New || It->second.first != Locals)
+      It->second = {Locals, computeSignature(P, F, Locals, PT, MR)};
+    return It->second.second;
+  }
+
+  const cfront::Program &P;
+  alias::PointsTo PT;
+  alias::ModRef MR;
+
+private:
+  std::map<const cfront::FuncDecl *,
+           std::pair<std::vector<logic::ExprRef>, ProcSignature>>
+      Signatures;
+};
 
 /// Cube-search results shared across CEGAR iterations. Thread-safety
 /// contract: find() and stage() may race with each other (abstraction
@@ -95,21 +129,75 @@ public:
     Staged.emplace(std::move(K), std::move(ConeDnf));
   }
 
-  /// Promotes staged entries into the committed generation. Call
+  /// Promotes staged entries into the committed generation; a staged
+  /// procedure replaces (and so frees) the procedure's old entry. Call
   /// between iterations, never concurrently with find/stage.
   void commit() {
     std::lock_guard<std::mutex> L(M);
     Committed.merge(Staged);
     Staged.clear();
+    for (auto &[F, E] : StagedProcs)
+      CommittedProcs.insert_or_assign(F, std::move(E));
+    StagedProcs.clear();
   }
 
   /// Committed entries (for reporting).
   size_t size() const { return Committed.size(); }
 
+  /// Binds the memo to \p P, \p Ctx and the output-affecting fields of
+  /// \p O on first use, building the program facts then, and returns
+  /// them. Throws std::invalid_argument if it is already bound to
+  /// another program, context or options.
+  ProgramFacts &bind(const cfront::Program &P, logic::LogicContext &Ctx,
+                     const C2bpOptions &O) {
+    auto Output = [](const C2bpOptions &X) {
+      return std::tuple(X.Cubes.MaxCubeLength, X.Cubes.ConeOfInfluence,
+                        X.Cubes.PruneSupersets, X.UseEnforce,
+                        X.UseAliasAnalysis, X.AliasMode);
+    };
+    if (!Facts) {
+      Facts = std::make_unique<ProgramFacts>(P, O.AliasMode);
+      BoundCtx = &Ctx;
+      BoundOptions = O;
+    } else if (&Facts->P != &P || BoundCtx != &Ctx ||
+               Output(BoundOptions) != Output(O)) {
+      throw std::invalid_argument("AbstractionMemo: bound to another "
+                                  "program, context or options");
+    }
+    return *Facts;
+  }
+
+  /// One procedure's boolean program as a round built it: its key (see
+  /// C2bpTool), the BProc, and the arena owning every node of it.
+  struct ProcEntry {
+    std::vector<unsigned> Key;
+    bp::BProc *Proc = nullptr;
+    std::shared_ptr<const bp::BProgram> Arena;
+  };
+
+  /// The committed entry of \p F if it was built under \p Key.
+  const ProcEntry *findProc(const cfront::FuncDecl *F,
+                            const std::vector<unsigned> &Key) const {
+    auto It = CommittedProcs.find(F);
+    return It != CommittedProcs.end() && It->second.Key == Key
+               ? &It->second
+               : nullptr;
+  }
+
+  /// Stages \p E as \p F's entry for the next commit. Call with no
+  /// search running.
+  void stageProc(const cfront::FuncDecl *F, ProcEntry E) {
+    StagedProcs.insert_or_assign(F, std::move(E));
+  }
+
 private:
   std::map<Key, Dnf> Committed;
   std::map<Key, Dnf> Staged;
   mutable std::mutex M; ///< Guards Staged.
+  std::map<const cfront::FuncDecl *, ProcEntry> CommittedProcs, StagedProcs;
+  const logic::LogicContext *BoundCtx = nullptr;
+  C2bpOptions BoundOptions;
+  std::unique_ptr<ProgramFacts> Facts;
 };
 
 } // namespace c2bp

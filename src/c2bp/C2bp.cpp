@@ -17,24 +17,28 @@
 //
 //   2. **Execution**: one parallelFor over the planned tasks, in
 //      which every task runs its own cube search on whichever worker
-//      claims it. Every worker owns a private prover, statistics
-//      registry and expression arena (adopted by the main program
-//      afterwards); all workers' provers answer through the run's one
-//      shared prover cache. The calling thread is worker 0, so one
-//      worker runs the same loop with no thread spawned. Tasks are pure
-//      functions of their captured inputs (prover answers are
-//      deterministic, caches are memoization only) and slots are
-//      position-addressed, so the merged output and the work counters
-//      are identical for every worker count and schedule.
+//      claims it. Every worker owns a private prover and statistics
+//      registry, and one expression arena per procedure it ran tasks
+//      of (adopted by that procedure's arena afterwards); all workers'
+//      provers answer through the run's one shared prover cache. The
+//      calling thread is worker 0, so one worker runs the same loop
+//      with no thread spawned. Tasks are pure functions of their
+//      captured inputs (prover answers are deterministic, caches are
+//      memoization only) and slots are position-addressed, so the
+//      merged output and the work counters are identical for every
+//      worker count and schedule.
+//
+// Under the cross-iteration memo, planning first looks each procedure
+// up by its key; a procedure built under the same key in an earlier
+// round is reused whole and gets no planning and no tasks.
 //
 //===----------------------------------------------------------------------===//
 
 #include "c2bp/C2bp.h"
 
-#include "alias/ModRef.h"
 #include "alias/Oracle.h"
+#include "c2bp/AbstractionMemo.h"
 #include "c2bp/CExprToLogic.h"
-#include "c2bp/Signatures.h"
 #include "logic/ExprUtils.h"
 #include "logic/WP.h"
 #include "prover/ProverCache.h"
@@ -123,27 +127,31 @@ struct C2bpTool::Impl {
   prover::SharedProverCache Cache;
 
   /// One per worker: a private prover and statistics registry (merged
-  /// at report time) plus a private expression arena (adopted by the
-  /// main program once execution has finished). A worker is only ever
-  /// touched by the parallelFor participant with the matching id.
+  /// at report time). A worker is only ever touched by the parallelFor
+  /// participant with the matching id.
   struct Worker {
     StatsRegistry Stats;
     prover::Prover Prover;
-    std::unique_ptr<bp::BProgram> Arena;
     Worker(logic::LogicContext &Ctx, prover::SharedProverCache *Shared)
-        : Prover(Ctx, &Stats, Shared),
-          Arena(std::make_unique<bp::BProgram>()) {}
+        : Prover(Ctx, &Stats, Shared) {}
   };
   std::vector<std::unique_ptr<Worker>> Workers;
 
-  std::unique_ptr<alias::PointsTo> PT;
-  std::unique_ptr<alias::ModRef> MR;
+  /// The memo's program facts, or this run's own without a memo.
+  std::unique_ptr<ProgramFacts> OwnFacts;
+  ProgramFacts &Facts;
   std::map<const FuncDecl *, ProcSignature> Signatures;
 
   /// Per-procedure planning state, kept alive until every task has run
   /// (tasks reference the oracle and the scope vectors).
   struct FuncScope {
     const FuncDecl *F = nullptr;
+    bp::BProc *Proc = nullptr;
+    std::vector<unsigned> Key; ///< procKey(F), with the memo only.
+    /// Owns every node of Proc: planning allocates here, and it adopts
+    /// WorkerArenas[W], where worker W ran this procedure's tasks.
+    std::shared_ptr<bp::BProgram> Arena = std::make_shared<bp::BProgram>();
+    std::vector<std::unique_ptr<bp::BProgram>> WorkerArenas;
     std::unique_ptr<logic::AliasOracle> Oracle;
     /// Non-null only when the points-to-backed oracle is active.
     alias::ProgramAliasOracle *ProgOracle = nullptr;
@@ -164,20 +172,43 @@ struct C2bpTool::Impl {
   };
   std::vector<DeferredTask> Pending;
 
-  // Planning cursor.
-  std::unique_ptr<bp::BProgram> BP;
+  // Planning cursor: the current procedure's arena, proc and scope.
+  bp::BProgram *BP = nullptr;
   bp::BProc *CurProc = nullptr;
   FuncScope *CurScope = nullptr;
 
   Impl(const Program &P, const PredicateSet &Preds,
        logic::LogicContext &Ctx, C2bpOptions Options, StatsRegistry *Stats)
-      : P(P), Preds(Preds), Ctx(Ctx), Options(Options), Stats(Stats) {
-    PT = std::make_unique<alias::PointsTo>(P, Options.AliasMode);
-    MR = std::make_unique<alias::ModRef>(P, *PT);
+      : P(P), Preds(Preds), Ctx(Ctx), Options(Options), Stats(Stats),
+        OwnFacts(Options.Memo ? nullptr
+                              : std::make_unique<ProgramFacts>(
+                                    P, Options.AliasMode)),
+        Facts(Options.Memo ? Options.Memo->bind(P, Ctx, Options)
+                           : *OwnFacts) {
     for (const FuncDecl *F : P.Functions)
-      Signatures.emplace(F, computeSignature(Ctx, P, *F,
-                                             Preds.forProc(F->Name), *PT,
-                                             *MR));
+      Signatures.emplace(F, Facts.signature(*F, Preds.forProc(F->Name)));
+  }
+
+  /// What F's boolean program is a function of, besides the facts the
+  /// memo is bound to: its scope predicates (globals, then locals), its
+  /// own signature and every callee's, as expression ids with each list
+  /// prefixed by its length.
+  std::vector<unsigned> procKey(const FuncDecl &F) const {
+    std::vector<unsigned> Key;
+    auto Add = [&Key](const std::vector<ExprRef> &V) {
+      Key.push_back(static_cast<unsigned>(V.size()));
+      for (ExprRef E : V)
+        Key.push_back(E->id());
+    };
+    Add(Preds.Globals);
+    Add(Preds.forProc(F.Name));
+    Add(Signatures.at(&F).Formals);
+    Add(Signatures.at(&F).Returns);
+    for (const FuncDecl *Callee : Facts.MR.callees(&F)) {
+      Add(Signatures.at(Callee).Formals);
+      Add(Signatures.at(Callee).Returns);
+    }
+    return Key;
   }
 
   static std::string predName(ExprRef E) { return E->str(); }
@@ -205,9 +236,10 @@ struct C2bpTool::Impl {
     Scopes.push_back(std::make_unique<FuncScope>());
     FuncScope &FS = *Scopes.back();
     CurScope = &FS;
+    BP = FS.Arena.get();
     FS.F = &F;
     if (Options.UseAliasAnalysis) {
-      auto PO = std::make_unique<alias::ProgramAliasOracle>(*PT, P, &F);
+      auto PO = std::make_unique<alias::ProgramAliasOracle>(Facts.PT, P, &F);
       FS.ProgOracle = PO.get();
       FS.Oracle = std::move(PO);
     } else {
@@ -410,10 +442,10 @@ struct C2bpTool::Impl {
     // Predicates of the caller that the call may invalidate: those
     // mentioning the assignment target or any location the callee may
     // modify (through the mod/ref summary and aliasing).
-    const std::set<int> &Mod = MR->mod(Callee);
+    const std::set<int> &Mod = Facts.MR.mod(Callee);
     std::set<int> LhsCells;
     if (S.Lhs) {
-      for (int C : PT->locationCells(*S.Lhs))
+      for (int C : Facts.PT.locationCells(*S.Lhs))
         LhsCells.insert(C);
     }
     size_t NumGlobalPreds = Preds.Globals.size();
@@ -548,6 +580,7 @@ struct C2bpTool::Impl {
     const ProcSignature &Sig = Signatures.at(&F);
 
     bp::BProc *Proc = BP->makeProc();
+    FS->Proc = Proc;
     Proc->Name = F.Name;
     Proc->NumReturns = static_cast<unsigned>(Sig.Returns.size());
     CurProc = Proc;
@@ -582,21 +615,24 @@ struct C2bpTool::Impl {
       Body->Stmts.push_back(R);
     }
     Proc->Body = Body;
-    BP->Procs.push_back(Proc);
     CurProc = nullptr;
   }
 
-  /// Runs one task on \p WK. A fresh cube search per task keeps every
-  /// task a pure function of its inputs, so the work it does is the
-  /// same whichever worker picks it up; repeated sub-queries across
+  /// Runs one task on worker \p W. A fresh cube search per task keeps
+  /// every task a pure function of its inputs, so the work it does is
+  /// the same whichever worker picks it up; repeated sub-queries across
   /// tasks are absorbed by the run's prover cache instead.
-  void runTask(Worker &WK, DeferredTask &T) {
+  void runTask(unsigned W, DeferredTask &T) {
     TraceSpan Span("c2bp.cube_search", "c2bp");
     if (Span.enabled())
       Span.arg("proc", T.FS->F->Name);
+    Worker &WK = *Workers[W];
     CubeSearch CS(Ctx, WK.Prover, *T.FS->Oracle, Options.Cubes, &WK.Stats,
                   Options.Memo);
-    T.Fn(CS, *WK.Arena);
+    std::unique_ptr<bp::BProgram> &Arena = T.FS->WorkerArenas[W];
+    if (!Arena)
+      Arena = std::make_unique<bp::BProgram>();
+    T.Fn(CS, *Arena);
     noteTaskReuse(WK.Stats, CS.searchesRun(), CS.memoHits());
   }
 
@@ -604,31 +640,58 @@ struct C2bpTool::Impl {
     TraceSpan Span("c2bp.execute", "c2bp");
     if (Span.enabled())
       Span.arg("tasks", static_cast<uint64_t>(Pending.size()));
+    for (auto &FS : Scopes)
+      FS->WorkerArenas.resize(Workers.size());
     parallelFor(static_cast<unsigned>(Workers.size()), Pending.size(),
-                [this](unsigned W, size_t I) {
-                  runTask(*Workers[W], Pending[I]);
-                });
+                [this](unsigned W, size_t I) { runTask(W, Pending[I]); });
     Pending.clear();
     // Results are merged in planning order by construction (tasks wrote
     // into position-addressed slots); all that remains is keeping the
-    // worker-built expressions alive and folding the statistics.
-    for (auto &W : Workers) {
-      BP->adopt(std::move(W->Arena));
-      if (Stats)
-        Stats->mergeFrom(W->Stats);
+    // worker-built expressions alive with their procedures, handing the
+    // procedures to the memo and folding the statistics.
+    for (auto &FS : Scopes) {
+      for (auto &Arena : FS->WorkerArenas)
+        if (Arena)
+          FS->Arena->adopt(std::move(Arena));
+      if (Options.Memo)
+        Options.Memo->stageProc(FS->F,
+                                {std::move(FS->Key), FS->Proc, FS->Arena});
     }
+    if (Stats)
+      for (auto &W : Workers)
+        Stats->mergeFrom(W->Stats);
   }
 
   std::unique_ptr<bp::BProgram> run() {
     TraceSpan Span("c2bp.run", "c2bp");
-    BP = std::make_unique<bp::BProgram>();
+    auto Out = std::make_unique<bp::BProgram>();
+    uint64_t Reused = 0;
     {
       TraceSpan PlanSpan("c2bp.plan", "c2bp");
       for (ExprRef E : Preds.Globals)
-        BP->Globals.push_back(predName(E));
-      for (const FuncDecl *F : P.Functions)
-        if (F->Body)
-          abstractFunction(*F);
+        Out->Globals.push_back(predName(E));
+      for (const FuncDecl *F : P.Functions) {
+        if (!F->Body)
+          continue;
+        std::vector<unsigned> Key;
+        if (Options.Memo) {
+          Key = procKey(*F);
+          if (const auto *Hit = Options.Memo->findProc(F, Key)) {
+            Out->Procs.push_back(Hit->Proc);
+            Out->adopt(Hit->Arena);
+            ++Reused;
+            continue;
+          }
+        }
+        abstractFunction(*F);
+        CurScope->Key = std::move(Key);
+        Out->Procs.push_back(CurScope->Proc);
+        Out->adopt(CurScope->Arena);
+      }
+      if (PlanSpan.enabled()) {
+        PlanSpan.arg("procs_reused", Reused);
+        PlanSpan.arg("procs_rebuilt", static_cast<uint64_t>(Scopes.size()));
+      }
     }
     // More workers than tasks would sit idle; build only those that run.
     size_t NumWorkers = std::clamp<size_t>(Pending.size(), 1,
@@ -640,9 +703,12 @@ struct C2bpTool::Impl {
       Span.arg("workers", static_cast<uint64_t>(NumWorkers));
     }
     runPending();
-    if (Stats)
+    if (Stats) {
       Stats->set("c2bp.predicates", Preds.totalCount());
-    return std::move(BP);
+      Stats->add("c2bp.procs_reused", Reused);
+      Stats->add("c2bp.procs_rebuilt", Scopes.size());
+    }
+    return Out;
   }
 };
 

@@ -62,9 +62,10 @@ struct C2bpOptions {
   /// Output and work counters are identical for every N (results are
   /// merged in statement order); only wall-clock time changes.
   int NumWorkers = 1;
-  /// Cross-iteration cube-search memo, owned by the CEGAR driver; this
-  /// run replays results committed by earlier iterations and stages its
-  /// own. Null = every search runs fresh (standalone c2bp, ablations).
+  /// Cross-iteration memo, owned by the CEGAR driver and bound to one
+  /// program: this run takes its program facts, reuses procedures and
+  /// replays searches committed by earlier iterations, and stages its
+  /// own. Null = everything runs fresh (standalone c2bp, ablations).
   AbstractionMemo *Memo = nullptr;
 };
 

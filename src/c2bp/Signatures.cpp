@@ -28,12 +28,10 @@ const VarDecl *c2bp::findReturnVar(const FuncDecl &F) {
   return nullptr;
 }
 
-ProcSignature c2bp::computeSignature(logic::LogicContext &Ctx,
-                                     const Program &P, const FuncDecl &F,
+ProcSignature c2bp::computeSignature(const Program &P, const FuncDecl &F,
                                      const std::vector<ExprRef> &ER,
                                      const alias::PointsTo &PT,
                                      const alias::ModRef &MR) {
-  (void)Ctx;
   ProcSignature Sig;
   Sig.Func = &F;
   Sig.RetVar = findReturnVar(F);

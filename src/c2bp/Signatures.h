@@ -44,8 +44,7 @@ const cfront::VarDecl *findReturnVar(const cfront::FuncDecl &F);
 /// footnote 4: predicates mentioning a formal that the procedure may
 /// modify are excluded from E_r (the formal no longer mirrors its
 /// actual at return).
-ProcSignature computeSignature(logic::LogicContext &Ctx,
-                               const cfront::Program &P,
+ProcSignature computeSignature(const cfront::Program &P,
                                const cfront::FuncDecl &F,
                                const std::vector<logic::ExprRef> &ER,
                                const alias::PointsTo &PT,

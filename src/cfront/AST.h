@@ -247,8 +247,15 @@ public:
     return &FuncArena.back();
   }
 
-  /// Total number of statement ids assigned (Sema sets this).
-  unsigned NumStmts = 0;
+  /// Sema's statement tables, indexed by Stmt::Id: every statement and
+  /// the procedure whose body holds it.
+  std::vector<const Stmt *> StmtById;
+  std::vector<const FuncDecl *> ProcOfStmt;
+
+  /// The statement with id \p Id, or nullptr for an unknown id.
+  const Stmt *stmtById(int Id) const {
+    return Id >= 0 && size_t(Id) < StmtById.size() ? StmtById[Id] : nullptr;
+  }
 
   /// Textual line count of the original source (set by the parser; the
   /// "lines" column of the paper's tables).

@@ -19,9 +19,10 @@ public:
 
   bool run() {
     checkUniqueTopLevelNames();
+    P.StmtById.clear();
+    P.ProcOfStmt.clear();
     for (FuncDecl *F : P.Functions)
       analyzeFunction(*F);
-    P.NumStmts = NextStmtId;
     return !Diags.hasErrors();
   }
 
@@ -32,7 +33,6 @@ private:
   std::set<std::string> Labels;
   std::vector<std::pair<std::string, SourceLoc>> GotoTargets;
   unsigned LoopDepth = 0;
-  unsigned NextStmtId = 0;
 
   void error(SourceLoc Loc, const std::string &Message) {
     Diags.error(Loc, Message);
@@ -100,7 +100,9 @@ private:
 
   // -- Statements -----------------------------------------------------------
   void analyzeStmt(Stmt &S) {
-    S.Id = NextStmtId++;
+    S.Id = static_cast<unsigned>(P.StmtById.size());
+    P.StmtById.push_back(&S);
+    P.ProcOfStmt.push_back(CurFunc);
     switch (S.Kind) {
     case CStmtKind::Block:
       for (Stmt *Sub : S.Stmts)

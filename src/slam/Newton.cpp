@@ -21,28 +21,6 @@ using logic::ExprRef;
 
 namespace {
 
-/// Statement-id index over the whole program.
-struct StmtIndex {
-  std::map<unsigned, const Stmt *> ById;
-  std::map<const Stmt *, const FuncDecl *> Owner;
-
-  void addStmt(const Stmt *S, const FuncDecl *F) {
-    ById[S->Id] = S;
-    Owner[S] = F;
-    for (const Stmt *Sub : {S->Then, S->Else, S->Body, S->Sub})
-      if (Sub)
-        addStmt(Sub, F);
-    for (const Stmt *Sub : S->Stmts)
-      addStmt(Sub, F);
-  }
-
-  explicit StmtIndex(const Program &P) {
-    for (const FuncDecl *F : P.Functions)
-      if (F->Body)
-        addStmt(F->Body, F);
-  }
-};
-
 /// One collected path constraint with its provenance.
 struct PathConstraint {
   ExprRef Sym;         ///< Over symbolic values.
@@ -54,8 +32,7 @@ struct PathConstraint {
 /// Forward symbolic executor over the flattened trace.
 class SymExec {
 public:
-  SymExec(const Program &P, logic::LogicContext &Ctx)
-      : P(P), Ctx(Ctx), Index(P) {}
+  SymExec(const Program &P, logic::LogicContext &Ctx) : P(P), Ctx(Ctx) {}
 
   /// Replays the trace; returns false if the trace is malformed (e.g.
   /// an origin id is missing — treated as "don't know" upstream).
@@ -65,8 +42,6 @@ public:
     return Constraints;
   }
   const std::vector<bebop::TraceStep> *trace() const { return Tr; }
-
-  const StmtIndex &index() const { return Index; }
 
 private:
   struct Frame {
@@ -257,7 +232,6 @@ private:
 
   const Program &P;
   logic::LogicContext &Ctx;
-  StmtIndex Index;
   logic::ShapeAliasOracle Shape;
   std::vector<Frame> Stack;
   std::map<const VarDecl *, ExprRef> GlobalVars;
@@ -280,12 +254,7 @@ bool SymExec::replay(const std::vector<bebop::TraceStep> &Trace) {
 
   for (size_t I = 0; I != Trace.size(); ++I) {
     const bebop::TraceStep &Step = Trace[I];
-    const Stmt *Origin = nullptr;
-    if (Step.OriginId >= 0) {
-      auto It = Index.ById.find(static_cast<unsigned>(Step.OriginId));
-      if (It != Index.ById.end())
-        Origin = It->second;
-    }
+    const Stmt *Origin = P.stmtById(Step.OriginId);
 
     switch (Step.Op) {
     case bebop::NodeOp::Skip:
@@ -434,10 +403,6 @@ NewtonResult slamtool::analyzeTrace(const Program &P,
       ++I;
   }
 
-  // Which names are globals (for predicate scoping)?
-  std::set<std::string> GlobalNames;
-  for (const VarDecl *G : P.Globals)
-    GlobalNames.insert(G->Name);
   auto AddPredicate = [&](ExprRef Atom, const FuncDecl *Proc) {
     if (Atom->isTrue() || Atom->isFalse())
       return;
@@ -450,9 +415,9 @@ NewtonResult slamtool::analyzeTrace(const Program &P,
       if (Name.find('$') != std::string::npos ||
           Name.find('@') != std::string::npos)
         return;
-    bool AllGlobal = true;
+    bool AllGlobal = true; // Globals-only atoms are scoped globally.
     for (const std::string &Name : logic::collectVars(Atom))
-      AllGlobal &= GlobalNames.count(Name) != 0;
+      AllGlobal &= P.findGlobal(Name) != nullptr;
     if (AllGlobal)
       Result.NewPreds.addGlobal(Atom);
     else
@@ -473,28 +438,23 @@ NewtonResult slamtool::analyzeTrace(const Program &P,
     ExprRef Phi = Last.ProgramForm;
     logic::ShapeAliasOracle Shape;
     logic::WPEngine WP(Ctx, Shape);
-    const StmtIndex &Index = Exec.index();
     for (size_t I = Last.TraceIdx; I-- > 0;) {
       const bebop::TraceStep &Step = Trace[I];
       if (Step.Op == bebop::NodeOp::Call ||
           Step.Op == bebop::NodeOp::Return)
         break; // Stop at frame boundaries.
+      const Stmt *A = P.stmtById(Step.OriginId);
       if ((Step.Op != bebop::NodeOp::Assign &&
            Step.Op != bebop::NodeOp::Skip) ||
-          Step.OriginId < 0)
+          !A || A->Kind != CStmtKind::Assign)
         continue;
-      auto It = Index.ById.find(static_cast<unsigned>(Step.OriginId));
-      if (It == Index.ById.end() ||
-          It->second->Kind != CStmtKind::Assign)
-        continue;
-      const Stmt *A = It->second;
       Phi = WP.assignment(c2bp::toLogic(Ctx, *A->Lhs),
                           c2bp::toLogic(Ctx, *A->Rhs), Phi);
       if (Phi->size() > 200)
         break;
       std::vector<ExprRef> Atoms;
       collectAtoms(Phi, Atoms);
-      const FuncDecl *Proc = Index.Owner.at(A);
+      const FuncDecl *Proc = P.ProcOfStmt[A->Id];
       for (ExprRef At : Atoms)
         AddPredicate(At, Proc);
     }

@@ -29,11 +29,12 @@ struct CegarOptions {
   /// Refinement cap; hitting it yields Verdict::Unknown.
   int MaxIterations = 24;
   std::string EntryProc = "main";
-  /// Carry cube-search results across iterations: a statement whose
-  /// relevant-predicate signature is unchanged from an earlier round
-  /// replays its abstraction instead of re-searching. Off = every
-  /// iteration abstracts from scratch (the ablation baseline; output
-  /// is byte-identical either way).
+  /// Carry abstraction work across iterations: the program facts are
+  /// built once, a procedure whose key (see AbstractionMemo) is
+  /// unchanged reuses its boolean program, and a statement whose
+  /// relevant-predicate signature is unchanged replays its cube
+  /// searches. Off = every iteration abstracts from scratch (the
+  /// ablation baseline; output is byte-identical either way).
   bool Incremental = true;
 };
 

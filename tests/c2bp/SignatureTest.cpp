@@ -65,7 +65,7 @@ TEST_F(SignatureTest, Figure2BarSignature) {
   load(BarSource);
   const FuncDecl *Bar = P->findFunction("bar");
   auto ER = preds({"y >= 0", "*q <= y", "y == l1", "y > l2"});
-  ProcSignature Sig = computeSignature(Ctx, *P, *Bar, ER, *PT, *MR);
+  ProcSignature Sig = computeSignature(*P, *Bar, ER, *PT, *MR);
 
   ASSERT_TRUE(Sig.RetVar != nullptr);
   EXPECT_EQ(Sig.RetVar->Name, "l1");
@@ -89,7 +89,7 @@ TEST_F(SignatureTest, GlobalsMakeReturnPredicates) {
   )");
   auto ER = preds({"g == x", "x >= 0", "r == x"});
   ProcSignature Sig =
-      computeSignature(Ctx, *P, *P->findFunction("f"), ER, *PT, *MR);
+      computeSignature(*P, *P->findFunction("f"), ER, *PT, *MR);
   // g == x references a global: formal predicate AND return predicate.
   EXPECT_EQ(strs(Sig.Formals),
             (std::vector<std::string>{"g == x", "x >= 0"}));
@@ -110,12 +110,12 @@ TEST_F(SignatureTest, Footnote4DropsModifiedFormals) {
   // interpret x as the actual at return, so it leaves E_r.
   auto ER = preds({"r == x"});
   ProcSignature Sig =
-      computeSignature(Ctx, *P, *P->findFunction("f"), ER, *PT, *MR);
+      computeSignature(*P, *P->findFunction("f"), ER, *PT, *MR);
   EXPECT_TRUE(Sig.Returns.empty());
   // But r == 0 (no formals) stays.
   auto ER2 = preds({"r == 0"});
   ProcSignature Sig2 =
-      computeSignature(Ctx, *P, *P->findFunction("f"), ER2, *PT, *MR);
+      computeSignature(*P, *P->findFunction("f"), ER2, *PT, *MR);
   EXPECT_EQ(strs(Sig2.Returns), (std::vector<std::string>{"r == 0"}));
 }
 
@@ -123,7 +123,7 @@ TEST_F(SignatureTest, VoidProcedure) {
   load("int g; void f() { g = 1; }");
   auto ER = preds({"g == 1"});
   ProcSignature Sig =
-      computeSignature(Ctx, *P, *P->findFunction("f"), ER, *PT, *MR);
+      computeSignature(*P, *P->findFunction("f"), ER, *PT, *MR);
   EXPECT_EQ(Sig.RetVar, nullptr);
   EXPECT_EQ(strs(Sig.Formals), (std::vector<std::string>{"g == 1"}));
   // Mentions a global: reported back to callers.
@@ -134,7 +134,7 @@ TEST_F(SignatureTest, PurelyLocalPredicatesStayPrivate) {
   load("int f(int x) { int a; a = x; return a; }");
   auto ER = preds({"a > 0"});
   ProcSignature Sig =
-      computeSignature(Ctx, *P, *P->findFunction("f"), ER, *PT, *MR);
+      computeSignature(*P, *P->findFunction("f"), ER, *PT, *MR);
   EXPECT_TRUE(Sig.Formals.empty());
   // `a` is the return variable: a > 0 is a return predicate.
   EXPECT_EQ(strs(Sig.Returns), (std::vector<std::string>{"a > 0"}));

@@ -62,7 +62,13 @@ TEST_F(SemaTest, TypesPointerChains) {
 
 TEST_F(SemaTest, AssignsDenseStatementIds) {
   auto P = check("void f() { int x; x = 1; x = 2; if (x > 0) x = 3; }");
-  EXPECT_GT(P->NumStmts, 4u);
+  ASSERT_GT(P->StmtById.size(), 4u);
+  for (unsigned Id = 0; Id != P->StmtById.size(); ++Id) {
+    EXPECT_EQ(P->stmtById(static_cast<int>(Id))->Id, Id);
+    EXPECT_EQ(P->ProcOfStmt[Id], P->Functions[0]);
+  }
+  EXPECT_EQ(P->stmtById(-1), nullptr);
+  EXPECT_EQ(P->stmtById(static_cast<int>(P->StmtById.size())), nullptr);
 }
 
 TEST_F(SemaTest, NullAssignableToAnyPointer) {

@@ -161,3 +161,26 @@ TEST(Observability, UntracedRunRecordsNothing) {
   // The flight recorder still fills in (it does not depend on tracing).
   EXPECT_EQ(R->FlightLog.size(), static_cast<size_t>(R->Iterations));
 }
+
+TEST(Observability, AliasFactsAreBuiltOnceAndPlanSpansCountProcedures) {
+  PipelineRun Run = runTraced(/*Workers=*/1);
+  ASSERT_EQ(Run.Result.Iterations, 2);
+  auto Count = [&Run](const std::string &Needle) {
+    size_t N = 0;
+    for (size_t At = Run.TraceDoc.find(Needle); At != std::string::npos;
+         At = Run.TraceDoc.find(Needle, At + 1))
+      ++N;
+    return N;
+  };
+  // The memo keeps the alias facts from round 1 for round 2.
+  EXPECT_EQ(Count("\"alias.points_to\""), 1u);
+  EXPECT_EQ(Count("\"alias.modref\""), 1u);
+  EXPECT_EQ(Count("\"c2bp.plan\""), 2u);
+  // Round 1 builds all three procedures; round 2 rebuilds main only.
+  EXPECT_EQ(Count("\"procs_reused\":\"0\",\"procs_rebuilt\":\"3\""), 1u)
+      << Run.TraceDoc;
+  EXPECT_EQ(Count("\"procs_reused\":\"2\",\"procs_rebuilt\":\"1\""), 1u);
+  const IterationRecord &Round2 = Run.Result.FlightLog.at(1);
+  EXPECT_EQ(Round2.ProcsReused, 2u);
+  EXPECT_EQ(Round2.ProcsRebuilt, 1u);
+}

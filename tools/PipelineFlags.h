@@ -97,7 +97,7 @@ inline void printHelp(ToolKind Tool) {
         "  -j <n>                  worker threads per abstraction pass\n"
         "                          (default: 1; 0 = one per hardware "
         "thread)\n"
-        "  --no-incremental        re-abstract every statement on every\n"
+        "  --no-incremental        re-abstract every procedure on every\n"
         "                          iteration (disable the reuse memo)\n"
         "%s",
         Common);

@@ -15,11 +15,13 @@
 #              programs; validates both emitted JSON documents
 #   incremental  slam on the examples with and without
 #              --no-incremental; asserts byte-identical stdout and that
-#              the cross-iteration memo replays statements on locking.c
+#              the cross-iteration memo reuses procedures on locking.c
+#              and dispatch.c
 #   determinism  c2bp and slam on the examples, three times at -j 1
 #              (ASLR on) and five times each at -j 2/4; asserts
 #              identical stdout, exit status and work counters
-#              (c2bp.cubes_checked, prover.calls, slam.iterations)
+#              (c2bp.cubes_checked, c2bp.procs_reused, prover.calls,
+#              slam.iterations)
 #   all        every job above, in order
 #
 # Usage: tools/ci.sh [default|tsan|asan|release|observability|incremental|determinism|all]
@@ -114,11 +116,16 @@ run_incremental() {
   check_case locking_bug "$BIN/slam" "$EX/locking_bug.c" \
     --lock AcquireLock,ReleaseLock
   check_case irp "$BIN/slam" "$EX/irp.c" --irp CompleteRequest,MarkPending
-  python3 - "$TMP/locking.memo.json" <<'PY'
+  check_case dispatch "$BIN/slam" "$EX/dispatch.c" \
+    --lock AcquireLock,ReleaseLock
+  # Later rounds refine one procedure and reuse the others whole; irp.c
+  # and locking_bug.c end in round 1, so they have nothing to reuse.
+  python3 - "$TMP/locking.memo.json" "$TMP/dispatch.memo.json" <<'PY'
 import json, sys
-hits = json.load(open(sys.argv[1]))["counters"].get("c2bp.memo_hits", 0)
-assert hits > 0, "locking.c: the memo replayed no statement"
-print(f"ci: locking: c2bp.memo_hits={hits}")
+for path in sys.argv[1:]:
+    reused = json.load(open(path))["counters"].get("c2bp.procs_reused", 0)
+    assert reused > 0, f"{path}: the memo reused no procedure"
+    print(f"ci: {path.split('/')[-1]}: c2bp.procs_reused={reused}")
 PY
 }
 
@@ -155,7 +162,8 @@ run_determinism() {
     python3 - "$NAME" "$TMP/$NAME".j*.json <<'PY'
 import json, sys
 name, paths = sys.argv[1], sys.argv[2:]
-keys = ("c2bp.cubes_checked", "prover.calls", "slam.iterations")
+keys = ("c2bp.cubes_checked", "c2bp.procs_reused", "prover.calls",
+        "slam.iterations")
 runs = [json.load(open(p))["counters"] for p in paths]
 for k in keys:
     vals = [r.get(k, 0) for r in runs]
@@ -171,6 +179,8 @@ PY
   check_case slam-locking_bug "$BIN/slam" "$EX/locking_bug.c" \
     --lock AcquireLock,ReleaseLock
   check_case slam-irp "$BIN/slam" "$EX/irp.c" --irp CompleteRequest,MarkPending
+  check_case slam-dispatch "$BIN/slam" "$EX/dispatch.c" \
+    --lock AcquireLock,ReleaseLock
 }
 
 case "$JOB" in
