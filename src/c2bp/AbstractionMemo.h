@@ -1,48 +1,31 @@
-//===- AbstractionMemo.h - Cross-iteration cube-search reuse ----*- C++ -*-===//
+//===- AbstractionMemo.h - Cross-iteration procedure reuse ------*- C++ -*-===//
 //
 // Part of the SLAM/C2bp reproduction. MIT license; see LICENSE.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The incremental-CEGAR memo: cube-search results carried from one
-/// abstraction iteration to the next. Refinement grows the predicate
-/// set monotonically, and most statements' weakest preconditions touch
-/// none of the new predicates — their cone of influence is the same set
-/// of predicates as last iteration, so F_V(phi) restricted to that cone
-/// is *provably* the same disjunction. The memo captures exactly that:
-/// results are keyed on (phi, the cone's predicates) and replayed when
-/// the key recurs, skipping the cube enumeration and every prover call
-/// under it.
+/// The incremental-CEGAR memo: what one abstraction run hands the next.
+/// C2bp abstracts each procedure from its own scope predicates and the
+/// signatures of itself and its callees (Section 4.5); everything else
+/// it reads — points-to and mod/ref facts, statement ids, options — is
+/// fixed for a program. So the memo keeps two things:
 ///
-/// Two properties make replay byte-exact rather than merely sound:
+///   * the program facts, built once on the first run and bound to one
+///     program, logic context and set of output-affecting options;
+///   * per procedure, the boolean program last built for it and the key
+///     it was built under. A later run whose key for the procedure
+///     matches reuses that BProc whole.
 ///
-///   * Keys use hash-consed ids (stable within a run) of the *cone*
-///     predicates in V order, and values store cube literals as
-///     *positions in the cone*, not indices into any particular V.
-///     Predicates are only ever appended, so surviving predicates keep
-///     their relative order and a cone position maps to exactly one
-///     index of the current V; the remapped Dnf is the one the search
-///     would have produced (the enumeration visits cone indices
-///     ascending, and ascending cone position == ascending V index).
+/// The memo is **generational**: runs look up only entries committed at
+/// the end of an earlier round, and stage their own for the next
+/// commit(). A reuse decision therefore never depends on the order in
+/// which a round's work finishes, and the output is the same at every
+/// worker count. Only the planning thread touches the memo; no worker
+/// does.
 ///
-///   * The memo is **generational**. Lookups see only entries committed
-///     at the end of a previous iteration; fresh results are staged on
-///     the side and promoted by commit(). Within an iteration a parallel
-///     run therefore answers every lookup identically no matter how
-///     tasks interleave across workers — intra-iteration hits, which
-///     would depend on schedule, cannot happen by construction. This is
-///     what keeps `c2bp.cubes_checked` (and all downstream output)
-///     independent of the worker count.
-///
-/// The cube entries hold no ExprRefs, only ids: they never extend the
-/// life of expressions, and a stale id simply never matches again.
-///
-/// The memo also keeps the program facts, built once per run, and per
-/// procedure the boolean program last built for it, which a round whose
-/// procedure key matches reuses whole (committed entries only, as for
-/// cubes). Both hold for one program, context and set of
-/// output-affecting options, so the memo binds to the first it sees.
+/// Every C2bpTool run goes through a memo: the CEGAR driver passes one
+/// that lives for the whole loop, and a run given none uses its own.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,8 +36,6 @@
 #include "c2bp/Signatures.h"
 
 #include <map>
-#include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -87,62 +68,18 @@ private:
       Signatures;
 };
 
-/// Cube-search results shared across CEGAR iterations. Thread-safety
-/// contract: find() and stage() may race with each other (abstraction
-/// workers); commit() must be called with no search running (the CEGAR
-/// driver calls it between iterations).
+/// Program facts and procedures shared across CEGAR iterations. Not
+/// thread-safe: one thread plans, stages and commits.
 class AbstractionMemo {
 public:
-  /// Identity of one search: the queried formula plus the cone of
-  /// influence it was answered against, as in-run stable ids. The cone
-  /// ids are listed in V order (ascending index), which — because
-  /// refinement only appends predicates — is the same order in every
-  /// later V containing them.
-  struct Key {
-    unsigned PhiId;
-    std::vector<unsigned> ConeIds;
-
-    bool operator<(const Key &O) const {
-      if (PhiId != O.PhiId)
-        return PhiId < O.PhiId;
-      return ConeIds < O.ConeIds;
-    }
-  };
-
-  /// Looks \p K up among committed entries only. The returned Dnf's
-  /// literals are cone positions (indices into Key::ConeIds); the
-  /// caller remaps them onto its current V.
-  std::optional<Dnf> find(const Key &K) const {
-    // Committed is mutated only by commit(), which is serialized
-    // against all searches, so reads take no lock.
-    auto It = Committed.find(K);
-    if (It == Committed.end())
-      return std::nullopt;
-    return It->second;
-  }
-
-  /// Stages a freshly computed result (literals already cone-relative)
-  /// for the next commit. First staging wins; concurrent duplicates are
-  /// identical anyway (the search is deterministic in its key).
-  void stage(Key K, Dnf ConeDnf) {
-    std::lock_guard<std::mutex> L(M);
-    Staged.emplace(std::move(K), std::move(ConeDnf));
-  }
-
-  /// Promotes staged entries into the committed generation; a staged
-  /// procedure replaces (and so frees) the procedure's old entry. Call
-  /// between iterations, never concurrently with find/stage.
+  /// Promotes the staged procedures into the committed generation; a
+  /// staged procedure replaces (and so frees) the procedure's old entry.
+  /// Call between iterations.
   void commit() {
-    std::lock_guard<std::mutex> L(M);
-    Committed.merge(Staged);
-    Staged.clear();
     for (auto &[F, E] : StagedProcs)
       CommittedProcs.insert_or_assign(F, std::move(E));
     StagedProcs.clear();
   }
-
-  /// Committed entries (for reporting).
-  size_t size() const { return Committed.size(); }
 
   /// Binds the memo to \p P, \p Ctx and the output-affecting fields of
   /// \p O on first use, building the program facts then, and returns
@@ -184,16 +121,12 @@ public:
                : nullptr;
   }
 
-  /// Stages \p E as \p F's entry for the next commit. Call with no
-  /// search running.
+  /// Stages \p E as \p F's entry for the next commit.
   void stageProc(const cfront::FuncDecl *F, ProcEntry E) {
     StagedProcs.insert_or_assign(F, std::move(E));
   }
 
 private:
-  std::map<Key, Dnf> Committed;
-  std::map<Key, Dnf> Staged;
-  mutable std::mutex M; ///< Guards Staged.
   std::map<const cfront::FuncDecl *, ProcEntry> CommittedProcs, StagedProcs;
   const logic::LogicContext *BoundCtx = nullptr;
   C2bpOptions BoundOptions;

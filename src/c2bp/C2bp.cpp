@@ -28,9 +28,11 @@
 //      merged output and the work counters are identical for every
 //      worker count and schedule.
 //
-// Under the cross-iteration memo, planning first looks each procedure
-// up by its key; a procedure built under the same key in an earlier
-// round is reused whole and gets no planning and no tasks.
+// Planning first looks each procedure up in the abstraction memo by
+// its key; a procedure built under the same key in an earlier round is
+// reused whole and gets no planning and no tasks. Every run goes
+// through a memo, so standalone runs and CEGAR rounds share this path;
+// only the memo's lifetime differs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -137,8 +139,10 @@ struct C2bpTool::Impl {
   };
   std::vector<std::unique_ptr<Worker>> Workers;
 
-  /// The memo's program facts, or this run's own without a memo.
-  std::unique_ptr<ProgramFacts> OwnFacts;
+  /// Every run plans through a memo: the caller's, which may span a
+  /// whole CEGAR loop, or else OwnMemo, which lives as long as the run.
+  AbstractionMemo OwnMemo;
+  AbstractionMemo &Memo;
   ProgramFacts &Facts;
   std::map<const FuncDecl *, ProcSignature> Signatures;
 
@@ -147,7 +151,7 @@ struct C2bpTool::Impl {
   struct FuncScope {
     const FuncDecl *F = nullptr;
     bp::BProc *Proc = nullptr;
-    std::vector<unsigned> Key; ///< procKey(F), with the memo only.
+    std::vector<unsigned> Key; ///< procKey(F).
     /// Owns every node of Proc: planning allocates here, and it adopts
     /// WorkerArenas[W], where worker W ran this procedure's tasks.
     std::shared_ptr<bp::BProgram> Arena = std::make_shared<bp::BProgram>();
@@ -180,11 +184,8 @@ struct C2bpTool::Impl {
   Impl(const Program &P, const PredicateSet &Preds,
        logic::LogicContext &Ctx, C2bpOptions Options, StatsRegistry *Stats)
       : P(P), Preds(Preds), Ctx(Ctx), Options(Options), Stats(Stats),
-        OwnFacts(Options.Memo ? nullptr
-                              : std::make_unique<ProgramFacts>(
-                                    P, Options.AliasMode)),
-        Facts(Options.Memo ? Options.Memo->bind(P, Ctx, Options)
-                           : *OwnFacts) {
+        Memo(Options.Memo ? *Options.Memo : OwnMemo),
+        Facts(Memo.bind(P, Ctx, Options)) {
     for (const FuncDecl *F : P.Functions)
       Signatures.emplace(F, Facts.signature(*F, Preds.forProc(F->Name)));
   }
@@ -212,19 +213,6 @@ struct C2bpTool::Impl {
   }
 
   static std::string predName(ExprRef E) { return E->str(); }
-
-  /// Classifies one finished transfer-function task for the flight
-  /// recorder: it *recomputed* if any raw cube enumeration ran, it was
-  /// *reused* if it was answered purely from the cross-iteration memo.
-  /// Tasks that needed neither (syntactic fast paths, trivial WPs) are
-  /// counted in neither column.
-  static void noteTaskReuse(StatsRegistry &St, uint64_t Searches,
-                            uint64_t MemoHits) {
-    if (Searches)
-      St.add("c2bp.stmts_recomputed");
-    else if (MemoHits)
-      St.add("c2bp.stmts_reused");
-  }
 
   /// Queues \p Fn for the execution phase.
   void defer(std::function<void(CubeSearch &, bp::BProgram &)> Fn) {
@@ -627,13 +615,11 @@ struct C2bpTool::Impl {
     if (Span.enabled())
       Span.arg("proc", T.FS->F->Name);
     Worker &WK = *Workers[W];
-    CubeSearch CS(Ctx, WK.Prover, *T.FS->Oracle, Options.Cubes, &WK.Stats,
-                  Options.Memo);
+    CubeSearch CS(Ctx, WK.Prover, *T.FS->Oracle, Options.Cubes, &WK.Stats);
     std::unique_ptr<bp::BProgram> &Arena = T.FS->WorkerArenas[W];
     if (!Arena)
       Arena = std::make_unique<bp::BProgram>();
     T.Fn(CS, *Arena);
-    noteTaskReuse(WK.Stats, CS.searchesRun(), CS.memoHits());
   }
 
   void runPending() {
@@ -653,9 +639,7 @@ struct C2bpTool::Impl {
       for (auto &Arena : FS->WorkerArenas)
         if (Arena)
           FS->Arena->adopt(std::move(Arena));
-      if (Options.Memo)
-        Options.Memo->stageProc(FS->F,
-                                {std::move(FS->Key), FS->Proc, FS->Arena});
+      Memo.stageProc(FS->F, {std::move(FS->Key), FS->Proc, FS->Arena});
     }
     if (Stats)
       for (auto &W : Workers)
@@ -673,15 +657,12 @@ struct C2bpTool::Impl {
       for (const FuncDecl *F : P.Functions) {
         if (!F->Body)
           continue;
-        std::vector<unsigned> Key;
-        if (Options.Memo) {
-          Key = procKey(*F);
-          if (const auto *Hit = Options.Memo->findProc(F, Key)) {
-            Out->Procs.push_back(Hit->Proc);
-            Out->adopt(Hit->Arena);
-            ++Reused;
-            continue;
-          }
+        std::vector<unsigned> Key = procKey(*F);
+        if (const auto *Hit = Memo.findProc(F, Key)) {
+          Out->Procs.push_back(Hit->Proc);
+          Out->adopt(Hit->Arena);
+          ++Reused;
+          continue;
         }
         abstractFunction(*F);
         CurScope->Key = std::move(Key);

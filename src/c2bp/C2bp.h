@@ -46,6 +46,8 @@
 namespace slam {
 namespace c2bp {
 
+class AbstractionMemo; // From AbstractionMemo.h (which includes this).
+
 /// Tool configuration; every flag is an ablation axis.
 struct C2bpOptions {
   CubeSearchOptions Cubes;
@@ -63,9 +65,10 @@ struct C2bpOptions {
   /// merged in statement order); only wall-clock time changes.
   int NumWorkers = 1;
   /// Cross-iteration memo, owned by the CEGAR driver and bound to one
-  /// program: this run takes its program facts, reuses procedures and
-  /// replays searches committed by earlier iterations, and stages its
-  /// own. Null = everything runs fresh (standalone c2bp, ablations).
+  /// program: this run takes its program facts, reuses procedures
+  /// committed by earlier iterations, and stages its own. Null = the
+  /// run uses a memo of its own, so every procedure is built fresh
+  /// (standalone c2bp, ablations).
   AbstractionMemo *Memo = nullptr;
 };
 

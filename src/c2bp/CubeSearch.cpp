@@ -6,12 +6,9 @@
 
 #include "c2bp/CubeSearch.h"
 
-#include "c2bp/AbstractionMemo.h"
 #include "logic/ExprUtils.h"
 
 #include <algorithm>
-#include <cassert>
-#include <optional>
 
 using namespace slam;
 using namespace slam::c2bp;
@@ -70,13 +67,10 @@ CubeSearch::coneOfInfluence(const std::vector<ExprRef> &V,
   return Out;
 }
 
-Dnf CubeSearch::searchWithMemo(const std::vector<ExprRef> &V, ExprRef Phi) {
+Dnf CubeSearch::search(const std::vector<ExprRef> &V, ExprRef Phi) {
   // Cone of influence shrinks the variable set per query (opt. 3). The
   // enforce query F(false) mentions no locations, so every predicate is
-  // relevant to it. Computed here, before the memo, because the cone
-  // *is* the reuse signature: a statement whose phi involves none of
-  // the predicates added since last iteration has the same cone, hence
-  // the same key, hence a replayable result.
+  // relevant to it.
   std::vector<int> Indices;
   if (Options.ConeOfInfluence && !Phi->isFalse()) {
     Indices = coneOfInfluence(V, Phi);
@@ -84,50 +78,7 @@ Dnf CubeSearch::searchWithMemo(const std::vector<ExprRef> &V, ExprRef Phi) {
     for (size_t I = 0; I != V.size(); ++I)
       Indices.push_back(static_cast<int>(I));
   }
-
-  if (!Memo) {
-    ++NumSearches;
-    return searchRaw(V, Phi, Indices);
-  }
-
-  AbstractionMemo::Key K;
-  K.PhiId = Phi->id();
-  K.ConeIds.reserve(Indices.size());
-  for (int Idx : Indices)
-    K.ConeIds.push_back(V[static_cast<size_t>(Idx)]->id());
-
-  if (std::optional<Dnf> Replay = Memo->find(K)) {
-    // Stored literals are cone positions; rebind them to this V. The
-    // enumeration visits cone indices in ascending order and appended
-    // predicates never reorder survivors, so the remapped Dnf is
-    // literal-for-literal what the search would have produced.
-    for (Cube &C : *Replay)
-      for (CubeLit &L : C)
-        L.Var = Indices[static_cast<size_t>(L.Var)];
-    ++NumMemoHits;
-    if (Stats)
-      Stats->add("c2bp.memo_hits");
-    return std::move(*Replay);
-  }
-
-  ++NumSearches;
-  if (Stats)
-    Stats->add("c2bp.memo_misses");
-  Dnf Result = searchRaw(V, Phi, Indices);
-
-  // Stage with literals rewritten to cone positions. Every literal's
-  // V index is in Indices (the search never leaves the cone), and
-  // Indices is sorted, so a binary search recovers the position.
-  Dnf ConeDnf = Result;
-  for (Cube &C : ConeDnf)
-    for (CubeLit &L : C) {
-      auto It = std::lower_bound(Indices.begin(), Indices.end(), L.Var);
-      assert(It != Indices.end() && *It == L.Var &&
-             "cube literal outside the cone");
-      L.Var = static_cast<int>(It - Indices.begin());
-    }
-  Memo->stage(std::move(K), std::move(ConeDnf));
-  return Result;
+  return searchRaw(V, Phi, Indices);
 }
 
 Dnf CubeSearch::searchRaw(const std::vector<ExprRef> &V, ExprRef Phi,
@@ -220,7 +171,7 @@ Dnf CubeSearch::searchRaw(const std::vector<ExprRef> &V, ExprRef Phi,
 }
 
 Dnf CubeSearch::findContradictions(const std::vector<ExprRef> &V) {
-  return searchWithMemo(V, Ctx.falseE());
+  return search(V, Ctx.falseE());
 }
 
 Dnf CubeSearch::findF(const std::vector<ExprRef> &V, ExprRef Phi) {
@@ -236,7 +187,7 @@ Dnf CubeSearch::findF(const std::vector<ExprRef> &V, ExprRef Phi) {
     if (Ctx.notE(V[I]) == Phi)
       return {Cube{{static_cast<int>(I), false}}};
   }
-  return searchWithMemo(V, Phi);
+  return search(V, Phi);
 }
 
 ExprRef CubeSearch::concretizeF(const std::vector<ExprRef> &V,

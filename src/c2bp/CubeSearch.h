@@ -62,18 +62,13 @@ struct CubeSearchOptions {
   bool PruneSupersets = true;
 };
 
-class AbstractionMemo; // From AbstractionMemo.h (which includes this).
-
 /// Computes F_V and G_V against one prover instance.
 class CubeSearch {
 public:
-  /// \p Memo, when non-null, replays cube searches committed by earlier
-  /// CEGAR iterations and stages this search's results for later ones.
   CubeSearch(logic::LogicContext &Ctx, prover::Prover &P,
              const logic::AliasOracle &Alias, CubeSearchOptions Options,
-             StatsRegistry *Stats = nullptr, AbstractionMemo *Memo = nullptr)
-      : Ctx(Ctx), P(P), Alias(Alias), Options(Options), Stats(Stats),
-        Memo(Memo) {}
+             StatsRegistry *Stats = nullptr)
+      : Ctx(Ctx), P(P), Alias(Alias), Options(Options), Stats(Stats) {}
 
   /// F_V(Phi): prime implicants of Phi over the predicates \p V.
   /// For Phi = false this returns the empty disjunction (contradictory
@@ -95,18 +90,11 @@ public:
 
   /// Number of cubes whose implication was checked.
   uint64_t cubesChecked() const { return NumCubes; }
-  /// Number of raw cube enumerations actually run (memo misses plus
-  /// all searches when no memo is attached). A statement none of whose
-  /// queries ran a search was answered entirely from reuse.
-  uint64_t searchesRun() const { return NumSearches; }
-  /// Number of searches replayed from the cross-iteration memo.
-  uint64_t memoHits() const { return NumMemoHits; }
 
 private:
-  /// Cone-of-influence restriction, memo replay, and (on a miss) the
-  /// raw enumeration — the path shared by findF and findContradictions.
-  Dnf searchWithMemo(const std::vector<logic::ExprRef> &V,
-                     logic::ExprRef Phi);
+  /// Cone-of-influence restriction, then the raw enumeration — the path
+  /// shared by findF and findContradictions.
+  Dnf search(const std::vector<logic::ExprRef> &V, logic::ExprRef Phi);
   Dnf searchRaw(const std::vector<logic::ExprRef> &V, logic::ExprRef Phi,
                 const std::vector<int> &Indices);
   std::vector<int> coneOfInfluence(const std::vector<logic::ExprRef> &V,
@@ -117,10 +105,7 @@ private:
   const logic::AliasOracle &Alias;
   CubeSearchOptions Options;
   StatsRegistry *Stats;
-  AbstractionMemo *Memo;
   uint64_t NumCubes = 0;
-  uint64_t NumSearches = 0;
-  uint64_t NumMemoHits = 0;
 };
 
 } // namespace c2bp

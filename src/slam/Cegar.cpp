@@ -36,8 +36,8 @@ SlamResult slamtool::checkProgram(const Program &P,
 
   // Cross-iteration reuse: the memo outlives the per-iteration C2bp
   // tools and holds the program facts they share; each iteration
-  // replays procedures and searches committed by earlier ones and
-  // commits its own at the end of the round.
+  // reuses procedures committed by earlier ones and commits its own at
+  // the end of the round.
   c2bp::AbstractionMemo Memo;
   c2bp::C2bpOptions C2bpOpts = Options.C2bp;
   if (Options.Cegar.Incremental)
@@ -61,8 +61,6 @@ SlamResult slamtool::checkProgram(const Program &P,
     uint64_t Calls0 = S->get("prover.calls");
     uint64_t Hits0 = CacheHits();
     uint64_t Cubes0 = S->get("c2bp.cubes_checked");
-    uint64_t Reused0 = S->get("c2bp.stmts_reused");
-    uint64_t Recomp0 = S->get("c2bp.stmts_recomputed");
     uint64_t ProcsReused0 = S->get("c2bp.procs_reused");
     uint64_t ProcsRebuilt0 = S->get("c2bp.procs_rebuilt");
 
@@ -70,11 +68,10 @@ SlamResult slamtool::checkProgram(const Program &P,
     Timer C2bpTime;
     c2bp::C2bpTool Tool(P, Result.Predicates, Ctx, C2bpOpts, S);
     std::unique_ptr<bp::BProgram> BP = Tool.run();
-    // Promote this round's staged procedures and cube-search results;
-    // iteration k+1 rebuilds only procedures whose key changed and in
-    // them re-searches only statements whose (phi, cone) changed.
-    // Committing between iterations (never during one) is what keeps
-    // replay decisions schedule-independent.
+    // Promote this round's staged procedures; iteration k+1 rebuilds
+    // only procedures whose key changed. Committing between iterations
+    // (never during one) is what keeps reuse decisions
+    // schedule-independent.
     Memo.commit();
     Rec.C2bpSeconds = C2bpTime.seconds();
 
@@ -89,8 +86,6 @@ SlamResult slamtool::checkProgram(const Program &P,
       Rec.ProverCalls = S->get("prover.calls") - Calls0;
       Rec.CacheHits = CacheHits() - Hits0;
       Rec.Cubes = S->get("c2bp.cubes_checked") - Cubes0;
-      Rec.StmtsReused = S->get("c2bp.stmts_reused") - Reused0;
-      Rec.StmtsRecomputed = S->get("c2bp.stmts_recomputed") - Recomp0;
       Rec.ProcsReused = S->get("c2bp.procs_reused") - ProcsReused0;
       Rec.ProcsRebuilt = S->get("c2bp.procs_rebuilt") - ProcsRebuilt0;
       Result.FlightLog.push_back(Rec);

@@ -39,8 +39,6 @@ struct IterationRecord {
   uint64_t ProverCalls = 0; ///< Uncached prover decisions this iteration.
   uint64_t CacheHits = 0;   ///< Prover cache hits (exact+negation).
   uint64_t Cubes = 0;       ///< Cubes enumerated by the C2bp searches.
-  uint64_t StmtsReused = 0; ///< Statements replayed from the memo untouched.
-  uint64_t StmtsRecomputed = 0; ///< Statements that re-ran a cube search.
   uint64_t ProcsReused = 0;  ///< Procedures reused whole from the memo.
   uint64_t ProcsRebuilt = 0; ///< Procedures planned and abstracted.
   uint64_t BddNodes = 0;    ///< BDD nodes live after model checking.

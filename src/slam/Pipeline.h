@@ -30,11 +30,10 @@ struct CegarOptions {
   int MaxIterations = 24;
   std::string EntryProc = "main";
   /// Carry abstraction work across iterations: the program facts are
-  /// built once, a procedure whose key (see AbstractionMemo) is
-  /// unchanged reuses its boolean program, and a statement whose
-  /// relevant-predicate signature is unchanged replays its cube
-  /// searches. Off = every iteration abstracts from scratch (the
-  /// ablation baseline; output is byte-identical either way).
+  /// built once, and a procedure whose key (see AbstractionMemo) is
+  /// unchanged reuses its boolean program. Off = every iteration
+  /// abstracts from scratch (the ablation baseline; output is
+  /// byte-identical either way).
   bool Incremental = true;
 };
 

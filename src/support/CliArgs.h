@@ -19,6 +19,7 @@
 
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,14 +41,16 @@ inline bool parseInt(const char *Text, long long &Out) {
   return true;
 }
 
-/// Strict finite decimal number (for millisecond thresholds).
+/// Strict finite decimal number (for millisecond thresholds): strtod
+/// alone would also take `nan`, `inf` and hexadecimal, so any character
+/// outside a decimal's alphabet is rejected first.
 inline bool parseDouble(const char *Text, double &Out) {
-  if (!Text || !*Text)
+  if (!Text || !*Text || Text[std::strspn(Text, "0123456789+-.eE")])
     return false;
   char *End = nullptr;
   errno = 0;
   double V = std::strtod(Text, &End);
-  if (errno == ERANGE || End == Text || *End != '\0')
+  if (errno == ERANGE || End == Text || *End != '\0' || !std::isfinite(V))
     return false;
   Out = V;
   return true;

@@ -8,7 +8,6 @@
 
 #include "c2bp/C2bp.h"
 
-#include "c2bp/AbstractionMemo.h"
 #include "cfront/Normalize.h"
 #include "workloads/Workloads.h"
 
@@ -24,8 +23,9 @@ struct RunResult {
   std::string Text;
   uint64_t Cubes = 0;
   uint64_t ProverCalls = 0;
-  uint64_t MemoHits = 0;
-  uint64_t MemoMisses = 0;
+  uint64_t ProcsRebuilt = 0;
+  uint64_t ProcsReused = 0;
+  size_t ProcsWithBodies = 0;
 };
 
 RunResult abstractWith(const std::string &Source, const std::string &PredText,
@@ -44,10 +44,6 @@ RunResult abstractWith(const std::string &Source, const std::string &PredText,
   C2bpOptions Options;
   Options.NumWorkers = Workers;
   Options.Cubes.MaxCubeLength = MaxCubeLength;
-  // A memo exercises the memo counters; with nothing committed yet,
-  // every search is a miss that stages its result.
-  AbstractionMemo Memo;
-  Options.Memo = &Memo;
   StatsRegistry Stats;
   auto BP = abstractProgram(*P, *PS, Ctx, Diags, Options, &Stats);
   EXPECT_TRUE(BP != nullptr) << Diags.str();
@@ -57,8 +53,10 @@ RunResult abstractWith(const std::string &Source, const std::string &PredText,
   R.Text = BP->str();
   R.Cubes = Stats.get("c2bp.cubes_checked");
   R.ProverCalls = Stats.get("prover.calls");
-  R.MemoHits = Stats.get("c2bp.memo_hits");
-  R.MemoMisses = Stats.get("c2bp.memo_misses");
+  R.ProcsRebuilt = Stats.get("c2bp.procs_rebuilt");
+  R.ProcsReused = Stats.get("c2bp.procs_reused");
+  for (const cfront::FuncDecl *F : P->Functions)
+    R.ProcsWithBodies += F->Body != nullptr;
   return R;
 }
 
@@ -69,6 +67,11 @@ void expectSameAtEveryWorkerCount(const workloads::Workload &W,
   RunResult One = abstractWith(W.Source, W.Predicates, 1, MaxCubeLength);
   ASSERT_TRUE(One.Ok);
   EXPECT_GT(One.ProverCalls, 0u);
+  // A run given no memo plans through one of its own, which has nothing
+  // committed: every procedure with a body is built, none reused.
+  EXPECT_GT(One.ProcsWithBodies, 0u);
+  EXPECT_EQ(One.ProcsRebuilt, One.ProcsWithBodies);
+  EXPECT_EQ(One.ProcsReused, 0u);
   for (int N : {2, 4, 8}) {
     SCOPED_TRACE("N=" + std::to_string(N));
     RunResult R = abstractWith(W.Source, W.Predicates, N, MaxCubeLength);
@@ -76,15 +79,15 @@ void expectSameAtEveryWorkerCount(const workloads::Workload &W,
     EXPECT_EQ(R.Text, One.Text);
     EXPECT_EQ(R.Cubes, One.Cubes);
     EXPECT_EQ(R.ProverCalls, One.ProverCalls);
-    EXPECT_EQ(R.MemoHits, One.MemoHits);
-    EXPECT_EQ(R.MemoMisses, One.MemoMisses);
+    EXPECT_EQ(R.ProcsRebuilt, One.ProcsRebuilt);
+    EXPECT_EQ(R.ProcsReused, One.ProcsReused);
   }
 }
 
 // Every Table 2 workload at the paper's k = 3, plus partition at
 // unlimited k: the boolean program and the work counters (cubes
-// checked, prover calls, memo hits and misses) are the same at every
-// worker count.
+// checked, prover calls, procedures rebuilt and reused) are the same at
+// every worker count.
 TEST(ParallelAbstraction, ByteIdenticalAndCountersIdenticalAcrossWorkerCounts) {
   for (const workloads::Workload *W : workloads::table2Workloads())
     expectSameAtEveryWorkerCount(*W, 3);

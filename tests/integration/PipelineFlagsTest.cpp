@@ -202,3 +202,21 @@ TEST(PipelineFlags, IntegerFlagsAboveIntMaxAreUsageErrors) {
             std::nullopt);
   EXPECT_EQ(PD.Options.Cegar.MaxIterations, 2147483647);
 }
+
+TEST(PipelineFlags, MillisecondFlagsTakeOnlyFiniteDecimals) {
+  // None of these is a finite decimal count of milliseconds >= 0.
+  // strtod alone accepts `nan`, `inf` and hex, and `nan` would then
+  // silently disable the log.
+  for (const char *Bad : {"nan", "NaN", "-nan", "inf", "infinity", "-inf",
+                          "0x10", "0x1p3", "1e999", "5ms", "", "-1"}) {
+    PipelineArgs PA;
+    EXPECT_EQ(parse(ToolKind::Slam, {"p.c", "--slow-query-ms", Bad}, PA), 2)
+        << Bad;
+  }
+  for (const char *Good : {"0", "2.5", ".5", "1e2", "+3"}) {
+    PipelineArgs PA;
+    EXPECT_EQ(parse(ToolKind::Slam, {"p.c", "--slow-query-ms", Good}, PA),
+              std::nullopt)
+        << Good;
+  }
+}

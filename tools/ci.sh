@@ -6,8 +6,8 @@
 # Jobs:
 #   default    RelWithDebInfo build + full ctest suite
 #   tsan       ThreadSanitizer build + the concurrency-sensitive tests
-#              (parallel abstraction, prover, parallel loop/support,
-#              concurrent span tracing)
+#              (parallel abstraction, incremental rounds at -j 4,
+#              prover, parallel loop/support, concurrent span tracing)
 #   asan       AddressSanitizer + UBSan build + full ctest suite
 #   release    Release (-DNDEBUG) build + full ctest suite (no check
 #              may live only in assert())
@@ -20,8 +20,8 @@
 #   determinism  c2bp and slam on the examples, three times at -j 1
 #              (ASLR on) and five times each at -j 2/4; asserts
 #              identical stdout, exit status and work counters
-#              (c2bp.cubes_checked, c2bp.procs_reused, prover.calls,
-#              slam.iterations)
+#              (c2bp.cubes_checked, c2bp.procs_reused,
+#              c2bp.procs_rebuilt, prover.calls, slam.iterations)
 #   all        every job above, in order
 #
 # Usage: tools/ci.sh [default|tsan|asan|release|observability|incremental|determinism|all]
@@ -45,10 +45,12 @@ run_tsan() {
   cmake -B "$ROOT/build-tsan" -S "$ROOT" -DSLAM_SANITIZE=thread
   cmake --build "$ROOT/build-tsan" -j
   # The parallel abstraction tests drive the parallel loop, the shared
-  # prover cache, and the merged statistics; the prover, theory-solver
-  # and support suites cover the pieces in isolation.
+  # prover cache, and the merged statistics; the incremental tests run
+  # CEGAR rounds at -j 4 around the abstraction memo, which no worker
+  # may touch; the prover, theory-solver and support suites cover the
+  # pieces in isolation.
   ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
-    -R 'ParallelAbstraction|ParallelFor|Stats|Prover|Theory|CCTest|Simplex|Trace|Histogram|Observability'
+    -R 'ParallelAbstraction|Incremental|ParallelFor|Stats|Prover|Theory|CCTest|Simplex|Trace|Histogram|Observability'
 }
 
 run_asan() {
@@ -162,8 +164,8 @@ run_determinism() {
     python3 - "$NAME" "$TMP/$NAME".j*.json <<'PY'
 import json, sys
 name, paths = sys.argv[1], sys.argv[2:]
-keys = ("c2bp.cubes_checked", "c2bp.procs_reused", "prover.calls",
-        "slam.iterations")
+keys = ("c2bp.cubes_checked", "c2bp.procs_reused", "c2bp.procs_rebuilt",
+        "prover.calls", "slam.iterations")
 runs = [json.load(open(p))["counters"] for p in paths]
 for k in keys:
     vals = [r.get(k, 0) for r in runs]

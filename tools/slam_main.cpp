@@ -86,19 +86,16 @@ int main(int argc, char **argv) {
 
   if (Obs.wantReport()) {
     std::printf("\nCEGAR flight recorder:\n");
-    std::printf("%5s %6s %7s %6s %7s %6s %6s %9s %10s %9s %9s %9s %6s\n",
-                "iter", "preds", "prover", "hits", "cubes", "reuse",
-                "recomp", "procs", "bdd-nodes", "c2bp(s)", "bebop(s)",
-                "newton(s)", "new");
+    std::printf("%5s %6s %7s %6s %7s %9s %10s %9s %9s %9s %6s\n", "iter",
+                "preds", "prover", "hits", "cubes", "procs", "bdd-nodes",
+                "c2bp(s)", "bebop(s)", "newton(s)", "new");
     for (const slamtool::IterationRecord &Rec : R->FlightLog)
-      std::printf("%5d %6zu %7llu %6llu %7llu %6llu %6llu %5llu/%-3llu "
+      std::printf("%5d %6zu %7llu %6llu %7llu %5llu/%-3llu "
                   "%10llu %9.3f %9.3f %9.3f %6zu\n",
                   Rec.Iteration, Rec.Predicates,
                   static_cast<unsigned long long>(Rec.ProverCalls),
                   static_cast<unsigned long long>(Rec.CacheHits),
                   static_cast<unsigned long long>(Rec.Cubes),
-                  static_cast<unsigned long long>(Rec.StmtsReused),
-                  static_cast<unsigned long long>(Rec.StmtsRecomputed),
                   static_cast<unsigned long long>(Rec.ProcsReused),
                   static_cast<unsigned long long>(Rec.ProcsRebuilt),
                   static_cast<unsigned long long>(Rec.BddNodes),
