@@ -19,6 +19,15 @@
 // collides with the caller's own rails. All renames used (N->C, SE->E,
 // E->SE / C->SC, C_t->N_t) are order-preserving by construction.
 //
+// Relations: each non-call CFG node has one relation from the C rail to
+// the N rail of its targets (stmtRel), and each call site one binding
+// (callStep): In ties the callee's SE rail to the caller's C rail and
+// arguments, Out ties the caller's N rail of the globals and targets to
+// the callee's SC rail. Both are built on first use, with the choice
+// variables of `*` and `choose` quantified out, and the image (post,
+// processCall) and the pre-image (preOp, trace reconstruction) read the
+// same ones.
+//
 //===----------------------------------------------------------------------===//
 
 #include "bebop/Bebop.h"
@@ -28,6 +37,7 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <numeric>
 
 using namespace slam;
 using namespace slam::bebop;
@@ -39,6 +49,9 @@ namespace {
 
 enum Rail { RailE = 0, RailC = 1, RailN = 2, RailSE = 3, RailSC = 4 };
 
+/// A relation not built yet (no BDD node has a negative handle).
+constexpr Node Unbuilt = -1;
+
 } // namespace
 
 struct Bebop::Impl {
@@ -47,6 +60,19 @@ struct Bebop::Impl {
   BddManager M;
   DiagnosticEngine Diags;
 
+  /// The binding of one call site between the caller's rails and the
+  /// callee's summary rails (see callStep).
+  struct CallStep {
+    int Callee = -1;
+    /// Callee SE rail <-> caller C rail of the globals and the encoded
+    /// arguments.
+    Node In = Unbuilt;
+    /// Caller N rail of the globals and targets <-> callee SC rail.
+    Node Out = Unbuilt;
+    /// Caller variables the call changes: the globals, then the targets.
+    std::vector<int> Changed;
+  };
+
   struct ProcInfo {
     const BProc *Proc = nullptr;
     std::unique_ptr<ProcCfg> Cfg;
@@ -54,6 +80,11 @@ struct Bebop::Impl {
     std::map<std::string, int> VarIndex;
     int NumGlobals = 0, NumParams = 0, NumLocals = 0, NumRets = 0;
     int Base = 0;
+
+    /// Per node: the statement relation of a non-call node (stmtRel).
+    std::vector<Node> Rel;
+    /// Per call node: its binding (callStep).
+    std::map<int, CallStep> Calls;
 
     std::vector<Node> PE;
     /// Per node: (rank, cumulative PE) growth log for traces.
@@ -74,6 +105,13 @@ struct Bebop::Impl {
 
     int numVars() const {
       return NumGlobals + NumParams + NumLocals + NumRets;
+    }
+    /// Index of the first <retK> pseudo-variable.
+    int retBase() const { return NumGlobals + NumParams + NumLocals; }
+    std::vector<int> allVars() const {
+      std::vector<int> Out(numVars());
+      std::iota(Out.begin(), Out.end(), 0);
+      return Out;
     }
   };
 
@@ -99,6 +137,25 @@ struct Bebop::Impl {
   // -- Layout ----------------------------------------------------------------
   int railVar(const ProcInfo &PI, int VarIdx, Rail R) const {
     return PI.Base + 5 * VarIdx + R;
+  }
+
+  /// Rails \p Rails of the variables \p Vars of \p PI.
+  std::vector<int> railVars(const ProcInfo &PI, const std::vector<int> &Vars,
+                            std::initializer_list<Rail> Rails) const {
+    std::vector<int> Out;
+    for (int V : Vars)
+      for (Rail R : Rails)
+        Out.push_back(railVar(PI, V, R));
+    return Out;
+  }
+
+  /// Renames rail \p From to rail \p To for the variables \p Vars.
+  std::map<int, int> railMap(const ProcInfo &PI, const std::vector<int> &Vars,
+                             Rail From, Rail To) const {
+    std::map<int, int> Ren;
+    for (int V : Vars)
+      Ren[railVar(PI, V, From)] = railVar(PI, V, To);
+    return Ren;
   }
 
   void build() {
@@ -131,6 +188,7 @@ struct Bebop::Impl {
       for (int V = 0; V != 5 * PI.numVars(); ++V)
         M.newVar();
 
+      PI.Rel.assign(PI.Cfg->numNodes(), Unbuilt);
       PI.PE.assign(PI.Cfg->numNodes(), BddManager::False);
       PI.Log.resize(PI.Cfg->numNodes());
     }
@@ -144,7 +202,7 @@ struct Bebop::Impl {
       }
     }
 
-    // Call-site map.
+    // Call sites.
     for (size_t I = 0; I != Procs.size(); ++I) {
       const ProcCfg &Cfg = *Procs[I].Cfg;
       for (int N = 0; N != Cfg.numNodes(); ++N) {
@@ -152,6 +210,7 @@ struct Bebop::Impl {
           continue;
         auto It = ProcIndex.find(Cfg.node(N).Stmt->Callee);
         assert(It != ProcIndex.end() && "verified program");
+        Procs[I].Calls[N].Callee = It->second;
         CallSites[It->second].emplace_back(static_cast<int>(I), N);
       }
     }
@@ -204,142 +263,109 @@ struct Bebop::Impl {
     return BddManager::False;
   }
 
-  /// Encoded condition of an Assume/Assert node with choice vars
-  /// quantified out (a condition containing `*` may pass either way).
-  Node condBdd(ProcInfo &PI, const CfgNode &N) {
-    if (!N.Cond)
-      return BddManager::True;
-    std::vector<int> Ch;
-    Node C = encode(PI, N.Cond, Ch);
-    if (N.NegateCond)
-      C = M.mkNot(C);
-    return M.exists(C, Ch);
+  // -- Relations ------------------------------------------------------------
+  /// The variables an Assign or Return node writes; none for other nodes.
+  std::vector<int> targets(const ProcInfo &PI, const CfgNode &N) const {
+    std::vector<int> Out;
+    if (N.Op == NodeOp::Assign)
+      for (const std::string &T : N.Stmt->Targets)
+        Out.push_back(PI.VarIndex.at(T));
+    if (N.Op == NodeOp::Return)
+      for (size_t K = 0; K != N.Stmt->Exprs.size(); ++K)
+        Out.push_back(PI.retBase() + static_cast<int>(K));
+    return Out;
   }
 
-  // -- Transfers ----------------------------------------------------------
-  /// The assignment staging relation for targets/exprs:
-  /// AND_i (N_target_i <-> enc(expr_i)), plus the target index list.
-  Node assignRelation(ProcInfo &PI, const std::vector<std::string> &Targets,
-                      const std::vector<const BExpr *> &Exprs,
-                      std::vector<int> &TargetIdx, std::vector<int> &Choices) {
+  /// The relation of non-call node \p NodeId from the C rail to the N
+  /// rail of its targets, built on first use: the condition of an
+  /// assume or assert (a condition containing `*` may pass either way),
+  /// AND_i (N_t_i <-> enc(e_i)) of an assignment or return, and true
+  /// otherwise. No state set mentions a choice variable, so they are
+  /// quantified out here.
+  Node stmtRel(ProcInfo &PI, int NodeId) {
+    Node &Rel = PI.Rel[NodeId];
+    if (Rel != Unbuilt)
+      return Rel;
+    const CfgNode &N = PI.Cfg->node(NodeId);
+    std::vector<int> Choices;
     Node T = BddManager::True;
+    if (N.Cond) {
+      T = encode(PI, N.Cond, Choices);
+      if (N.NegateCond)
+        T = M.mkNot(T);
+    }
+    std::vector<int> Targets = targets(PI, N);
     for (size_t I = 0; I != Targets.size(); ++I) {
-      int VI = PI.VarIndex.at(Targets[I]);
-      TargetIdx.push_back(VI);
-      Node Val = encode(PI, Exprs[I], Choices);
-      T = M.mkAnd(T, M.mkXnor(M.varNode(railVar(PI, VI, RailN)), Val));
+      Node Val = encode(PI, N.Stmt->Exprs[I], Choices);
+      T = M.mkAnd(T,
+                  M.mkXnor(M.varNode(railVar(PI, Targets[I], RailN)), Val));
     }
-    return T;
+    return Rel = M.exists(T, Choices);
   }
 
-  /// Return-node staging: bind <retK> pseudo-vars.
-  Node returnRelation(ProcInfo &PI, const BStmt *S,
-                      std::vector<int> &TargetIdx, std::vector<int> &Choices) {
-    Node T = BddManager::True;
-    int RetBase = PI.NumGlobals + PI.NumParams + PI.NumLocals;
-    for (size_t I = 0; I != S->Exprs.size(); ++I) {
-      int VI = RetBase + static_cast<int>(I);
-      TargetIdx.push_back(VI);
-      Node Val = encode(PI, S->Exprs[I], Choices);
-      T = M.mkAnd(T, M.mkXnor(M.varNode(railVar(PI, VI, RailN)), Val));
+  /// The binding of call node \p NodeId of \p Caller, built on first use.
+  /// \p WithOut also builds its Out half, which only summary application
+  /// and trace reconstruction read.
+  CallStep &callStep(ProcInfo &Caller, int NodeId, bool WithOut) {
+    CallStep &CS = Caller.Calls.at(NodeId);
+    const BStmt *CallS = Caller.Cfg->node(NodeId).Stmt;
+    const ProcInfo &Callee = Procs[CS.Callee];
+    if (CS.In == Unbuilt) {
+      // Globals pass through; parameters take the encoded arguments.
+      std::vector<int> Choices;
+      Node B = BddManager::True;
+      for (int G = 0; G != Callee.NumGlobals; ++G)
+        B = M.mkAnd(B, M.mkXnor(M.varNode(railVar(Callee, G, RailSE)),
+                                M.varNode(railVar(Caller, G, RailC))));
+      for (int Pm = 0; Pm != Callee.NumParams; ++Pm) {
+        Node Arg = encode(Caller, CallS->Exprs[Pm], Choices);
+        B = M.mkAnd(
+            B, M.mkXnor(
+                   M.varNode(railVar(Callee, Callee.NumGlobals + Pm, RailSE)),
+                   Arg));
+      }
+      CS.In = M.exists(B, Choices);
+      for (int G = 0; G != Caller.NumGlobals; ++G)
+        CS.Changed.push_back(G);
+      for (const std::string &T : CallS->Targets)
+        CS.Changed.push_back(Caller.VarIndex.at(T));
     }
-    return T;
+    if (WithOut && CS.Out == Unbuilt) {
+      // The globals take the callee's globals, the targets its returns.
+      CS.Out = BddManager::True;
+      for (int K = 0; K != static_cast<int>(CS.Changed.size()); ++K) {
+        int From = K < Caller.NumGlobals
+                       ? K
+                       : Callee.retBase() + K - Caller.NumGlobals;
+        Node Bind = M.mkXnor(M.varNode(railVar(Caller, CS.Changed[K], RailN)),
+                             M.varNode(railVar(Callee, From, RailSC)));
+        CS.Out = M.mkAnd(CS.Out, Bind);
+      }
+    }
+    return CS;
   }
 
-  /// Applies staged updates: S' = rename_{N->C}(exists(ch, C_t)(S & T)).
-  Node applyStaged(ProcInfo &PI, Node S, Node T,
-                   const std::vector<int> &TargetIdx,
-                   const std::vector<int> &Choices) {
-    std::vector<int> Quant = Choices;
-    for (int VI : TargetIdx)
-      Quant.push_back(railVar(PI, VI, RailC));
-    Node R = M.andExists(S, T, Quant);
-    std::map<int, int> Ren;
-    for (int VI : TargetIdx)
-      Ren[railVar(PI, VI, RailN)] = railVar(PI, VI, RailC);
-    return M.rename(R, Ren);
+  /// What applying a summary at \p CS quantifies: the callee's summary
+  /// rails and rail \p R of the caller variables the call changes.
+  std::vector<int> summaryQuant(const ProcInfo &Caller, const CallStep &CS,
+                                Rail R) const {
+    const ProcInfo &Callee = Procs[CS.Callee];
+    std::vector<int> Quant =
+        railVars(Callee, Callee.allVars(), {RailSE, RailSC});
+    for (int V : CS.Changed)
+      Quant.push_back(railVar(Caller, V, R));
+    return Quant;
   }
 
-  /// Post-state of executing the operation of \p NodeId on states \p S.
-  /// Call nodes are handled by the worklist, not here.
+  /// Post-state of executing non-call node \p NodeId on states \p S:
+  /// S' = rename_{N->C}(exists(C_t)(S & Rel)).
   Node post(ProcInfo &PI, int NodeId, Node S) {
     const CfgNode &N = PI.Cfg->node(NodeId);
-    switch (N.Op) {
-    case NodeOp::Entry:
-    case NodeOp::Exit:
-    case NodeOp::Skip:
-      return S;
-    case NodeOp::Assume:
-    case NodeOp::Assert:
-      return M.mkAnd(S, condBdd(PI, N));
-    case NodeOp::Assign: {
-      std::vector<int> TargetIdx, Choices;
-      Node T = assignRelation(PI, N.Stmt->Targets, N.Stmt->Exprs, TargetIdx,
-                              Choices);
-      return M.mkAnd(applyStaged(PI, S, T, TargetIdx, Choices),
-                     PI.EnforceBdd);
-    }
-    case NodeOp::Return: {
-      std::vector<int> TargetIdx, Choices;
-      Node T = returnRelation(PI, N.Stmt, TargetIdx, Choices);
-      return applyStaged(PI, S, T, TargetIdx, Choices);
-    }
-    case NodeOp::Call:
-      assert(false && "call handled by the worklist");
-      return S;
-    }
-    return S;
-  }
-
-  // -- Call plumbing --------------------------------------------------------
-  /// Binds the callee's SE rail to the caller's current state:
-  /// globals pass through; parameters take the encoded arguments.
-  Node bindIn(ProcInfo &Caller, ProcInfo &Callee, const BStmt *CallS,
-              std::vector<int> &Choices) {
-    Node B = BddManager::True;
-    for (int G = 0; G != Callee.NumGlobals; ++G)
-      B = M.mkAnd(B, M.mkXnor(M.varNode(railVar(Callee, G, RailSE)),
-                              M.varNode(railVar(Caller, G, RailC))));
-    for (int Pm = 0; Pm != Callee.NumParams; ++Pm) {
-      Node Arg = encode(Caller, CallS->Exprs[Pm], Choices);
-      B = M.mkAnd(
-          B, M.mkXnor(
-                 M.varNode(railVar(Callee, Callee.NumGlobals + Pm, RailSE)),
-                 Arg));
-    }
-    return B;
-  }
-
-  /// Binds the caller's N rail to the callee's SC outputs: globals and
-  /// the call's return targets.
-  Node bindOut(ProcInfo &Caller, ProcInfo &Callee, const BStmt *CallS,
-               std::vector<int> &ChangedIdx) {
-    Node B = BddManager::True;
-    for (int G = 0; G != Caller.NumGlobals; ++G) {
-      ChangedIdx.push_back(G);
-      B = M.mkAnd(B, M.mkXnor(M.varNode(railVar(Caller, G, RailN)),
-                              M.varNode(railVar(Callee, G, RailSC))));
-    }
-    int RetBase =
-        Callee.NumGlobals + Callee.NumParams + Callee.NumLocals;
-    for (size_t K = 0; K != CallS->Targets.size(); ++K) {
-      int VI = Caller.VarIndex.at(CallS->Targets[K]);
-      ChangedIdx.push_back(VI);
-      B = M.mkAnd(
-          B,
-          M.mkXnor(M.varNode(railVar(Caller, VI, RailN)),
-                   M.varNode(railVar(
-                       Callee, RetBase + static_cast<int>(K), RailSC))));
-    }
-    return B;
-  }
-
-  std::vector<int> allRailVars(ProcInfo &PI, std::initializer_list<Rail> Rails) {
-    std::vector<int> Out;
-    for (int V = 0; V != PI.numVars(); ++V)
-      for (Rail R : Rails)
-        Out.push_back(railVar(PI, V, R));
-    return Out;
+    std::vector<int> T = targets(PI, N);
+    Node R = M.rename(
+        M.andExists(S, stmtRel(PI, NodeId), railVars(PI, T, {RailC})),
+        railMap(PI, T, RailN, RailC));
+    return N.Op == NodeOp::Assign ? M.mkAnd(R, PI.EnforceBdd) : R;
   }
 
   /// Identity over globals and parameters (E <-> C), used to seed entry
@@ -380,45 +406,31 @@ struct Bebop::Impl {
 
   void processCall(int ProcIdx, int NodeId) {
     ProcInfo &Caller = Procs[ProcIdx];
-    const CfgNode &N = Caller.Cfg->node(NodeId);
-    const BStmt *CallS = N.Stmt;
-    int CalleeIdx = ProcIndex.at(CallS->Callee);
-    ProcInfo &Callee = Procs[CalleeIdx];
     Node S = Caller.PE[NodeId];
     if (S == BddManager::False)
       return;
+    CallStep &CS = callStep(Caller, NodeId, /*WithOut=*/false);
+    ProcInfo &Callee = Procs[CS.Callee];
 
     // 1. Propagate entry states into the callee.
-    {
-      std::vector<int> Choices;
-      Node In = bindIn(Caller, Callee, CallS, Choices);
-      std::vector<int> Quant = allRailVars(Caller, {RailE, RailC});
-      Quant.insert(Quant.end(), Choices.begin(), Choices.end());
-      Node EntrySE = M.andExists(S, In, Quant);
-      std::map<int, int> Ren;
-      for (int V = 0; V != Callee.numVars(); ++V)
-        Ren[railVar(Callee, V, RailSE)] = railVar(Callee, V, RailE);
-      seedEntry(CalleeIdx, M.rename(EntrySE, Ren), ProcIdx, NodeId);
-    }
+    Node EntrySE = M.andExists(
+        S, CS.In, railVars(Caller, Caller.allVars(), {RailE, RailC}));
+    seedEntry(CS.Callee,
+              M.rename(EntrySE,
+                       railMap(Callee, Callee.allVars(), RailSE, RailE)),
+              ProcIdx, NodeId);
 
     // 2. Apply the callee summary, if any.
     if (Callee.Summary == BddManager::False)
       return;
-    std::vector<int> Choices;
-    Node In = bindIn(Caller, Callee, CallS, Choices);
-    std::vector<int> ChangedIdx;
-    Node OutBind = bindOut(Caller, Callee, CallS, ChangedIdx);
-    Node Left = M.mkAnd(M.mkAnd(S, In), OutBind);
-    std::vector<int> Quant = allRailVars(Callee, {RailSE, RailSC});
-    Quant.insert(Quant.end(), Choices.begin(), Choices.end());
-    for (int VI : ChangedIdx)
-      Quant.push_back(railVar(Caller, VI, RailC));
-    Node Comb = M.andExists(Left, Callee.Summary, Quant);
-    std::map<int, int> Ren;
-    for (int VI : ChangedIdx)
-      Ren[railVar(Caller, VI, RailN)] = railVar(Caller, VI, RailC);
-    Node Out = M.mkAnd(M.rename(Comb, Ren), Caller.EnforceBdd);
-    for (int Succ : N.Succs)
+    callStep(Caller, NodeId, /*WithOut=*/true);
+    Node Left = M.mkAnd(M.mkAnd(S, CS.In), CS.Out);
+    Node Comb = M.andExists(Left, Callee.Summary,
+                            summaryQuant(Caller, CS, RailC));
+    Node Out =
+        M.mkAnd(M.rename(Comb, railMap(Caller, CS.Changed, RailN, RailC)),
+                Caller.EnforceBdd);
+    for (int Succ : Caller.Cfg->node(NodeId).Succs)
       updatePE(ProcIdx, Succ, Out);
   }
 
@@ -427,8 +439,7 @@ struct Bebop::Impl {
     Node ExitPE = PI.PE[PI.Cfg->exit()];
     // Project away locals/params on the C rail and locals/rets on E.
     std::vector<int> Quant;
-    for (int V = PI.NumGlobals;
-         V != PI.NumGlobals + PI.NumParams + PI.NumLocals; ++V)
+    for (int V = PI.NumGlobals; V != PI.retBase(); ++V)
       Quant.push_back(railVar(PI, V, RailC));
     for (int V = PI.NumGlobals + PI.NumParams; V != PI.numVars(); ++V)
       Quant.push_back(railVar(PI, V, RailE));
@@ -439,8 +450,7 @@ struct Bebop::Impl {
       Ren[railVar(PI, V, RailE)] = railVar(PI, V, RailSE);
     for (int V = 0; V != PI.NumGlobals; ++V)
       Ren[railVar(PI, V, RailC)] = railVar(PI, V, RailSC);
-    int RetBase = PI.NumGlobals + PI.NumParams + PI.NumLocals;
-    for (int V = RetBase; V != PI.numVars(); ++V)
+    for (int V = PI.retBase(); V != PI.numVars(); ++V)
       Ren[railVar(PI, V, RailC)] = railVar(PI, V, RailSC);
     Sum = M.rename(Sum, Ren);
 
@@ -507,20 +517,17 @@ struct Bebop::Impl {
   }
 
   // -- Trace reconstruction -------------------------------------------------
-  /// PE of (Proc, Node) strictly before \p RankBound; False if none.
-  Node peBefore(int ProcIdx, int NodeId, uint64_t RankBound,
-                uint64_t *FoundRank = nullptr) {
-    const auto &Log = Procs[ProcIdx].Log[NodeId];
+  /// The last set of a (rank, cumulative set) log -- a node's path
+  /// edges or a procedure's summary -- logged before \p RankBound;
+  /// False if none.
+  static Node before(const std::vector<std::pair<uint64_t, Node>> &Log,
+                     uint64_t RankBound) {
     Node Best = BddManager::False;
-    uint64_t BestRank = 0;
     for (const auto &[R, Cum] : Log) {
       if (R >= RankBound)
         break;
       Best = Cum;
-      BestRank = R;
     }
-    if (FoundRank)
-      *FoundRank = BestRank;
     return Best;
   }
 
@@ -536,98 +543,34 @@ struct Bebop::Impl {
     return 0;
   }
 
-  Node summaryBefore(int ProcIdx, uint64_t RankBound) {
-    Node Best = BddManager::False;
-    for (const auto &[R, Sum] : Procs[ProcIdx].SummaryLog) {
-      if (R >= RankBound)
-        break;
-      Best = Sum;
-    }
-    return Best;
-  }
-
-  /// Pre-image of X under the operation of node m (m not a Call).
+  /// Pre-image of \p X under the operation of node \p NodeId; a call
+  /// applies the callee summary as it stood before \p RankBound.
   Node preOp(ProcInfo &PI, int NodeId, Node X, uint64_t RankBound) {
     const CfgNode &N = PI.Cfg->node(NodeId);
-    switch (N.Op) {
-    case NodeOp::Entry:
-    case NodeOp::Exit:
-    case NodeOp::Skip:
-      return X;
-    case NodeOp::Assume:
-    case NodeOp::Assert:
-      return M.mkAnd(X, condBdd(PI, N));
-    case NodeOp::Assign:
-    case NodeOp::Return: {
-      std::vector<int> TargetIdx, Choices;
-      Node T = N.Op == NodeOp::Assign
-                   ? assignRelation(PI, N.Stmt->Targets, N.Stmt->Exprs,
-                                    TargetIdx, Choices)
-                   : returnRelation(PI, N.Stmt, TargetIdx, Choices);
-      std::map<int, int> Ren;
-      for (int VI : TargetIdx)
-        Ren[railVar(PI, VI, RailC)] = railVar(PI, VI, RailN);
-      Node XN = M.rename(X, Ren);
-      std::vector<int> Quant = Choices;
-      for (int VI : TargetIdx)
-        Quant.push_back(railVar(PI, VI, RailN));
-      return M.andExists(T, XN, Quant);
+    if (N.Op != NodeOp::Call) {
+      std::vector<int> T = targets(PI, N);
+      return M.andExists(stmtRel(PI, NodeId),
+                         M.rename(X, railMap(PI, T, RailC, RailN)),
+                         railVars(PI, T, {RailN}));
     }
-    case NodeOp::Call: {
-      ProcInfo &Callee = Procs[ProcIndex.at(N.Stmt->Callee)];
-      std::vector<int> Choices;
-      Node In = bindIn(PI, Callee, N.Stmt, Choices);
-      std::vector<int> ChangedIdx;
-      Node OutBind = bindOut(PI, Callee, N.Stmt, ChangedIdx);
-      Node Sum = summaryBefore(ProcIndex.at(N.Stmt->Callee), RankBound);
-      std::map<int, int> Ren;
-      for (int VI : ChangedIdx)
-        Ren[railVar(PI, VI, RailC)] = railVar(PI, VI, RailN);
-      Node XN = M.rename(X, Ren);
-      Node Left = M.mkAnd(M.mkAnd(In, OutBind), XN);
-      std::vector<int> Quant = allRailVars(Callee, {RailSE, RailSC});
-      Quant.insert(Quant.end(), Choices.begin(), Choices.end());
-      for (int VI : ChangedIdx)
-        Quant.push_back(railVar(PI, VI, RailN));
-      return M.andExists(Left, Sum, Quant);
-    }
-    }
-    return X;
+    CallStep &CS = callStep(PI, NodeId, /*WithOut=*/true);
+    Node XN = M.rename(X, railMap(PI, CS.Changed, RailC, RailN));
+    Node Left = M.mkAnd(M.mkAnd(CS.In, CS.Out), XN);
+    return M.andExists(Left, before(Procs[CS.Callee].SummaryLog, RankBound),
+                       summaryQuant(PI, CS, RailN));
   }
 
   void pushStep(std::vector<TraceStep> &Steps, int ProcIdx, int NodeId) {
     const CfgNode &N = Procs[ProcIdx].Cfg->node(NodeId);
-    // Skips are kept when they originate from a real C statement (the
-    // abstraction may have erased its effect on the predicates, but
-    // Newton's concrete replay still needs it).
-    if (N.Op == NodeOp::Skip) {
-      if (!N.Stmt || N.Stmt->OriginId < 0)
-        return;
-      TraceStep S;
-      S.ProcName = Procs[ProcIdx].Proc->Name;
-      S.Stmt = N.Stmt;
-      S.Op = N.Op;
-      S.OriginId = N.Stmt->OriginId;
-      Steps.push_back(std::move(S));
+    // Entry and exit are no statements. Skips are kept when they
+    // originate from a real C statement (the abstraction may have erased
+    // its effect on the predicates, but Newton's concrete replay still
+    // needs it).
+    if (N.Op == NodeOp::Entry || N.Op == NodeOp::Exit ||
+        (N.Op == NodeOp::Skip && (!N.Stmt || N.Stmt->OriginId < 0)))
       return;
-    }
-    switch (N.Op) {
-    case NodeOp::Assign:
-    case NodeOp::Call:
-    case NodeOp::Assume:
-    case NodeOp::Assert:
-    case NodeOp::Return: {
-      TraceStep S;
-      S.ProcName = Procs[ProcIdx].Proc->Name;
-      S.Stmt = N.Stmt;
-      S.Op = N.Op;
-      S.OriginId = N.Stmt ? N.Stmt->OriginId : -1;
-      Steps.push_back(std::move(S));
-      return;
-    }
-    default:
-      return;
-    }
+    Steps.push_back({Procs[ProcIdx].Proc->Name, N.Stmt, N.Op,
+                     N.Stmt ? N.Stmt->OriginId : -1});
   }
 
   /// Builds the statement path from \p ProcIdx's entry to \p NodeId
@@ -651,13 +594,13 @@ struct Bebop::Impl {
     for (;;) {
       uint64_t R0 = earliestRank(ProcIdx, Cur, CurX, Bound);
       assert(R0 != 0 && "trace target not reachable under bound");
-      CurX = M.mkAnd(CurX, peBefore(ProcIdx, Cur, R0 + 1));
+      CurX = M.mkAnd(CurX, before(PI.Log[Cur], R0 + 1));
       if (PI.Cfg->node(Cur).Op == NodeOp::Entry) {
         ProcTrace Out;
         std::reverse(Rev.begin(), Rev.end());
         Out.Steps = std::move(Rev);
         // Context half of the path edge.
-        Out.EntryStates = M.exists(CurX, allRailVars(PI, {RailC}));
+        Out.EntryStates = M.exists(CurX, railVars(PI, PI.allVars(), {RailC}));
         Out.EntryRank = R0;
         return Out;
       }
@@ -676,39 +619,30 @@ struct Bebop::Impl {
         if (BestPred < 0 || R < BestRank) {
           BestPred = Pred;
           BestRank = R;
-          BestY = M.mkAnd(Y, peBefore(ProcIdx, Pred, R + 1));
+          BestY = M.mkAnd(Y, before(PI.Log[Pred], R + 1));
         }
       }
       assert(BestPred >= 0 && "no producing predecessor found");
 
       const CfgNode &PredNode = PI.Cfg->node(BestPred);
       if (PredNode.Op == NodeOp::Call) {
-        // Splice the callee's internal path between the call and here.
-        int CalleeIdx = ProcIndex.at(PredNode.Stmt->Callee);
+        // Splice the callee's internal path between the call and here:
+        // the callee exit states consistent with (BestY -> CurX).
+        CallStep &CS = callStep(PI, BestPred, /*WithOut=*/true);
+        int CalleeIdx = CS.Callee;
         ProcInfo &Callee = Procs[CalleeIdx];
-        // Callee exit states consistent with (BestY -> CurX).
-        std::vector<int> Choices;
-        Node In = bindIn(PI, Callee, PredNode.Stmt, Choices);
-        std::vector<int> ChangedIdx;
-        Node OutBind = bindOut(PI, Callee, PredNode.Stmt, ChangedIdx);
-        std::map<int, int> Ren;
-        for (int VI : ChangedIdx)
-          Ren[railVar(PI, VI, RailC)] = railVar(PI, VI, RailN);
-        Node XN = M.rename(CurX, Ren);
-        Node W = M.mkAnd(M.mkAnd(BestY, In), OutBind);
-        std::vector<int> Quant = allRailVars(PI, {RailE, RailC});
-        for (int VI : ChangedIdx)
-          Quant.push_back(railVar(PI, VI, RailN));
-        Quant.insert(Quant.end(), Choices.begin(), Choices.end());
+        Node W = M.mkAnd(M.mkAnd(BestY, CS.In), CS.Out);
+        Node XN = M.rename(CurX, railMap(PI, CS.Changed, RailC, RailN));
+        std::vector<int> Quant = railVars(PI, PI.allVars(), {RailE, RailC});
+        for (int V : CS.Changed)
+          Quant.push_back(railVar(PI, V, RailN));
         Node Z = M.andExists(W, XN, Quant); // Over callee (SE, SC).
-        std::map<int, int> Back;
-        for (int V = 0; V != Callee.numVars(); ++V) {
-          Back[railVar(Callee, V, RailSE)] = railVar(Callee, V, RailE);
-          Back[railVar(Callee, V, RailSC)] = railVar(Callee, V, RailC);
-        }
+        std::map<int, int> Back =
+            railMap(Callee, Callee.allVars(), RailSE, RailE);
+        Back.merge(railMap(Callee, Callee.allVars(), RailSC, RailC));
         Z = M.rename(Z, Back);
         Node ExitTarget =
-            M.mkAnd(Z, peBefore(CalleeIdx, Callee.Cfg->exit(), R0));
+            M.mkAnd(Z, before(Callee.Log[Callee.Cfg->exit()], R0));
         if (ExitTarget != BddManager::False) {
           ProcTrace Sub = traceWithin(CalleeIdx, Callee.Cfg->exit(),
                                       ExitTarget, R0);
@@ -757,25 +691,19 @@ struct Bebop::Impl {
 
       // Caller states at the call node consistent with the entry states.
       ProcInfo &Caller = Procs[Rec->CallerProc];
-      const CfgNode &CallN = Caller.Cfg->node(Rec->CallerNode);
-      ProcInfo &Callee = PI;
-      std::vector<int> Choices;
-      Node In = bindIn(Caller, Callee, CallN.Stmt, Choices);
-      std::map<int, int> Ren;
-      for (int V = 0; V != Callee.numVars(); ++V)
-        Ren[railVar(Callee, V, RailE)] = railVar(Callee, V, RailSE);
-      Node EntrySE = M.rename(M.mkAnd(T.EntryStates, Rec->States), Ren);
-      std::vector<int> Quant = allRailVars(Callee, {RailSE});
-      Quant.insert(Quant.end(), Choices.begin(), Choices.end());
-      Node CallerX = M.andExists(In, EntrySE, Quant);
-      CallerX = M.mkAnd(
-          CallerX, peBefore(Rec->CallerProc, Rec->CallerNode, Rec->Rank));
+      const CallStep &CS = callStep(Caller, Rec->CallerNode, /*WithOut=*/false);
+      Node EntrySE = M.rename(M.mkAnd(T.EntryStates, Rec->States),
+                              railMap(PI, PI.allVars(), RailE, RailSE));
+      Node CallerX =
+          M.andExists(CS.In, EntrySE, railVars(PI, PI.allVars(), {RailSE}));
+      CallerX =
+          M.mkAnd(CallerX, before(Caller.Log[Rec->CallerNode], Rec->Rank));
 
       // The call statement itself precedes the callee's steps.
-      std::vector<TraceStep> CallStep;
-      pushStep(CallStep, Rec->CallerProc, Rec->CallerNode);
-      CallStep.insert(CallStep.end(), Tail.begin(), Tail.end());
-      Tail = std::move(CallStep);
+      std::vector<TraceStep> WithCall;
+      pushStep(WithCall, Rec->CallerProc, Rec->CallerNode);
+      WithCall.insert(WithCall.end(), Tail.begin(), Tail.end());
+      Tail = std::move(WithCall);
 
       ProcIdx = Rec->CallerProc;
       NodeId = Rec->CallerNode;
@@ -832,7 +760,8 @@ Bebop::reachableAtLabel(const std::string &Proc,
   if (NodeId < 0)
     return std::nullopt;
   // Project the path edge to the current state.
-  Node Reach = M->M.exists(PI.PE[NodeId], M->allRailVars(PI, {RailE}));
+  Node Reach =
+      M->M.exists(PI.PE[NodeId], M->railVars(PI, PI.allVars(), {RailE}));
   std::vector<std::map<std::string, bool>> Out;
   M->M.forEachCube(Reach, [&](const std::map<int, bool> &Cube) {
     std::map<std::string, bool> Named;
