@@ -54,7 +54,7 @@ inline RunRow runTable2(const workloads::Workload &W,
   Row.Predicates = PS->totalCount();
   StatsRegistry Stats;
   Timer T;
-  auto BP = c2bp::abstractProgram(*P, *PS, Ctx, Diags, Options, &Stats);
+  auto BP = c2bp::abstractProgram(*P, *PS, Ctx, Options, &Stats);
   Row.C2bpSeconds = T.seconds();
   Row.ProverCalls = Stats.get("prover.calls");
   Row.CubesChecked = Stats.get("c2bp.cubes_checked");

@@ -47,7 +47,7 @@ void runOnce(benchmark::State &State, const workloads::Workload &W,
     return;
   }
   StatsRegistry Stats;
-  auto BP = c2bp::abstractProgram(*P, *PS, Ctx, Diags, Options, &Stats);
+  auto BP = c2bp::abstractProgram(*P, *PS, Ctx, Options, &Stats);
   benchmark::DoNotOptimize(BP);
   State.counters["prover_calls"] =
       static_cast<double>(Stats.get("prover.calls"));

@@ -45,8 +45,7 @@ int main() {
   logic::LogicContext Ctx;
   auto Preds = c2bp::parsePredicateFile(Ctx, W.Predicates, Diags);
   StatsRegistry Stats;
-  auto BP =
-      c2bp::abstractProgram(*Program, *Preds, Ctx, Diags, {}, &Stats);
+  auto BP = c2bp::abstractProgram(*Program, *Preds, Ctx, {}, &Stats);
   std::printf("== Figure 1(b): the boolean program ==\n%s\n",
               BP->str().c_str());
 

@@ -81,8 +81,7 @@ foo:
   // foo' passes choose(...) actuals and updates r == 0 and *p <= 0
   // from the returned temporaries.
   StatsRegistry Stats;
-  auto BP =
-      c2bp::abstractProgram(*Program, *Preds, Ctx, Diags, {}, &Stats);
+  auto BP = c2bp::abstractProgram(*Program, *Preds, Ctx, {}, &Stats);
   std::printf("\n== BP(P, E) ==\n%s", BP->str().c_str());
   std::printf("theorem prover calls: %llu\n",
               static_cast<unsigned long long>(Stats.get("prover.calls")));

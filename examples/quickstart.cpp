@@ -62,8 +62,7 @@ main:
     return 1;
   }
   StatsRegistry Stats;
-  auto BP =
-      c2bp::abstractProgram(*Program, *Preds, Ctx, Diags, {}, &Stats);
+  auto BP = c2bp::abstractProgram(*Program, *Preds, Ctx, {}, &Stats);
   std::printf("== BP(P, E), the boolean program ==\n%s\n",
               BP->str().c_str());
   std::printf("theorem prover calls during abstraction: %llu\n\n",

@@ -46,8 +46,7 @@ int main() {
   StatsRegistry Stats;
   c2bp::C2bpOptions Options;
   Options.Cubes.MaxCubeLength = 3; // The paper's practical k.
-  auto BP = c2bp::abstractProgram(*Program, *Preds, Ctx, Diags, Options,
-                                  &Stats);
+  auto BP = c2bp::abstractProgram(*Program, *Preds, Ctx, Options, &Stats);
   std::printf("abstraction: %llu theorem prover calls\n\n",
               static_cast<unsigned long long>(Stats.get("prover.calls")));
 

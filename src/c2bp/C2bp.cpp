@@ -704,9 +704,8 @@ std::unique_ptr<bp::BProgram> C2bpTool::run() { return M->run(); }
 
 std::unique_ptr<bp::BProgram>
 c2bp::abstractProgram(const Program &P, const PredicateSet &Preds,
-                      logic::LogicContext &Ctx, DiagnosticEngine &Diags,
-                      C2bpOptions Options, StatsRegistry *Stats) {
-  (void)Diags;
+                      logic::LogicContext &Ctx, C2bpOptions Options,
+                      StatsRegistry *Stats) {
   C2bpTool Tool(P, Preds, Ctx, Options, Stats);
   return Tool.run();
 }

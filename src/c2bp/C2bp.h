@@ -91,11 +91,11 @@ private:
 
 /// Convenience: one C2bpTool run over \p P, which must already be
 /// analyzed and normalized (cfront::frontend). Abstraction reports no
-/// errors, so \p Diags is left untouched.
+/// errors.
 std::unique_ptr<bp::BProgram>
 abstractProgram(const cfront::Program &P, const PredicateSet &Preds,
-                logic::LogicContext &Ctx, DiagnosticEngine &Diags,
-                C2bpOptions Options = {}, StatsRegistry *Stats = nullptr);
+                logic::LogicContext &Ctx, C2bpOptions Options = {},
+                StatsRegistry *Stats = nullptr);
 
 } // namespace c2bp
 } // namespace slam

@@ -60,7 +60,7 @@ protected:
     if (!PS)
       return nullptr;
     Preds = *PS;
-    auto BP = abstractProgram(*Prog, Preds, Ctx, Diags, Options, &Stats);
+    auto BP = abstractProgram(*Prog, Preds, Ctx, Options, &Stats);
     EXPECT_TRUE(BP != nullptr) << Diags.str();
     // Every abstraction we emit must be a well-formed boolean program.
     if (BP) {
@@ -320,7 +320,7 @@ TEST_F(AbstractionTest, OutputIsDeterministic) {
     logic::LogicContext LocalCtx;
     auto Prog2 = frontend(PartitionSource, Diags);
     auto PS = parsePredicateFile(LocalCtx, PartitionPreds, Diags);
-    auto BP = abstractProgram(*Prog2, *PS, LocalCtx, Diags);
+    auto BP = abstractProgram(*Prog2, *PS, LocalCtx);
     return BP->str();
   };
   EXPECT_EQ(Once(), Once());

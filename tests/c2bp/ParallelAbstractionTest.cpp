@@ -45,7 +45,7 @@ RunResult abstractWith(const std::string &Source, const std::string &PredText,
   Options.NumWorkers = Workers;
   Options.Cubes.MaxCubeLength = MaxCubeLength;
   StatsRegistry Stats;
-  auto BP = abstractProgram(*P, *PS, Ctx, Diags, Options, &Stats);
+  auto BP = abstractProgram(*P, *PS, Ctx, Options, &Stats);
   EXPECT_TRUE(BP != nullptr) << Diags.str();
   if (!BP)
     return R;

@@ -295,7 +295,7 @@ partition:
   logic::LogicContext Ctx;
   auto Preds = c2bp::parsePredicateFile(Ctx, PredText, Diags);
   ASSERT_TRUE(Preds.has_value());
-  auto BP = c2bp::abstractProgram(*P, *Preds, Ctx, Diags);
+  auto BP = c2bp::abstractProgram(*P, *Preds, Ctx);
   ASSERT_TRUE(BP != nullptr);
 
   // A random list per seed.
@@ -436,7 +436,7 @@ TEST_P(RandomSoundness, TransfersSimulateConcreteRuns) {
   ASSERT_TRUE(Preds.has_value()) << PredText;
   c2bp::C2bpOptions Options;
   Options.Cubes.MaxCubeLength = 3;
-  auto BP = c2bp::abstractProgram(*P, *Preds, Ctx, Diags, Options);
+  auto BP = c2bp::abstractProgram(*P, *Preds, Ctx, Options);
   ASSERT_TRUE(BP != nullptr);
 
   // Three concrete runs per program with different inputs.

@@ -45,8 +45,7 @@ RunOutcome runWorkload(const Workload &W, logic::LogicContext &Ctx,
   StatsRegistry Stats;
   c2bp::C2bpOptions Options;
   Options.Cubes.MaxCubeLength = MaxCubeLength;
-  Out.BP =
-      c2bp::abstractProgram(*Out.Prog, *PS, Ctx, Diags, Options, &Stats);
+  Out.BP = c2bp::abstractProgram(*Out.Prog, *PS, Ctx, Options, &Stats);
   EXPECT_TRUE(Out.BP != nullptr) << W.Name;
   bebop::Bebop Checker(*Out.BP);
   auto R = Checker.run(W.Entry);
@@ -129,7 +128,7 @@ TEST(Table2, BooleanProgramsMatchGoldenFiles) {
       c2bp::C2bpOptions Options;
       Options.Cubes.MaxCubeLength = 3;
       Options.NumWorkers = Workers;
-      auto BP = c2bp::abstractProgram(*Prog, *PS, Ctx, Diags, Options);
+      auto BP = c2bp::abstractProgram(*Prog, *PS, Ctx, Options);
       ASSERT_TRUE(BP != nullptr) << W->Name;
       EXPECT_EQ(BP->str(), Golden.str()) << W->Name << " at -j " << Workers;
     }

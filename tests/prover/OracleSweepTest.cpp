@@ -163,11 +163,13 @@ TEST_P(ProverOracleSweep, AgreesWithEnumeration) {
       continue;
     bool HasModel = Phi->isTrue() || (!Phi->isFalse() && gridSat(Phi, 8));
     Satisfiability S = P.checkSat(Phi);
-    if (HasModel)
+    if (HasModel) {
       EXPECT_NE(S, Satisfiability::Unsat)
           << Phi->str() << " has a model on the grid";
-    if (S == Satisfiability::Unsat)
+    }
+    if (S == Satisfiability::Unsat) {
       EXPECT_FALSE(HasModel) << Phi->str();
+    }
 
     // Validity of an implication between two random formulas.
     ExprRef Psi = randomFormula(Ctx, R, 2);

@@ -26,7 +26,7 @@ protected:
     auto PS = c2bp::parsePredicateFile(Ctx, PredText, Diags);
     EXPECT_TRUE(PS.has_value()) << Diags.str();
     Preds = *PS;
-    auto BP = c2bp::abstractProgram(*Prog, Preds, Ctx, Diags);
+    auto BP = c2bp::abstractProgram(*Prog, Preds, Ctx);
     EXPECT_TRUE(BP != nullptr);
     bebop::Bebop Checker(*BP);
     auto R = Checker.run("main");

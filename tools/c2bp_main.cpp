@@ -71,13 +71,8 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  auto BP = c2bp::abstractProgram(*Program, *Preds, Ctx, Diags,
-                                  PA.Options.C2bp, &Stats);
-  if (!BP) {
-    std::fprintf(stderr, "%s", Diags.str().c_str());
-    Obs.finish("c2bp", Stats);
-    return 1;
-  }
+  auto BP = c2bp::abstractProgram(*Program, *Preds, Ctx, PA.Options.C2bp,
+                                  &Stats);
   std::printf("%s", BP->str().c_str());
   // stdout carries the boolean program, so the report goes to stderr.
   if (Obs.wantReport())
