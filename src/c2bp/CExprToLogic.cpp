@@ -14,88 +14,146 @@ using namespace slam::cfront;
 using logic::ExprRef;
 using logic::LogicContext;
 
-ExprRef c2bp::toLogic(LogicContext &Ctx, const Expr &E) {
-  switch (E.Kind) {
-  case CExprKind::IntLit:
-    return Ctx.intLit(E.IntValue);
-  case CExprKind::NullLit:
-    return Ctx.nullLit();
-  case CExprKind::VarRef:
-    // Predicates are not name-resolved, and in them `true` and `false`
-    // are the boolean literals (cfront lexes them as identifiers).
-    if (!E.Var && (E.Name == "true" || E.Name == "false"))
-      return Ctx.boolLit(E.Name == "true");
-    return Ctx.var(E.Name);
-  case CExprKind::Unary:
-    switch (E.UOp) {
-    case UnaryOp::Deref:
-      return Ctx.deref(toLogic(Ctx, *E.Ops[0]));
-    case UnaryOp::AddrOf:
-      return Ctx.addrOf(toLogic(Ctx, *E.Ops[0]));
-    case UnaryOp::Neg:
-      return Ctx.neg(toLogic(Ctx, *E.Ops[0]));
-    case UnaryOp::Not:
-      return Ctx.notE(conditionToLogic(Ctx, *E.Ops[0]));
+namespace {
+
+/// Predicates are not name-resolved, and in them `true` and `false` are
+/// the boolean literals (cfront lexes them as identifiers).
+bool isBoolLiteral(const Expr &E) {
+  return E.Kind == CExprKind::VarRef && !E.Var &&
+         (E.Name == "true" || E.Name == "false");
+}
+
+/// One translation, reading the locations it names through a reader.
+struct Translator {
+  LogicContext &Ctx;
+  LocationReader &Reader;
+
+  ExprRef value(const Expr &E) {
+    switch (E.Kind) {
+    case CExprKind::IntLit:
+      return Ctx.intLit(E.IntValue);
+    case CExprKind::NullLit:
+      return Ctx.nullLit();
+    case CExprKind::VarRef:
+      if (isBoolLiteral(E))
+        return Ctx.boolLit(E.Name == "true");
+      return Reader.read(location(E));
+    case CExprKind::Member:
+    case CExprKind::Index:
+      return Reader.read(location(E));
+    case CExprKind::Unary:
+      switch (E.UOp) {
+      case UnaryOp::Deref:
+        return Reader.read(location(E));
+      case UnaryOp::AddrOf:
+        return Ctx.addrOf(location(*E.Ops[0]));
+      case UnaryOp::Neg:
+        return Ctx.neg(value(*E.Ops[0]));
+      case UnaryOp::Not:
+        return Ctx.notE(condition(*E.Ops[0]));
+      }
+      break;
+    case CExprKind::Binary: {
+      if (E.BOp == BinaryOp::LAnd || E.BOp == BinaryOp::LOr) {
+        ExprRef L = condition(*E.Ops[0]);
+        ExprRef R = condition(*E.Ops[1]);
+        return E.BOp == BinaryOp::LAnd ? Ctx.andE(L, R) : Ctx.orE(L, R);
+      }
+      ExprRef L = value(*E.Ops[0]);
+      ExprRef R = value(*E.Ops[1]);
+      switch (E.BOp) {
+      case BinaryOp::Add:
+        return Ctx.add(L, R);
+      case BinaryOp::Sub:
+        return Ctx.sub(L, R);
+      case BinaryOp::Mul:
+        return Ctx.mul(L, R);
+      case BinaryOp::Div:
+        return Ctx.div(L, R);
+      case BinaryOp::Mod:
+        return Ctx.mod(L, R);
+      case BinaryOp::Eq:
+        return Ctx.eq(L, R);
+      case BinaryOp::Ne:
+        return Ctx.ne(L, R);
+      case BinaryOp::Lt:
+        return Ctx.lt(L, R);
+      case BinaryOp::Le:
+        return Ctx.le(L, R);
+      case BinaryOp::Gt:
+        return Ctx.gt(L, R);
+      case BinaryOp::Ge:
+        return Ctx.ge(L, R);
+      default:
+        break;
+      }
+      break;
     }
-    break;
-  case CExprKind::Binary: {
-    if (E.BOp == BinaryOp::LAnd)
-      return Ctx.andE(conditionToLogic(Ctx, *E.Ops[0]),
-                      conditionToLogic(Ctx, *E.Ops[1]));
-    if (E.BOp == BinaryOp::LOr)
-      return Ctx.orE(conditionToLogic(Ctx, *E.Ops[0]),
-                     conditionToLogic(Ctx, *E.Ops[1]));
-    ExprRef L = toLogic(Ctx, *E.Ops[0]);
-    ExprRef R = toLogic(Ctx, *E.Ops[1]);
-    switch (E.BOp) {
-    case BinaryOp::Add:
-      return Ctx.add(L, R);
-    case BinaryOp::Sub:
-      return Ctx.sub(L, R);
-    case BinaryOp::Mul:
-      return Ctx.mul(L, R);
-    case BinaryOp::Div:
-      return Ctx.div(L, R);
-    case BinaryOp::Mod:
-      return Ctx.mod(L, R);
-    case BinaryOp::Eq:
-      return Ctx.eq(L, R);
-    case BinaryOp::Ne:
-      return Ctx.ne(L, R);
-    case BinaryOp::Lt:
-      return Ctx.lt(L, R);
-    case BinaryOp::Le:
-      return Ctx.le(L, R);
-    case BinaryOp::Gt:
-      return Ctx.gt(L, R);
-    case BinaryOp::Ge:
-      return Ctx.ge(L, R);
+    case CExprKind::Call:
+      assert(false && "calls must be hoisted before abstraction");
+      break;
+    }
+    return Ctx.intLit(0);
+  }
+
+  ExprRef location(const Expr &E) {
+    switch (E.Kind) {
+    case CExprKind::VarRef:
+      return Reader.varLocation(Ctx, E);
+    case CExprKind::Unary:
+      if (E.UOp != UnaryOp::Deref)
+        break;
+      return Ctx.deref(value(*E.Ops[0]));
+    case CExprKind::Member: {
+      ExprRef Base = E.IsArrow ? Ctx.deref(value(*E.Ops[0]))
+                               : location(*E.Ops[0]);
+      return Ctx.field(Base, E.FieldName);
+    }
+    case CExprKind::Index: {
+      // An array is its own base; a pointer's value is.
+      const Expr &Base = *E.Ops[0];
+      ExprRef B = Base.Ty && Base.Ty->isArray() ? location(Base) : value(Base);
+      return Ctx.index(B, value(*E.Ops[1]));
+    }
     default:
       break;
     }
-    break;
+    // Not a location (only a malformed predicate gets here): as written.
+    return value(E);
   }
-  case CExprKind::Member: {
-    ExprRef Base = toLogic(Ctx, *E.Ops[0]);
-    if (E.IsArrow)
-      Base = Ctx.deref(Base);
-    return Ctx.field(Base, E.FieldName);
+
+  ExprRef condition(const Expr &E) {
+    bool Boolean =
+        isBoolLiteral(E) ||
+        (E.Kind == CExprKind::Unary && E.UOp == UnaryOp::Not) ||
+        (E.Kind == CExprKind::Binary &&
+         (E.BOp == BinaryOp::LAnd || E.BOp == BinaryOp::LOr ||
+          isComparisonOp(E.BOp)));
+    ExprRef V = value(E);
+    return Boolean ? V : Ctx.ne(V, Ctx.intLit(0));
   }
-  case CExprKind::Index:
-    return Ctx.index(toLogic(Ctx, *E.Ops[0]), toLogic(Ctx, *E.Ops[1]));
-  case CExprKind::Call:
-    assert(false && "calls must be hoisted before abstraction");
-    break;
-  }
-  return Ctx.intLit(0);
+};
+
+} // namespace
+
+LocationReader &c2bp::programForm() {
+  static LocationReader Reader; // Stateless, so threads may share it.
+  return Reader;
 }
 
-ExprRef c2bp::conditionToLogic(LogicContext &Ctx, const Expr &E) {
-  ExprRef L = toLogic(Ctx, E);
-  if (L->isFormula())
-    return L;
-  // Residual scalar (should not occur post-normalization): e != 0.
-  return Ctx.ne(L, Ctx.intLit(0));
+ExprRef c2bp::toLogic(LogicContext &Ctx, const Expr &E,
+                      LocationReader &Reader) {
+  return Translator{Ctx, Reader}.value(E);
+}
+
+ExprRef c2bp::locationToLogic(LogicContext &Ctx, const Expr &E,
+                              LocationReader &Reader) {
+  return Translator{Ctx, Reader}.location(E);
+}
+
+ExprRef c2bp::conditionToLogic(LogicContext &Ctx, const Expr &E,
+                               LocationReader &Reader) {
+  return Translator{Ctx, Reader}.condition(E);
 }
 
 /// True if \p E is in the predicate language: no calls, and & only of
