@@ -562,11 +562,11 @@ struct Bebop::Impl {
 
   void pushStep(std::vector<TraceStep> &Steps, int ProcIdx, int NodeId) {
     const CfgNode &N = Procs[ProcIdx].Cfg->node(NodeId);
-    // Entry and exit are no statements. Skips are kept when they
-    // originate from a real C statement (the abstraction may have erased
-    // its effect on the predicates, but Newton's concrete replay still
-    // needs it).
-    if (N.Op == NodeOp::Entry || N.Op == NodeOp::Exit ||
+    // Entry is no statement; an exit step is pushed only where a callee
+    // returns. Skips are kept when they originate from a real C statement
+    // (the abstraction may have erased its effect on the predicates, but
+    // Newton's concrete replay still needs it).
+    if (N.Op == NodeOp::Entry ||
         (N.Op == NodeOp::Skip && (!N.Stmt || N.Stmt->OriginId < 0)))
       return;
     Steps.push_back({Procs[ProcIdx].Proc->Name, N.Stmt, N.Op,
@@ -646,6 +646,8 @@ struct Bebop::Impl {
         if (ExitTarget != BddManager::False) {
           ProcTrace Sub = traceWithin(CalleeIdx, Callee.Cfg->exit(),
                                       ExitTarget, R0);
+          // The exit step marks the return, `return` statement or not.
+          pushStep(Rev, CalleeIdx, Callee.Cfg->exit());
           for (auto It = Sub.Steps.rbegin(); It != Sub.Steps.rend(); ++It)
             Rev.push_back(*It);
         }

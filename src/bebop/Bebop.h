@@ -41,10 +41,11 @@
 namespace slam {
 namespace bebop {
 
-/// One step of a counterexample trace: a statement of some procedure.
+/// One step of a counterexample trace: a statement of some procedure,
+/// or the exit through which a called procedure returns.
 struct TraceStep {
   std::string ProcName;
-  const bp::BStmt *Stmt; ///< May be null for entry/exit steps.
+  const bp::BStmt *Stmt; ///< Null for a callee's exit step.
   NodeOp Op;
   /// Originating C statement id (from BStmt::OriginId), or -1.
   int OriginId = -1;

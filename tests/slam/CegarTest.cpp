@@ -2,6 +2,8 @@
 
 #include "slam/Cegar.h"
 
+#include "cfront/Normalize.h"
+
 #include <gtest/gtest.h>
 
 using namespace slam;
@@ -19,6 +21,15 @@ protected:
     auto R = checkSafety(Source, Spec, Ctx, Diags, {}, &Stats);
     EXPECT_TRUE(R.has_value()) << Diags.str();
     return R.value_or(SlamResult{});
+  }
+
+  /// Checks the program's own asserts, with no property woven in (the
+  /// slam tool without --lock or --irp).
+  SlamResult checkAsserts(const std::string &Source) {
+    DiagnosticEngine Diags;
+    auto P = cfront::frontend(Source, Diags);
+    EXPECT_TRUE(P != nullptr) << Diags.str();
+    return P ? checkProgram(*P, {}, Ctx, {}, &Stats) : SlamResult{};
   }
 
   logic::LogicContext Ctx;
@@ -213,6 +224,46 @@ TEST_F(CegarTest, HelperProceduresAreSummarized) {
     }
   )");
   EXPECT_EQ(R.V, SlamResult::Verdict::Validated);
+}
+
+TEST_F(CegarTest, VoidCalleeWithoutReturnKeepsCallerFrame) {
+  // f has no return statement, so only the callee's exit step marks
+  // where main resumes; x must still read 3 there.
+  auto R = checkAsserts(R"(
+    int g;
+    void f(int n) {
+      if (n > 0) {
+        g = g + 1;
+        f(n - 1);
+      }
+    }
+    void main() {
+      int x;
+      x = 3;
+      f(1);
+      assert(x == 3);
+    }
+  )");
+  EXPECT_EQ(R.V, SlamResult::Verdict::Validated);
+}
+
+TEST_F(CegarTest, HeapWriteInVoidCalleeIsNoBug) {
+  // set stores 5 through its parameter and returns off its end; the
+  // caller reads the same cell back, so the assert cannot fail.
+  auto R = checkAsserts(R"(
+    struct node { int val; struct node *next; };
+    struct node *head;
+    void set(struct node *q, int v) { q->val = v; }
+    void main() {
+      struct node *p;
+      int x;
+      p = head;
+      set(p, 5);
+      x = p->val;
+      assert(x >= 5);
+    }
+  )");
+  EXPECT_NE(R.V, SlamResult::Verdict::BugFound);
 }
 
 TEST_F(CegarTest, StatsRecordIterations) {

@@ -61,7 +61,7 @@ int main(int argc, char **argv) {
       for (const auto &Step : R.Trace)
         std::printf("  [%s] %s", Step.ProcName.c_str(),
                     Step.Stmt ? bp::printBStmt(*Step.Stmt).c_str()
-                              : "<entry>\n");
+                              : "<exit>\n");
     }
   }
   if (!Options.InvariantProc.empty())

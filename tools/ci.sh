@@ -145,6 +145,7 @@ for_each_example_case() {
     --lock AcquireLock,ReleaseLock
   "$1" slam-irp slam "$EX/irp.c" --irp CompleteRequest,MarkPending
   "$1" slam-dispatch slam "$EX/dispatch.c" --lock AcquireLock,ReleaseLock
+  "$1" slam-void_callee slam "$EX/void_callee.c"
 }
 
 run_determinism() {
