@@ -107,6 +107,16 @@ Stmt *transitionChain(Program &P, const SafetySpec &Spec,
 
 } // namespace
 
+FuncDecl *slamtool::findEntry(const Program &P, const std::string &Name,
+                              DiagnosticEngine &Diags) {
+  FuncDecl *Entry = P.findFunction(Name);
+  if (Entry && Entry->Body)
+    return Entry;
+  Diags.error(SourceLoc(),
+              "entry procedure '" + Name + "' not found or extern");
+  return nullptr;
+}
+
 bool slamtool::instrument(Program &P, const SafetySpec &Spec,
                           const std::string &EntryProc,
                           DiagnosticEngine &Diags) {
@@ -116,12 +126,9 @@ bool slamtool::instrument(Program &P, const SafetySpec &Spec,
                                   VarDecl::Scope::Global, SourceLoc()));
 
   // Reset at the entry.
-  FuncDecl *Entry = P.findFunction(EntryProc);
-  if (!Entry || !Entry->Body) {
-    Diags.error(SourceLoc(), "entry procedure '" + EntryProc +
-                                 "' not found or extern");
+  FuncDecl *Entry = findEntry(P, EntryProc, Diags);
+  if (!Entry)
     return false;
-  }
   Entry->Body->Stmts.insert(Entry->Body->Stmts.begin(),
                             assignState(P, 0));
 

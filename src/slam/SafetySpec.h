@@ -54,6 +54,11 @@ struct SafetySpec {
                                   const std::string &MarkPendingFn);
 };
 
+/// The procedure \p Name of \p P with a body, where a SLAM run starts;
+/// nullptr after reporting to \p Diags if there is none.
+cfront::FuncDecl *findEntry(const cfront::Program &P, const std::string &Name,
+                            DiagnosticEngine &Diags);
+
 /// Weaves \p Spec into \p P: declares the global `__state`, resets it at
 /// the top of \p EntryProc, and prepends transition code to each
 /// monitored function (externs receive a body). Re-runs Sema; returns

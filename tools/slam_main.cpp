@@ -57,7 +57,7 @@ int main(int argc, char **argv) {
                               &Stats);
   } else {
     auto P = cfront::frontend(Source, Diags);
-    if (P)
+    if (P && slamtool::findEntry(*P, PA.Options.Cegar.EntryProc, Diags))
       R = slamtool::checkProgram(*P, {}, Ctx(), PA.Options, &Stats);
   }
   if (!R) {
