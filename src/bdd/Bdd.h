@@ -10,9 +10,9 @@
 /// are interned in an open-addressing unique table (so BDD equality is
 /// integer equality); the boolean connectives are memoized apply
 /// operators with per-operation bounded caches, and the
-/// quantification/rename operations Bebop needs (exists/forall over a
-/// variable set, the fused relational product andExists, and
-/// order-preserving renaming between variable rails) are provided.
+/// quantification/rename operations Bebop needs (exists over a variable
+/// set, the fused relational product andExists, and order-preserving
+/// renaming between variable rails) are provided.
 ///
 /// Engine policy:
 ///  - Nodes are never garbage collected: they live for the manager's
@@ -70,17 +70,10 @@ public:
   Node mkXor(Node A, Node B);
   Node mkNot(Node A) { return mkIte(A, False, True); }
   Node mkXnor(Node A, Node B) { return mkIte(A, B, mkNot(B)); }
-  Node mkImplies(Node A, Node B) { return mkIte(A, B, True); }
 
-  // -- Cofactors and quantification -----------------------------------------
-  /// F with Var fixed to Value.
-  Node restrict(Node F, int Var, bool Value);
-
+  // -- Quantification -------------------------------------------------------
   /// Existential quantification over each variable in \p Vars.
   Node exists(Node F, const std::vector<int> &Vars);
-
-  /// Universal quantification.
-  Node forall(Node F, const std::vector<int> &Vars);
 
   /// The fused relational product exists(Vars, F & G), computed in one
   /// traversal with its own memo instead of materializing the
@@ -98,29 +91,14 @@ public:
   Node rename(Node F, const std::map<int, int> &VarMap);
 
   // -- Queries --------------------------------------------------------------
-  bool isSat(Node F) const { return F != False; }
-  bool isTautology(Node F) const { return F == True; }
-
-  /// Number of satisfying assignments over \p OverVars variables.
-  double satCount(Node F, int OverVars);
-
   /// Enumerates the cubes (paths to True): each cube maps a subset of
   /// variables to values; unmentioned variables are don't-cares.
   void forEachCube(Node F,
                    const std::function<void(const std::map<int, bool> &)>
                        &Callback);
 
-  /// One satisfying cube (smallest-level greedy), or empty if F = false.
-  std::map<int, bool> anySat(Node F);
-
-  /// Builds the conjunction of literals.
-  Node cube(const std::vector<std::pair<int, bool>> &Literals);
-
   /// Evaluates F under a total assignment (missing vars read false).
   bool eval(Node F, const std::map<int, bool> &Assignment) const;
-
-  /// Structural node count of one BDD (distinct reachable nodes).
-  size_t nodeCount(Node F) const;
 
   /// Publishes node and cache counters (lookups/hits/capacity per
   /// operation) into \p Stats under \p Prefix, e.g. "bebop.bdd.".
@@ -185,7 +163,7 @@ private:
     return static_cast<size_t>(Var) < Mask.size() && Mask[Var];
   }
 
-  Node quantify(Node F, int CubeId, bool Exist);
+  Node quantify(Node F, int CubeId);
   Node andExistsRec(Node F, Node G, int CubeId);
 
   std::vector<NodeData> Nodes;
@@ -199,9 +177,8 @@ private:
 
   Cache3 IteCache;
   Cache2 AndCache, OrCache, XorCache;
-  Cache2 ExistsCache, ForallCache;
+  Cache2 ExistsCache;
   Cache3 AndExistsCache; // (F, G, cube id).
-  Cache2 RestrictCache;  // (F, 2*Var + Value).
   Cache2 RenameCache;    // (F, rename id).
 
   /// Latency of each top-level andExists call (the hot operator of
@@ -233,7 +210,7 @@ private:
   };
   std::vector<IteFrame> IteStack;
   std::vector<BinFrame> BinStack, AndExStack;
-  std::vector<UnFrame> QuantStack, RestrictStack, RenameStack;
+  std::vector<UnFrame> QuantStack, RenameStack;
 };
 
 } // namespace bdd

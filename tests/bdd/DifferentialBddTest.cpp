@@ -6,9 +6,9 @@
 //
 // Differential test for the BDD engine: random formulas over 8 variables
 // are built twice — once as BDDs, once as 256-bit truth tables — and
-// every operator (mkIte, mkAnd/mkOr/mkXor, restrict, exists, forall,
-// andExists, satCount, eval) is checked against the brute-force oracle
-// on every step. Hash-consing makes BDD equality integer equality, so a
+// every operator (mkIte, mkAnd/mkOr/mkXor, exists, andExists) is
+// checked against the brute-force oracle, by eval over every
+// assignment, on every step. Hash-consing makes BDD equality integer equality, so a
 // single wrong cache hit or a broken canonicalization rule shows up as
 // a truth-table mismatch.
 //
@@ -98,20 +98,6 @@ struct Table {
       T = T.restrict(V, false) | T.restrict(V, true);
     return T;
   }
-
-  Table forall(const std::vector<int> &Vars) const {
-    Table T = *this;
-    for (int V : Vars)
-      T = T.restrict(V, false) & T.restrict(V, true);
-    return T;
-  }
-
-  int popCount() const {
-    int N = 0;
-    for (int I = 0; I != NumAssignments; ++I)
-      N += get(I);
-    return N;
-  }
 };
 
 std::map<int, bool> assignmentOf(int I) {
@@ -127,8 +113,6 @@ void expectMatch(BddManager &M, Node F, const Table &T,
   for (int I = 0; I != NumAssignments; ++I)
     ASSERT_EQ(M.eval(F, assignmentOf(I)), T.get(I))
         << What << " differs at assignment " << I;
-  EXPECT_DOUBLE_EQ(M.satCount(F, NumVars), double(T.popCount()))
-      << What << " satCount mismatch";
 }
 
 TEST(DifferentialBdd, RandomFormulasMatchTruthTables) {
@@ -164,7 +148,7 @@ TEST(DifferentialBdd, RandomFormulasMatchTruthTables) {
     Node R = BddManager::False;
     Table T;
     const char *What = "";
-    switch (Rand(9)) {
+    switch (Rand(7)) {
     case 0:
       R = M.mkIte(FA, FB, FC);
       T = Table::ite(TA, TB, TC);
@@ -191,28 +175,13 @@ TEST(DifferentialBdd, RandomFormulasMatchTruthTables) {
       What = "mkNot";
       break;
     case 5: {
-      int Var = Rand(NumVars);
-      bool Value = Rand(2);
-      R = M.restrict(FA, Var, Value);
-      T = TA.restrict(Var, Value);
-      What = "restrict";
-      break;
-    }
-    case 6: {
       std::vector<int> Vars = randVarSet();
       R = M.exists(FA, Vars);
       T = TA.exists(Vars);
       What = "exists";
       break;
     }
-    case 7: {
-      std::vector<int> Vars = randVarSet();
-      R = M.forall(FA, Vars);
-      T = TA.forall(Vars);
-      What = "forall";
-      break;
-    }
-    case 8: {
+    case 6: {
       std::vector<int> Vars = randVarSet();
       R = M.andExists(FA, FB, Vars);
       T = (TA & TB).exists(Vars);
