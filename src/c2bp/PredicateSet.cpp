@@ -87,5 +87,13 @@ c2bp::parsePredicateFile(logic::LogicContext &Ctx, std::string_view Text,
         Out.addLocal(Scope, E);
     }
   }
+  // A local copy's formal would shadow the global predicate variable.
+  for (const auto &[Proc, Preds] : Out.PerProc)
+    for (ExprRef E : Preds)
+      if (std::ranges::find(Out.Globals, E) != Out.Globals.end()) {
+        Diags.error(SourceLoc(), "predicate '" + E->str() + "' of '" + Proc +
+                                     "' is already global");
+        return std::nullopt;
+      }
   return Out;
 }

@@ -46,7 +46,7 @@ ExprKind logic::negateCmp(ExprKind Kind) {
   }
 }
 
-size_t LogicContext::KeyHash::operator()(const Key &K) const {
+size_t LogicContext::hash(const Key &K) {
   size_t H = std::hash<int>()(static_cast<int>(K.Kind));
   auto Mix = [&H](size_t V) {
     H ^= V + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
@@ -55,30 +55,58 @@ size_t LogicContext::KeyHash::operator()(const Key &K) const {
   Mix(std::hash<std::string_view>()(K.Name));
   for (ExprRef Op : K.Ops)
     Mix(std::hash<unsigned>()(Op->id()));
-  return H;
+  // Spread the high bits into the low ones the table's mask keeps.
+  H *= 0x9e3779b97f4a7c15ULL;
+  return H ^ (H >> 32);
 }
 
-LogicContext::LogicContext() {
+ExprRef LogicContext::Table::find(const Key &K, size_t Hash) const {
+  for (size_t I = Hash & Mask;; I = (I + 1) & Mask) {
+    ExprRef E = Slots[I].load(std::memory_order_acquire);
+    if (!E || keyOf(E) == K)
+      return E;
+  }
+}
+
+void LogicContext::Table::insert(ExprRef E, size_t Hash) {
+  size_t I = Hash & Mask;
+  while (Slots[I].load(std::memory_order_relaxed))
+    I = (I + 1) & Mask;
+  Slots[I].store(E, std::memory_order_release);
+}
+
+LogicContext::LogicContext() : Published(&Tables.emplace_back(1024)) {
   False = make(ExprKind::BoolLit, 0, "", {});
   True = make(ExprKind::BoolLit, 1, "", {});
 }
 
 ExprRef LogicContext::make(ExprKind Kind, int64_t IntValue, std::string Name,
                            std::vector<ExprRef> Ops) {
-  // The sole interning funnel, and with it the context's entire mutable
-  // state; holding the mutex here makes concurrent expression building
-  // safe (nodes are immutable once the pointer escapes the lock).
+  // The sole interning funnel. A hit takes no lock: a published slot
+  // holds an immutable node forever, and a retired table stays alive,
+  // so a reader racing a growth either finds its node there or falls
+  // through to the locked path, which re-probes the current table.
+  Key K{Kind, IntValue, Name, Ops};
+  size_t H = hash(K);
+  if (ExprRef E = Published.load(std::memory_order_acquire)->find(K, H))
+    return E;
   std::lock_guard<std::mutex> L(InternM);
-  auto It = Interned.find(Key{Kind, IntValue, Name, Ops});
-  if (It != Interned.end())
-    return It->second;
+  Table *T = &Tables.back();
+  if (ExprRef E = T->find(K, H))
+    return E;
+  if (2 * (Nodes.size() + 1) > T->Mask + 1) {
+    T = &Tables.emplace_back(2 * (T->Mask + 1));
+    for (const Expr &N : Nodes)
+      T->insert(&N, hash(keyOf(&N)));
+    Published.store(T, std::memory_order_release);
+  }
   unsigned Size = 1;
   for (ExprRef Op : Ops)
     Size += Op->size();
   Nodes.emplace_back(Expr(Kind, IntValue, std::move(Name), std::move(Ops),
                           static_cast<unsigned>(Nodes.size()), Size));
   ExprRef E = &Nodes.back();
-  Interned.emplace(Key{Kind, IntValue, E->Name, E->Ops}, E);
+  T->insert(E, H);
   return E;
 }
 

@@ -20,14 +20,15 @@
 #define LOGIC_EXPR_H
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace slam {
@@ -167,12 +168,14 @@ private:
 /// negation, pushing ! through comparisons) so that the weakest
 /// precondition computation produces formulas of manageable size.
 ///
-/// Construction is thread-safe: the single interning funnel (make())
-/// takes a mutex, and nodes are immutable once published, so the
-/// parallel abstraction workers may build expressions concurrently.
-/// Node ids then depend on thread interleaving, which is why nothing
-/// downstream may let ids (or pointers) influence *output* — only
-/// per-run cache keys and orderings.
+/// Construction is thread-safe, so the parallel abstraction workers may
+/// build expressions concurrently. The single interning funnel (make())
+/// finds an existing node without locking, in a table whose slots are
+/// published once; only a miss takes the mutex to create the node.
+/// Nodes are immutable once published. Node ids are assigned in
+/// creation order under the mutex, so they depend on thread
+/// interleaving, which is why nothing downstream may let ids (or
+/// pointers) influence *output* — only per-run cache keys and orderings.
 class LogicContext {
 public:
   LogicContext();
@@ -220,8 +223,8 @@ private:
   ExprRef make(ExprKind Kind, int64_t IntValue, std::string Name,
                std::vector<ExprRef> Ops);
 
-  /// Views a name and operands: a lookup copies nothing, and a stored
-  /// key views its own node's (deque nodes never move).
+  /// Views a name and operands, so a probe compares a key against a
+  /// node's own fields.
   struct Key {
     ExprKind Kind;
     int64_t IntValue;
@@ -232,13 +235,32 @@ private:
              std::ranges::equal(Ops, O.Ops);
     }
   };
-  struct KeyHash {
-    size_t operator()(const Key &K) const;
+  static Key keyOf(ExprRef E) {
+    return {E->Kind, E->IntValue, E->Name, E->Ops};
+  }
+  static size_t hash(const Key &K);
+
+  /// An open-addressing table of interned nodes, at most half full. A
+  /// slot changes once, from null to a node.
+  struct Table {
+    explicit Table(size_t Capacity)
+        : Mask(Capacity - 1),
+          Slots(std::make_unique<std::atomic<ExprRef>[]>(Capacity)) {}
+    /// The node equal to \p K, or null at the first empty slot.
+    ExprRef find(const Key &K, size_t Hash) const;
+    /// Stores \p E in the first empty slot; only under InternM.
+    void insert(ExprRef E, size_t Hash);
+
+    size_t Mask;
+    std::unique_ptr<std::atomic<ExprRef>[]> Slots;
   };
 
-  mutable std::mutex InternM;
+  mutable std::mutex InternM; ///< Held to create a node or grow the table.
   std::deque<Expr> Nodes;
-  std::unordered_map<Key, ExprRef, KeyHash> Interned;
+  /// Every table built, the current one last. Retired tables live as
+  /// long as the context, for readers still probing them.
+  std::deque<Table> Tables;
+  std::atomic<const Table *> Published;
   ExprRef True = nullptr;
   ExprRef False = nullptr;
 };

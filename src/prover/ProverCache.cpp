@@ -98,11 +98,3 @@ void SharedProverCache::Reservation::abandon() {
     C->abandonImpl(Phi);
 }
 
-size_t SharedProverCache::size() const {
-  size_t N = 0;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> L(S.M);
-    N += S.Map.size();
-  }
-  return N;
-}

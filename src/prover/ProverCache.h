@@ -113,9 +113,6 @@ public:
   /// publishes through; all other outcomes carry the answer.
   Lookup lookupOrReserve(logic::ExprRef Phi);
 
-  /// Entries resident across all shards (for reporting).
-  size_t size() const;
-
 private:
   enum class SlotState : uint8_t { Empty, InFlight, Done };
 
@@ -128,7 +125,7 @@ private:
   };
 
   struct Shard {
-    mutable std::mutex M;
+    std::mutex M;
     std::condition_variable Cv;
     std::unordered_map<logic::ExprRef, Entry> Map;
   };

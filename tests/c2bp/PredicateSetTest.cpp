@@ -77,6 +77,16 @@ TEST_F(PredicateSetTest, Errors) {
               std::string::npos)
         << Diags.str();
   }
+  // A predicate both global and local, in either order of the scopes.
+  for (const char *Text : {"global:\n x == 1\nmain:\n x == 1\n",
+                           "main:\n x == 1\nglobal:\n x == 1\n"}) {
+    Diags.clear();
+    EXPECT_FALSE(parsePredicateFile(Ctx, Text, Diags).has_value()) << Text;
+    EXPECT_NE(
+        Diags.str().find("predicate 'x == 1' of 'main' is already global"),
+        std::string::npos)
+        << Diags.str();
+  }
 }
 
 } // namespace

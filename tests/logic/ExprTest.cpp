@@ -1,10 +1,12 @@
 //===- ExprTest.cpp - Interning and smart-constructor laws ----------------===//
 
 #include "logic/Expr.h"
+#include "support/ParallelFor.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <numeric>
 
 using namespace slam::logic;
 
@@ -147,6 +149,43 @@ TEST_F(ExprTest, SizeCountsNodes) {
   EXPECT_EQ(Ctx.add(Ctx.var("x"), Ctx.intLit(1))->size(), 3u);
   // p->val is Field(Deref(Var)) = 3 nodes.
   EXPECT_EQ(Ctx.field(Ctx.deref(Ctx.var("p")), "val")->size(), 3u);
+}
+
+TEST_F(ExprTest, ConcurrentInterningGivesOneNodePerStructure) {
+  // v<i % 64> < i for i < N: 64 variables, N literals and N comparisons,
+  // enough to grow the table several times while four workers race.
+  constexpr size_t N = 10000, NumWorkers = 4;
+  auto Build = [&](size_t I) {
+    return Ctx.lt(Ctx.var("v" + std::to_string(I % 64)),
+                  Ctx.intLit(static_cast<int64_t>(I)));
+  };
+  size_t Before = Ctx.numNodes();
+  std::vector<std::vector<ExprRef>> Got(NumWorkers,
+                                        std::vector<ExprRef>(N));
+  // Each worker starts at a different offset, so every node is raced for.
+  slam::parallelFor(NumWorkers, NumWorkers, [&](unsigned, size_t W) {
+    for (size_t K = 0; K < N; ++K) {
+      size_t I = (W * N / NumWorkers + K) % N;
+      Got[W][I] = Build(I);
+    }
+  });
+  for (size_t W = 1; W < NumWorkers; ++W)
+    EXPECT_EQ(Got[W], Got[0]) << "worker " << W;
+  ASSERT_EQ(Ctx.numNodes() - Before, 64 + 2 * N);
+
+  std::vector<unsigned> Ids = {Ctx.trueE()->id(), Ctx.falseE()->id()};
+  std::vector<ExprRef> Vars(64);
+  for (size_t I = 0; I < N; ++I) {
+    Ids.push_back(Got[0][I]->id());
+    Ids.push_back(Got[0][I]->op(1)->id());
+    Vars[I % 64] = Got[0][I]->op(0);
+  }
+  for (ExprRef V : Vars)
+    Ids.push_back(V->id());
+  std::sort(Ids.begin(), Ids.end());
+  std::vector<unsigned> Expected(Ctx.numNodes());
+  std::iota(Expected.begin(), Expected.end(), 0u);
+  EXPECT_EQ(Ids, Expected);
 }
 
 } // namespace

@@ -6,8 +6,9 @@
 # Jobs:
 #   default    RelWithDebInfo build + full ctest suite
 #   tsan       ThreadSanitizer build + the concurrency-sensitive tests
-#              (parallel abstraction, incremental rounds at -j 4,
-#              prover, parallel loop/support, concurrent span tracing)
+#              (parallel abstraction, incremental rounds at -j 4, Table 2
+#              at -j 4, prover, expression interning, parallel
+#              loop/support, concurrent span tracing)
 #   asan       AddressSanitizer + UBSan build + full ctest suite
 #   release    Release (-DNDEBUG) build + full ctest suite (no check
 #              may live only in assert())
@@ -51,10 +52,12 @@ run_tsan() {
   # The parallel abstraction tests drive the parallel loop, the shared
   # prover cache, and the merged statistics; the incremental tests run
   # CEGAR rounds at -j 4 around the abstraction memo, which no worker
-  # may touch; the prover, theory-solver and support suites cover the
-  # pieces in isolation.
+  # may touch; the Table 2 golden test abstracts five programs at -j 4,
+  # racing the expression interning table's lock-free hits against its
+  # growth; the prover, theory-solver, expression and support suites
+  # cover the pieces in isolation.
   ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
-    -R 'ParallelAbstraction|Incremental|ParallelFor|Stats|Prover|Theory|CCTest|Simplex|Trace|Histogram|Observability'
+    -R 'ParallelAbstraction|Incremental|ParallelFor|Stats|Prover|Theory|CCTest|Simplex|Trace|Histogram|Observability|ExprTest|Table2'
 }
 
 run_asan() {
