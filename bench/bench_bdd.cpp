@@ -49,8 +49,9 @@ void BM_ExistsSweep(benchmark::State &State) {
   std::vector<int> Evens;
   for (int I = 0; I != N; ++I)
     Evens.push_back(2 * I);
+  VarSet Quant = M.varSet(Evens);
   for (auto _ : State)
-    benchmark::DoNotOptimize(M.exists(R, Evens));
+    benchmark::DoNotOptimize(M.exists(R, Quant));
 }
 BENCHMARK(BM_ExistsSweep)->Arg(8)->Arg(16)->Arg(32);
 
@@ -66,8 +67,9 @@ void BM_Rename(benchmark::State &State) {
   std::map<int, int> Ren;
   for (int I = 0; I != N; ++I)
     Ren[2 * I] = 2 * I + 1;
+  Renaming ToOdd = M.renaming(Ren);
   for (auto _ : State)
-    benchmark::DoNotOptimize(M.rename(F, Ren));
+    benchmark::DoNotOptimize(M.rename(F, ToOdd));
 }
 BENCHMARK(BM_Rename)->Arg(8)->Arg(16)->Arg(32);
 
@@ -87,9 +89,10 @@ void BM_AndExists(benchmark::State &State) {
   std::vector<int> Evens;
   for (int I = 0; I != N; ++I)
     Evens.push_back(2 * I);
+  VarSet Quant = M.varSet(Evens);
   for (auto _ : State)
-    benchmark::DoNotOptimize(Fused ? M.andExists(S, T, Evens)
-                                   : M.exists(M.mkAnd(S, T), Evens));
+    benchmark::DoNotOptimize(Fused ? M.andExists(S, T, Quant)
+                                   : M.exists(M.mkAnd(S, T), Quant));
 }
 BENCHMARK(BM_AndExists)
     ->Args({16, 0})

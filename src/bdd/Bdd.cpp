@@ -32,6 +32,8 @@ namespace {
 constexpr int InitialCacheLog = 12;
 constexpr int MaxCacheLog = 20; // 1M entries per cache, then evict-only.
 constexpr uint32_t InitialTableSize = 1u << 13;
+/// Id of the empty variable set and of the empty renaming.
+constexpr int Empty = 0;
 
 inline uint64_t mix64(uint64_t X) {
   X ^= X >> 33;
@@ -134,6 +136,10 @@ BddManager::BddManager() {
   ExistsCache.init(InitialCacheLog);
   AndExistsCache.init(InitialCacheLog);
   RenameCache.init(InitialCacheLog);
+  // The empty variable set and the empty renaming, which varSet and
+  // renaming hand out without a lookup.
+  CubeMasks.resize(Empty + 1);
+  RenameMaps.resize(Empty + 1);
 }
 
 int BddManager::newVar() { return NumVars++; }
@@ -354,17 +360,22 @@ Node BddManager::mkXor(Node A, Node B) { return applyBin(BinOp::Xor, A, B); }
 // Quantification and the fused relational product
 //===----------------------------------------------------------------------===//
 
-int BddManager::internCube(const std::vector<int> &Vars) {
-  auto It = CubeIds.find(Vars);
+VarSet BddManager::varSet(const std::vector<int> &Vars) {
+  if (Vars.empty())
+    return VarSet(Empty);
+  std::vector<int> Sorted(Vars);
+  std::sort(Sorted.begin(), Sorted.end());
+  Sorted.erase(std::unique(Sorted.begin(), Sorted.end()), Sorted.end());
+  auto It = CubeIds.find(Sorted);
   if (It != CubeIds.end())
-    return It->second;
+    return VarSet(It->second);
   int Id = static_cast<int>(CubeMasks.size());
-  std::vector<uint8_t> Mask(Vars.empty() ? 0 : Vars.back() + 1, 0);
-  for (int V : Vars)
+  std::vector<uint8_t> Mask(Sorted.back() + 1, 0);
+  for (int V : Sorted)
     Mask[V] = 1;
   CubeMasks.push_back(std::move(Mask));
-  CubeIds.emplace(Vars, Id);
-  return Id;
+  CubeIds.emplace(std::move(Sorted), Id);
+  return VarSet(Id);
 }
 
 Node BddManager::quantify(Node F, int CubeId) {
@@ -419,13 +430,11 @@ Node BddManager::quantify(Node F, int CubeId) {
   return Ret;
 }
 
-Node BddManager::exists(Node F, const std::vector<int> &Vars) {
-  if (F <= True || Vars.empty())
+Node BddManager::exists(Node F, VarSet Vars) {
+  assert(Vars.valid() && "interned by varSet");
+  if (F <= True || Vars.Id == Empty)
     return F;
-  std::vector<int> Sorted(Vars);
-  std::sort(Sorted.begin(), Sorted.end());
-  Sorted.erase(std::unique(Sorted.begin(), Sorted.end()), Sorted.end());
-  return quantify(F, internCube(Sorted));
+  return quantify(F, Vars.Id);
 }
 
 Node BddManager::andExistsRec(Node F, Node G, int CubeId) {
@@ -491,14 +500,12 @@ Node BddManager::andExistsRec(Node F, Node G, int CubeId) {
   return Ret;
 }
 
-Node BddManager::andExists(Node F, Node G, const std::vector<int> &Vars) {
-  if (Vars.empty())
+Node BddManager::andExists(Node F, Node G, VarSet Vars) {
+  assert(Vars.valid() && "interned by varSet");
+  if (Vars.Id == Empty)
     return mkAnd(F, G);
-  std::vector<int> Sorted(Vars);
-  std::sort(Sorted.begin(), Sorted.end());
-  Sorted.erase(std::unique(Sorted.begin(), Sorted.end()), Sorted.end());
   Timer T;
-  Node R = andExistsRec(F, G, internCube(Sorted));
+  Node R = andExistsRec(F, G, Vars.Id);
   AndExistsHist.observe(static_cast<uint64_t>(T.seconds() * 1e6));
   return R;
 }
@@ -507,32 +514,35 @@ Node BddManager::andExists(Node F, Node G, const std::vector<int> &Vars) {
 // Rename
 //===----------------------------------------------------------------------===//
 
-Node BddManager::rename(Node F, const std::map<int, int> &VarMap) {
+Renaming BddManager::renaming(const std::map<int, int> &Map) {
   // Precondition (checked in every build mode): the mapped pairs alone
   // must be strictly order-preserving. This is necessary but not
   // sufficient — collisions with unmapped variables of F are caught
-  // during the rebuild below.
+  // during each rebuild.
   int PrevFrom = -1, PrevTo = -1;
-  for (const auto &[From, To] : VarMap) {
+  for (const auto &[From, To] : Map) {
     if (From <= PrevFrom || To <= PrevTo || To < 0)
       fatalRenameOrder(From, To);
     PrevFrom = From;
     PrevTo = To;
   }
-  if (F <= True || VarMap.empty())
-    return F;
+  if (Map.empty())
+    return Renaming(Empty);
+  std::vector<std::pair<int, int>> Pairs(Map.begin(), Map.end());
+  auto It = RenameIds.find(Pairs);
+  if (It != RenameIds.end())
+    return Renaming(It->second);
+  int Id = static_cast<int>(RenameMaps.size());
+  RenameMaps.push_back(Pairs);
+  RenameIds.emplace(std::move(Pairs), Id);
+  return Renaming(Id);
+}
 
-  std::vector<std::pair<int, int>> Pairs(VarMap.begin(), VarMap.end());
-  auto MapIt = RenameIds.find(Pairs);
-  int RenameId;
-  if (MapIt != RenameIds.end()) {
-    RenameId = MapIt->second;
-  } else {
-    RenameId = static_cast<int>(RenameMaps.size());
-    RenameMaps.push_back(Pairs);
-    RenameIds.emplace(std::move(Pairs), RenameId);
-  }
-  const std::vector<std::pair<int, int>> &Map = RenameMaps[RenameId];
+Node BddManager::rename(Node F, Renaming Ren) {
+  assert(Ren.valid() && "interned by renaming");
+  if (F <= True || Ren.Id == Empty)
+    return F;
+  const std::vector<std::pair<int, int>> &Map = RenameMaps[Ren.Id];
   auto MapVar = [&Map](int Var) {
     auto It = std::lower_bound(
         Map.begin(), Map.end(), Var,
@@ -554,7 +564,7 @@ Node BddManager::rename(Node F, const std::map<int, int> &VarMap) {
         continue;
       }
       Node R;
-      if (RenameCache.find(N, RenameId, R)) {
+      if (RenameCache.find(N, Ren.Id, R)) {
         Ret = R;
         S.pop_back();
         continue;
@@ -579,7 +589,7 @@ Node BddManager::rename(Node F, const std::map<int, int> &VarMap) {
     if (level(S[Ti].Lo) <= NewVar || level(Ret) <= NewVar)
       fatalRenameOrder(Nodes[N].Var, NewVar);
     Node R = mk(NewVar, S[Ti].Lo, Ret);
-    RenameCache.insert(N, RenameId, R);
+    RenameCache.insert(N, Ren.Id, R);
     Ret = R;
     S.pop_back();
   }

@@ -12,7 +12,10 @@
 /// operators with per-operation bounded caches, and the
 /// quantification/rename operations Bebop needs (exists over a variable
 /// set, the fused relational product andExists, and order-preserving
-/// renaming between variable rails) are provided.
+/// renaming between variable rails) are provided. Those operators take
+/// a quantified set or a renaming by the id it was interned under
+/// (varSet, renaming), so a caller that interns each one once calls
+/// them without building a container.
 ///
 /// Engine policy:
 ///  - Nodes are never garbage collected: they live for the manager's
@@ -45,6 +48,32 @@ namespace bdd {
 /// BDD node handle; 0 and 1 are the terminals.
 using Node = int32_t;
 
+/// A variable set interned by BddManager::varSet: what exists and
+/// andExists quantify. Default-constructed, it names no set.
+class VarSet {
+public:
+  VarSet() = default;
+  bool valid() const { return Id >= 0; }
+
+private:
+  friend class BddManager;
+  explicit VarSet(int Id) : Id(Id) {}
+  int Id = -1;
+};
+
+/// A variable renaming interned by BddManager::renaming. Default-
+/// constructed, it names no renaming.
+class Renaming {
+public:
+  Renaming() = default;
+  bool valid() const { return Id >= 0; }
+
+private:
+  friend class BddManager;
+  explicit Renaming(int Id) : Id(Id) {}
+  int Id = -1;
+};
+
 class BddManager {
 public:
   static constexpr Node False = 0;
@@ -72,23 +101,32 @@ public:
   Node mkXnor(Node A, Node B) { return mkIte(A, B, mkNot(B)); }
 
   // -- Quantification -------------------------------------------------------
+  /// Interns the set of \p Vars (any order, duplicates ignored). A
+  /// caller interns each set it quantifies by once; the operators below
+  /// take the id and allocate nothing.
+  VarSet varSet(const std::vector<int> &Vars);
+
   /// Existential quantification over each variable in \p Vars.
-  Node exists(Node F, const std::vector<int> &Vars);
+  Node exists(Node F, VarSet Vars);
 
   /// The fused relational product exists(Vars, F & G), computed in one
   /// traversal with its own memo instead of materializing the
   /// conjunction first. This is the hot operator of Bebop's post-image,
   /// summary-edge, and call-site computations.
-  Node andExists(Node F, Node G, const std::vector<int> &Vars);
+  Node andExists(Node F, Node G, VarSet Vars);
 
-  /// Renames variables: each (From -> To) pair replaces From by To. The
-  /// map, extended with the identity on unmapped variables, must be
-  /// strictly order-preserving on levels; violations (including targets
-  /// that collide with unmapped variables of F) are detected during the
-  /// rebuild and abort in every build mode — a silently unordered
-  /// diagram would poison all later operations. This covers Bebop's
-  /// rail-to-rail renames.
-  Node rename(Node F, const std::map<int, int> &VarMap);
+  /// Interns the renaming that replaces each From of \p Map by its To.
+  /// The pairs must be strictly order-preserving (checked here, in
+  /// every build mode).
+  Renaming renaming(const std::map<int, int> &Map);
+
+  /// Renames variables by \p R. The map, extended with the identity on
+  /// unmapped variables, must be strictly order-preserving on levels;
+  /// violations (including targets that collide with unmapped
+  /// variables of F) are detected during the rebuild and abort in every
+  /// build mode — a silently unordered diagram would poison all later
+  /// operations. This covers Bebop's rail-to-rail renames.
+  Node rename(Node F, Renaming R);
 
   // -- Queries --------------------------------------------------------------
   /// Enumerates the cubes (paths to True): each cube maps a subset of
@@ -156,8 +194,6 @@ private:
   enum class BinOp { And, Or, Xor };
   Node applyBin(BinOp Op, Node A, Node B);
 
-  /// Interns a sorted, deduplicated variable set; returns its id.
-  int internCube(const std::vector<int> &Vars);
   bool inCube(int CubeId, int Var) const {
     const std::vector<uint8_t> &Mask = CubeMasks[CubeId];
     return static_cast<size_t>(Var) < Mask.size() && Mask[Var];

@@ -19,6 +19,10 @@
 // collides with the caller's own rails. All renames used (N->C, SE->E,
 // E->SE / C->SC, C_t->N_t) are order-preserving by construction.
 //
+// Control flow is the procedure's own CFG (BProc::cfg()), lowered once
+// per procedure and shared by every Bebop over it, so a procedure the
+// abstraction memo hands to the next CEGAR round keeps its graph.
+//
 // Relations: each non-call CFG node has one relation from the C rail to
 // the N rail of its targets (stmtRel), and each call site one binding
 // (callStep): In ties the callee's SE rail to the caller's C rail and
@@ -26,7 +30,11 @@
 // the callee's SC rail. Both are built on first use, with the choice
 // variables of `*` and `choose` quantified out, and the image (post,
 // processCall) and the pre-image (preOp, trace reconstruction) read the
-// same ones.
+// same ones. Likewise every variable set a step quantifies and every
+// renaming it applies — per node, per call site and per procedure —
+// is interned with the BDD manager on first use, as is each
+// procedure's entry identity, so a propagation step builds no
+// container. The step counters are members, published once per run().
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +52,8 @@ using namespace slam::bebop;
 using namespace slam::bp;
 using bdd::BddManager;
 using bdd::Node;
+using bdd::Renaming;
+using bdd::VarSet;
 
 namespace {
 
@@ -58,10 +68,10 @@ struct Bebop::Impl {
   const BProgram &Prog;
   StatsRegistry *Stats;
   BddManager M;
-  DiagnosticEngine Diags;
 
   /// The binding of one call site between the caller's rails and the
-  /// callee's summary rails (see callStep).
+  /// callee's summary rails (see callStep), and what applying the
+  /// callee's summary there quantifies and renames.
   struct CallStep {
     int Callee = -1;
     /// Callee SE rail <-> caller C rail of the globals and the encoded
@@ -71,24 +81,38 @@ struct Bebop::Impl {
     Node Out = Unbuilt;
     /// Caller variables the call changes: the globals, then the targets.
     std::vector<int> Changed;
+    /// summaryQuant on the caller's C rail, and the Changed variables
+    /// N -> C.
+    VarSet SummaryQuant;
+    Renaming ChangedNToC;
+  };
+
+  /// One CFG node's reachable states and, for a non-call node, its
+  /// relation and what its image quantifies and renames.
+  struct NodeInfo {
+    Node PE = BddManager::False;
+    /// (rank, cumulative PE) growth log for traces.
+    std::vector<std::pair<uint64_t, Node>> Log;
+    /// The statement relation (stmtRel).
+    Node Rel = Unbuilt;
+    /// Assert nodes: the states that violate it (checkAssert).
+    Node Bad = Unbuilt;
+    /// The targets' C rail, and the targets N -> C (post).
+    VarSet PostQuant;
+    Renaming PostRename;
   };
 
   struct ProcInfo {
     const BProc *Proc = nullptr;
-    std::unique_ptr<ProcCfg> Cfg;
+    const ProcCfg *Cfg = nullptr;
     std::vector<std::string> Vars; // globals ++ params ++ locals ++ rets.
     std::map<std::string, int> VarIndex;
     int NumGlobals = 0, NumParams = 0, NumLocals = 0, NumRets = 0;
     int Base = 0;
 
-    /// Per node: the statement relation of a non-call node (stmtRel).
-    std::vector<Node> Rel;
+    std::vector<NodeInfo> Nodes;
     /// Per call node: its binding (callStep).
     std::map<int, CallStep> Calls;
-
-    std::vector<Node> PE;
-    /// Per node: (rank, cumulative PE) growth log for traces.
-    std::vector<std::vector<std::pair<uint64_t, Node>>> Log;
 
     Node Summary = BddManager::False;
     std::vector<std::pair<uint64_t, Node>> SummaryLog;
@@ -102,6 +126,14 @@ struct Bebop::Impl {
     std::vector<EntryRec> EntryLog;
 
     Node EnforceBdd = BddManager::True; // Over the C rail.
+    /// E <-> C over the globals and parameters (identity).
+    Node Identity = Unbuilt;
+
+    /// Interned by internProcSets: every variable's E and C rails and
+    /// SE -> E (calls into and out of the procedure), and what
+    /// updateSummary projects away and its E/C -> SE/SC renaming.
+    VarSet EntryAndCurrent, SummaryProject;
+    Renaming SEToE, ToSummary;
 
     int numVars() const {
       return NumGlobals + NumParams + NumLocals + NumRets;
@@ -127,6 +159,10 @@ struct Bebop::Impl {
   bool Failed = false;
   int FailProc = -1, FailNode = -1;
   Node FailStates = BddManager::False;
+
+  /// The bebop.steps, bebop.pe_updates and bebop.summary_updates not yet
+  /// published (publishCounters).
+  uint64_t Steps = 0, PEUpdates = 0, SummaryUpdates = 0;
 
   explicit Impl(const BProgram &P, StatsRegistry *Stats)
       : Prog(P), Stats(Stats) {
@@ -158,6 +194,30 @@ struct Bebop::Impl {
     return Ren;
   }
 
+  /// Interns \p PI's per-procedure sets and renamings on first use.
+  void internProcSets(ProcInfo &PI) {
+    if (PI.EntryAndCurrent.valid())
+      return;
+    PI.EntryAndCurrent = M.varSet(railVars(PI, PI.allVars(), {RailE, RailC}));
+    PI.SEToE = M.renaming(railMap(PI, PI.allVars(), RailSE, RailE));
+    // Project away locals/params on the C rail and locals/rets on E.
+    std::vector<int> Quant;
+    for (int V = PI.NumGlobals; V != PI.retBase(); ++V)
+      Quant.push_back(railVar(PI, V, RailC));
+    for (int V = PI.NumGlobals + PI.NumParams; V != PI.numVars(); ++V)
+      Quant.push_back(railVar(PI, V, RailE));
+    PI.SummaryProject = M.varSet(Quant);
+    // Rename E (globals+params) -> SE; C (globals) and C (rets) -> SC.
+    std::map<int, int> Ren;
+    for (int V = 0; V != PI.NumGlobals + PI.NumParams; ++V)
+      Ren[railVar(PI, V, RailE)] = railVar(PI, V, RailSE);
+    for (int V = 0; V != PI.NumGlobals; ++V)
+      Ren[railVar(PI, V, RailC)] = railVar(PI, V, RailSC);
+    for (int V = PI.retBase(); V != PI.numVars(); ++V)
+      Ren[railVar(PI, V, RailC)] = railVar(PI, V, RailSC);
+    PI.ToSummary = M.renaming(Ren);
+  }
+
   void build() {
     Procs.resize(Prog.Procs.size());
     for (size_t I = 0; I != Prog.Procs.size(); ++I) {
@@ -165,7 +225,7 @@ struct Bebop::Impl {
       ProcInfo &PI = Procs[I];
       PI.Proc = BP;
       ProcIndex[BP->Name] = static_cast<int>(I);
-      PI.Cfg = std::make_unique<ProcCfg>(*BP, Diags);
+      PI.Cfg = &BP->cfg();
 
       for (const std::string &G : Prog.Globals)
         PI.Vars.push_back(G);
@@ -188,9 +248,7 @@ struct Bebop::Impl {
       for (int V = 0; V != 5 * PI.numVars(); ++V)
         M.newVar();
 
-      PI.Rel.assign(PI.Cfg->numNodes(), Unbuilt);
-      PI.PE.assign(PI.Cfg->numNodes(), BddManager::False);
-      PI.Log.resize(PI.Cfg->numNodes());
+      PI.Nodes.resize(PI.Cfg->numNodes());
     }
 
     // Enforce BDDs need the variable blocks allocated first.
@@ -198,7 +256,7 @@ struct Bebop::Impl {
       if (PI.Proc->Enforce) {
         std::vector<int> Ch;
         PI.EnforceBdd = encode(PI, PI.Proc->Enforce, Ch);
-        PI.EnforceBdd = M.exists(PI.EnforceBdd, Ch);
+        PI.EnforceBdd = M.exists(PI.EnforceBdd, M.varSet(Ch));
       }
     }
 
@@ -281,11 +339,12 @@ struct Bebop::Impl {
   /// assume or assert (a condition containing `*` may pass either way),
   /// AND_i (N_t_i <-> enc(e_i)) of an assignment or return, and true
   /// otherwise. No state set mentions a choice variable, so they are
-  /// quantified out here.
+  /// quantified out here. Building it also interns what post quantifies
+  /// and renames.
   Node stmtRel(ProcInfo &PI, int NodeId) {
-    Node &Rel = PI.Rel[NodeId];
-    if (Rel != Unbuilt)
-      return Rel;
+    NodeInfo &NI = PI.Nodes[NodeId];
+    if (NI.Rel != Unbuilt)
+      return NI.Rel;
     const CfgNode &N = PI.Cfg->node(NodeId);
     std::vector<int> Choices;
     Node T = BddManager::True;
@@ -300,12 +359,15 @@ struct Bebop::Impl {
       T = M.mkAnd(T,
                   M.mkXnor(M.varNode(railVar(PI, Targets[I], RailN)), Val));
     }
-    return Rel = M.exists(T, Choices);
+    NI.PostQuant = M.varSet(railVars(PI, Targets, {RailC}));
+    NI.PostRename = M.renaming(railMap(PI, Targets, RailN, RailC));
+    return NI.Rel = M.exists(T, M.varSet(Choices));
   }
 
   /// The binding of call node \p NodeId of \p Caller, built on first use.
   /// \p WithOut also builds its Out half, which only summary application
-  /// and trace reconstruction read.
+  /// and trace reconstruction read, and interns what summary application
+  /// quantifies and renames.
   CallStep &callStep(ProcInfo &Caller, int NodeId, bool WithOut) {
     CallStep &CS = Caller.Calls.at(NodeId);
     const BStmt *CallS = Caller.Cfg->node(NodeId).Stmt;
@@ -324,7 +386,7 @@ struct Bebop::Impl {
                    M.varNode(railVar(Callee, Callee.NumGlobals + Pm, RailSE)),
                    Arg));
       }
-      CS.In = M.exists(B, Choices);
+      CS.In = M.exists(B, M.varSet(Choices));
       for (int G = 0; G != Caller.NumGlobals; ++G)
         CS.Changed.push_back(G);
       for (const std::string &T : CallS->Targets)
@@ -341,6 +403,8 @@ struct Bebop::Impl {
                              M.varNode(railVar(Callee, From, RailSC)));
         CS.Out = M.mkAnd(CS.Out, Bind);
       }
+      CS.SummaryQuant = M.varSet(summaryQuant(Caller, CS, RailC));
+      CS.ChangedNToC = M.renaming(railMap(Caller, CS.Changed, RailN, RailC));
     }
     return CS;
   }
@@ -360,35 +424,36 @@ struct Bebop::Impl {
   /// Post-state of executing non-call node \p NodeId on states \p S:
   /// S' = rename_{N->C}(exists(C_t)(S & Rel)).
   Node post(ProcInfo &PI, int NodeId, Node S) {
-    const CfgNode &N = PI.Cfg->node(NodeId);
-    std::vector<int> T = targets(PI, N);
-    Node R = M.rename(
-        M.andExists(S, stmtRel(PI, NodeId), railVars(PI, T, {RailC})),
-        railMap(PI, T, RailN, RailC));
-    return N.Op == NodeOp::Assign ? M.mkAnd(R, PI.EnforceBdd) : R;
+    Node Rel = stmtRel(PI, NodeId);
+    const NodeInfo &NI = PI.Nodes[NodeId];
+    Node R = M.rename(M.andExists(S, Rel, NI.PostQuant), NI.PostRename);
+    return PI.Cfg->node(NodeId).Op == NodeOp::Assign
+               ? M.mkAnd(R, PI.EnforceBdd)
+               : R;
   }
 
   /// Identity over globals and parameters (E <-> C), used to seed entry
-  /// path edges.
+  /// path edges; built on first use.
   Node identity(ProcInfo &PI) {
+    if (PI.Identity != Unbuilt)
+      return PI.Identity;
     Node Id = BddManager::True;
     for (int V = 0; V != PI.NumGlobals + PI.NumParams; ++V)
       Id = M.mkAnd(Id, M.mkXnor(M.varNode(railVar(PI, V, RailE)),
                                 M.varNode(railVar(PI, V, RailC))));
-    return Id;
+    return PI.Identity = Id;
   }
 
   // -- Propagation -------------------------------------------------------
   void updatePE(int ProcIdx, int NodeId, Node Add) {
-    ProcInfo &PI = Procs[ProcIdx];
-    Node U = M.mkOr(PI.PE[NodeId], Add);
-    if (U == PI.PE[NodeId])
+    NodeInfo &NI = Procs[ProcIdx].Nodes[NodeId];
+    Node U = M.mkOr(NI.PE, Add);
+    if (U == NI.PE)
       return;
-    PI.PE[NodeId] = U;
-    PI.Log[NodeId].emplace_back(++Rank, U);
+    NI.PE = U;
+    NI.Log.emplace_back(++Rank, U);
     Worklist.emplace_back(ProcIdx, NodeId);
-    if (Stats)
-      Stats->add("bebop.pe_updates");
+    ++PEUpdates;
   }
 
   void seedEntry(int ProcIdx, Node EntryStatesE, int CallerProc,
@@ -406,53 +471,35 @@ struct Bebop::Impl {
 
   void processCall(int ProcIdx, int NodeId) {
     ProcInfo &Caller = Procs[ProcIdx];
-    Node S = Caller.PE[NodeId];
+    Node S = Caller.Nodes[NodeId].PE;
     if (S == BddManager::False)
       return;
     CallStep &CS = callStep(Caller, NodeId, /*WithOut=*/false);
     ProcInfo &Callee = Procs[CS.Callee];
+    internProcSets(Caller);
+    internProcSets(Callee);
 
     // 1. Propagate entry states into the callee.
-    Node EntrySE = M.andExists(
-        S, CS.In, railVars(Caller, Caller.allVars(), {RailE, RailC}));
-    seedEntry(CS.Callee,
-              M.rename(EntrySE,
-                       railMap(Callee, Callee.allVars(), RailSE, RailE)),
-              ProcIdx, NodeId);
+    Node EntrySE = M.andExists(S, CS.In, Caller.EntryAndCurrent);
+    seedEntry(CS.Callee, M.rename(EntrySE, Callee.SEToE), ProcIdx, NodeId);
 
     // 2. Apply the callee summary, if any.
     if (Callee.Summary == BddManager::False)
       return;
     callStep(Caller, NodeId, /*WithOut=*/true);
     Node Left = M.mkAnd(M.mkAnd(S, CS.In), CS.Out);
-    Node Comb = M.andExists(Left, Callee.Summary,
-                            summaryQuant(Caller, CS, RailC));
-    Node Out =
-        M.mkAnd(M.rename(Comb, railMap(Caller, CS.Changed, RailN, RailC)),
-                Caller.EnforceBdd);
+    Node Comb = M.andExists(Left, Callee.Summary, CS.SummaryQuant);
+    Node Out = M.mkAnd(M.rename(Comb, CS.ChangedNToC), Caller.EnforceBdd);
     for (int Succ : Caller.Cfg->node(NodeId).Succs)
       updatePE(ProcIdx, Succ, Out);
   }
 
   void updateSummary(int ProcIdx) {
     ProcInfo &PI = Procs[ProcIdx];
-    Node ExitPE = PI.PE[PI.Cfg->exit()];
-    // Project away locals/params on the C rail and locals/rets on E.
-    std::vector<int> Quant;
-    for (int V = PI.NumGlobals; V != PI.retBase(); ++V)
-      Quant.push_back(railVar(PI, V, RailC));
-    for (int V = PI.NumGlobals + PI.NumParams; V != PI.numVars(); ++V)
-      Quant.push_back(railVar(PI, V, RailE));
-    Node Sum = M.exists(ExitPE, Quant);
-    // Rename E (globals+params) -> SE; C (globals) and C (rets) -> SC.
-    std::map<int, int> Ren;
-    for (int V = 0; V != PI.NumGlobals + PI.NumParams; ++V)
-      Ren[railVar(PI, V, RailE)] = railVar(PI, V, RailSE);
-    for (int V = 0; V != PI.NumGlobals; ++V)
-      Ren[railVar(PI, V, RailC)] = railVar(PI, V, RailSC);
-    for (int V = PI.retBase(); V != PI.numVars(); ++V)
-      Ren[railVar(PI, V, RailC)] = railVar(PI, V, RailSC);
-    Sum = M.rename(Sum, Ren);
+    internProcSets(PI);
+    Node ExitPE = PI.Nodes[PI.Cfg->exit()].PE;
+    Node Sum =
+        M.rename(M.exists(ExitPE, PI.SummaryProject), PI.ToSummary);
 
     Node U = M.mkOr(PI.Summary, Sum);
     if (U == PI.Summary)
@@ -463,19 +510,21 @@ struct Bebop::Impl {
     if (It != CallSites.end())
       for (const auto &[CP, CN] : It->second)
         Worklist.emplace_back(CP, CN);
-    if (Stats)
-      Stats->add("bebop.summary_updates");
+    ++SummaryUpdates;
   }
 
   void checkAssert(int ProcIdx, int NodeId) {
     if (Failed)
       return;
     ProcInfo &PI = Procs[ProcIdx];
-    const CfgNode &N = PI.Cfg->node(NodeId);
-    std::vector<int> Ch;
-    Node C = N.Cond ? encode(PI, N.Cond, Ch) : BddManager::True;
-    Node Bad = M.exists(M.mkNot(C), Ch);
-    Node Fail = M.mkAnd(PI.PE[NodeId], Bad);
+    NodeInfo &NI = PI.Nodes[NodeId];
+    if (NI.Bad == Unbuilt) {
+      const CfgNode &N = PI.Cfg->node(NodeId);
+      std::vector<int> Ch;
+      Node C = N.Cond ? encode(PI, N.Cond, Ch) : BddManager::True;
+      NI.Bad = M.exists(M.mkNot(C), M.varSet(Ch));
+    }
+    Node Fail = M.mkAnd(NI.PE, NI.Bad);
     if (Fail == BddManager::False)
       return;
     Failed = true;
@@ -497,8 +546,7 @@ struct Bebop::Impl {
       Worklist.pop_front();
       ProcInfo &PI = Procs[ProcIdx];
       const CfgNode &N = PI.Cfg->node(NodeId);
-      if (Stats)
-        Stats->add("bebop.steps");
+      ++Steps;
 
       if (N.Op == NodeOp::Call) {
         processCall(ProcIdx, NodeId);
@@ -510,10 +558,23 @@ struct Bebop::Impl {
         updateSummary(ProcIdx);
         continue;
       }
-      Node Out = post(PI, NodeId, PI.PE[NodeId]);
+      Node Out = post(PI, NodeId, PI.Nodes[NodeId].PE);
       for (int Succ : N.Succs)
         updatePE(ProcIdx, Succ, Out);
     }
+  }
+
+  /// Adds the step counters gathered since the last call to Stats.
+  /// A counter that stayed zero is left out, as if never bumped.
+  void publishCounters() {
+    auto Publish = [this](const char *Name, uint64_t &Count) {
+      if (Count)
+        Stats->add(Name, Count);
+      Count = 0;
+    };
+    Publish("bebop.steps", Steps);
+    Publish("bebop.pe_updates", PEUpdates);
+    Publish("bebop.summary_updates", SummaryUpdates);
   }
 
   // -- Trace reconstruction -------------------------------------------------
@@ -534,7 +595,7 @@ struct Bebop::Impl {
   /// Earliest rank at which (Proc,Node)'s PE intersects \p X (< Bound);
   /// 0 if never.
   uint64_t earliestRank(int ProcIdx, int NodeId, Node X, uint64_t Bound) {
-    for (const auto &[R, Cum] : Procs[ProcIdx].Log[NodeId]) {
+    for (const auto &[R, Cum] : Procs[ProcIdx].Nodes[NodeId].Log) {
       if (R >= Bound)
         break;
       if (M.mkAnd(Cum, X) != BddManager::False)
@@ -550,14 +611,14 @@ struct Bebop::Impl {
     if (N.Op != NodeOp::Call) {
       std::vector<int> T = targets(PI, N);
       return M.andExists(stmtRel(PI, NodeId),
-                         M.rename(X, railMap(PI, T, RailC, RailN)),
-                         railVars(PI, T, {RailN}));
+                         M.rename(X, M.renaming(railMap(PI, T, RailC, RailN))),
+                         M.varSet(railVars(PI, T, {RailN})));
     }
     CallStep &CS = callStep(PI, NodeId, /*WithOut=*/true);
-    Node XN = M.rename(X, railMap(PI, CS.Changed, RailC, RailN));
+    Node XN = M.rename(X, M.renaming(railMap(PI, CS.Changed, RailC, RailN)));
     Node Left = M.mkAnd(M.mkAnd(CS.In, CS.Out), XN);
     return M.andExists(Left, before(Procs[CS.Callee].SummaryLog, RankBound),
-                       summaryQuant(PI, CS, RailN));
+                       M.varSet(summaryQuant(PI, CS, RailN)));
   }
 
   void pushStep(std::vector<TraceStep> &Steps, int ProcIdx, int NodeId) {
@@ -594,13 +655,14 @@ struct Bebop::Impl {
     for (;;) {
       uint64_t R0 = earliestRank(ProcIdx, Cur, CurX, Bound);
       assert(R0 != 0 && "trace target not reachable under bound");
-      CurX = M.mkAnd(CurX, before(PI.Log[Cur], R0 + 1));
+      CurX = M.mkAnd(CurX, before(PI.Nodes[Cur].Log, R0 + 1));
       if (PI.Cfg->node(Cur).Op == NodeOp::Entry) {
         ProcTrace Out;
         std::reverse(Rev.begin(), Rev.end());
         Out.Steps = std::move(Rev);
         // Context half of the path edge.
-        Out.EntryStates = M.exists(CurX, railVars(PI, PI.allVars(), {RailC}));
+        Out.EntryStates =
+            M.exists(CurX, M.varSet(railVars(PI, PI.allVars(), {RailC})));
         Out.EntryRank = R0;
         return Out;
       }
@@ -619,7 +681,7 @@ struct Bebop::Impl {
         if (BestPred < 0 || R < BestRank) {
           BestPred = Pred;
           BestRank = R;
-          BestY = M.mkAnd(Y, before(PI.Log[Pred], R + 1));
+          BestY = M.mkAnd(Y, before(PI.Nodes[Pred].Log, R + 1));
         }
       }
       assert(BestPred >= 0 && "no producing predecessor found");
@@ -632,17 +694,18 @@ struct Bebop::Impl {
         int CalleeIdx = CS.Callee;
         ProcInfo &Callee = Procs[CalleeIdx];
         Node W = M.mkAnd(M.mkAnd(BestY, CS.In), CS.Out);
-        Node XN = M.rename(CurX, railMap(PI, CS.Changed, RailC, RailN));
+        Node XN =
+            M.rename(CurX, M.renaming(railMap(PI, CS.Changed, RailC, RailN)));
         std::vector<int> Quant = railVars(PI, PI.allVars(), {RailE, RailC});
         for (int V : CS.Changed)
           Quant.push_back(railVar(PI, V, RailN));
-        Node Z = M.andExists(W, XN, Quant); // Over callee (SE, SC).
+        Node Z = M.andExists(W, XN, M.varSet(Quant)); // Over callee (SE, SC).
         std::map<int, int> Back =
             railMap(Callee, Callee.allVars(), RailSE, RailE);
         Back.merge(railMap(Callee, Callee.allVars(), RailSC, RailC));
-        Z = M.rename(Z, Back);
+        Z = M.rename(Z, M.renaming(Back));
         Node ExitTarget =
-            M.mkAnd(Z, before(Callee.Log[Callee.Cfg->exit()], R0));
+            M.mkAnd(Z, before(Callee.Nodes[Callee.Cfg->exit()].Log, R0));
         if (ExitTarget != BddManager::False) {
           ProcTrace Sub = traceWithin(CalleeIdx, Callee.Cfg->exit(),
                                       ExitTarget, R0);
@@ -694,12 +757,13 @@ struct Bebop::Impl {
       // Caller states at the call node consistent with the entry states.
       ProcInfo &Caller = Procs[Rec->CallerProc];
       const CallStep &CS = callStep(Caller, Rec->CallerNode, /*WithOut=*/false);
-      Node EntrySE = M.rename(M.mkAnd(T.EntryStates, Rec->States),
-                              railMap(PI, PI.allVars(), RailE, RailSE));
-      Node CallerX =
-          M.andExists(CS.In, EntrySE, railVars(PI, PI.allVars(), {RailSE}));
-      CallerX =
-          M.mkAnd(CallerX, before(Caller.Log[Rec->CallerNode], Rec->Rank));
+      Node EntrySE =
+          M.rename(M.mkAnd(T.EntryStates, Rec->States),
+                   M.renaming(railMap(PI, PI.allVars(), RailE, RailSE)));
+      Node CallerX = M.andExists(
+          CS.In, EntrySE, M.varSet(railVars(PI, PI.allVars(), {RailSE})));
+      CallerX = M.mkAnd(CallerX,
+                        before(Caller.Nodes[Rec->CallerNode].Log, Rec->Rank));
 
       // The call statement itself precedes the callee's steps.
       std::vector<TraceStep> WithCall;
@@ -736,6 +800,7 @@ CheckResult Bebop::run(const std::string &EntryProc,
     R.Trace = M->buildTrace();
   }
   if (M->Stats) {
+    M->publishCounters();
     // Peak node count is a gauge: across CEGAR iterations (and merged
     // registries) the maximum, not the sum or the last value, is the
     // quantity the paper's tables report.
@@ -751,6 +816,11 @@ CheckResult Bebop::run(const std::string &EntryProc,
 
 size_t Bebop::bddNodes() const { return M->M.numNodes(); }
 
+const ProcCfg *Bebop::cfg(const std::string &Proc) const {
+  auto It = M->ProcIndex.find(Proc);
+  return It == M->ProcIndex.end() ? nullptr : M->Procs[It->second].Cfg;
+}
+
 std::optional<std::vector<std::map<std::string, bool>>>
 Bebop::reachableAtLabel(const std::string &Proc,
                         const std::string &Label) const {
@@ -762,8 +832,8 @@ Bebop::reachableAtLabel(const std::string &Proc,
   if (NodeId < 0)
     return std::nullopt;
   // Project the path edge to the current state.
-  Node Reach =
-      M->M.exists(PI.PE[NodeId], M->railVars(PI, PI.allVars(), {RailE}));
+  Node Reach = M->M.exists(
+      PI.Nodes[NodeId].PE, M->M.varSet(M->railVars(PI, PI.allVars(), {RailE})));
   std::vector<std::map<std::string, bool>> Out;
   M->M.forEachCube(Reach, [&](const std::map<int, bool> &Cube) {
     std::map<std::string, bool> Named;

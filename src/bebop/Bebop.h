@@ -28,7 +28,6 @@
 #define BEBOP_BEBOP_H
 
 #include "bdd/Bdd.h"
-#include "bebop/Cfg.h"
 #include "bp/BPAst.h"
 #include "support/Stats.h"
 
@@ -46,7 +45,7 @@ namespace bebop {
 struct TraceStep {
   std::string ProcName;
   const bp::BStmt *Stmt; ///< Null for a callee's exit step.
-  NodeOp Op;
+  bp::NodeOp Op;
   /// Originating C statement id (from BStmt::OriginId), or -1.
   int OriginId = -1;
 };
@@ -97,6 +96,11 @@ public:
 
   /// Peak BDD node count (reported in benchmarks).
   size_t bddNodes() const;
+
+  /// The control-flow graph the checker explores for procedure \p Proc:
+  /// the procedure's own (BProc::cfg()), shared with every other
+  /// checker over it. Null if there is no such procedure.
+  const bp::ProcCfg *cfg(const std::string &Proc) const;
 
 private:
   struct Impl;

@@ -21,10 +21,12 @@
 #ifndef BP_BPAST_H
 #define BP_BPAST_H
 
+#include "bp/Cfg.h"
 #include "support/SourceLoc.h"
 
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -132,6 +134,18 @@ struct BProc {
         return true;
     return false;
   }
+
+  /// The procedure's control-flow graph, lowered on the first call
+  /// (thread-safe) and kept for the procedure's lifetime. The procedure
+  /// must have passed verifyBProgram, and nothing may change it after
+  /// the first call: C2bp finishes a procedure before C2bpTool::run
+  /// returns it, and no one mutates it afterwards, so the abstraction
+  /// memo can hand one procedure, and its graph, to many rounds.
+  const ProcCfg &cfg() const;
+
+private:
+  mutable std::once_flag CfgOnce;
+  mutable std::unique_ptr<const ProcCfg> Cfg;
 };
 
 /// A whole boolean program; owns all nodes.

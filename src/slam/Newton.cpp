@@ -135,8 +135,8 @@ bool SymExec::replay(const std::vector<bebop::TraceStep> &Trace) {
     const Stmt *Origin = P.stmtById(Step.OriginId);
 
     switch (Step.Op) {
-    case bebop::NodeOp::Skip:
-    case bebop::NodeOp::Assign: {
+    case bp::NodeOp::Skip:
+    case bp::NodeOp::Assign: {
       if (!Origin)
         break;
       if (Origin->Kind == CStmtKind::Assign) {
@@ -159,7 +159,7 @@ bool SymExec::replay(const std::vector<bebop::TraceStep> &Trace) {
       }
       break;
     }
-    case bebop::NodeOp::Call: {
+    case bp::NodeOp::Call: {
       if (!Origin || Origin->Kind != CStmtKind::CallStmt)
         return false;
       const FuncDecl *Callee = Origin->CallE->Callee;
@@ -173,12 +173,12 @@ bool SymExec::replay(const std::vector<bebop::TraceStep> &Trace) {
         Vars[locationOf(Callee->Params[J])] = Args[J];
       break;
     }
-    case bebop::NodeOp::Return:
+    case bp::NodeOp::Return:
       if (Stack.size() > 1) // Not the terminal return of the entry.
         topFrame().Returned =
             Origin && Origin->Rhs ? value(*Origin->Rhs) : fresh("ret");
       break;
-    case bebop::NodeOp::Exit: {
+    case bp::NodeOp::Exit: {
       // A callee returns, through a `return` statement or off its end.
       if (Stack.size() <= 1)
         break;
@@ -190,7 +190,7 @@ bool SymExec::replay(const std::vector<bebop::TraceStep> &Trace) {
         write(*CallSite->Lhs, Value ? Value : fresh("ret"));
       break;
     }
-    case bebop::NodeOp::Assume: {
+    case bp::NodeOp::Assume: {
       if (!Origin || !Origin->Cond || Step.Stmt == nullptr)
         break;
       int Taken = Step.Stmt->BranchTaken;
@@ -199,7 +199,7 @@ bool SymExec::replay(const std::vector<bebop::TraceStep> &Trace) {
       addConstraint(*Origin->Cond, Taken != 0, I);
       break;
     }
-    case bebop::NodeOp::Assert:
+    case bp::NodeOp::Assert:
       // The violation: the assert's condition is false.
       if (Origin && Origin->Cond)
         addConstraint(*Origin->Cond, false, I);
@@ -307,11 +307,11 @@ NewtonResult slamtool::analyzeTrace(const Program &P,
     logic::WPEngine WP(Ctx, Shape);
     for (size_t I = Last.TraceIdx; I-- > 0;) {
       const bebop::TraceStep &Step = Trace[I];
-      if (Step.Op == bebop::NodeOp::Call || Step.Op == bebop::NodeOp::Exit)
+      if (Step.Op == bp::NodeOp::Call || Step.Op == bp::NodeOp::Exit)
         break; // Stop at frame boundaries.
       const Stmt *A = P.stmtById(Step.OriginId);
-      if ((Step.Op != bebop::NodeOp::Assign &&
-           Step.Op != bebop::NodeOp::Skip) ||
+      if ((Step.Op != bp::NodeOp::Assign &&
+           Step.Op != bp::NodeOp::Skip) ||
           !A || A->Kind != CStmtKind::Assign)
         continue;
       Phi = WP.assignment(c2bp::toLogic(Ctx, *A->Lhs),

@@ -120,6 +120,18 @@ FuncDecl *slamtool::findEntry(const Program &P, const std::string &Name,
 bool slamtool::instrument(Program &P, const SafetySpec &Spec,
                           const std::string &EntryProc,
                           DiagnosticEngine &Diags) {
+  // The woven if-chain takes the first transition that matches, so a
+  // second one on the same event and state would be silently ignored.
+  std::set<std::pair<std::string, int>> Sources;
+  for (const SafetySpec::Transition &T : Spec.Transitions)
+    if (!Sources.emplace(T.Event, T.From).second) {
+      Diags.error(SourceLoc(), "safety automaton '" + Spec.Name +
+                                   "' is nondeterministic: event '" +
+                                   T.Event + "' has two transitions from "
+                                   "state " + std::to_string(T.From));
+      return false;
+    }
+
   // The automaton state variable.
   if (!P.findGlobal("__state"))
     P.Globals.push_back(P.makeVar("__state", P.Types.intType(),

@@ -62,7 +62,9 @@ cfront::FuncDecl *findEntry(const cfront::Program &P, const std::string &Name,
 /// Weaves \p Spec into \p P: declares the global `__state`, resets it at
 /// the top of \p EntryProc, and prepends transition code to each
 /// monitored function (externs receive a body). Re-runs Sema; returns
-/// false with diagnostics if a monitored function is missing.
+/// false with diagnostics, leaving \p P unchanged, if \p Spec has two
+/// transitions on one event from one state; returns false with
+/// diagnostics if a monitored function is missing.
 bool instrument(cfront::Program &P, const SafetySpec &Spec,
                 const std::string &EntryProc, DiagnosticEngine &Diags);
 

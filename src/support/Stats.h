@@ -28,13 +28,16 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 namespace slam {
 
 /// A registry of named 64-bit counters, gauges, and latency histograms.
 ///
 /// Lookup is by name; creating a counter on first use keeps call sites
-/// terse: \c Stats.add("prover.queries"). Three kinds of statistic
+/// terse: \c Stats.add("prover.queries"). Names are looked up as
+/// string views, so bumping an existing statistic allocates nothing,
+/// however long its name. Three kinds of statistic
 /// differ only in how \c mergeFrom combines them:
 ///
 ///   * counters (add/set)    — summed across registries;
@@ -49,41 +52,40 @@ namespace slam {
 /// and a gauge is a call-site bug (the gauge value wins in reports).
 class StatsRegistry {
 public:
-  void add(const std::string &Name, uint64_t Delta = 1) {
+  void add(std::string_view Name, uint64_t Delta = 1) {
     std::lock_guard<std::mutex> L(M);
-    Counters[Name] += Delta;
+    slot(Counters, Name) += Delta;
   }
 
-  void set(const std::string &Name, uint64_t Value) {
+  void set(std::string_view Name, uint64_t Value) {
     std::lock_guard<std::mutex> L(M);
-    Counters[Name] = Value;
+    slot(Counters, Name) = Value;
   }
 
   /// Gauge write: keeps the maximum of all values ever set. mergeFrom
   /// takes the max for gauges instead of summing them.
-  void setMax(const std::string &Name, uint64_t Value) {
+  void setMax(std::string_view Name, uint64_t Value) {
     std::lock_guard<std::mutex> L(M);
-    uint64_t &Slot = Gauges[Name];
+    uint64_t &Slot = slot(Gauges, Name);
     if (Value > Slot)
       Slot = Value;
   }
 
   /// Records one latency sample (microseconds) into the named
   /// histogram.
-  void observe(const std::string &Name, uint64_t Micros) {
+  void observe(std::string_view Name, uint64_t Micros) {
     std::lock_guard<std::mutex> L(M);
-    Histograms[Name].observe(Micros);
+    slot(Histograms, Name).observe(Micros);
   }
 
   /// Folds a whole externally-accumulated histogram into the named one
   /// (used by subsystems that keep private histograms on hot paths).
-  void observeHistogram(const std::string &Name,
-                        const LatencyHistogram &H) {
+  void observeHistogram(std::string_view Name, const LatencyHistogram &H) {
     std::lock_guard<std::mutex> L(M);
-    Histograms[Name].mergeFrom(H);
+    slot(Histograms, Name).mergeFrom(H);
   }
 
-  uint64_t get(const std::string &Name) const {
+  uint64_t get(std::string_view Name) const {
     std::lock_guard<std::mutex> L(M);
     auto It = Counters.find(Name);
     if (It != Counters.end())
@@ -95,7 +97,7 @@ public:
   /// Counters and gauges, merged and sorted by name.
   std::map<std::string, uint64_t> all() const {
     std::lock_guard<std::mutex> L(M);
-    std::map<std::string, uint64_t> Out = Counters;
+    std::map<std::string, uint64_t> Out(Counters.begin(), Counters.end());
     for (const auto &[Name, Value] : Gauges)
       Out[Name] = Value;
     return Out;
@@ -103,20 +105,20 @@ public:
 
   std::map<std::string, uint64_t> allCounters() const {
     std::lock_guard<std::mutex> L(M);
-    return Counters;
+    return {Counters.begin(), Counters.end()};
   }
 
   std::map<std::string, uint64_t> allGauges() const {
     std::lock_guard<std::mutex> L(M);
-    return Gauges;
+    return {Gauges.begin(), Gauges.end()};
   }
 
   std::map<std::string, LatencyHistogram> allHistograms() const {
     std::lock_guard<std::mutex> L(M);
-    return Histograms;
+    return {Histograms.begin(), Histograms.end()};
   }
 
-  LatencyHistogram histogram(const std::string &Name) const {
+  LatencyHistogram histogram(std::string_view Name) const {
     std::lock_guard<std::mutex> L(M);
     auto It = Histograms.find(Name);
     return It == Histograms.end() ? LatencyHistogram() : It->second;
@@ -127,9 +129,9 @@ public:
   /// into the caller's registry once a parallel phase has quiesced; the
   /// result is independent of merge order.
   void mergeFrom(const StatsRegistry &Other) {
-    std::map<std::string, uint64_t> Snapshot;
-    std::map<std::string, uint64_t> GaugeSnapshot;
-    std::map<std::string, LatencyHistogram> HistSnapshot;
+    decltype(Counters) Snapshot;
+    decltype(Gauges) GaugeSnapshot;
+    decltype(Histograms) HistSnapshot;
     {
       std::lock_guard<std::mutex> L(Other.M);
       Snapshot = Other.Counters;
@@ -138,14 +140,14 @@ public:
     }
     std::lock_guard<std::mutex> L(M);
     for (const auto &[Name, Value] : Snapshot)
-      Counters[Name] += Value;
+      slot(Counters, Name) += Value;
     for (const auto &[Name, Value] : GaugeSnapshot) {
-      uint64_t &Slot = Gauges[Name];
+      uint64_t &Slot = slot(Gauges, Name);
       if (Value > Slot)
         Slot = Value;
     }
     for (const auto &[Name, H] : HistSnapshot)
-      Histograms[Name].mergeFrom(H);
+      slot(Histograms, Name).mergeFrom(H);
   }
 
   /// Renders "name = value" lines sorted by name (counters and gauges;
@@ -166,10 +168,21 @@ public:
   }
 
 private:
+  /// The entry named \p Name, created on first use. The maps compare
+  /// transparently, so a name that exists already costs no allocation.
+  template <typename Map>
+  static typename Map::mapped_type &slot(Map &Entries, std::string_view Name) {
+    auto It = Entries.find(Name);
+    if (It == Entries.end())
+      It = Entries.emplace(std::string(Name), typename Map::mapped_type())
+               .first;
+    return It->second;
+  }
+
   mutable std::mutex M;
-  std::map<std::string, uint64_t> Counters;
-  std::map<std::string, uint64_t> Gauges;
-  std::map<std::string, LatencyHistogram> Histograms;
+  std::map<std::string, uint64_t, std::less<>> Counters;
+  std::map<std::string, uint64_t, std::less<>> Gauges;
+  std::map<std::string, LatencyHistogram, std::less<>> Histograms;
 };
 
 /// Serializes a registry as one JSON document:

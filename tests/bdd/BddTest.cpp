@@ -47,18 +47,18 @@ TEST_F(BddTest, ContradictionAndTautology) {
 TEST_F(BddTest, Quantification) {
   // exists v1. (v0 && v1) == v0.
   Node F = M.mkAnd(M.varNode(V[0]), M.varNode(V[1]));
-  EXPECT_EQ(M.exists(F, {V[1]}), M.varNode(V[0]));
+  EXPECT_EQ(M.exists(F, M.varSet({V[1]})), M.varNode(V[0]));
   // exists over everything: sat <=> not false.
-  EXPECT_EQ(M.exists(F, V), BddManager::True);
+  EXPECT_EQ(M.exists(F, M.varSet(V)), BddManager::True);
 }
 
 TEST_F(BddTest, RenameShiftsRails) {
   // Map even "current" vars to odd "shadow" vars: v0->v1, v2->v3.
   Node F = M.mkAnd(M.varNode(V[0]), M.mkNot(M.varNode(V[2])));
-  Node R = M.rename(F, {{V[0], V[1]}, {V[2], V[3]}});
+  Node R = M.rename(F, M.renaming({{V[0], V[1]}, {V[2], V[3]}}));
   EXPECT_EQ(R, M.mkAnd(M.varNode(V[1]), M.mkNot(M.varNode(V[3]))));
   // Renaming back round-trips.
-  EXPECT_EQ(M.rename(R, {{V[1], V[0]}, {V[3], V[2]}}), F);
+  EXPECT_EQ(M.rename(R, M.renaming({{V[1], V[0]}, {V[3], V[2]}})), F);
 }
 
 TEST_F(BddTest, CubesPartitionTheOnSet) {
@@ -154,7 +154,7 @@ TEST_P(BddOracleTest, MatchesTruthTable) {
     }
   }
   uint16_t ExTable = Lo | Hi;
-  Node Ex = M.exists(F.Bdd, {V[0]});
+  Node Ex = M.exists(F.Bdd, M.varSet({V[0]}));
   for (int A = 0; A != 16; ++A) {
     std::map<int, bool> Assign;
     for (int I = 0; I != 4; ++I)

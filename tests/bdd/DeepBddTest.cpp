@@ -70,17 +70,17 @@ TEST(DeepBdd, OperatorsSurviveHundredThousandNodeChains) {
   std::map<int, int> Shift;
   for (int V = 0; V != ChainVars; ++V)
     Shift[V] = V + 1;
-  Node Shifted = M.rename(Chain, Shift);
+  Node Shifted = M.rename(Chain, M.renaming(Shift));
   std::map<int, int> Back;
   for (int V = 0; V != ChainVars; ++V)
     Back[V + 1] = V;
-  EXPECT_EQ(M.rename(Shifted, Back), Chain);
+  EXPECT_EQ(M.rename(Shifted, M.renaming(Back)), Chain);
 
   // Quantifying every variable collapses the cube to True.
   std::vector<int> All;
   for (int V = 0; V != ChainVars; ++V)
     All.push_back(V);
-  EXPECT_EQ(M.exists(Chain, All), BddManager::True);
+  EXPECT_EQ(M.exists(Chain, M.varSet(All)), BddManager::True);
 }
 
 TEST(DeepBdd, AndExistsSurvivesDeepOperands) {
@@ -95,13 +95,13 @@ TEST(DeepBdd, AndExistsSurvivesDeepOperands) {
   std::vector<int> All;
   for (int V = 0; V != ChainVars; ++V)
     All.push_back(V);
-  EXPECT_EQ(M.andExists(E, O, All), BddManager::True);
+  EXPECT_EQ(M.andExists(E, O, M.varSet(All)), BddManager::True);
 
   // Quantify only the odd half: the even half-chain remains.
   std::vector<int> OddVars;
   for (int V = 1; V < ChainVars; V += 2)
     OddVars.push_back(V);
-  EXPECT_EQ(M.andExists(E, O, OddVars), E);
+  EXPECT_EQ(M.andExists(E, O, M.varSet(OddVars)), E);
 }
 
 } // namespace

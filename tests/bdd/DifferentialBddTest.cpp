@@ -176,14 +176,14 @@ TEST(DifferentialBdd, RandomFormulasMatchTruthTables) {
       break;
     case 5: {
       std::vector<int> Vars = randVarSet();
-      R = M.exists(FA, Vars);
+      R = M.exists(FA, M.varSet(Vars));
       T = TA.exists(Vars);
       What = "exists";
       break;
     }
     case 6: {
       std::vector<int> Vars = randVarSet();
-      R = M.andExists(FA, FB, Vars);
+      R = M.andExists(FA, FB, M.varSet(Vars));
       T = (TA & TB).exists(Vars);
       What = "andExists";
       break;
@@ -195,8 +195,8 @@ TEST(DifferentialBdd, RandomFormulasMatchTruthTables) {
     // (both are canonical nodes, so equality is integer equality).
     if (Step % 7 == 0) {
       std::vector<int> Vars = randVarSet();
-      EXPECT_EQ(M.andExists(FA, FB, Vars),
-                M.exists(M.mkAnd(FA, FB), Vars));
+      EXPECT_EQ(M.andExists(FA, FB, M.varSet(Vars)),
+                M.exists(M.mkAnd(FA, FB), M.varSet(Vars)));
     }
 
     Pool.push_back({R, T});
@@ -229,7 +229,7 @@ TEST(DifferentialBdd, RenameMatchesShiftedOracle) {
     std::map<int, int> Shift;
     for (int V = 0; V != NumVars; ++V)
       Shift[V] = V + NumVars;
-    Node Renamed = M.rename(R, Shift);
+    Node Renamed = M.rename(R, M.renaming(Shift));
     for (int I = 0; I != NumAssignments; ++I) {
       std::map<int, bool> A;
       for (int V = 0; V != NumVars; ++V)
@@ -240,7 +240,7 @@ TEST(DifferentialBdd, RenameMatchesShiftedOracle) {
     std::map<int, int> Back;
     for (int V = 0; V != NumVars; ++V)
       Back[V + NumVars] = V;
-    EXPECT_EQ(M.rename(Renamed, Back), R);
+    EXPECT_EQ(M.rename(Renamed, M.renaming(Back)), R);
   }
 }
 

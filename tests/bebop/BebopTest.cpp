@@ -57,6 +57,39 @@ TEST_F(BebopTest, FailingAssert) {
   EXPECT_EQ(R.Trace.back().Op, NodeOp::Assert);
 }
 
+// The CFG belongs to the procedure: every Bebop over a program reads
+// the graph the procedure lowered once, and answers the same.
+TEST_F(BebopTest, TwoCheckersShareOneCfg) {
+  auto P = parse(R"(
+    void flip(x) begin
+      decl y;
+      y := !x;
+      assert(y != x);
+    end
+    void main() begin
+      decl a;
+      a := *;
+      call flip(a);
+      assert(a);
+    end
+  )");
+  Bebop First(*P);
+  Bebop Second(*P);
+  for (const BProc *Proc : P->Procs) {
+    EXPECT_EQ(First.cfg(Proc->Name), &Proc->cfg()) << Proc->Name;
+    EXPECT_EQ(Second.cfg(Proc->Name), &Proc->cfg()) << Proc->Name;
+  }
+  EXPECT_EQ(First.cfg("nosuch"), nullptr);
+  CheckResult A = First.run("main");
+  CheckResult B = Second.run("main");
+  EXPECT_TRUE(A.AssertViolated);
+  EXPECT_EQ(A.FailingStmt, B.FailingStmt);
+  ASSERT_EQ(A.Trace.size(), B.Trace.size());
+  for (size_t I = 0; I != A.Trace.size(); ++I)
+    EXPECT_EQ(A.Trace[I].Stmt, B.Trace[I].Stmt) << I;
+  EXPECT_EQ(First.bddNodes(), Second.bddNodes());
+}
+
 TEST_F(BebopTest, UnconstrainedInitialValues) {
   // Initial values are unconstrained, so the assert can fail.
   auto R = check("void main() begin decl a; assert(a); end");

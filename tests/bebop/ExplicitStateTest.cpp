@@ -10,7 +10,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "bebop/Bebop.h"
-#include "bebop/Cfg.h"
 #include "bp/BPParser.h"
 
 #include <gtest/gtest.h>
@@ -115,8 +114,7 @@ std::string randomBProgram(Rng &R, int NumVars, int NumStmts) {
 /// on every `*`.
 class ExplicitChecker {
 public:
-  ExplicitChecker(const BProc &Proc, DiagnosticEngine &Diags)
-      : Cfg(Proc, Diags) {
+  explicit ExplicitChecker(const BProc &Proc) : Cfg(Proc.cfg()) {
     for (size_t I = 0; I != Proc.Locals.size(); ++I)
       VarIndex[Proc.Locals[I]] = static_cast<int>(I);
     NumVars = static_cast<int>(Proc.Locals.size());
@@ -258,7 +256,7 @@ private:
     return {true};
   }
 
-  ProcCfg Cfg;
+  const ProcCfg &Cfg;
   std::map<std::string, int> VarIndex;
   int NumVars = 0;
 };
@@ -278,8 +276,7 @@ TEST_P(BebopVsExplicit, VerdictsAgree) {
     Bebop Symbolic(*P);
     bool SymbolicFails = Symbolic.run("main").AssertViolated;
 
-    DiagnosticEngine CfgDiags;
-    ExplicitChecker Explicit(*P->Procs[0], CfgDiags);
+    ExplicitChecker Explicit(*P->Procs[0]);
     bool ExplicitFails = Explicit.anyAssertFails();
 
     EXPECT_EQ(SymbolicFails, ExplicitFails)

@@ -23,6 +23,7 @@
 
 using namespace slam;
 using namespace slam::bebop;
+using slam::bp::NodeOp;
 using slamtool::SlamResult;
 
 namespace {

@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bp/BPParser.h"
 #include "c2bp/AbstractionMemo.h"
 #include "cfront/Normalize.h"
 #include "cfront/Parser.h"
@@ -156,6 +157,70 @@ std::string freshAbstraction(const cfront::Program &P,
   return c2bp::C2bpTool(P, Preds, Ctx, baseOptions().C2bp).run()->str();
 }
 
+/// The statements \p S stands for in the concrete syntax, which prints
+/// a block's nested blocks inline: a block's statements, flattened, or
+/// \p S itself.
+void flatten(bp::BStmt *S, std::vector<bp::BStmt *> &Out) {
+  if (!S)
+    return;
+  if (S->Kind != bp::BStmtKind::Block) {
+    Out.push_back(S);
+    return;
+  }
+  for (bp::BStmt *Sub : S->Stmts)
+    flatten(Sub, Out);
+}
+
+/// Copies the origin ids and branch sides of the statements \p From
+/// stands for onto those \p To stands for, which must have the same
+/// shape: the concrete syntax of a boolean program does not carry
+/// them, but traces do.
+void copyOrigins(bp::BStmt *From, bp::BStmt *To) {
+  std::vector<bp::BStmt *> Fs, Ts;
+  flatten(From, Fs);
+  flatten(To, Ts);
+  ASSERT_EQ(Fs.size(), Ts.size());
+  for (size_t I = 0; I != Fs.size(); ++I) {
+    const bp::BStmt &F = *Fs[I];
+    bp::BStmt &T = *Ts[I];
+    ASSERT_EQ(F.Kind, T.Kind);
+    T.OriginId = F.OriginId;
+    T.BranchTaken = F.BranchTaken;
+    copyOrigins(F.Sub, T.Sub);
+    copyOrigins(F.Then, T.Then);
+    copyOrigins(F.Else, T.Else);
+    copyOrigins(F.Body, T.Body);
+  }
+}
+
+/// \p BP parsed back from its printed form, with its origin ids: the
+/// same program in fresh procedures, whose CFGs no Bebop has read yet.
+std::unique_ptr<bp::BProgram> reparse(const bp::BProgram &BP) {
+  DiagnosticEngine Diags;
+  std::unique_ptr<bp::BProgram> Fresh = bp::parseBProgram(BP.str(), Diags);
+  EXPECT_TRUE(Fresh && bp::verifyBProgram(*Fresh, Diags)) << Diags.str();
+  if (!Fresh || Fresh->Procs.size() != BP.Procs.size())
+    return nullptr;
+  for (size_t I = 0; I != BP.Procs.size(); ++I)
+    copyOrigins(BP.Procs[I]->Body, Fresh->Procs[I]->Body);
+  return Fresh;
+}
+
+/// A Bebop run as a comparison key: the verdict, the failing assert,
+/// every trace step (procedure, operation, origin id and statement)
+/// and the BDD node count.
+std::string checkKey(const bebop::CheckResult &R, size_t BddNodes) {
+  std::ostringstream Out;
+  Out << R.AssertViolated << ' ' << R.FailingProc << ' '
+      << (R.FailingStmt ? bp::printBStmt(*R.FailingStmt) : "") << '\n';
+  for (const bebop::TraceStep &Step : R.Trace)
+    Out << Step.ProcName << ' ' << static_cast<int>(Step.Op) << ' '
+        << Step.OriginId << ' '
+        << (Step.Stmt ? bp::printBStmt(*Step.Stmt) : "<exit>") << '\n';
+  Out << "bdd nodes " << BddNodes << '\n';
+  return Out.str();
+}
+
 c2bp::PredicateSet parsePreds(logic::LogicContext &Ctx,
                               const std::string &Text) {
   DiagnosticEngine Diags;
@@ -168,9 +233,12 @@ c2bp::PredicateSet parsePreds(logic::LogicContext &Ctx,
 
 // The CEGAR loop round by round, as checkProgram drives it: every
 // round's boolean program built through the memo, with reused
-// procedures, equals a memo-less abstraction of the same predicates.
-// The 4-worker pass runs the rounds' tasks on worker threads while the
-// memo is in use (ThreadSanitizer runs this suite).
+// procedures, equals a memo-less abstraction of the same predicates,
+// and Bebop answers the same on it, whose reused procedures keep the
+// CFGs earlier rounds lowered, as on a fresh parse of it, whose
+// procedures lower new ones. The 4-worker pass runs the rounds' tasks
+// on worker threads while the memo is in use (ThreadSanitizer runs
+// this suite).
 TEST(Incremental, EveryRoundMatchesAMemoLessAbstraction) {
   std::vector<workloads::DriverModel> Models = workloads::table1Drivers();
   Models.push_back(dispatch8());
@@ -195,7 +263,15 @@ TEST(Incremental, EveryRoundMatchesAMemoLessAbstraction) {
         Memo.commit();
         ASSERT_EQ(BP->str(), freshAbstraction(*P, Preds, Ctx))
             << "round " << Rounds;
-        bebop::CheckResult Check = bebop::Bebop(*BP).run("main");
+        bebop::Bebop Checker(*BP);
+        bebop::CheckResult Check = Checker.run("main");
+        std::unique_ptr<bp::BProgram> Fresh = reparse(*BP);
+        ASSERT_TRUE(Fresh) << "round " << Rounds;
+        bebop::Bebop FreshChecker(*Fresh);
+        bebop::CheckResult FreshCheck = FreshChecker.run("main");
+        ASSERT_EQ(checkKey(Check, Checker.bddNodes()),
+                  checkKey(FreshCheck, FreshChecker.bddNodes()))
+            << "round " << Rounds;
         if (!Check.AssertViolated)
           break;
         NewtonResult NR =

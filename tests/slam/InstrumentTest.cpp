@@ -91,6 +91,26 @@ TEST_F(InstrumentTest, MissingFunctionFails) {
   EXPECT_TRUE(Diags.hasErrors());
 }
 
+// One function as both events gives two transitions on one event from
+// each state; the woven chain would silently take the first.
+TEST_F(InstrumentTest, NondeterministicSpecFails) {
+  auto P = load(R"(
+    void AcquireLock() { }
+    void main() { AcquireLock(); }
+  )");
+  DiagnosticEngine Diags;
+  EXPECT_FALSE(instrument(
+      *P, SafetySpec::lockDiscipline("AcquireLock", "AcquireLock"), "main",
+      Diags));
+  EXPECT_NE(Diags.str().find("event 'AcquireLock' has two transitions "
+                             "from state 1"),
+            std::string::npos)
+      << Diags.str();
+  // Rejected before weaving: the program is unchanged.
+  EXPECT_EQ(P->findGlobal("__state"), nullptr);
+  EXPECT_TRUE(P->findFunction("AcquireLock")->Body->Stmts.empty());
+}
+
 TEST_F(InstrumentTest, SeedPredicates) {
   c2bp::PredicateSet Preds;
   seedPredicates(Ctx, SafetySpec::irpDiscipline("Complete", "Pend"),

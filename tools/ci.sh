@@ -22,7 +22,9 @@
 #              (ASLR on) and five times each at -j 2/4; asserts
 #              identical stdout, exit status and work counters
 #              (c2bp.cubes_checked, c2bp.procs_reused,
-#              c2bp.procs_rebuilt, prover.calls, slam.iterations)
+#              c2bp.procs_rebuilt, prover.calls, slam.iterations,
+#              bebop.steps, bebop.pe_updates, bebop.summary_updates)
+#              and the gauge bebop.bdd_nodes
 #   debug      Debug build (assertions on; every other job defines
 #              NDEBUG) + full ctest suite; then the determinism cases
 #              once in the Debug and the default build, asserting
@@ -185,8 +187,11 @@ run_determinism() {
 import json, sys
 name, paths = sys.argv[1], sys.argv[2:]
 keys = ("c2bp.cubes_checked", "c2bp.procs_reused", "c2bp.procs_rebuilt",
-        "prover.calls", "slam.iterations")
-runs = [json.load(open(p))["counters"] for p in paths]
+        "prover.calls", "slam.iterations", "bebop.steps", "bebop.pe_updates",
+        "bebop.summary_updates", "bebop.bdd_nodes")
+# Counters and gauges (bebop.bdd_nodes is a gauge) in one map.
+runs = [{**doc["counters"], **doc["gauges"]}
+        for doc in (json.load(open(p)) for p in paths)]
 for k in keys:
     vals = [r.get(k, 0) for r in runs]
     assert len(set(vals)) == 1, f"{name}: {k} differs across runs: {vals}"
