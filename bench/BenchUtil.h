@@ -23,14 +23,11 @@ namespace benchutil {
 /// Result of one C2bp (+ optional Bebop) run on a workload.
 struct RunRow {
   std::string Name;
-  unsigned Lines = 0;
-  size_t Predicates = 0;
   uint64_t ProverCalls = 0;
   uint64_t CubesChecked = 0;
   double C2bpSeconds = 0;
   double BebopSeconds = 0;
   bool Violated = false;
-  bool Ok = false;
   size_t BddNodes = 0;
   /// Bebop-side counters (BDD node/cache statistics among them).
   std::map<std::string, uint64_t> BebopStats;
@@ -47,11 +44,9 @@ inline RunRow runTable2(const workloads::Workload &W,
   auto P = cfront::frontend(W.Source, Diags);
   if (!P)
     return Row;
-  Row.Lines = P->SourceLines;
   auto PS = c2bp::parsePredicateFile(Ctx, W.Predicates, Diags);
   if (!PS)
     return Row;
-  Row.Predicates = PS->totalCount();
   StatsRegistry Stats;
   Timer T;
   auto BP = c2bp::abstractProgram(*P, *PS, Ctx, Options, &Stats);
@@ -68,7 +63,6 @@ inline RunRow runTable2(const workloads::Workload &W,
     Row.BddNodes = Checker.bddNodes();
     Row.BebopStats = BebopStats.all();
   }
-  Row.Ok = BP != nullptr;
   return Row;
 }
 
@@ -117,21 +111,6 @@ private:
   std::string Doc;
   json::Writer W;
 };
-
-inline void printRowHeader(const char *Title) {
-  std::printf("\n%s\n", Title);
-  std::printf("%-10s %6s %6s %12s %10s %10s %9s\n", "program", "lines",
-              "preds", "prover calls", "c2bp (s)", "bebop (s)",
-              "violated");
-}
-
-inline void printRow(const RunRow &Row) {
-  std::printf("%-10s %6u %6zu %12llu %10.2f %10.2f %9s\n",
-              Row.Name.c_str(), Row.Lines, Row.Predicates,
-              static_cast<unsigned long long>(Row.ProverCalls),
-              Row.C2bpSeconds, Row.BebopSeconds,
-              Row.Violated ? "yes" : "no");
-}
 
 } // namespace benchutil
 } // namespace slam

@@ -81,7 +81,6 @@ public:
   int elemCell(const cfront::VarDecl *ArrayVar) const;
   int retCell(const cfront::FuncDecl *F) const;
   const Cell &cell(int Id) const { return Cells[Id]; }
-  int numCells() const { return static_cast<int>(Cells.size()); }
   const std::set<int> &pts(int CellId) const { return Pts[CellId]; }
 
   // -- Constraint construction (used by the internal builder) -------------

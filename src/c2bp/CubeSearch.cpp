@@ -128,7 +128,6 @@ Dnf CubeSearch::searchRaw(const std::vector<ExprRef> &V, ExprRef Phi,
           if (Options.PruneSupersets &&
               (HasSubsetIn(Result, Ext) || HasSubsetIn(Rejected, Ext)))
             continue;
-          ++NumCubes;
           if (Stats)
             Stats->add("c2bp.cubes_checked");
           ExprRef EC = concretize(V, Ext);

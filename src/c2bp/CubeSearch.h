@@ -88,9 +88,6 @@ public:
   logic::ExprRef concretize(const std::vector<logic::ExprRef> &V,
                             const Cube &C) const;
 
-  /// Number of cubes whose implication was checked.
-  uint64_t cubesChecked() const { return NumCubes; }
-
 private:
   /// Cone-of-influence restriction, then the raw enumeration — the path
   /// shared by findF and findContradictions.
@@ -105,7 +102,6 @@ private:
   const logic::AliasOracle &Alias;
   CubeSearchOptions Options;
   StatsRegistry *Stats;
-  uint64_t NumCubes = 0;
 };
 
 } // namespace c2bp

@@ -217,14 +217,3 @@ std::string cfront::printFunction(const FuncDecl &F) {
   Out += "}\n";
   return Out;
 }
-
-std::string cfront::printProgram(const Program &P) {
-  std::string Out;
-  for (const VarDecl *G : P.Globals)
-    Out += G->Ty->str() + " " + G->Name + ";\n";
-  for (const FuncDecl *F : P.Functions) {
-    Out += printFunction(*F);
-    Out += "\n";
-  }
-  return Out;
-}

@@ -268,8 +268,7 @@ private:
   std::deque<FuncDecl> FuncArena;
 };
 
-/// Renders a whole program (or one function) back to C-like source.
-std::string printProgram(const Program &P);
+/// Renders one function (or statement) back to C-like source.
 std::string printFunction(const FuncDecl &F);
 std::string printStmt(const Stmt &S, unsigned Indent = 0);
 

@@ -54,8 +54,6 @@ public:
 
   int numTerms() const { return static_cast<int>(Terms.size()); }
 
-  logic::ExprRef exprOf(int Id) const { return Terms[Id].E; }
-
   /// True if some asserted disequality has been violated.
   bool inConflict() const { return Conflict; }
 

@@ -226,17 +226,14 @@ Satisfiability Prover::noteCacheHit(SharedProverCache::Outcome Kind,
   const char *Counter = nullptr;
   switch (Kind) {
   case SharedProverCache::Outcome::Hit:
-    ++NumCacheHits;
     Counter = "prover.cache_hits";
     break;
   case SharedProverCache::Outcome::WaitHit:
-    ++NumCacheHits;
     Counter = "prover.cache_hits";
     if (Stats)
       Stats->add("prover.shared_wait_hits");
     break;
   case SharedProverCache::Outcome::NegHit:
-    ++NumNegCacheHits;
     Counter = "prover.neg_cache_hits";
     break;
   case SharedProverCache::Outcome::Miss:
@@ -262,7 +259,6 @@ Satisfiability Prover::checkSat(ExprRef Phi) {
   SharedProverCache::Lookup L = Cache.lookupOrReserve(Phi);
   if (L.Kind != SharedProverCache::Outcome::Miss)
     return noteCacheHit(L.Kind, L.Value);
-  ++NumCalls;
   if (Stats)
     Stats->add("prover.calls");
   Satisfiability Result = timedCheck(Phi);

@@ -20,9 +20,11 @@
 /// free whenever phi was unsatisfiable. Each worker remains
 /// single-threaded and owns its Prover exclusively.
 ///
-/// The caller's statistics registry records the number of genuine
-/// prover calls and cache hits so benchmarks can reproduce the paper's
-/// tables.
+/// The caller's statistics registry is the only record of the work:
+/// `prover.calls` counts non-cached satisfiability decisions (the
+/// "theorem prover calls" column of Tables 1 and 2), and
+/// `prover.cache_hits` / `prover.neg_cache_hits` count the exact-entry
+/// and opposite-polarity cache hits.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,15 +66,6 @@ public:
   /// Is \p Phi satisfiable?
   Satisfiability checkSat(logic::ExprRef Phi);
 
-  /// Number of non-cached satisfiability decisions performed. This is
-  /// the "theorem prover calls" column of Tables 1 and 2.
-  uint64_t numCalls() const { return NumCalls; }
-  /// Exact-entry cache hits (including hits obtained by waiting out
-  /// another worker's in-flight call).
-  uint64_t numCacheHits() const { return NumCacheHits; }
-  /// Hits answered from the opposite polarity's Unsat result.
-  uint64_t numNegCacheHits() const { return NumNegCacheHits; }
-
 private:
   Satisfiability checkSatUncached(logic::ExprRef Phi);
 
@@ -98,9 +91,6 @@ private:
   /// single-threaded, so plain members suffice.
   logic::ExprRef CurAntecedent = nullptr;
   logic::ExprRef CurConsequent = nullptr;
-  uint64_t NumCalls = 0;
-  uint64_t NumCacheHits = 0;
-  uint64_t NumNegCacheHits = 0;
 };
 
 } // namespace prover

@@ -14,7 +14,7 @@ namespace {
 
 class CubeSearchTest : public ::testing::Test {
 protected:
-  CubeSearchTest() : P(Ctx) {}
+  CubeSearchTest() : P(Ctx, &Stats) {}
 
   ExprRef parse(const std::string &Text) {
     DiagnosticEngine Diags;
@@ -31,10 +31,13 @@ protected:
   }
 
   CubeSearch make(CubeSearchOptions Options = {}) {
-    return CubeSearch(Ctx, P, Oracle, Options, nullptr);
+    return CubeSearch(Ctx, P, Oracle, Options, &Stats);
   }
 
+  uint64_t cubesChecked() const { return Stats.get("c2bp.cubes_checked"); }
+
   logic::LogicContext Ctx;
+  StatsRegistry Stats;
   prover::Prover P;
   logic::ShapeAliasOracle Oracle;
 };
@@ -138,11 +141,11 @@ TEST_F(CubeSearchTest, ConeOfInfluenceSavesQueries) {
   NoCone.ConeOfInfluence = false;
   CubeSearch CS1 = make(NoCone);
   CS1.findF(V, parse("x < 4"));
-  uint64_t Without = CS1.cubesChecked();
+  uint64_t Without = cubesChecked();
 
   CubeSearch CS2 = make();
   Dnf D = CS2.findF(V, parse("x < 4"));
-  uint64_t With = CS2.cubesChecked();
+  uint64_t With = cubesChecked() - Without;
   EXPECT_LT(With, Without);
   // Same result.
   ASSERT_EQ(D.size(), 1u);
@@ -155,12 +158,12 @@ TEST_F(CubeSearchTest, SyntacticFastPathNeedsNoProver) {
   Dnf D = CS.findF(V, parse("x == 2"));
   ASSERT_EQ(D.size(), 1u);
   EXPECT_EQ(D[0][0].Var, 1);
-  EXPECT_EQ(CS.cubesChecked(), 0u);
+  EXPECT_EQ(cubesChecked(), 0u);
   // Negation fast path.
   Dnf DN = CS.findF(V, parse("x != 2"));
   ASSERT_EQ(DN.size(), 1u);
   EXPECT_FALSE(DN[0][0].Positive);
-  EXPECT_EQ(CS.cubesChecked(), 0u);
+  EXPECT_EQ(cubesChecked(), 0u);
 }
 
 TEST_F(CubeSearchTest, CachingAvoidsRecomputation) {
@@ -169,12 +172,12 @@ TEST_F(CubeSearchTest, CachingAvoidsRecomputation) {
   auto V = preds({"x < 5", "x == 2"});
   CubeSearch CS = make();
   Dnf First = CS.findF(V, parse("x < 4"));
-  uint64_t Calls = P.numCalls();
-  uint64_t Hits = P.numCacheHits();
+  uint64_t Calls = Stats.get("prover.calls");
+  uint64_t Hits = Stats.get("prover.cache_hits");
   EXPECT_GT(Calls, 0u);
   EXPECT_EQ(CS.findF(V, parse("x < 4")), First);
-  EXPECT_EQ(P.numCalls(), Calls);
-  EXPECT_GT(P.numCacheHits(), Hits);
+  EXPECT_EQ(Stats.get("prover.calls"), Calls);
+  EXPECT_GT(Stats.get("prover.cache_hits"), Hits);
 }
 
 TEST_F(CubeSearchTest, GViaConcretization) {

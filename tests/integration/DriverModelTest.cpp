@@ -50,6 +50,12 @@ TEST(DriverModels, SizesFollowThePaperOrdering) {
   EXPECT_GT(Lines("srdriver"), Lines("log"));
   EXPECT_GT(Lines("log"), Lines("openclos"));
   EXPECT_GT(Lines("openclos"), Lines("ioctl"));
+  // The exact sizes are the lines column of EXPERIMENTS.md's Table 1.
+  EXPECT_EQ(Lines("floppy"), 2849u);
+  EXPECT_EQ(Lines("ioctl"), 427u);
+  EXPECT_EQ(Lines("openclos"), 575u);
+  EXPECT_EQ(Lines("srdriver"), 2643u);
+  EXPECT_EQ(Lines("log"), 1009u);
 }
 
 TEST(DriverModels, DiscoveredPredicatesRoundTripThroughTheParser) {

@@ -59,13 +59,16 @@ void expectGolden(const std::string &Name, const std::string &Actual) {
   EXPECT_EQ(Golden, Actual) << "differs from newton_golden/" << File;
 }
 
-/// The SLAM loop on \p Source at k = 3 (the slam tool's default).
+/// The SLAM loop on \p Source at k = 3 (the slam tool's default) and
+/// -j \p Workers. Every worker count must reach the same golden file.
 void expectSlamGolden(const std::string &Name, std::string_view Source,
-                      const SafetySpec &Spec) {
+                      const SafetySpec &Spec, int Workers) {
+  SCOPED_TRACE(Name + " at -j " + std::to_string(Workers));
   logic::LogicContext Ctx;
   DiagnosticEngine Diags;
   slamtool::PipelineOptions Options;
   Options.C2bp.Cubes.MaxCubeLength = 3;
+  Options.C2bp.NumWorkers = Workers;
   auto R = slamtool::checkSafety(Source, Spec, Ctx, Diags, Options);
   ASSERT_TRUE(R.has_value()) << Diags.str();
   const char *Verdict = R->V == SlamResult::Verdict::Validated ? "VALIDATED"
@@ -83,7 +86,8 @@ SafetySpec lockSpec() {
 
 TEST(NewtonGolden, Table1Drivers) {
   for (const DriverModel &M : table1Drivers())
-    expectSlamGolden(M.Name, M.Source, M.Spec);
+    for (int Workers : {1, 4})
+      expectSlamGolden(M.Name, M.Source, M.Spec, Workers);
 }
 
 TEST(NewtonGolden, Dispatch8) {
@@ -91,17 +95,21 @@ TEST(NewtonGolden, Dispatch8) {
   C.Name = "dispatch8";
   C.NumDispatch = 8;
   DriverModel M = generateDriver(C);
-  expectSlamGolden("dispatch8", M.Source, M.Spec);
+  for (int Workers : {1, 4})
+    expectSlamGolden("dispatch8", M.Source, M.Spec, Workers);
 }
 
 TEST(NewtonGolden, ExamplePrograms) {
-  expectSlamGolden("dispatch", readFile(SLAM_EXAMPLES_DIR "/dispatch.c"),
-                   lockSpec());
-  expectSlamGolden("locking", readFile(SLAM_EXAMPLES_DIR "/locking.c"),
-                   lockSpec());
-  expectSlamGolden(
-      "irp", readFile(SLAM_EXAMPLES_DIR "/irp.c"),
-      SafetySpec::irpDiscipline("CompleteRequest", "MarkPending"));
+  std::string Dispatch = readFile(SLAM_EXAMPLES_DIR "/dispatch.c");
+  std::string Locking = readFile(SLAM_EXAMPLES_DIR "/locking.c");
+  std::string Irp = readFile(SLAM_EXAMPLES_DIR "/irp.c");
+  for (int Workers : {1, 4}) {
+    expectSlamGolden("dispatch", Dispatch, lockSpec(), Workers);
+    expectSlamGolden("locking", Locking, lockSpec(), Workers);
+    expectSlamGolden(
+        "irp", Irp,
+        SafetySpec::irpDiscipline("CompleteRequest", "MarkPending"), Workers);
+  }
 }
 
 TEST(NewtonGolden, ReverseHeapPath) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <sstream>
 
 using namespace slam;
@@ -22,6 +23,7 @@ struct RunOutcome {
   bool FrontendOk = false;
   bool Violated = true;
   bool LabelReachable = false;
+  unsigned Lines = 0;
   uint64_t ProverCalls = 0;
   std::vector<bebop::TraceStep> Trace;
   std::unique_ptr<cfront::Program> Prog;
@@ -37,6 +39,7 @@ RunOutcome runWorkload(const Workload &W, logic::LogicContext &Ctx,
   EXPECT_TRUE(Out.Prog != nullptr) << W.Name << ": " << Diags.str();
   if (!Out.Prog)
     return Out;
+  Out.Lines = Out.Prog->SourceLines;
   auto PS = c2bp::parsePredicateFile(Ctx, W.Predicates, Diags);
   EXPECT_TRUE(PS.has_value()) << W.Name << ": " << Diags.str();
   if (!PS)
@@ -136,12 +139,17 @@ TEST(Table2, BooleanProgramsMatchGoldenFiles) {
 }
 
 TEST(Table2, AllRowsRunThroughC2bp) {
-  // The table itself: every row abstracts without diagnostics and
-  // reports nonzero prover work.
+  // The table itself: every row abstracts without diagnostics, has the
+  // size in EXPERIMENTS.md's lines column, and reports nonzero prover
+  // work.
+  const std::map<std::string, unsigned> Lines = {
+      {"kmp", 42}, {"qsort", 38}, {"partition", 27},
+      {"listfind", 22}, {"reverse", 44}};
   logic::LogicContext Ctx;
   for (const Workload *W : table2Workloads()) {
     auto R = runWorkload(*W, Ctx);
     EXPECT_TRUE(R.FrontendOk) << W->Name;
+    EXPECT_EQ(R.Lines, Lines.at(W->Name)) << W->Name;
     EXPECT_GT(R.ProverCalls, 0u) << W->Name;
   }
 }

@@ -95,13 +95,16 @@ void expectBebopGolden(const std::string &Name, const std::string &Path,
   expectGolden(Name, render(R.Trace));
 }
 
-/// The final trace of the SLAM loop at k = 3 (the slam tool's default).
+/// The final trace of the SLAM loop at k = 3 (the slam tool's default)
+/// and -j \p Workers. Every worker count must reach the same golden file.
 void expectSlamGolden(const std::string &Name, std::string_view Source,
-                      const slamtool::SafetySpec &Spec) {
+                      const slamtool::SafetySpec &Spec, int Workers) {
+  SCOPED_TRACE(Name + " at -j " + std::to_string(Workers));
   logic::LogicContext Ctx;
   DiagnosticEngine Diags;
   slamtool::PipelineOptions Options;
   Options.C2bp.Cubes.MaxCubeLength = 3;
+  Options.C2bp.NumWorkers = Workers;
   auto R = slamtool::checkSafety(Source, Spec, Ctx, Diags, Options);
   ASSERT_TRUE(R.has_value()) << Diags.str();
   ASSERT_EQ(R->V, SlamResult::Verdict::BugFound);
@@ -122,13 +125,17 @@ TEST(TraceGolden, InvariantAfterViolation) {
 TEST(TraceGolden, FloppyFinalTrace) {
   workloads::DriverModel Floppy = workloads::table1Drivers()[0];
   ASSERT_EQ(Floppy.Name, "floppy");
-  expectSlamGolden("floppy", Floppy.Source, Floppy.Spec);
+  for (int Workers : {1, 4})
+    expectSlamGolden("floppy", Floppy.Source, Floppy.Spec, Workers);
 }
 
 TEST(TraceGolden, LockingBugFinalTrace) {
-  expectSlamGolden(
-      "locking_bug", readFile(SLAM_EXAMPLES_DIR "/locking_bug.c"),
-      slamtool::SafetySpec::lockDiscipline("AcquireLock", "ReleaseLock"));
+  std::string Source = readFile(SLAM_EXAMPLES_DIR "/locking_bug.c");
+  for (int Workers : {1, 4})
+    expectSlamGolden(
+        "locking_bug", Source,
+        slamtool::SafetySpec::lockDiscipline("AcquireLock", "ReleaseLock"),
+        Workers);
 }
 
 } // namespace

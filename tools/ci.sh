@@ -29,9 +29,11 @@
 #              NDEBUG) + full ctest suite; then the determinism cases
 #              once in the Debug and the default build, asserting
 #              identical stdout and exit status
+#   bench      perfbench --smoke: builds the benchmark harness (the only
+#              source of Tables 1 and 2) and checks its known answers
 #   all        every job above, in order
 #
-# Usage: tools/ci.sh [default|tsan|asan|release|observability|incremental|determinism|debug|all]
+# Usage: tools/ci.sh [default|tsan|asan|release|observability|incremental|determinism|debug|bench|all]
 #
 #===----------------------------------------------------------------------===#
 
@@ -231,6 +233,11 @@ run_debug() {
   for_each_example_case debug_case
 }
 
+run_bench() {
+  echo "=== ci: perfbench smoke run (Tables 1 and 2, known answers) ==="
+  python3 "$ROOT/perfbench/run.py" --smoke
+}
+
 case "$JOB" in
   default) run_default ;;
   tsan)    run_tsan ;;
@@ -240,7 +247,8 @@ case "$JOB" in
   incremental) run_incremental ;;
   determinism) run_determinism ;;
   debug)   run_debug ;;
-  all)     run_default; run_tsan; run_asan; run_release; run_observability; run_incremental; run_determinism; run_debug ;;
-  *) echo "ci.sh: unknown job '$JOB' (default|tsan|asan|release|observability|incremental|determinism|debug|all)" >&2; exit 2 ;;
+  bench)   run_bench ;;
+  all)     run_default; run_tsan; run_asan; run_release; run_observability; run_incremental; run_determinism; run_debug; run_bench ;;
+  *) echo "ci.sh: unknown job '$JOB' (default|tsan|asan|release|observability|incremental|determinism|debug|bench|all)" >&2; exit 2 ;;
 esac
 echo "=== ci: $JOB passed ==="
