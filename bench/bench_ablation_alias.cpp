@@ -43,6 +43,11 @@ void BM_Alias(benchmark::State &State, const workloads::Workload *W,
 } // namespace
 
 int main(int argc, char **argv) {
+  // Flags are checked before any table is computed: an unknown or
+  // malformed one is an error, not ignored.
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv))
+    return 1;
   std::printf("\nAblation: pointer analysis in the WP computation "
               "(Section 4.2), k = 3\n");
   std::printf("%-10s %-12s %12s %10s\n", "program", "oracle",
@@ -81,7 +86,6 @@ int main(int argc, char **argv) {
                                &workloads::partitionWorkload(), false,
                                alias::Mode::Das)
       ->Unit(benchmark::kMillisecond);
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -41,6 +41,11 @@ void BM_Cone(benchmark::State &State, const workloads::Workload *W,
 } // namespace
 
 int main(int argc, char **argv) {
+  // Flags are checked before any table is computed: an unknown or
+  // malformed one is an error, not ignored.
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv))
+    return 1;
   std::printf("\nAblation: cone of influence (Section 5.2, opt 3), "
               "k = 3\n");
   std::printf("%-10s %8s %12s %12s %10s\n", "program", "cone",
@@ -76,7 +81,6 @@ int main(int argc, char **argv) {
   benchmark::RegisterBenchmark("cone/partition_off", BM_Cone,
                                &workloads::partitionWorkload(), false)
       ->Unit(benchmark::kMillisecond);
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -43,6 +43,11 @@ void BM_CubeConfig(benchmark::State &State, const workloads::Workload *W,
 } // namespace
 
 int main(int argc, char **argv) {
+  // Flags are checked before any table is computed: an unknown or
+  // malformed one is an error, not ignored.
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv))
+    return 1;
   std::printf("\nAblation: cube length k and prime-implicant pruning "
               "(Section 5.2, opts 1 and k)\n");
   std::printf("%-10s %6s %6s %12s %12s %10s %9s\n", "program", "k",
@@ -78,7 +83,6 @@ int main(int argc, char **argv) {
   benchmark::RegisterBenchmark("cubes/qsort_k3", BM_CubeConfig,
                                &workloads::qsortWorkload(), 3, true)
       ->Unit(benchmark::kMillisecond);
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -164,6 +164,12 @@ int main(int argc, char **argv) {
   }
   argc = Out;
 
+  // Flags are checked before any table is computed: an unknown or
+  // malformed one is an error, not ignored.
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv))
+    return 1;
+
   benchutil::JsonReport Report("bench_bebop");
   auto emit = [&](const std::string &Name, double Seconds, size_t BddNodes,
                   bool Violated, const std::map<std::string, uint64_t> &Stats) {
@@ -235,7 +241,6 @@ int main(int argc, char **argv) {
     return 0;
   }
 
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }
