@@ -48,6 +48,7 @@ struct PipelineRun {
   SlamResult Result;
   std::string TraceDoc;
   std::string StatsDoc;
+  std::vector<TraceEvent> Events;
 };
 
 /// Runs checkSafety on the locking example with tracing installed.
@@ -75,6 +76,7 @@ PipelineRun runTraced(int Workers) {
   }
   TraceRecorder::setActive(nullptr);
   Run.TraceDoc = Recorder.toChromeJson();
+  Run.Events = Recorder.sortedEvents();
   return Run;
 }
 
@@ -87,11 +89,39 @@ TEST(Observability, TraceCoversEveryPipelineStage) {
   for (const char *Span :
        {"cfront.parse", "cfront.analyze", "cfront.instrument",
         "cfront.normalize", "alias.points_to", "alias.modref", "c2bp.run",
-        "c2bp.cube_search", "prover.query", "bebop.build", "bebop.run",
-        "newton.analyze_trace", "slam.iteration"})
+        "c2bp.setup", "c2bp.cube_search", "prover.query", "bebop.build",
+        "bebop.run", "newton.analyze_trace", "slam.iteration",
+        "slam.teardown"})
     EXPECT_NE(Run.TraceDoc.find(std::string("\"") + Span + "\""),
               std::string::npos)
         << "missing span " << Span;
+}
+
+TEST(Observability, EveryIterationSpansItsSetupAndTeardown) {
+  PipelineRun Run = runTraced(/*Workers=*/1);
+  ASSERT_GT(Run.Result.Iterations, 1);
+  // Each iteration holds one C2bpTool construction and one teardown;
+  // a span that ends where the next iteration starts may fall in both
+  // at microsecond resolution, so count each child kind once overall.
+  std::vector<const TraceEvent *> Iterations;
+  for (const TraceEvent &E : Run.Events)
+    if (E.Name == "slam.iteration")
+      Iterations.push_back(&E);
+  ASSERT_EQ(Iterations.size(), static_cast<size_t>(Run.Result.Iterations));
+  for (const char *Child : {"c2bp.setup", "slam.teardown"}) {
+    size_t Total = 0;
+    for (const TraceEvent &E : Run.Events)
+      Total += E.Name == Child;
+    EXPECT_EQ(Total, Iterations.size()) << Child;
+    for (const TraceEvent *It : Iterations) {
+      bool Inside = false;
+      for (const TraceEvent &E : Run.Events)
+        Inside |= E.Name == Child && E.Tid == It->Tid &&
+                  E.StartUs >= It->StartUs &&
+                  E.StartUs + E.DurUs <= It->StartUs + It->DurUs;
+      EXPECT_TRUE(Inside) << Child << " missing from an iteration";
+    }
+  }
 }
 
 TEST(Observability, WorkerSpansCarryWorkerThreadIds) {
