@@ -84,7 +84,6 @@ public:
   /// Creates the next variable (level == index).
   int newVar();
 
-  int numVars() const { return NumVars; }
   size_t numNodes() const { return Nodes.size(); }
 
   // -- Basic constructors ---------------------------------------------------
