@@ -4,13 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Every operator below is an explicit-worklist (iterative) version of
-// the textbook recursion: a frame holds one subproblem, Phase tracks
-// which cofactor results have arrived, and `Ret` carries the value a
-// finished frame hands back to its parent. Operators call each other
-// (quantify uses mkOr to merge cofactors, andExists falls back to
-// quantify when one operand hits True) but never themselves, so each
-// operator owns a distinct scratch stack.
+// Each memoized walker below is an explicit-worklist (iterative)
+// version of the textbook recursion: a frame holds one subproblem,
+// Phase tracks which cofactor results have arrived, and `Ret` carries
+// the value a finished frame hands back to its parent. There are three:
+// mkIte, which every connective calls; andExistsRec, which exists calls
+// with a True conjunct and which merges quantified cofactors with mkOr;
+// and rename. None re-enters itself, so each owns a distinct scratch
+// stack. forEachCube walks its own action stack.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,11 +45,6 @@ inline uint64_t mix64(uint64_t X) {
   return X;
 }
 
-inline uint64_t pack2(Node A, Node B) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(A)) << 32) |
-         static_cast<uint32_t>(B);
-}
-
 inline uint64_t pack3(Node A, Node B, Node C) {
   uint64_t K = static_cast<uint32_t>(A);
   K = K * 0x9e3779b97f4a7c15ULL ^ static_cast<uint32_t>(B);
@@ -70,32 +66,6 @@ inline uint64_t pack3(Node A, Node B, Node C) {
 // Operation caches
 //===----------------------------------------------------------------------===//
 
-void BddManager::Cache2::init(int Log) {
-  LogSize = Log;
-  E.assign(size_t(1) << Log, Ent{});
-  Mask = (1u << Log) - 1;
-  InsertsSinceGrow = 0;
-}
-
-bool BddManager::Cache2::find(Node A, Node B, Node &R) {
-  ++Lookups;
-  const Ent &X = E[mix64(pack2(A, B)) & Mask];
-  if (X.A == A && X.B == B) {
-    ++Hits;
-    R = X.R;
-    return true;
-  }
-  return false;
-}
-
-void BddManager::Cache2::insert(Node A, Node B, Node R) {
-  E[mix64(pack2(A, B)) & Mask] = {A, B, R};
-  // Grow (clearing the entries) under sustained insert pressure, up to
-  // the cap; past the cap the direct-mapped overwrite is the eviction.
-  if (++InsertsSinceGrow >= E.size() * 2 && LogSize < MaxCacheLog)
-    init(LogSize + 1);
-}
-
 void BddManager::Cache3::init(int Log) {
   LogSize = Log;
   E.assign(size_t(1) << Log, Ent{});
@@ -116,6 +86,8 @@ bool BddManager::Cache3::find(Node A, Node B, Node C, Node &R) {
 
 void BddManager::Cache3::insert(Node A, Node B, Node C, Node R) {
   E[mix64(pack3(A, B, C)) & Mask] = {A, B, C, R};
+  // Grow (clearing the entries) under sustained insert pressure, up to
+  // the cap; past the cap the direct-mapped overwrite is the eviction.
   if (++InsertsSinceGrow >= E.size() * 2 && LogSize < MaxCacheLog)
     init(LogSize + 1);
 }
@@ -130,10 +102,6 @@ BddManager::BddManager() {
   UniqueTable.assign(InitialTableSize, -1);
   UniqueMask = InitialTableSize - 1;
   IteCache.init(InitialCacheLog);
-  AndCache.init(InitialCacheLog);
-  OrCache.init(InitialCacheLog);
-  XorCache.init(InitialCacheLog);
-  ExistsCache.init(InitialCacheLog);
   AndExistsCache.init(InitialCacheLog);
   RenameCache.init(InitialCacheLog);
   // The empty variable set and the empty renaming, which varSet and
@@ -186,11 +154,6 @@ Node BddManager::mk(int Var, Node Lo, Node Hi) {
 Node BddManager::varNode(int Var) {
   assert(Var >= 0 && Var < NumVars && "unknown variable");
   return mk(Var, False, True);
-}
-
-Node BddManager::nvarNode(int Var) {
-  assert(Var >= 0 && Var < NumVars && "unknown variable");
-  return mk(Var, True, False);
 }
 
 //===----------------------------------------------------------------------===//
@@ -267,96 +230,6 @@ Node BddManager::mkIte(Node F, Node G, Node H) {
 }
 
 //===----------------------------------------------------------------------===//
-// Dedicated binary apply (and/or/xor)
-//===----------------------------------------------------------------------===//
-
-Node BddManager::applyBin(BinOp Op, Node A, Node B) {
-  Cache2 &C = Op == BinOp::And ? AndCache
-              : Op == BinOp::Or ? OrCache
-                                : XorCache;
-  std::vector<BinFrame> &S = BinStack;
-  S.clear();
-  S.push_back({A, B, 0, 0, 0});
-  Node Ret = False;
-  while (!S.empty()) {
-    size_t Ti = S.size() - 1;
-    if (S[Ti].Phase == 0) {
-      Node TA = S[Ti].A, TB = S[Ti].B;
-      bool Done = true;
-      switch (Op) {
-      case BinOp::And:
-        if (TA == False || TB == False)
-          Ret = False;
-        else if (TA == True)
-          Ret = TB;
-        else if (TB == True || TA == TB)
-          Ret = TA;
-        else
-          Done = false;
-        break;
-      case BinOp::Or:
-        if (TA == True || TB == True)
-          Ret = True;
-        else if (TA == False)
-          Ret = TB;
-        else if (TB == False || TA == TB)
-          Ret = TA;
-        else
-          Done = false;
-        break;
-      case BinOp::Xor:
-        if (TA == TB)
-          Ret = False;
-        else if (TA == False)
-          Ret = TB;
-        else if (TB == False)
-          Ret = TA;
-        else if (TA == True)
-          Ret = mkNot(TB);
-        else if (TB == True)
-          Ret = mkNot(TA);
-        else
-          Done = false;
-        break;
-      }
-      if (Done) {
-        S.pop_back();
-        continue;
-      }
-      if (TA > TB)
-        std::swap(TA, TB); // All three ops commute.
-      Node R;
-      if (C.find(TA, TB, R)) {
-        Ret = R;
-        S.pop_back();
-        continue;
-      }
-      int Top = std::min(level(TA), level(TB));
-      S[Ti] = {TA, TB, 0, Top, 1};
-      S.push_back({cof(TA, Top, false), cof(TB, Top, false), 0, 0, 0});
-      continue;
-    }
-    if (S[Ti].Phase == 1) {
-      S[Ti].Lo = Ret;
-      S[Ti].Phase = 2;
-      Node AH = cof(S[Ti].A, S[Ti].Top, true);
-      Node BH = cof(S[Ti].B, S[Ti].Top, true);
-      S.push_back({AH, BH, 0, 0, 0});
-      continue;
-    }
-    Node R = mk(S[Ti].Top, S[Ti].Lo, Ret);
-    C.insert(S[Ti].A, S[Ti].B, R);
-    Ret = R;
-    S.pop_back();
-  }
-  return Ret;
-}
-
-Node BddManager::mkAnd(Node A, Node B) { return applyBin(BinOp::And, A, B); }
-Node BddManager::mkOr(Node A, Node B) { return applyBin(BinOp::Or, A, B); }
-Node BddManager::mkXor(Node A, Node B) { return applyBin(BinOp::Xor, A, B); }
-
-//===----------------------------------------------------------------------===//
 // Quantification and the fused relational product
 //===----------------------------------------------------------------------===//
 
@@ -378,67 +251,15 @@ VarSet BddManager::varSet(const std::vector<int> &Vars) {
   return VarSet(Id);
 }
 
-Node BddManager::quantify(Node F, int CubeId) {
-  std::vector<UnFrame> &S = QuantStack;
-  S.clear();
-  S.push_back({F, 0, 0});
-  Node Ret = False;
-  while (!S.empty()) {
-    size_t Ti = S.size() - 1;
-    if (S[Ti].Phase == 0) {
-      Node N = S[Ti].N;
-      if (N <= True) {
-        Ret = N;
-        S.pop_back();
-        continue;
-      }
-      Node R;
-      if (ExistsCache.find(N, CubeId, R)) {
-        Ret = R;
-        S.pop_back();
-        continue;
-      }
-      S[Ti].Phase = 1;
-      S.push_back({Nodes[N].Lo, 0, 0});
-      continue;
-    }
-    if (S[Ti].Phase == 1) {
-      Node N = S[Ti].N;
-      // When the tested variable is quantified, a True cofactor
-      // short-circuits the OR of both.
-      if (inCube(CubeId, Nodes[N].Var) && Ret == True) {
-        ExistsCache.insert(N, CubeId, Ret);
-        S.pop_back();
-        continue;
-      }
-      S[Ti].Lo = Ret;
-      S[Ti].Phase = 2;
-      S.push_back({Nodes[N].Hi, 0, 0});
-      continue;
-    }
-    Node N = S[Ti].N;
-    Node Lo = S[Ti].Lo;
-    Node R;
-    if (inCube(CubeId, Nodes[N].Var))
-      R = mkOr(Lo, Ret);
-    else
-      R = mk(Nodes[N].Var, Lo, Ret);
-    ExistsCache.insert(N, CubeId, R);
-    Ret = R;
-    S.pop_back();
-  }
-  return Ret;
-}
-
 Node BddManager::exists(Node F, VarSet Vars) {
   assert(Vars.valid() && "interned by varSet");
   if (F <= True || Vars.Id == Empty)
     return F;
-  return quantify(F, Vars.Id);
+  return andExistsRec(F, True, Vars.Id);
 }
 
 Node BddManager::andExistsRec(Node F, Node G, int CubeId) {
-  std::vector<BinFrame> &S = AndExStack;
+  std::vector<AndExFrame> &S = AndExStack;
   S.clear();
   S.push_back({F, G, 0, 0, 0});
   Node Ret = False;
@@ -446,6 +267,8 @@ Node BddManager::andExistsRec(Node F, Node G, int CubeId) {
     size_t Ti = S.size() - 1;
     if (S[Ti].Phase == 0) {
       Node A = S[Ti].A, B = S[Ti].B;
+      if (A == B)
+        B = True; // F & F is F.
       if (A == False || B == False) {
         Ret = False;
         S.pop_back();
@@ -453,13 +276,6 @@ Node BddManager::andExistsRec(Node F, Node G, int CubeId) {
       }
       if (A == True && B == True) {
         Ret = True;
-        S.pop_back();
-        continue;
-      }
-      if (A == True || B == True || A == B) {
-        // One conjunct is trivial: plain existential quantification.
-        Node Rest = A == True ? B : A;
-        Ret = quantify(Rest, CubeId);
         S.pop_back();
         continue;
       }
@@ -550,7 +366,7 @@ Node BddManager::rename(Node F, Renaming Ren) {
     return It != Map.end() && It->first == Var ? It->second : Var;
   };
 
-  std::vector<UnFrame> &S = RenameStack;
+  std::vector<RenameFrame> &S = RenameStack;
   S.clear();
   S.push_back({F, 0, 0});
   Node Ret = False;
@@ -564,7 +380,7 @@ Node BddManager::rename(Node F, Renaming Ren) {
         continue;
       }
       Node R;
-      if (RenameCache.find(N, Ren.Id, R)) {
+      if (RenameCache.find(N, Ren.Id, 0, R)) {
         Ret = R;
         S.pop_back();
         continue;
@@ -589,7 +405,7 @@ Node BddManager::rename(Node F, Renaming Ren) {
     if (level(S[Ti].Lo) <= NewVar || level(Ret) <= NewVar)
       fatalRenameOrder(Nodes[N].Var, NewVar);
     Node R = mk(NewVar, S[Ti].Lo, Ret);
-    RenameCache.insert(N, Ren.Id, R);
+    RenameCache.insert(N, Ren.Id, 0, R);
     Ret = R;
     S.pop_back();
   }
@@ -661,22 +477,13 @@ void BddManager::reportStats(StatsRegistry &Stats,
   Stats.setMax(Prefix + "nodes", Nodes.size());
   Stats.set(Prefix + "unique.hits", UniqueHits);
   Stats.setMax(Prefix + "unique.capacity", UniqueTable.size());
-  auto Rep2 = [&](const char *Name, const Cache2 &C) {
-    Stats.set(Prefix + Name + ".lookups", C.Lookups);
-    Stats.set(Prefix + Name + ".hits", C.Hits);
-    Stats.setMax(Prefix + Name + ".capacity", C.E.size());
-  };
-  auto Rep3 = [&](const char *Name, const Cache3 &C) {
+  auto Rep = [&](const char *Name, const Cache3 &C) {
     Stats.set(Prefix + Name + ".lookups", C.Lookups);
     Stats.set(Prefix + Name + ".hits", C.Hits);
     Stats.setMax(Prefix + Name + ".capacity", C.E.size());
   };
   Stats.observeHistogram(Prefix + "andexists.us", AndExistsHist);
-  Rep3("ite", IteCache);
-  Rep2("and", AndCache);
-  Rep2("or", OrCache);
-  Rep2("xor", XorCache);
-  Rep2("exists", ExistsCache);
-  Rep3("andexists", AndExistsCache);
-  Rep2("rename", RenameCache);
+  Rep("ite", IteCache);
+  Rep("andexists", AndExistsCache);
+  Rep("rename", RenameCache);
 }

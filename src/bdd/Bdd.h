@@ -8,19 +8,19 @@
 /// A from-scratch ROBDD package [9] — the symbolic representation Bebop
 /// uses for reachable-state sets and statement transfer functions. Nodes
 /// are interned in an open-addressing unique table (so BDD equality is
-/// integer equality); the boolean connectives are memoized apply
-/// operators with per-operation bounded caches, and the
-/// quantification/rename operations Bebop needs (exists over a variable
-/// set, the fused relational product andExists, and order-preserving
-/// renaming between variable rails) are provided. Those operators take
-/// a quantified set or a renaming by the id it was interned under
+/// integer equality). The core is three memoized walkers: if-then-else,
+/// of which every boolean connective is a spelling; the fused relational
+/// product andExists, of which exists is the case with a True conjunct;
+/// and order-preserving renaming between variable rails. Those operators
+/// take a quantified set or a renaming by the id it was interned under
 /// (varSet, renaming), so a caller that interns each one once calls
 /// them without building a container.
 ///
 /// Engine policy:
 ///  - Nodes are never garbage collected: they live for the manager's
 ///    lifetime and handles stay valid. The unique table grows as needed.
-///  - Operation caches are direct-mapped, size-capped arrays with
+///  - The three operation caches (ite, andexists, rename) are one type:
+///    direct-mapped, size-capped arrays of three-key entries with
 ///    overwrite-on-collision eviction, so memory stays bounded no matter
 ///    how many operations run. Eviction only costs recomputation; every
 ///    operator result is canonical regardless of cache contents.
@@ -87,15 +87,14 @@ public:
   size_t numNodes() const { return Nodes.size(); }
 
   // -- Basic constructors ---------------------------------------------------
-  Node varNode(int Var);  ///< The function `Var`.
-  Node nvarNode(int Var); ///< The function `!Var`.
+  Node varNode(int Var); ///< The function `Var`.
   Node constant(bool B) { return B ? True : False; }
 
   // -- Connectives ----------------------------------------------------------
   Node mkIte(Node F, Node G, Node H);
-  Node mkAnd(Node A, Node B);
-  Node mkOr(Node A, Node B);
-  Node mkXor(Node A, Node B);
+  Node mkAnd(Node A, Node B) { return mkIte(A, B, False); }
+  Node mkOr(Node A, Node B) { return mkIte(A, True, B); }
+  Node mkXor(Node A, Node B) { return mkIte(A, mkNot(B), B); }
   Node mkNot(Node A) { return mkIte(A, False, True); }
   Node mkXnor(Node A, Node B) { return mkIte(A, B, mkNot(B)); }
 
@@ -105,7 +104,8 @@ public:
   /// take the id and allocate nothing.
   VarSet varSet(const std::vector<int> &Vars);
 
-  /// Existential quantification over each variable in \p Vars.
+  /// Existential quantification over each variable in \p Vars: the
+  /// relational product of F with True.
   Node exists(Node F, VarSet Vars);
 
   /// The fused relational product exists(Vars, F & G), computed in one
@@ -163,19 +163,6 @@ private:
   void growUniqueTable();
 
   // -- Bounded direct-mapped operation caches -------------------------------
-  struct Cache2 {
-    struct Ent {
-      Node A = -1, B = -1, R = 0;
-    };
-    std::vector<Ent> E;
-    uint32_t Mask = 0;
-    uint64_t Lookups = 0, Hits = 0, InsertsSinceGrow = 0;
-    int LogSize = 0;
-
-    void init(int Log);
-    bool find(Node A, Node B, Node &R);
-    void insert(Node A, Node B, Node R);
-  };
   struct Cache3 {
     struct Ent {
       Node A = -1, B = -1, C = -1, R = 0;
@@ -190,15 +177,11 @@ private:
     void insert(Node A, Node B, Node C, Node R);
   };
 
-  enum class BinOp { And, Or, Xor };
-  Node applyBin(BinOp Op, Node A, Node B);
-
   bool inCube(int CubeId, int Var) const {
     const std::vector<uint8_t> &Mask = CubeMasks[CubeId];
     return static_cast<size_t>(Var) < Mask.size() && Mask[Var];
   }
 
-  Node quantify(Node F, int CubeId);
   Node andExistsRec(Node F, Node G, int CubeId);
 
   std::vector<NodeData> Nodes;
@@ -210,11 +193,9 @@ private:
   size_t UniqueUsed = 0;
   uint64_t UniqueHits = 0;
 
-  Cache3 IteCache;
-  Cache2 AndCache, OrCache, XorCache;
-  Cache2 ExistsCache;
+  Cache3 IteCache;       // (F, G, H).
   Cache3 AndExistsCache; // (F, G, cube id).
-  Cache2 RenameCache;    // (F, rename id).
+  Cache3 RenameCache;    // (F, rename id, 0).
 
   /// Latency of each top-level andExists call (the hot operator of
   /// Bebop's post-image); exported by reportStats.
@@ -226,26 +207,25 @@ private:
   std::map<std::vector<std::pair<int, int>>, int> RenameIds;
   std::vector<std::vector<std::pair<int, int>>> RenameMaps;
 
-  // Reused traversal scratch. Distinct per operation because operators
-  // call each other (quantify -> mkOr, andExists -> quantify), but no
-  // operator ever re-enters itself.
+  // Reused traversal scratch, one stack per walker: andExists merges
+  // cofactors with mkOr, but no walker ever re-enters itself.
   struct IteFrame {
     Node F, G, H, Lo;
     int Top;
     uint8_t Phase;
   };
-  struct BinFrame {
+  struct AndExFrame {
     Node A, B, Lo;
     int Top;
     uint8_t Phase;
   };
-  struct UnFrame {
+  struct RenameFrame {
     Node N, Lo;
     uint8_t Phase;
   };
   std::vector<IteFrame> IteStack;
-  std::vector<BinFrame> BinStack, AndExStack;
-  std::vector<UnFrame> QuantStack, RenameStack;
+  std::vector<AndExFrame> AndExStack;
+  std::vector<RenameFrame> RenameStack;
 };
 
 } // namespace bdd

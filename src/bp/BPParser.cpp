@@ -680,14 +680,25 @@ private:
       verifyExpr(*Op);
   }
 
+  /// Every target of an assignment or call is declared, and none is
+  /// named twice: two values for one variable in one step would block
+  /// the path.
+  void verifyTargets(const BStmt &S) {
+    std::set<std::string> Seen;
+    for (const std::string &T : S.Targets) {
+      if (!isDeclared(T))
+        error("assignment to undeclared variable '" + T + "'");
+      else if (!Seen.insert(T).second)
+        error("variable '" + T + "' is assigned twice in one statement");
+    }
+  }
+
   void verifyStmt(const BStmt &S) {
     switch (S.Kind) {
     case BStmtKind::Assign:
       if (S.Targets.size() != S.Exprs.size())
         error("parallel assignment arity mismatch");
-      for (const std::string &T : S.Targets)
-        if (!isDeclared(T))
-          error("assignment to undeclared variable '" + T + "'");
+      verifyTargets(S);
       break;
     case BStmtKind::Call: {
       const BProc *Callee = P.findProc(S.Callee);
@@ -699,9 +710,7 @@ private:
         error("wrong number of arguments to '" + S.Callee + "'");
       if (!S.Targets.empty() && S.Targets.size() != Callee->NumReturns)
         error("wrong number of return targets for '" + S.Callee + "'");
-      for (const std::string &T : S.Targets)
-        if (!isDeclared(T))
-          error("assignment to undeclared variable '" + T + "'");
+      verifyTargets(S);
       break;
     }
     case BStmtKind::Return:

@@ -138,7 +138,7 @@ TEST(DifferentialBdd, RandomFormulasMatchTruthTables) {
   Pool.push_back({BddManager::True, Table::constant(true)});
   for (int V = 0; V != NumVars; ++V) {
     Pool.push_back({M.varNode(V), Table::var(V)});
-    Pool.push_back({M.nvarNode(V), ~Table::var(V)});
+    Pool.push_back({M.mkNot(M.varNode(V)), ~Table::var(V)});
   }
 
   for (int Step = 0; Step != 600; ++Step) {
@@ -194,9 +194,14 @@ TEST(DifferentialBdd, RandomFormulasMatchTruthTables) {
     // The fused operator must agree with its unfused spelling exactly
     // (both are canonical nodes, so equality is integer equality).
     if (Step % 7 == 0) {
-      std::vector<int> Vars = randVarSet();
-      EXPECT_EQ(M.andExists(FA, FB, M.varSet(Vars)),
-                M.exists(M.mkAnd(FA, FB), M.varSet(Vars)));
+      VarSet Vars = M.varSet(randVarSet());
+      EXPECT_EQ(M.andExists(FA, FB, Vars),
+                M.exists(M.mkAnd(FA, FB), Vars));
+      // A repeated or True conjunct leaves plain quantification.
+      Node Ex = M.exists(FA, Vars);
+      EXPECT_EQ(M.andExists(FA, FA, Vars), Ex);
+      EXPECT_EQ(M.andExists(BddManager::True, FA, Vars), Ex);
+      EXPECT_EQ(M.andExists(FA, BddManager::True, Vars), Ex);
     }
 
     Pool.push_back({R, T});
@@ -266,7 +271,7 @@ TEST(DifferentialBdd, CubeEnumerationCoversOnSet) {
           C = M.mkAnd(C, M.varNode(V));
           TC = TC & Table::var(V);
         } else if (Mode == 1) {
-          C = M.mkAnd(C, M.nvarNode(V));
+          C = M.mkAnd(C, M.mkNot(M.varNode(V)));
           TC = TC & ~Table::var(V);
         }
       }

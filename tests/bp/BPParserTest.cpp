@@ -103,6 +103,13 @@ TEST_F(BPParserTest, VerifyCatchesErrors) {
                 "wrong number of arguments");
   expectInvalid("void f() begin decl a; a, a := true; end",
                 "arity mismatch");
+  expectInvalid("void f() begin decl a; a, a := true, false; end",
+                "in f: variable 'a' is assigned twice in one statement");
+  expectInvalid(R"(
+    bool<2> g() begin return true, false; end
+    void f() begin decl a; a, a := call g(); end
+  )",
+                "in f: variable 'a' is assigned twice in one statement");
 }
 
 TEST_F(BPParserTest, SyntaxErrors) {

@@ -20,7 +20,8 @@
 #              and dispatch.c
 #   determinism  c2bp and slam on the examples, three times at -j 1
 #              (ASLR on) and five times each at -j 2/4, and bebop on a
-#              multi-procedure example three times (it has no -j);
+#              multi-procedure example and on Table 2's reverse three
+#              times (it has no -j);
 #              asserts identical stdout, exit status and work counters
 #              (c2bp.cubes_checked, c2bp.procs_reused,
 #              c2bp.procs_rebuilt, prover.calls, slam.iterations,
@@ -155,6 +156,8 @@ for_each_example_case() {
   "$1" slam-dispatch slam "$EX/dispatch.c" --lock AcquireLock,ReleaseLock
   "$1" slam-void_callee slam "$EX/void_callee.c"
   "$1" bebop-frames bebop "$EX/frames.bp" --trace
+  "$1" bebop-reverse bebop \
+    "$ROOT/tests/integration/table2_golden/reverse.k3.bp" --entry mark --trace
 }
 
 run_determinism() {
