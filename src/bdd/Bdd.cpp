@@ -17,7 +17,6 @@
 
 #include "bdd/Bdd.h"
 
-#include "support/Timer.h"
 
 #include <algorithm>
 #include <cassert>
@@ -320,10 +319,7 @@ Node BddManager::andExists(Node F, Node G, VarSet Vars) {
   assert(Vars.valid() && "interned by varSet");
   if (Vars.Id == Empty)
     return mkAnd(F, G);
-  Timer T;
-  Node R = andExistsRec(F, G, Vars.Id);
-  AndExistsHist.observe(static_cast<uint64_t>(T.seconds() * 1e6));
-  return R;
+  return andExistsRec(F, G, Vars.Id);
 }
 
 //===----------------------------------------------------------------------===//
@@ -482,7 +478,6 @@ void BddManager::reportStats(StatsRegistry &Stats,
     Stats.set(Prefix + Name + ".hits", C.Hits);
     Stats.setMax(Prefix + Name + ".capacity", C.E.size());
   };
-  Stats.observeHistogram(Prefix + "andexists.us", AndExistsHist);
   Rep("ite", IteCache);
   Rep("andexists", AndExistsCache);
   Rep("rename", RenameCache);

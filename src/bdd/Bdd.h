@@ -33,7 +33,6 @@
 #ifndef BDD_BDD_H
 #define BDD_BDD_H
 
-#include "support/Histogram.h"
 #include "support/Stats.h"
 
 #include <cstdint>
@@ -196,10 +195,6 @@ private:
   Cache3 IteCache;       // (F, G, H).
   Cache3 AndExistsCache; // (F, G, cube id).
   Cache3 RenameCache;    // (F, rename id, 0).
-
-  /// Latency of each top-level andExists call (the hot operator of
-  /// Bebop's post-image); exported by reportStats.
-  LatencyHistogram AndExistsHist;
 
   // Interned quantification cubes and rename maps.
   std::map<std::vector<int>, int> CubeIds;

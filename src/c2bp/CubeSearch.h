@@ -22,6 +22,16 @@
 ///   k. an optional maximum cube length (precision/speed trade-off —
 ///      the paper reports k = 3 suffices in most cases).
 ///
+/// Beyond the paper, witness pruning: each search keeps the verified
+/// models the prover hands back (Prover::witness) as the truth of phi
+/// and of each cone predicate. A check some witness refutes — the cube
+/// holds and phi is false for `cube => phi`, phi is true for
+/// `cube => !phi`, the cube holds for the vacuity check — is answered
+/// "not valid" without building its query, without a cache lookup and
+/// without a prover call (c2bp.witness_hits counts them). The prover
+/// could only have said Sat or Unknown there, which the search treats
+/// alike, so the result is the same as without witnesses.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef C2BP_CUBESEARCH_H
@@ -88,14 +98,17 @@ public:
   logic::ExprRef concretize(const std::vector<logic::ExprRef> &V,
                             const Cube &C) const;
 
+  /// Optimization 3: the indices of the predicates of \p V whose
+  /// locations may alias those of \p Phi, transitively.
+  std::vector<int> coneOfInfluence(const std::vector<logic::ExprRef> &V,
+                                   logic::ExprRef Phi) const;
+
 private:
   /// Cone-of-influence restriction, then the raw enumeration — the path
   /// shared by findF and findContradictions.
   Dnf search(const std::vector<logic::ExprRef> &V, logic::ExprRef Phi);
   Dnf searchRaw(const std::vector<logic::ExprRef> &V, logic::ExprRef Phi,
                 const std::vector<int> &Indices);
-  std::vector<int> coneOfInfluence(const std::vector<logic::ExprRef> &V,
-                                   logic::ExprRef Phi) const;
 
   logic::LogicContext &Ctx;
   prover::Prover &P;

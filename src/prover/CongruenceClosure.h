@@ -54,6 +54,9 @@ public:
 
   int numTerms() const { return static_cast<int>(Terms.size()); }
 
+  /// The expression of node \p Id. Nodes are numbered children first.
+  logic::ExprRef term(int Id) const { return Terms[Id].E; }
+
   /// True if some asserted disequality has been violated.
   bool inConflict() const { return Conflict; }
 

@@ -12,7 +12,6 @@
 #include "support/Trace.h"
 
 #include <cstdio>
-#include <map>
 
 using namespace slam;
 using namespace slam::prover;
@@ -21,14 +20,10 @@ using logic::ExprRef;
 
 namespace {
 
-/// Orders atoms by their stable hash-consed id rather than by pointer,
-/// so the skeleton's variable numbering (and with it the enumeration
-/// order of candidate models) is deterministic within a run.
-struct IdLess {
-  bool operator()(ExprRef A, ExprRef B) const { return A->id() < B->id(); }
-};
-
-/// Tseitin encoder from formulas to CNF over atom variables.
+/// Tseitin encoder from formulas to CNF over atom variables. Atoms are
+/// numbered in the order the walk first meets them, which depends only
+/// on the formula's structure, so the candidate models (and the witness
+/// the Prover keeps) are the same in every run and at every -j.
 ///
 /// encode() is an explicit-worklist post-order walk: the weakest
 /// preconditions of long statement sequences (and especially the
@@ -39,7 +34,11 @@ struct IdLess {
 /// CNF (variable numbering included) is identical.
 class SkeletonEncoder {
 public:
-  explicit SkeletonEncoder(SatSolver &Solver) : Solver(Solver) {}
+  /// \p AtomVars is the caller's reusable atom-to-variable map.
+  SkeletonEncoder(SatSolver &Solver, logic::ExprIdMap &AtomVars)
+      : Solver(Solver), AtomVars(AtomVars) {
+    AtomVars.clear();
+  }
 
   /// Returns the literal representing \p E.
   int encode(ExprRef Root) {
@@ -101,7 +100,10 @@ public:
     return Result;
   }
 
-  const std::map<ExprRef, int, IdLess> &atoms() const { return Atoms; }
+  /// (atom, variable) in first-met order.
+  const std::vector<std::pair<ExprRef, int>> &atoms() const { return Atoms; }
+
+  int varOf(ExprRef Atom) const { return AtomVars.lookup(Atom); }
 
 private:
   int constantTrue() {
@@ -113,16 +115,18 @@ private:
   }
 
   int atomLit(ExprRef Atom) {
-    auto It = Atoms.find(Atom);
-    if (It != Atoms.end())
-      return It->second + 1;
-    int Var = Solver.newVar();
-    Atoms.emplace(Atom, Var);
+    int Var = AtomVars.lookup(Atom);
+    if (Var < 0) {
+      Var = Solver.newVar();
+      AtomVars.insert(Atom, Var);
+      Atoms.emplace_back(Atom, Var);
+    }
     return Var + 1;
   }
 
   SatSolver &Solver;
-  std::map<ExprRef, int, IdLess> Atoms;
+  logic::ExprIdMap &AtomVars;
+  std::vector<std::pair<ExprRef, int>> Atoms;
   int TrueVar = -1;
 };
 
@@ -155,9 +159,10 @@ Prover::Prover(logic::LogicContext &Ctx, StatsRegistry *Stats,
       OwnedCache(Shared ? nullptr : std::make_unique<SharedProverCache>()),
       Cache(Shared ? *Shared : *OwnedCache) {}
 
-Satisfiability Prover::checkSatUncached(ExprRef Phi) {
+Satisfiability Prover::checkSatUncached(ExprRef Phi,
+                                        std::unique_ptr<const Model> &Found) {
   SatSolver Solver;
-  SkeletonEncoder Encoder(Solver);
+  SkeletonEncoder Encoder(Solver, AtomVars);
   int Root = Encoder.encode(Phi);
   Solver.addClause({Root});
 
@@ -172,8 +177,13 @@ Satisfiability Prover::checkSatUncached(ExprRef Phi) {
       Lits.push_back({Atom, Solver.modelValue(Var)});
 
     TheoryResult TR = Theory.check(Lits);
-    if (TR == TheoryResult::Sat)
+    if (TR == TheoryResult::Sat) {
+      // The skeleton's Tseitin clauses are equivalences, so a model that
+      // makes every atom take its skeleton value makes Phi true.
+      if (std::optional<Model> M = Theory.model(Lits))
+        Found = std::make_unique<const Model>(std::move(*M));
       return Satisfiability::Sat;
+    }
     if (TR == TheoryResult::Unknown)
       SawUnknownModel = true;
 
@@ -182,7 +192,7 @@ Satisfiability Prover::checkSatUncached(ExprRef Phi) {
     std::vector<int> Blocking;
     Blocking.reserve(Core.size());
     for (const Literal &L : Core) {
-      int Var = Encoder.atoms().at(L.Atom);
+      int Var = Encoder.varOf(L.Atom);
       Blocking.push_back(L.Positive ? -(Var + 1) : (Var + 1));
     }
     Solver.addClause(std::move(Blocking));
@@ -190,10 +200,11 @@ Satisfiability Prover::checkSatUncached(ExprRef Phi) {
   return Satisfiability::Unknown;
 }
 
-Satisfiability Prover::timedCheck(ExprRef Phi) {
+Satisfiability Prover::timedCheck(ExprRef Phi,
+                                  std::unique_ptr<const Model> &Found) {
   TraceSpan Span("prover.query", "prover");
   Timer T;
-  Satisfiability Result = checkSatUncached(Phi);
+  Satisfiability Result = checkSatUncached(Phi, Found);
   double Millis = T.millis();
   uint64_t Micros = static_cast<uint64_t>(Millis * 1000.0);
   if (Stats)
@@ -247,6 +258,7 @@ Satisfiability Prover::noteCacheHit(SharedProverCache::Outcome Kind,
 
 Satisfiability Prover::checkSat(ExprRef Phi) {
   assert(Phi->isFormula() && "checkSat takes a formula");
+  LastWitness = nullptr;
   if (Phi->isTrue())
     return Satisfiability::Sat;
   if (Phi->isFalse())
@@ -257,12 +269,16 @@ Satisfiability Prover::checkSat(ExprRef Phi) {
   // decision procedure) abandons it on destruction rather than leaving
   // waiters parked forever.
   SharedProverCache::Lookup L = Cache.lookupOrReserve(Phi);
-  if (L.Kind != SharedProverCache::Outcome::Miss)
+  if (L.Kind != SharedProverCache::Outcome::Miss) {
+    LastWitness = L.Witness;
     return noteCacheHit(L.Kind, L.Value);
+  }
   if (Stats)
     Stats->add("prover.calls");
-  Satisfiability Result = timedCheck(Phi);
-  L.Slot.publish(Result);
+  std::unique_ptr<const Model> Found;
+  Satisfiability Result = timedCheck(Phi, Found);
+  LastWitness = Found.get(); // The cache keeps it.
+  L.Slot.publish(Result, std::move(Found));
   return Result;
 }
 

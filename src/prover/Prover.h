@@ -24,7 +24,9 @@
 /// `prover.calls` counts non-cached satisfiability decisions (the
 /// "theorem prover calls" column of Tables 1 and 2), and
 /// `prover.cache_hits` / `prover.neg_cache_hits` count the exact-entry
-/// and opposite-polarity cache hits.
+/// and opposite-polarity cache hits. A cube check the cube search
+/// answers from a witness (witness()) never reaches the Prover and
+/// counts in none of them, only in `c2bp.witness_hits`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,8 +68,16 @@ public:
   /// Is \p Phi satisfiable?
   Satisfiability checkSat(logic::ExprRef Phi);
 
+  /// The verified model behind the last checkSat's Sat (implies's
+  /// Invalid), or null: a theory Sat whose model failed the check, and a
+  /// Sat derived from the opposite polarity's Unsat, come without one.
+  /// A cache hit gives the model the computing call found, so the
+  /// answer is the same whichever worker computed it. Owned by the cache.
+  const Model *witness() const { return LastWitness; }
+
 private:
-  Satisfiability checkSatUncached(logic::ExprRef Phi);
+  Satisfiability checkSatUncached(logic::ExprRef Phi,
+                                  std::unique_ptr<const Model> &Found);
 
   /// Counts a non-Miss cache outcome into the right counters
   /// (prover.cache_hits / neg_cache_hits) and returns its value.
@@ -77,7 +87,8 @@ private:
   /// checkSatUncached plus observability: a "prover.query" trace span,
   /// a sample in the prover.query_us latency histogram, and the
   /// slow-query log (trace::slowQueryMillis).
-  Satisfiability timedCheck(logic::ExprRef Phi);
+  Satisfiability timedCheck(logic::ExprRef Phi,
+                            std::unique_ptr<const Model> &Found);
 
   logic::LogicContext &Ctx;
   StatsRegistry *Stats;
@@ -85,6 +96,8 @@ private:
   std::unique_ptr<SharedProverCache> OwnedCache;
   SharedProverCache &Cache;
   TheorySolver Theory;
+  logic::ExprIdMap AtomVars; ///< The skeleton encoder's atom numbering.
+  const Model *LastWitness = nullptr;
   /// Antecedent/consequent of the implication currently being decided
   /// (set by implies() so the slow-query log can print the implication
   /// rather than its desugared satisfiability query). The Prover is

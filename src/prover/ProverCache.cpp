@@ -38,10 +38,10 @@ SharedProverCache::Lookup SharedProverCache::lookupOrReserve(ExprRef Phi) {
       Waited = true;
     }
     if (E.State[Slot] == SlotState::Done) {
-      if (Waited)
-        return {Outcome::WaitHit, E.Value[Slot], Reservation()};
-      return {E.Derived[Slot] ? Outcome::NegHit : Outcome::Hit,
-              E.Value[Slot], Reservation()};
+      Outcome Kind = Waited           ? Outcome::WaitHit
+                     : E.Derived[Slot] ? Outcome::NegHit
+                                       : Outcome::Hit;
+      return {Kind, E.Value[Slot], Reservation(), E.Witness[Slot].get()};
     }
     E.State[Slot] = SlotState::InFlight;
   }
@@ -49,7 +49,8 @@ SharedProverCache::Lookup SharedProverCache::lookupOrReserve(ExprRef Phi) {
   return {Outcome::Miss, Satisfiability::Unknown, Reservation(this, Phi)};
 }
 
-void SharedProverCache::publishImpl(ExprRef Phi, Satisfiability Result) {
+void SharedProverCache::publishImpl(ExprRef Phi, Satisfiability Result,
+                                    std::unique_ptr<const Model> Witness) {
   auto [Base, Positive] = canonicalize(Phi);
   int Slot = Positive ? 0 : 1;
   Shard &S = shardFor(Base);
@@ -59,6 +60,7 @@ void SharedProverCache::publishImpl(ExprRef Phi, Satisfiability Result) {
     E.State[Slot] = SlotState::Done;
     E.Value[Slot] = Result;
     E.Derived[Slot] = false;
+    E.Witness[Slot] = std::move(Witness);
     // phi unsatisfiable => !phi valid => !phi satisfiable. The converse
     // direction gives nothing (Sat tells us nothing about the negation),
     // and an Unknown must not poison the other polarity.
@@ -87,10 +89,11 @@ void SharedProverCache::abandonImpl(ExprRef Phi) {
   S.Cv.notify_all();
 }
 
-void SharedProverCache::Reservation::publish(Satisfiability Result) {
+void SharedProverCache::Reservation::publish(
+    Satisfiability Result, std::unique_ptr<const Model> Witness) {
   assert(Cache && "publishing through an empty reservation");
   SharedProverCache *C = std::exchange(Cache, nullptr);
-  C->publishImpl(Phi, Result);
+  C->publishImpl(Phi, Result, std::move(Witness));
 }
 
 void SharedProverCache::Reservation::abandon() {

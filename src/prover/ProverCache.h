@@ -43,9 +43,11 @@
 #define PROVER_PROVERCACHE_H
 
 #include "logic/Expr.h"
+#include "prover/Model.h"
 
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -89,9 +91,11 @@ public:
     /// True while the slot is held (i.e. publish is still owed).
     explicit operator bool() const { return Cache != nullptr; }
 
-    /// Publishes \p Result into the reserved slot, wakes waiters, and
-    /// releases the claim.
-    void publish(Satisfiability Result);
+    /// Publishes \p Result, with the verified model \p Witness of a
+    /// Sat (or null), into the reserved slot, wakes waiters, and
+    /// releases the claim. The cache keeps the model for its lifetime.
+    void publish(Satisfiability Result,
+                 std::unique_ptr<const Model> Witness = nullptr);
 
   private:
     friend class SharedProverCache;
@@ -107,6 +111,8 @@ public:
     Outcome Kind;
     Satisfiability Value; ///< Meaningful unless Kind == Miss.
     Reservation Slot;     ///< Engaged exactly when Kind == Miss.
+    /// The model published with a computed Sat; null for a NegHit.
+    const Model *Witness = nullptr;
   };
 
   /// Looks \p Phi up. A Miss returns an engaged Reservation the caller
@@ -122,6 +128,7 @@ private:
     /// Set when the slot was filled by negation derivation rather than
     /// a prover call; hits on such slots are reported distinctly.
     bool Derived[2] = {false, false};
+    std::unique_ptr<const Model> Witness[2];
   };
 
   struct Shard {
@@ -143,7 +150,8 @@ private:
   }
 
   /// Fills the slot for \p Phi with \p Result and wakes waiters.
-  void publishImpl(logic::ExprRef Phi, Satisfiability Result);
+  void publishImpl(logic::ExprRef Phi, Satisfiability Result,
+                   std::unique_ptr<const Model> Witness);
   void abandonImpl(logic::ExprRef Phi);
 
   Shard Shards[NumShards];

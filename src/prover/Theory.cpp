@@ -182,6 +182,7 @@ TheoryResult TheorySolver::check(const std::vector<Literal> &Literals) {
   ConstantTerms.clear();
   AddrOfVarTerms.clear();
   SawUnknown = false;
+  UsedLIA = false;
 
   // ---- EUF side ---------------------------------------------------------
   bool HasArith = false;
@@ -246,6 +247,7 @@ TheoryResult TheorySolver::check(const std::vector<Literal> &Literals) {
   // closure alone is a decision procedure for the conjunction.
   if (!HasArith)
     return TheoryResult::Sat; // EUF conflicts were detected above.
+  UsedLIA = true;
 
   // ---- Leaf discovery (fixes simplex variable ids) ------------------------
   // Leaf I is LIA variable I + 1; variable 0 is the unit.
@@ -392,4 +394,92 @@ TheoryResult TheorySolver::check(const std::vector<Literal> &Literals) {
   }
 
   return SawUnknown ? TheoryResult::Unknown : TheoryResult::Sat;
+}
+
+bool TheorySolver::separateDisequalities() {
+  // The addresses of distinct variables must differ too.
+  for (size_t I = 0; I != AddrOfVarTerms.size(); ++I)
+    for (size_t J = I + 1; J != AddrOfVarTerms.size(); ++J)
+      if (AddrOfVarTerms[I]->op(0) != AddrOfVarTerms[J]->op(0) &&
+          LeafVars.lookup(AddrOfVarTerms[I]) >= 0 &&
+          LeafVars.lookup(AddrOfVarTerms[J]) >= 0)
+        Disequalities.emplace_back(AddrOfVarTerms[I], AddrOfVarTerms[J]);
+  // Each pass moves one violated disequality to a feasible side for
+  // good (it becomes a strict bound), so there are at most as many
+  // passes as disequalities.
+  for (size_t Pass = 0; Pass <= Disequalities.size(); ++Pass) {
+    const LinearExpr *D = nullptr;
+    for (const auto &[A, B] : Disequalities) {
+      D = &difference(A, B);
+      Rational Value(0);
+      for (const LinearTerm &T : *D)
+        Value += T.Coeff * LIA.value(T.Var);
+      if (Value.isOverflow())
+        return false;
+      if (Value.isZero())
+        break;
+      D = nullptr;
+    }
+    if (!D)
+      return true;
+    bool Below = LIA.probeUpper(*D, Rational(-1)) == LinResult::Sat;
+    if (!Below && LIA.probeLower(*D, Rational(1)) != LinResult::Sat)
+      return false;
+    int Slack = LIA.defineVar(*D, true);
+    if (!(Below ? LIA.assertUpper(Slack, Rational(-1))
+                : LIA.assertLower(Slack, Rational(1))) ||
+        LIA.check() != LinResult::Sat)
+      return false;
+  }
+  return false;
+}
+
+std::optional<Model> TheorySolver::model(const std::vector<Literal> &Literals) {
+  Model M;
+  if (Literals.empty())
+    return M;
+  ClassValue.assign(CC.numTerms(), std::nullopt);
+  auto Pin = [&](ExprRef E, int64_t Value) {
+    std::optional<int64_t> &Slot = ClassValue[CC.find(CC.addTerm(E))];
+    if (Slot && *Slot != Value)
+      return false;
+    Slot = Value;
+    M.reserve(Value);
+    return true;
+  };
+  for (ExprRef C : ConstantTerms)
+    if (!Pin(C, valueOf(C)))
+      return std::nullopt;
+  if (UsedLIA && !separateDisequalities())
+    return std::nullopt;
+  for (size_t I = 0; UsedLIA && I != LeafOrder.size(); ++I) {
+    Rational V = LIA.value(static_cast<int>(I) + 1);
+    if (V.isOverflow() || !V.isInteger() || !Pin(LeafOrder[I], V.num()))
+      return std::nullopt;
+  }
+  // Every function application takes its class's value at its
+  // arguments' values; arithmetic is left to the model's evaluation.
+  for (int I = 0; I != CC.numTerms(); ++I) {
+    ExprRef E = CC.term(I);
+    switch (E->kind()) {
+    case ExprKind::Var:
+    case ExprKind::AddrOf:
+    case ExprKind::Deref:
+    case ExprKind::Field:
+    case ExprKind::Index: {
+      std::optional<int64_t> &Slot = ClassValue[CC.find(I)];
+      if (!Slot && !(Slot = M.fresh()))
+        return std::nullopt;
+      if (!M.define(E, *Slot))
+        return std::nullopt;
+      break;
+    }
+    default:
+      break;
+    }
+  }
+  for (const Literal &L : Literals)
+    if (M.holds(L.Atom) != std::optional<bool>(L.Positive))
+      return std::nullopt;
+  return M;
 }

@@ -22,6 +22,12 @@
 /// which the abstraction tolerates by conservatively weakening — exactly
 /// the paper's treatment of incomplete provers.
 ///
+/// After a Sat answer the solver proposes a model (model()): each
+/// congruence class takes its constant, else the Simplex value of one of
+/// its leaves, else a fresh value. The proposal is kept only if the
+/// concrete evaluation of Model.h makes every literal true, so an
+/// approximate Sat never yields a model.
+///
 /// A TheorySolver clears its buffers between checks instead of freeing
 /// them, so once warmed up a check allocates nothing.
 ///
@@ -32,8 +38,10 @@
 
 #include "logic/Expr.h"
 #include "prover/CongruenceClosure.h"
+#include "prover/Model.h"
 #include "prover/Simplex.h"
 
+#include <optional>
 #include <vector>
 
 namespace slam {
@@ -54,6 +62,10 @@ public:
   /// Decides the conjunction of \p Literals.
   TheoryResult check(const std::vector<Literal> &Literals);
 
+  /// After check(\p Literals) answered Sat: a verified model of the
+  /// literals, or nullopt if the proposal fails the check.
+  std::optional<Model> model(const std::vector<Literal> &Literals);
+
 private:
   /// A linear combination in Arena[Begin, End), sorted by variable.
   struct Span {
@@ -73,6 +85,9 @@ private:
   /// deferred to the split check. Returns false on infeasibility.
   bool addAtomToLIA(logic::ExprRef Atom, bool Positive);
   void collectConstantsAndAddrs(logic::ExprRef E);
+  /// Moves the Simplex's values off every disequality they violate
+  /// (a step of model()); false if that fails.
+  bool separateDisequalities();
 
   static constexpr int UnitVar = 0;
 
@@ -85,7 +100,10 @@ private:
   std::vector<std::pair<logic::ExprRef, logic::ExprRef>> Disequalities;
   std::vector<LinearTerm> Arena; ///< linearize()'s scratch.
   LinearExpr Diff;               ///< Argument buffer for the Simplex.
+  /// model()'s scratch: the value of each class representative.
+  std::vector<std::optional<int64_t>> ClassValue;
   bool SawUnknown = false;
+  bool UsedLIA = false; ///< The last check got past the EUF fast path.
 };
 
 } // namespace prover

@@ -23,6 +23,7 @@ struct RunResult {
   std::string Text;
   uint64_t Cubes = 0;
   uint64_t ProverCalls = 0;
+  uint64_t WitnessHits = 0;
   uint64_t ProcsRebuilt = 0;
   uint64_t ProcsReused = 0;
   size_t ProcsWithBodies = 0;
@@ -53,6 +54,7 @@ RunResult abstractWith(const std::string &Source, const std::string &PredText,
   R.Text = BP->str();
   R.Cubes = Stats.get("c2bp.cubes_checked");
   R.ProverCalls = Stats.get("prover.calls");
+  R.WitnessHits = Stats.get("c2bp.witness_hits");
   R.ProcsRebuilt = Stats.get("c2bp.procs_rebuilt");
   R.ProcsReused = Stats.get("c2bp.procs_reused");
   for (const cfront::FuncDecl *F : P->Functions)
@@ -67,6 +69,7 @@ void expectSameAtEveryWorkerCount(const workloads::Workload &W,
   RunResult One = abstractWith(W.Source, W.Predicates, 1, MaxCubeLength);
   ASSERT_TRUE(One.Ok);
   EXPECT_GT(One.ProverCalls, 0u);
+  EXPECT_GT(One.WitnessHits, 0u);
   // A run given no memo plans through one of its own, which has nothing
   // committed: every procedure with a body is built, none reused.
   EXPECT_GT(One.ProcsWithBodies, 0u);
@@ -79,6 +82,7 @@ void expectSameAtEveryWorkerCount(const workloads::Workload &W,
     EXPECT_EQ(R.Text, One.Text);
     EXPECT_EQ(R.Cubes, One.Cubes);
     EXPECT_EQ(R.ProverCalls, One.ProverCalls);
+    EXPECT_EQ(R.WitnessHits, One.WitnessHits);
     EXPECT_EQ(R.ProcsRebuilt, One.ProcsRebuilt);
     EXPECT_EQ(R.ProcsReused, One.ProcsReused);
   }
@@ -86,8 +90,8 @@ void expectSameAtEveryWorkerCount(const workloads::Workload &W,
 
 // Every Table 2 workload at the paper's k = 3, plus partition at
 // unlimited k: the boolean program and the work counters (cubes
-// checked, prover calls, procedures rebuilt and reused) are the same at
-// every worker count.
+// checked, prover calls, witness hits, procedures rebuilt and reused)
+// are the same at every worker count.
 TEST(ParallelAbstraction, ByteIdenticalAndCountersIdenticalAcrossWorkerCounts) {
   for (const workloads::Workload *W : workloads::table2Workloads())
     expectSameAtEveryWorkerCount(*W, 3);

@@ -23,8 +23,9 @@
 #              multi-procedure example and on Table 2's reverse three
 #              times (it has no -j);
 #              asserts identical stdout, exit status and work counters
-#              (c2bp.cubes_checked, c2bp.procs_reused,
-#              c2bp.procs_rebuilt, prover.calls, slam.iterations,
+#              (c2bp.cubes_checked, c2bp.witness_hits,
+#              c2bp.procs_reused, c2bp.procs_rebuilt, prover.calls,
+#              slam.iterations,
 #              bebop.steps, bebop.pe_updates, bebop.summary_updates)
 #              and the gauge bebop.bdd_nodes
 #   debug      Debug build (assertions on; every other job defines
@@ -196,8 +197,8 @@ run_determinism() {
     python3 - "$NAME" "$TOOL" "$TMP/$NAME".j*.json <<'PY'
 import json, sys
 name, tool, paths = sys.argv[1], sys.argv[2], sys.argv[3:]
-keys = ("c2bp.cubes_checked", "c2bp.procs_reused", "c2bp.procs_rebuilt",
-        "prover.calls", "slam.iterations", "bebop.steps", "bebop.pe_updates",
+keys = ("c2bp.cubes_checked", "c2bp.witness_hits", "c2bp.procs_reused",
+        "c2bp.procs_rebuilt", "prover.calls", "slam.iterations", "bebop.steps", "bebop.pe_updates",
         "bebop.summary_updates", "bebop.bdd_nodes")
 # Counters and gauges (bebop.bdd_nodes is a gauge) in one map.
 runs = [{**doc["counters"], **doc["gauges"]}
