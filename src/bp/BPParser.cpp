@@ -277,6 +277,12 @@ private:
         error("expected return arity");
         return false;
       }
+      // C2bp emits a procedure's return predicates, a handful; the cap
+      // keeps a huge arity from wrapping or exhausting memory.
+      if (cur().IntValue > 65535) {
+        error("return arity out of range");
+        return false;
+      }
       NumReturns = static_cast<unsigned>(cur().IntValue);
       advance();
       if (!expect(Tok::Gt, "'>'"))

@@ -295,6 +295,14 @@ int Interpreter::lvalueObject(const Expr &E) {
 }
 
 Value Interpreter::eval(const Expr &E) {
+  // Checked int64 arithmetic: overflow, like division by zero, is a
+  // runtime error.
+  auto Arith = [this](logic::ExprKind Kind, int64_t A, int64_t B) {
+    std::optional<int64_t> V = logic::arith(Kind, A, B);
+    if (!V)
+      Status = Outcome::RuntimeError;
+    return Value::makeInt(V.value_or(0));
+  };
   switch (E.Kind) {
   case CExprKind::IntLit:
     return Value::makeInt(E.IntValue);
@@ -329,7 +337,7 @@ Value Interpreter::eval(const Expr &E) {
       return Value::makePtr(Obj);
     }
     case UnaryOp::Neg:
-      return Value::makeInt(-eval(*E.Ops[0]).I);
+      return Arith(logic::ExprKind::Sub, 0, eval(*E.Ops[0]).I);
     case UnaryOp::Not:
       return Value::makeInt(evalCond(*E.Ops[0]) ? 0 : 1);
     }
@@ -345,25 +353,17 @@ Value Interpreter::eval(const Expr &E) {
     case BinaryOp::Add:
       if (L.K == Value::Kind::Ptr)
         return L; // Logical model: p + i points to *p's object.
-      return Value::makeInt(L.I + R.I);
+      return Arith(logic::ExprKind::Add, L.I, R.I);
     case BinaryOp::Sub:
       if (L.K == Value::Kind::Ptr)
         return L;
-      return Value::makeInt(L.I - R.I);
+      return Arith(logic::ExprKind::Sub, L.I, R.I);
     case BinaryOp::Mul:
-      return Value::makeInt(L.I * R.I);
+      return Arith(logic::ExprKind::Mul, L.I, R.I);
     case BinaryOp::Div:
-      if (R.I == 0) {
-        Status = Outcome::RuntimeError;
-        return Value::makeInt(0);
-      }
-      return Value::makeInt(L.I / R.I);
+      return Arith(logic::ExprKind::Div, L.I, R.I);
     case BinaryOp::Mod:
-      if (R.I == 0) {
-        Status = Outcome::RuntimeError;
-        return Value::makeInt(0);
-      }
-      return Value::makeInt(L.I % R.I);
+      return Arith(logic::ExprKind::Mod, L.I, R.I);
     case BinaryOp::Eq:
       return Value::makeInt(L == R);
     case BinaryOp::Ne:
@@ -475,8 +475,10 @@ Value Interpreter::callFunction(const FuncDecl &F,
       bool V = evalCond(*I.S->Cond);
       if (Hook)
         Hook->onStep(*I.S, V);
-      if (!V) {
-        Status = Outcome::AssertFailed;
+      if (!V || Status != Outcome::Finished) {
+        // A condition that errs is a runtime error, not a failed assert.
+        if (Status == Outcome::Finished)
+          Status = Outcome::AssertFailed;
         StopAt = I.S;
         break;
       }
@@ -618,37 +620,22 @@ std::optional<Value> Interpreter::evalLogic(ExprRef E) const {
       return std::nullopt;
     return V->I;
   };
+  auto Arith = [](ExprKind Kind, std::optional<int64_t> L,
+                  std::optional<int64_t> R) -> std::optional<Value> {
+    std::optional<int64_t> V =
+        L && R ? logic::arith(Kind, *L, *R) : std::nullopt;
+    return V ? std::optional<Value>(Value::makeInt(*V)) : std::nullopt;
+  };
   switch (E->kind()) {
-  case ExprKind::Neg: {
-    auto V = Int(evalLogic(E->op(0)));
-    if (!V)
-      return std::nullopt;
-    return Value::makeInt(-*V);
-  }
+  case ExprKind::Neg:
+    return Arith(ExprKind::Sub, 0, Int(evalLogic(E->op(0))));
   case ExprKind::Add:
   case ExprKind::Sub:
   case ExprKind::Mul:
   case ExprKind::Div:
-  case ExprKind::Mod: {
-    auto L = Int(evalLogic(E->op(0)));
-    auto R = Int(evalLogic(E->op(1)));
-    if (!L || !R)
-      return std::nullopt;
-    switch (E->kind()) {
-    case ExprKind::Add:
-      return Value::makeInt(*L + *R);
-    case ExprKind::Sub:
-      return Value::makeInt(*L - *R);
-    case ExprKind::Mul:
-      return Value::makeInt(*L * *R);
-    case ExprKind::Div:
-      return *R == 0 ? std::optional<Value>()
-                     : Value::makeInt(*L / *R);
-    default:
-      return *R == 0 ? std::optional<Value>()
-                     : Value::makeInt(*L % *R);
-    }
-  }
+  case ExprKind::Mod:
+    return Arith(E->kind(), Int(evalLogic(E->op(0))),
+                 Int(evalLogic(E->op(1))));
   case ExprKind::Eq:
   case ExprKind::Ne: {
     auto L = evalLogic(E->op(0));

@@ -26,6 +26,28 @@ bool logic::isCmpKind(ExprKind Kind) {
   }
 }
 
+std::optional<int64_t> logic::arith(ExprKind Kind, int64_t A, int64_t B) {
+  int64_t R;
+  switch (Kind) {
+  case ExprKind::Add:
+    return __builtin_add_overflow(A, B, &R) ? std::nullopt
+                                            : std::optional<int64_t>(R);
+  case ExprKind::Sub:
+    return __builtin_sub_overflow(A, B, &R) ? std::nullopt
+                                            : std::optional<int64_t>(R);
+  case ExprKind::Mul:
+    return __builtin_mul_overflow(A, B, &R) ? std::nullopt
+                                            : std::optional<int64_t>(R);
+  case ExprKind::Div:
+  case ExprKind::Mod:
+    if (B == 0 || (A == INT64_MIN && B == -1))
+      return std::nullopt;
+    return Kind == ExprKind::Div ? A / B : A % B;
+  default:
+    return std::nullopt;
+  }
+}
+
 ExprKind logic::negateCmp(ExprKind Kind) {
   switch (Kind) {
   case ExprKind::Eq:
@@ -146,6 +168,13 @@ ExprRef LogicContext::index(ExprRef Base, ExprRef Idx) {
 // Constants fold only when the int64 result is defined; otherwise the
 // node stays, and the prover's arithmetic poisons it (Unknown).
 
+/// L op R when both are literals and the result is defined.
+static std::optional<int64_t> fold(ExprKind Kind, ExprRef L, ExprRef R) {
+  if (L->kind() != ExprKind::IntLit || R->kind() != ExprKind::IntLit)
+    return std::nullopt;
+  return arith(Kind, L->intValue(), R->intValue());
+}
+
 ExprRef LogicContext::neg(ExprRef E) {
   if (E->kind() == ExprKind::IntLit && E->intValue() != INT64_MIN)
     return intLit(-E->intValue());
@@ -155,10 +184,8 @@ ExprRef LogicContext::neg(ExprRef E) {
 }
 
 ExprRef LogicContext::add(ExprRef L, ExprRef R) {
-  int64_t Sum;
-  if (L->kind() == ExprKind::IntLit && R->kind() == ExprKind::IntLit &&
-      !__builtin_add_overflow(L->intValue(), R->intValue(), &Sum))
-    return intLit(Sum);
+  if (std::optional<int64_t> Sum = fold(ExprKind::Add, L, R))
+    return intLit(*Sum);
   if (L->kind() == ExprKind::IntLit && L->intValue() == 0)
     return R;
   if (R->kind() == ExprKind::IntLit && R->intValue() == 0)
@@ -167,20 +194,16 @@ ExprRef LogicContext::add(ExprRef L, ExprRef R) {
 }
 
 ExprRef LogicContext::sub(ExprRef L, ExprRef R) {
-  int64_t Difference;
-  if (L->kind() == ExprKind::IntLit && R->kind() == ExprKind::IntLit &&
-      !__builtin_sub_overflow(L->intValue(), R->intValue(), &Difference))
-    return intLit(Difference);
+  if (std::optional<int64_t> Difference = fold(ExprKind::Sub, L, R))
+    return intLit(*Difference);
   if (R->kind() == ExprKind::IntLit && R->intValue() == 0)
     return L;
   return make(ExprKind::Sub, 0, "", {L, R});
 }
 
 ExprRef LogicContext::mul(ExprRef L, ExprRef R) {
-  int64_t Product;
-  if (L->kind() == ExprKind::IntLit && R->kind() == ExprKind::IntLit &&
-      !__builtin_mul_overflow(L->intValue(), R->intValue(), &Product))
-    return intLit(Product);
+  if (std::optional<int64_t> Product = fold(ExprKind::Mul, L, R))
+    return intLit(*Product);
   if (L->kind() == ExprKind::IntLit && L->intValue() == 1)
     return R;
   if (R->kind() == ExprKind::IntLit && R->intValue() == 1)
@@ -191,24 +214,17 @@ ExprRef LogicContext::mul(ExprRef L, ExprRef R) {
   return make(ExprKind::Mul, 0, "", {L, R});
 }
 
-/// True if L / R and L % R on int64 literals are defined.
-static bool divisionFolds(ExprRef L, ExprRef R) {
-  return L->kind() == ExprKind::IntLit && R->kind() == ExprKind::IntLit &&
-         R->intValue() != 0 &&
-         !(L->intValue() == INT64_MIN && R->intValue() == -1);
-}
-
 ExprRef LogicContext::div(ExprRef L, ExprRef R) {
-  if (divisionFolds(L, R))
-    return intLit(L->intValue() / R->intValue());
+  if (std::optional<int64_t> Quotient = fold(ExprKind::Div, L, R))
+    return intLit(*Quotient);
   if (R->kind() == ExprKind::IntLit && R->intValue() == 1)
     return L;
   return make(ExprKind::Div, 0, "", {L, R});
 }
 
 ExprRef LogicContext::mod(ExprRef L, ExprRef R) {
-  if (divisionFolds(L, R))
-    return intLit(L->intValue() % R->intValue());
+  if (std::optional<int64_t> Remainder = fold(ExprKind::Mod, L, R))
+    return intLit(*Remainder);
   return make(ExprKind::Mod, 0, "", {L, R});
 }
 

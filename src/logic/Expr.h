@@ -26,6 +26,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -270,6 +271,12 @@ ExprKind negateCmp(ExprKind Kind);
 
 /// True if \p Kind is one of the six comparison kinds.
 bool isCmpKind(ExprKind Kind);
+
+/// \p A op \p B over int64 for op in Add, Sub, Mul, Div and Mod (Neg is
+/// Sub from 0); nullopt where C leaves the result undefined: overflow
+/// and division by zero. The one checked arithmetic of the prover's
+/// models, the constant folder and the reference interpreter.
+std::optional<int64_t> arith(ExprKind Kind, int64_t A, int64_t B);
 
 } // namespace logic
 } // namespace slam

@@ -24,28 +24,6 @@ bool sameSymbol(ExprRef A, ExprRef B) {
   return A->kind() != ExprKind::Field || A->name() == B->name();
 }
 
-std::optional<int64_t> arith(ExprKind Kind, int64_t A, int64_t B) {
-  int64_t R;
-  switch (Kind) {
-  case ExprKind::Add:
-    return __builtin_add_overflow(A, B, &R) ? std::nullopt
-                                            : std::optional<int64_t>(R);
-  case ExprKind::Sub:
-    return __builtin_sub_overflow(A, B, &R) ? std::nullopt
-                                            : std::optional<int64_t>(R);
-  case ExprKind::Mul:
-    return __builtin_mul_overflow(A, B, &R) ? std::nullopt
-                                            : std::optional<int64_t>(R);
-  case ExprKind::Div:
-  case ExprKind::Mod:
-    if (B == 0 || (A == std::numeric_limits<int64_t>::min() && B == -1))
-      return std::nullopt;
-    return Kind == ExprKind::Div ? A / B : A % B;
-  default:
-    return std::nullopt;
-  }
-}
-
 std::optional<bool> compare(ExprKind Kind, int64_t A, int64_t B) {
   switch (Kind) {
   case ExprKind::Eq:
@@ -165,7 +143,7 @@ std::optional<int64_t> Model::value(ExprRef E) {
     std::optional<int64_t> V = value(E->op(0));
     if (!V)
       return std::nullopt;
-    return arith(ExprKind::Sub, 0, *V);
+    return logic::arith(ExprKind::Sub, 0, *V);
   }
   case ExprKind::Add:
   case ExprKind::Sub:
@@ -176,7 +154,7 @@ std::optional<int64_t> Model::value(ExprRef E) {
     std::optional<int64_t> R = value(E->op(1));
     if (!L || !R)
       return std::nullopt;
-    return arith(E->kind(), *L, *R);
+    return logic::arith(E->kind(), *L, *R);
   }
   default:
     return std::nullopt; // A formula is not a term.

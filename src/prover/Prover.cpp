@@ -11,8 +11,6 @@
 #include "support/Timer.h"
 #include "support/Trace.h"
 
-#include <cstdio>
-
 using namespace slam;
 using namespace slam::prover;
 using logic::ExprKind;
@@ -202,32 +200,20 @@ Satisfiability Prover::checkSatUncached(ExprRef Phi,
 
 Satisfiability Prover::timedCheck(ExprRef Phi,
                                   std::unique_ptr<const Model> &Found) {
+  // The query's text is built before the span opens, so that the span
+  // times only the decision.
+  std::string Query = TraceRecorder::active() ? Phi->str() : std::string();
   TraceSpan Span("prover.query", "prover");
   Timer T;
   Satisfiability Result = checkSatUncached(Phi, Found);
-  double Millis = T.millis();
-  uint64_t Micros = static_cast<uint64_t>(Millis * 1000.0);
   if (Stats)
-    Stats->observe("prover.query_us", Micros);
+    Stats->observe("prover.query_us",
+                   static_cast<uint64_t>(T.millis() * 1000.0));
   if (Span.enabled()) {
+    Span.arg("query", std::move(Query));
     Span.arg("result", Result == Satisfiability::Sat     ? "sat"
                        : Result == Satisfiability::Unsat ? "unsat"
                                                          : "unknown");
-  }
-  double SlowMs = trace::slowQueryMillis();
-  if (SlowMs >= 0 && Millis >= SlowMs) {
-    if (Stats)
-      Stats->add("prover.slow_queries");
-    // Print the implication being decided when we know it (the cube
-    // searches drive everything through implies); fall back to the raw
-    // satisfiability query.
-    if (CurAntecedent && CurConsequent)
-      std::fprintf(stderr, "prover: slow query (%.2f ms): %s => %s\n",
-                   Millis, CurAntecedent->str().c_str(),
-                   CurConsequent->str().c_str());
-    else
-      std::fprintf(stderr, "prover: slow query (%.2f ms): sat? %s\n",
-                   Millis, Phi->str().c_str());
   }
   return Result;
 }
@@ -283,20 +269,13 @@ Satisfiability Prover::checkSat(ExprRef Phi) {
 }
 
 Validity Prover::implies(ExprRef Antecedent, ExprRef Consequent) {
-  CurAntecedent = Antecedent;
-  CurConsequent = Consequent;
-  ExprRef Query = Ctx.andE(Antecedent, Ctx.notE(Consequent));
-  Validity V = [&] {
-    switch (checkSat(Query)) {
-    case Satisfiability::Unsat:
-      return Validity::Valid;
-    case Satisfiability::Sat:
-      return Validity::Invalid;
-    case Satisfiability::Unknown:
-      return Validity::Unknown;
-    }
+  switch (checkSat(Ctx.andE(Antecedent, Ctx.notE(Consequent)))) {
+  case Satisfiability::Unsat:
+    return Validity::Valid;
+  case Satisfiability::Sat:
+    return Validity::Invalid;
+  case Satisfiability::Unknown:
     return Validity::Unknown;
-  }();
-  CurAntecedent = CurConsequent = nullptr;
-  return V;
+  }
+  return Validity::Unknown;
 }

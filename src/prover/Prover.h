@@ -84,9 +84,9 @@ private:
   Satisfiability noteCacheHit(SharedProverCache::Outcome Kind,
                               Satisfiability Value);
 
-  /// checkSatUncached plus observability: a "prover.query" trace span,
-  /// a sample in the prover.query_us latency histogram, and the
-  /// slow-query log (trace::slowQueryMillis).
+  /// checkSatUncached plus observability: a "prover.query" trace span
+  /// (with the query's text and its result) and a sample in the
+  /// prover.query_us latency histogram.
   Satisfiability timedCheck(logic::ExprRef Phi,
                             std::unique_ptr<const Model> &Found);
 
@@ -98,12 +98,6 @@ private:
   TheorySolver Theory;
   logic::ExprIdMap AtomVars; ///< The skeleton encoder's atom numbering.
   const Model *LastWitness = nullptr;
-  /// Antecedent/consequent of the implication currently being decided
-  /// (set by implies() so the slow-query log can print the implication
-  /// rather than its desugared satisfiability query). The Prover is
-  /// single-threaded, so plain members suffice.
-  logic::ExprRef CurAntecedent = nullptr;
-  logic::ExprRef CurConsequent = nullptr;
 };
 
 } // namespace prover

@@ -49,7 +49,7 @@ struct BebopToolOptions {
 };
 
 /// Observability settings, as plain data. Installation of the trace
-/// recorder / slow-query threshold and emission of the files is the
+/// recorder and emission of the files is the
 /// drivers' job (tools::ObservabilityFlags in tools/PipelineFlags.h);
 /// the pipeline itself only ever reads the already-installed globals.
 struct ObservabilityOptions {
@@ -59,8 +59,6 @@ struct ObservabilityOptions {
   std::string StatsJsonPath;
   /// Print the per-tool report (flight recorder / stats summary).
   bool Report = false;
-  /// Log prover queries at/above this many ms to stderr; < 0 = off.
-  double SlowQueryMillis = -1;
 };
 
 /// Everything one pipeline run is configured by.

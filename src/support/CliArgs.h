@@ -8,9 +8,8 @@
 /// One flag-parsing helper shared by the slam/c2bp/bebop mains. The
 /// mains used to funnel numeric flags through atoi, which silently
 /// turns `--max-iters banana` into 0; these helpers accept exactly the
-/// decimal integers that fit the flag's int (or finite decimals, for
-/// millisecond thresholds) and report everything else as a usage error
-/// naming the flag, rather than truncating it.
+/// decimal integers that fit the flag's int and report everything else
+/// as a usage error naming the flag, rather than truncating it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,11 +18,8 @@
 
 #include <cerrno>
 #include <climits>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <string>
 
 namespace slam {
 namespace cli {
@@ -36,21 +32,6 @@ inline bool parseInt(const char *Text, long long &Out) {
   errno = 0;
   long long V = std::strtoll(Text, &End, 10);
   if (errno == ERANGE || End == Text || *End != '\0')
-    return false;
-  Out = V;
-  return true;
-}
-
-/// Strict finite decimal number (for millisecond thresholds): strtod
-/// alone would also take `nan`, `inf` and hexadecimal, so any character
-/// outside a decimal's alphabet is rejected first.
-inline bool parseDouble(const char *Text, double &Out) {
-  if (!Text || !*Text || Text[std::strspn(Text, "0123456789+-.eE")])
-    return false;
-  char *End = nullptr;
-  errno = 0;
-  double V = std::strtod(Text, &End);
-  if (errno == ERANGE || End == Text || *End != '\0' || !std::isfinite(V))
     return false;
   Out = V;
   return true;
@@ -78,19 +59,6 @@ inline bool intArg(const char *Tool, const char *Flag, const char *Text,
     return false;
   }
   Out = static_cast<int>(V);
-  return true;
-}
-
-/// Parses \p Text as the non-negative millisecond value of \p Flag.
-inline bool msArg(const char *Tool, const char *Flag, const char *Text,
-                  double &Out) {
-  if (!parseDouble(Text, Out) || Out < 0) {
-    std::fprintf(
-        stderr,
-        "%s: invalid value '%s' for %s (expected milliseconds >= 0)\n",
-        Tool, Text ? Text : "", Flag);
-    return false;
-  }
   return true;
 }
 

@@ -78,13 +78,6 @@ public:
     slot(Histograms, Name).observe(Micros);
   }
 
-  /// Folds a whole externally-accumulated histogram into the named one
-  /// (used by subsystems that keep private histograms on hot paths).
-  void observeHistogram(std::string_view Name, const LatencyHistogram &H) {
-    std::lock_guard<std::mutex> L(M);
-    slot(Histograms, Name).mergeFrom(H);
-  }
-
   uint64_t get(std::string_view Name) const {
     std::lock_guard<std::mutex> L(M);
     auto It = Counters.find(Name);

@@ -143,15 +143,3 @@ TraceSpan::~TraceSpan() {
   E.Args = std::move(Args);
   R->record(std::move(E));
 }
-
-namespace {
-std::atomic<double> SlowQueryMs{-1.0};
-} // namespace
-
-void trace::setSlowQueryMillis(double Millis) {
-  SlowQueryMs.store(Millis, std::memory_order_relaxed);
-}
-
-double trace::slowQueryMillis() {
-  return SlowQueryMs.load(std::memory_order_relaxed);
-}

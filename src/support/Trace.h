@@ -141,17 +141,6 @@ private:
   uint64_t StartUs = 0;
   std::vector<std::pair<std::string, std::string>> Args;
 };
-
-namespace trace {
-
-/// Threshold for the prover's slow-query log, in milliseconds; queries
-/// at or above it print the implication being decided to stderr.
-/// Negative (the default) disables the log. Set by the tools'
-/// `--slow-query-ms`; read on every genuine prover call.
-void setSlowQueryMillis(double Millis);
-double slowQueryMillis();
-
-} // namespace trace
 } // namespace slam
 
 #endif // SUPPORT_TRACE_H

@@ -119,6 +119,17 @@ TEST_F(BPParserTest, SyntaxErrors) {
   EXPECT_EQ(parseBProgram("bool f() begin end", Diags), nullptr);
   Diags.clear();
   EXPECT_EQ(parseBProgram("void f() begin x := ; end", Diags), nullptr);
+  // Arities that would wrap to 1 and to 3,000,000,000 as an unsigned.
+  for (const char *Arity : {"4294967297", "3000000000"}) {
+    Diags.clear();
+    EXPECT_EQ(parseBProgram(std::string("bool<") + Arity +
+                                "> f() begin return true; end",
+                            Diags),
+              nullptr)
+        << Arity;
+    EXPECT_NE(Diags.str().find("return arity out of range"), std::string::npos)
+        << Diags.str();
+  }
 }
 
 TEST_F(BPParserTest, OutOfRangeIntegerLiteralIsADiagnostic) {

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+
 using namespace slam;
 using namespace slam::cfront;
 
@@ -165,6 +168,33 @@ TEST_F(InterpTest, NullDereferenceIsRuntimeError) {
             Interpreter::Outcome::RuntimeError);
 }
 
+TEST_F(InterpTest, SignedOverflowIsRuntimeError) {
+  // INT64_MIN / -1 overflows like INT64_MAX + 1: neither may trap or
+  // wrap.
+  auto P = load(R"(
+    int g;
+    void f() {
+      int x; int y;
+      x = 0 - 9223372036854775807;
+      x = x - 1;
+      y = 0 - 1;
+      g = x / y;
+    }
+    void h() { int x; x = 9223372036854775807; x = x + 1; }
+    void k(int x) { assert(x + 1 > x); }
+  )");
+  for (const char *Entry : {"f", "h"}) {
+    Interpreter I(*P, 1);
+    EXPECT_EQ(I.run(Entry, {}), Interpreter::Outcome::RuntimeError) << Entry;
+    ASSERT_TRUE(I.stopStmt() != nullptr) << Entry;
+    EXPECT_EQ(I.stopStmt()->Kind, CStmtKind::Assign) << Entry;
+  }
+  // An assert whose condition overflows errs; it does not fail.
+  Interpreter I(*P, 1);
+  EXPECT_EQ(I.run("k", {Value::makeInt(INT64_MAX)}),
+            Interpreter::Outcome::RuntimeError);
+}
+
 TEST_F(InterpTest, StepLimitOnInfiniteLoop) {
   auto P = load("void f() { int x; x = 0; while (x == 0) { x = 0; } }");
   Interpreter I(*P, 1);
@@ -225,6 +255,33 @@ TEST_F(InterpTest, EvalLogicAgainstState) {
   ASSERT_TRUE(Probe.ValGtV.has_value());
   EXPECT_EQ(Probe.ValGtV->I, 1); // 7 > 3.
   EXPECT_FALSE(Probe.Undefined.has_value());
+}
+
+TEST_F(InterpTest, EvalLogicOverflowHasNoValue) {
+  auto P = load("void f(int x, int y, int z) { L: assert(y != 0); }");
+  struct Probe : StepHook {
+    Interpreter *I = nullptr;
+    logic::LogicContext *Ctx = nullptr;
+    std::map<std::string, std::optional<Value>> Values;
+    void onStep(const Stmt &, bool) override {
+      DiagnosticEngine D;
+      for (const char *Text :
+           {"x / y", "x % y", "-x", "x - 1", "z + 1", "z * 2", "x + 1"})
+        Values[Text] = I->evalLogic(c2bp::parseExpr(*Ctx, Text, D));
+    }
+    void afterStore(const Stmt &) override {}
+  } Probe;
+  Interpreter I(*P, 1);
+  Probe.I = &I;
+  Probe.Ctx = &Ctx;
+  I.run("f",
+        {Value::makeInt(INT64_MIN), Value::makeInt(-1),
+         Value::makeInt(INT64_MAX)},
+        &Probe);
+  for (const char *Text : {"x / y", "x % y", "-x", "x - 1", "z + 1", "z * 2"})
+    EXPECT_FALSE(Probe.Values.at(Text).has_value()) << Text;
+  ASSERT_TRUE(Probe.Values.at("x + 1").has_value());
+  EXPECT_EQ(Probe.Values.at("x + 1")->I, INT64_MIN + 1);
 }
 
 } // namespace

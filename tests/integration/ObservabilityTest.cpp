@@ -95,6 +95,20 @@ TEST(Observability, TraceCoversEveryPipelineStage) {
     EXPECT_NE(Run.TraceDoc.find(std::string("\"") + Span + "\""),
               std::string::npos)
         << "missing span " << Span;
+  // Each query span names its formula and its answer, so a trace shows
+  // which query was slow.
+  size_t Queries = 0;
+  for (const TraceEvent &E : Run.Events) {
+    if (E.Name != "prover.query")
+      continue;
+    ++Queries;
+    std::set<std::string> Keys;
+    for (const auto &[Key, Value] : E.Args)
+      if (!Value.empty())
+        Keys.insert(Key);
+    EXPECT_EQ(Keys, (std::set<std::string>{"query", "result"}));
+  }
+  EXPECT_GT(Queries, 0u);
 }
 
 TEST(Observability, EveryIterationSpansItsSetupAndTeardown) {

@@ -61,17 +61,15 @@ TEST(PipelineFlags, SharedFlagsParseIdenticallyInEveryTool) {
     std::optional<int> Exit =
         Tool == ToolKind::C2bp
             ? parse(Tool, {"in.c", "preds.txt", "--trace-out", "t.json",
-                           "--stats-json", "s.json", "--report",
-                           "--slow-query-ms", "5"},
+                           "--stats-json", "s.json", "--report"},
                     PA)
             : parse(Tool, {"input", "--trace-out", "t.json", "--stats-json",
-                           "s.json", "--report", "--slow-query-ms", "5"},
+                           "s.json", "--report"},
                     PA);
     EXPECT_EQ(Exit, std::nullopt) << toolName(Tool);
     EXPECT_EQ(PA.Options.Obs.TraceOutPath, "t.json") << toolName(Tool);
     EXPECT_EQ(PA.Options.Obs.StatsJsonPath, "s.json") << toolName(Tool);
     EXPECT_TRUE(PA.Options.Obs.Report) << toolName(Tool);
-    EXPECT_EQ(PA.Options.Obs.SlowQueryMillis, 5) << toolName(Tool);
   }
 }
 
@@ -79,8 +77,7 @@ TEST(PipelineFlags, SlamSpecificFlags) {
   PipelineArgs PA;
   EXPECT_EQ(parse(ToolKind::Slam,
                   {"p.c", "--lock", "Acq,Rel", "--entry", "start",
-                   "--max-iters", "7", "-k", "2", "-j", "2",
-                   "--no-incremental"},
+                   "--max-iters", "7", "-k", "2", "-j", "2"},
                   PA),
             std::nullopt);
   EXPECT_TRUE(PA.HaveSpec);
@@ -88,7 +85,6 @@ TEST(PipelineFlags, SlamSpecificFlags) {
   EXPECT_EQ(PA.Options.Cegar.MaxIterations, 7);
   EXPECT_EQ(PA.Options.C2bp.Cubes.MaxCubeLength, 2);
   EXPECT_EQ(PA.Options.C2bp.NumWorkers, 2);
-  EXPECT_FALSE(PA.Options.Cegar.Incremental);
   // Deleted: prover results are not persisted across runs.
   PipelineArgs PB;
   EXPECT_EQ(parse(ToolKind::Slam, {"p.c", "--prover-cache", "c.log"}, PB), 2);
@@ -104,10 +100,10 @@ TEST(PipelineFlags, MalformedPropertyPairIsAUsageError) {
 TEST(PipelineFlags, C2bpSpecificFlags) {
   PipelineArgs PA;
   EXPECT_EQ(parse(ToolKind::C2bp,
-                  {"p.c", "e.txt", "--no-cone", "--alias", "andersen"}, PA),
+                  {"p.c", "e.txt", "--no-enforce", "--no-alias"}, PA),
             std::nullopt);
-  EXPECT_FALSE(PA.Options.C2bp.Cubes.ConeOfInfluence);
-  EXPECT_EQ(PA.Options.C2bp.AliasMode, alias::Mode::Andersen);
+  EXPECT_FALSE(PA.Options.C2bp.UseEnforce);
+  EXPECT_FALSE(PA.Options.C2bp.UseAliasAnalysis);
   // Deleted knobs are usage errors: --report prints the counters, every
   // run has one prover cache, and nothing is persisted across runs.
   for (const char *Gone : {"--stats", "--no-shared-cache", "--prover-cache"}) {
@@ -137,11 +133,31 @@ TEST(PipelineFlags, ToolsRejectEachOthersFlags) {
   PipelineArgs PB;
   EXPECT_EQ(parse(ToolKind::C2bp, {"p.c", "e.txt", "--trace"}, PB), 2);
   PipelineArgs PC;
-  EXPECT_EQ(parse(ToolKind::Slam, {"p.c", "--alias", "das"}, PC), 2);
+  EXPECT_EQ(parse(ToolKind::Slam, {"p.c", "--no-enforce"}, PC), 2);
   PipelineArgs PD;
-  EXPECT_EQ(parse(ToolKind::C2bp, {"p.c", "e.txt", "--no-incremental"},
-                  PD),
+  EXPECT_EQ(parse(ToolKind::C2bp, {"p.c", "e.txt", "--max-iters", "3"}, PD),
             2);
+}
+
+TEST(PipelineFlags, RetiredFlagsExitTwoInEveryTool) {
+  // Each changed no output: the memo, the cone of influence and the
+  // points-to mode only change how much work a run does, and the
+  // prover.query trace spans time every query.
+  for (ToolKind Tool :
+       {ToolKind::Slam, ToolKind::C2bp, ToolKind::Bebop}) {
+    for (const char *Gone :
+         {"--no-incremental", "--no-cone", "--alias", "--slow-query-ms"}) {
+      PipelineArgs PA;
+      testing::internal::CaptureStderr();
+      std::optional<int> Exit =
+          Tool == ToolKind::C2bp ? parse(Tool, {"p.c", "e.txt", Gone, "5"}, PA)
+                                 : parse(Tool, {"input", Gone, "5"}, PA);
+      std::string Err = testing::internal::GetCapturedStderr();
+      EXPECT_EQ(Exit, 2) << toolName(Tool) << " " << Gone;
+      EXPECT_EQ(Err, std::string(toolName(Tool)) + ": unknown option '" +
+                         Gone + "' (try --help)\n");
+    }
+  }
 }
 
 TEST(PipelineFlags, HelpExitsZeroEverywhere) {
@@ -201,22 +217,4 @@ TEST(PipelineFlags, IntegerFlagsAboveIntMaxAreUsageErrors) {
   EXPECT_EQ(parse(ToolKind::Slam, {"p.c", "--max-iters", "2147483647"}, PD),
             std::nullopt);
   EXPECT_EQ(PD.Options.Cegar.MaxIterations, 2147483647);
-}
-
-TEST(PipelineFlags, MillisecondFlagsTakeOnlyFiniteDecimals) {
-  // None of these is a finite decimal count of milliseconds >= 0.
-  // strtod alone accepts `nan`, `inf` and hex, and `nan` would then
-  // silently disable the log.
-  for (const char *Bad : {"nan", "NaN", "-nan", "inf", "infinity", "-inf",
-                          "0x10", "0x1p3", "1e999", "5ms", "", "-1"}) {
-    PipelineArgs PA;
-    EXPECT_EQ(parse(ToolKind::Slam, {"p.c", "--slow-query-ms", Bad}, PA), 2)
-        << Bad;
-  }
-  for (const char *Good : {"0", "2.5", ".5", "1e2", "+3"}) {
-    PipelineArgs PA;
-    EXPECT_EQ(parse(ToolKind::Slam, {"p.c", "--slow-query-ms", Good}, PA),
-              std::nullopt)
-        << Good;
-  }
 }

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -102,6 +103,17 @@ std::string resultKey(const SlamResult &R) {
   return Out.str();
 }
 
+/// Every predicate, by scope, as text: comparable across contexts.
+std::string predicateText(const c2bp::PredicateSet &Preds) {
+  std::ostringstream Out;
+  for (logic::ExprRef E : Preds.Globals)
+    Out << "global: " << E->str() << '\n';
+  for (const auto &[Proc, Es] : Preds.PerProc)
+    for (logic::ExprRef E : Es)
+      Out << Proc << ": " << E->str() << '\n';
+  return Out.str();
+}
+
 } // namespace
 
 TEST(Incremental, MemoDoesNotChangeTheAnswer) {
@@ -125,6 +137,34 @@ TEST(Incremental, MemoDoesNotChangeTheAnswer) {
   // whose predicates grew, and reuses both lock routines whole.
   EXPECT_EQ(A.Stats.get("c2bp.procs_reused"), 2u);
   EXPECT_EQ(B.Stats.get("c2bp.procs_reused"), 0u);
+}
+
+TEST(Incremental, ExamplesAnswerTheSameWithAndWithoutTheMemo) {
+  SafetySpec Lock = SafetySpec::lockDiscipline("AcquireLock", "ReleaseLock");
+  const std::pair<const char *, SafetySpec> Cases[] = {
+      {"locking.c", Lock},
+      {"locking_bug.c", Lock},
+      {"irp.c", SafetySpec::irpDiscipline("CompleteRequest", "MarkPending")},
+      {"dispatch.c", Lock}};
+  for (const auto &[File, Spec] : Cases) {
+    std::ifstream In(std::string(SLAM_EXAMPLES_DIR) + "/" + File);
+    ASSERT_TRUE(In) << File;
+    std::ostringstream Source;
+    Source << In.rdbuf();
+    std::string Keys[2], Preds[2];
+    for (bool Memo : {false, true}) {
+      PipelineOptions O = baseOptions();
+      O.Cegar.Incremental = Memo;
+      logic::LogicContext Ctx;
+      DiagnosticEngine Diags;
+      auto R = checkSafety(Source.str(), Spec, Ctx, Diags, O);
+      ASSERT_TRUE(R.has_value()) << File << ": " << Diags.str();
+      Keys[Memo] = resultKey(*R);
+      Preds[Memo] = predicateText(R->Predicates);
+    }
+    EXPECT_EQ(Keys[true], Keys[false]) << File;
+    EXPECT_EQ(Preds[true], Preds[false]) << File;
+  }
 }
 
 TEST(Incremental, NonIncrementalLogsNoReuse) {

@@ -133,11 +133,3 @@ TEST(Trace, ChromeJsonIsValidAndNamesThreads) {
   EXPECT_NE(Doc.find("worker-1"), std::string::npos);
   EXPECT_NE(Doc.find("phase \\\"x\\\""), std::string::npos);
 }
-
-TEST(Trace, SlowQueryThresholdDefaultsOff) {
-  EXPECT_LT(trace::slowQueryMillis(), 0);
-  trace::setSlowQueryMillis(12.5);
-  EXPECT_DOUBLE_EQ(trace::slowQueryMillis(), 12.5);
-  trace::setSlowQueryMillis(-1.0);
-  EXPECT_LT(trace::slowQueryMillis(), 0);
-}

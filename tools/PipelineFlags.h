@@ -22,9 +22,8 @@
 /// stderr otherwise (exit 2).
 ///
 /// ObservabilityFlags then turns the parsed observability options into
-/// effect: it installs the global trace recorder and slow-query
-/// threshold before the pipeline runs, and writes the requested
-/// trace/stats files afterwards. Each main calls install() before the
+/// effect: it installs the global trace recorder before the pipeline
+/// runs, and writes the requested trace/stats files afterwards. Each main calls install() before the
 /// pipeline and finish() once it has its final StatsRegistry.
 ///
 //===----------------------------------------------------------------------===//
@@ -79,7 +78,6 @@ inline void printHelp(ToolKind Tool) {
       "  --trace-out <file>      write a Chrome trace-event JSON file\n"
       "  --stats-json <file>     write the statistics registry as JSON\n"
       "  --report                print the per-tool statistics report\n"
-      "  --slow-query-ms <ms>    log slow prover queries to stderr\n"
       "  --help, -h              print this help and exit\n";
   switch (Tool) {
   case ToolKind::Slam:
@@ -97,8 +95,6 @@ inline void printHelp(ToolKind Tool) {
         "  -j <n>                  worker threads per abstraction pass\n"
         "                          (default: 1; 0 = one per hardware "
         "thread)\n"
-        "  --no-incremental        re-abstract every procedure on every\n"
-        "                          iteration (disable the reuse memo)\n"
         "%s",
         Common);
     return;
@@ -112,13 +108,8 @@ inline void printHelp(ToolKind Tool) {
         "                          (default: 1; 0 = one per hardware\n"
         "                          thread); output is identical for every "
         "-j\n"
-        "  --no-cone               disable the cone-of-influence "
-        "optimization\n"
         "  --no-enforce            do not emit the enforce data invariant\n"
         "  --no-alias              use the syntactic alias oracle only\n"
-        "  --alias <mode>          points-to mode: das (default), "
-        "andersen,\n"
-        "                          steensgaard\n"
         "%s",
         Common);
     return;
@@ -196,12 +187,6 @@ inline std::optional<int> parsePipelineFlags(ToolKind Tool, int Argc,
       O.Obs.Report = true;
       continue;
     }
-    if (!std::strcmp(Arg, "--slow-query-ms")) {
-      const char *V = Value(Arg);
-      if (!V || !cli::msArg(Name, "--slow-query-ms", V, O.Obs.SlowQueryMillis))
-        return 2;
-      continue;
-    }
 
     // -- slam + c2bp: abstraction knobs ------------------------------
     if (Tool != ToolKind::Bebop) {
@@ -251,40 +236,16 @@ inline std::optional<int> parsePipelineFlags(ToolKind Tool, int Argc,
           return 2;
         continue;
       }
-      if (!std::strcmp(Arg, "--no-incremental")) {
-        O.Cegar.Incremental = false;
-        continue;
-      }
     }
 
     // -- c2bp only ---------------------------------------------------
     if (Tool == ToolKind::C2bp) {
-      if (!std::strcmp(Arg, "--no-cone")) {
-        O.C2bp.Cubes.ConeOfInfluence = false;
-        continue;
-      }
       if (!std::strcmp(Arg, "--no-enforce")) {
         O.C2bp.UseEnforce = false;
         continue;
       }
       if (!std::strcmp(Arg, "--no-alias")) {
         O.C2bp.UseAliasAnalysis = false;
-        continue;
-      }
-      if (!std::strcmp(Arg, "--alias")) {
-        const char *V = Value(Arg);
-        if (!V)
-          return 2;
-        if (!std::strcmp(V, "das"))
-          O.C2bp.AliasMode = alias::Mode::Das;
-        else if (!std::strcmp(V, "andersen"))
-          O.C2bp.AliasMode = alias::Mode::Andersen;
-        else if (!std::strcmp(V, "steensgaard"))
-          O.C2bp.AliasMode = alias::Mode::Steensgaard;
-        else {
-          std::fprintf(stderr, "%s: unknown alias mode '%s'\n", Name, V);
-          return 2;
-        }
         continue;
       }
     }
@@ -339,11 +300,9 @@ public:
   explicit ObservabilityFlags(const slamtool::ObservabilityOptions &Opts)
       : Opts(Opts) {}
 
-  /// Installs the trace recorder and slow-query threshold. Call after
-  /// flag parsing, before any pipeline work.
+  /// Installs the trace recorder. Call after flag parsing, before any
+  /// pipeline work.
   void install() {
-    if (Opts.SlowQueryMillis >= 0)
-      trace::setSlowQueryMillis(Opts.SlowQueryMillis);
     if (Opts.TraceOutPath.empty())
       return;
     Recorder = std::make_unique<TraceRecorder>();

@@ -10,8 +10,8 @@
 // stdout carries only the stable result lines (verdict, iterations,
 // predicates, error path); work counters and timings — prover-call
 // volume, cache effectiveness, the flight recorder — are behind
-// --report / --stats-json, so runs at any -j, with or without
-// --no-incremental, print byte-identical output.
+// --report / --stats-json, so runs at any -j print byte-identical
+// output.
 //
 //===----------------------------------------------------------------------===//
 
