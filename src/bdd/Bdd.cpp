@@ -451,6 +451,29 @@ void BddManager::forEachCube(
   }
 }
 
+size_t BddManager::nodeCount(const std::vector<Node> &Roots) const {
+  std::vector<uint8_t> Seen(Nodes.size());
+  std::vector<Node> Stack;
+  size_t Count = 0;
+  auto Visit = [&](Node N) {
+    if (Seen[N])
+      return;
+    Seen[N] = 1;
+    ++Count;
+    if (N > True)
+      Stack.push_back(N);
+  };
+  for (Node R : Roots)
+    Visit(R);
+  while (!Stack.empty()) {
+    Node N = Stack.back();
+    Stack.pop_back();
+    Visit(Nodes[N].Lo);
+    Visit(Nodes[N].Hi);
+  }
+  return Count;
+}
+
 bool BddManager::eval(Node F, const std::map<int, bool> &Assignment) const {
   Node N = F;
   while (N > True) {

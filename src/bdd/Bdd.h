@@ -133,6 +133,11 @@ public:
                    const std::function<void(const std::map<int, bool> &)>
                        &Callback);
 
+  /// The number of distinct nodes, terminals included, reachable from
+  /// \p Roots. Diagrams are canonical for a variable order, so the count
+  /// depends only on the functions, not on what else this manager holds.
+  size_t nodeCount(const std::vector<Node> &Roots) const;
+
   /// Evaluates F under a total assignment (missing vars read false).
   bool eval(Node F, const std::map<int, bool> &Assignment) const;
 

@@ -18,7 +18,7 @@
 // Path edges PE(n) live over (E, C) and summaries over (SE, SC), so a
 // caller and its callee share slots without colliding: a call binds the
 // caller's C/N rails to the callee's SE/SC rails, as a recursive call
-// always did. The checker allocates 5 x the largest frame variables
+// always did. The session allocates 5 x the largest frame variables
 // once, then the choice variables. All renames used (N->C, SE->E,
 // E->SE / C->SC, C_t->N_t) are order-preserving by construction. A
 // name resolves by scanning the procedure's locals, its parameters,
@@ -39,10 +39,18 @@
 // processCall) and the pre-image (preOp, trace reconstruction) read the
 // same ones. Likewise every variable set a step quantifies and every
 // renaming it applies is interned with the BDD manager, those over
-// every slot once per checker and the rest (per node, per call site,
+// every slot once per manager and the rest (per node, per call site,
 // per procedure) on first use, as is each procedure's entry identity,
 // so a propagation step builds no container. The step counters are
 // members, published once per run().
+//
+// Session: the manager and each procedure's entry (ProcInfo: layout,
+// relations, interned sets) live in a Session that the checkers of a
+// CEGAR loop share, keyed by BProc::Serial, so a procedure the memo
+// reuses keeps them; a call binding is rebuilt when its callee changes.
+// A checker builds entries for new procedures, drops those of procedures
+// its program lacks, and clears the path edges and summaries it set when
+// it dies. A checker given no session makes its own.
 //
 //===----------------------------------------------------------------------===//
 
@@ -54,6 +62,9 @@
 #include <cassert>
 #include <deque>
 #include <numeric>
+#include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 
 using namespace slam;
 using namespace slam::bebop;
@@ -70,83 +81,123 @@ enum Rail { RailE = 0, RailC = 1, RailN = 2, RailSE = 3, RailSC = 4 };
 /// A relation not built yet (no BDD node has a negative handle).
 constexpr Node Unbuilt = -1;
 
+/// The binding of one call site between the caller's rails and the
+/// callee's summary rails (see callStep), and what applying the callee's
+/// summary there quantifies and renames.
+struct CallStep {
+  /// The callee the binding was built for (BProc::Serial): a reused
+  /// caller may call a rebuilt callee with another frame.
+  uint64_t CalleeSerial = 0;
+  /// The callee's index in the current run's program.
+  int Callee = -1;
+  /// Callee SE rail <-> caller C rail of the globals and the encoded
+  /// arguments.
+  Node In = Unbuilt;
+  /// Caller N rail of the globals and targets <-> callee SC rail.
+  Node Out = Unbuilt;
+  /// Caller variables the call changes: the globals, then the targets.
+  std::vector<int> Changed;
+  /// summaryQuant on the caller's C rail, and the Changed variables
+  /// N -> C.
+  VarSet SummaryQuant;
+  Renaming ChangedNToC;
+  /// The last run that read In (bebop.relations_reused).
+  uint64_t InRead = 0;
+};
+
+/// One CFG node's reachable states and, for a non-call node, its
+/// relation and what its image quantifies and renames.
+struct NodeInfo {
+  // Per run; a checker clears what it set (Bebop::Impl::Touched).
+  Node PE = BddManager::False;
+  /// (rank, cumulative PE) growth log for traces.
+  std::vector<std::pair<uint64_t, Node>> Log;
+
+  // Kept across runs.
+  /// The statement relation (stmtRel).
+  Node Rel = Unbuilt;
+  /// Assert nodes: the states that violate it (checkAssert).
+  Node Bad = Unbuilt;
+  /// The targets' C rail, and the targets N -> C (post).
+  VarSet PostQuant;
+  Renaming PostRename;
+  /// The last runs that read Rel and Bad (bebop.relations_reused).
+  uint64_t RelRead = 0, BadRead = 0;
+};
+
+/// One procedure's layout, relations and, for the current run, its
+/// reachable states.
+struct ProcInfo {
+  const BProc *Proc = nullptr;
+  const ProcCfg *Cfg = nullptr;
+  /// The frame's first local slot and first <retK> slot.
+  int LocalBase = 0, RetBase = 0;
+
+  std::vector<NodeInfo> Nodes;
+  /// Per call node: its binding (callStep).
+  std::map<int, CallStep> Calls;
+
+  Node EnforceBdd = BddManager::True; // Over the C rail.
+  /// E <-> C over the globals and parameters (identity).
+  Node Identity = Unbuilt;
+  /// What updateSummary projects away, interned on first use.
+  VarSet SummaryProject;
+
+  /// The last run whose program has this procedure.
+  uint64_t LastRun = 0;
+
+  // Per run; a checker clears them (clearRun).
+  /// The call sites of this procedure: (caller index, caller node).
+  std::vector<std::pair<int, int>> CallSites;
+  Node Summary = BddManager::False;
+  std::vector<std::pair<uint64_t, Node>> SummaryLog;
+  Node EntrySeen = BddManager::False;
+  struct EntryRec {
+    uint64_t Rank;
+    Node States; // Over the E rail.
+    int CallerProc;
+    int CallerNode;
+  };
+  std::vector<EntryRec> EntryLog;
+
+  /// Clears the per-run fields but the nodes'.
+  void clearRun() {
+    CallSites.clear();
+    Summary = EntrySeen = BddManager::False;
+    SummaryLog.clear();
+    EntryLog.clear();
+  }
+};
+
+int railVar(int Slot, Rail R) { return 5 * Slot + R; }
+
+/// Rails \p Rails of the slots \p Slots.
+std::vector<int> railVars(const std::vector<int> &Slots,
+                          std::initializer_list<Rail> Rails) {
+  std::vector<int> Out;
+  for (int V : Slots)
+    for (Rail R : Rails)
+      Out.push_back(railVar(V, R));
+  return Out;
+}
+
+/// Renames rail \p From to rail \p To for the slots \p Slots.
+std::map<int, int> railMap(const std::vector<int> &Slots, Rail From,
+                           Rail To) {
+  std::map<int, int> Ren;
+  for (int V : Slots)
+    Ren[railVar(V, From)] = railVar(V, To);
+  return Ren;
+}
+
 } // namespace
 
-struct Bebop::Impl {
-  const BProgram &Prog;
-  StatsRegistry *Stats;
+struct Session::Impl {
   BddManager M;
-
-  /// The binding of one call site between the caller's rails and the
-  /// callee's summary rails (see callStep), and what applying the
-  /// callee's summary there quantifies and renames.
-  struct CallStep {
-    int Callee = -1;
-    /// Callee SE rail <-> caller C rail of the globals and the encoded
-    /// arguments.
-    Node In = Unbuilt;
-    /// Caller N rail of the globals and targets <-> callee SC rail.
-    Node Out = Unbuilt;
-    /// Caller variables the call changes: the globals, then the targets.
-    std::vector<int> Changed;
-    /// summaryQuant on the caller's C rail, and the Changed variables
-    /// N -> C.
-    VarSet SummaryQuant;
-    Renaming ChangedNToC;
-  };
-
-  /// One CFG node's reachable states and, for a non-call node, its
-  /// relation and what its image quantifies and renames.
-  struct NodeInfo {
-    Node PE = BddManager::False;
-    /// (rank, cumulative PE) growth log for traces.
-    std::vector<std::pair<uint64_t, Node>> Log;
-    /// The statement relation (stmtRel).
-    Node Rel = Unbuilt;
-    /// Assert nodes: the states that violate it (checkAssert).
-    Node Bad = Unbuilt;
-    /// The targets' C rail, and the targets N -> C (post).
-    VarSet PostQuant;
-    Renaming PostRename;
-  };
-
-  struct ProcInfo {
-    const BProc *Proc = nullptr;
-    const ProcCfg *Cfg = nullptr;
-    /// The frame's first local slot and first <retK> slot.
-    int LocalBase = 0, RetBase = 0;
-
-    std::vector<NodeInfo> Nodes;
-    /// Per call node: its binding (callStep).
-    std::map<int, CallStep> Calls;
-
-    Node Summary = BddManager::False;
-    std::vector<std::pair<uint64_t, Node>> SummaryLog;
-    Node EntrySeen = BddManager::False;
-    struct EntryRec {
-      uint64_t Rank;
-      Node States; // Over the E rail.
-      int CallerProc;
-      int CallerNode;
-    };
-    std::vector<EntryRec> EntryLog;
-
-    Node EnforceBdd = BddManager::True; // Over the C rail.
-    /// E <-> C over the globals and parameters (identity).
-    Node Identity = Unbuilt;
-    /// What updateSummary projects away, interned on first use.
-    VarSet SummaryProject;
-  };
-
-  std::vector<ProcInfo> Procs;
-  std::map<std::string, int> ProcIndex;
-  int NumGlobals = 0;
-  std::vector<int> ChoiceVars;
-  uint64_t Rank = 0;
-  std::deque<std::pair<int, int>> Worklist;
-  /// Call sites per callee proc index: (caller proc, caller node).
-  std::map<int, std::vector<std::pair<int, int>>> CallSites;
-
+  /// The globals and the number of slots the manager's variables are
+  /// laid out for; NumSlots < 0 before the first checker.
+  std::vector<std::string> Globals;
+  int NumSlots = -1;
   /// Every slot, and sets and renamings over all of them, interned
   /// once; one that names slots outside a procedure's frame leaves that
   /// procedure's BDDs alone.
@@ -155,38 +206,75 @@ struct Bebop::Impl {
   /// E/C -> SE/SC and back, for summaries and for entry states that
   /// cross a call (SE -> E into the callee, E -> SE out of it in traces).
   Renaming ToSummary, FromSummary;
+  /// The choice variables of `*` and `choose`, after the slots'.
+  std::vector<int> ChoiceVars;
+  /// Per procedure, by BProc::Serial.
+  std::unordered_map<uint64_t, ProcInfo> Procs;
+  /// Checkers constructed so far; whether one is alive.
+  uint64_t Runs = 0;
+  bool Busy = false;
+
+  /// Starts over with a fresh manager laid out for \p NewGlobals and
+  /// \p Frame slots.
+  void start(const std::vector<std::string> &NewGlobals, int Frame) {
+    if (NumSlots >= 0) {
+      Procs.clear();
+      ChoiceVars.clear();
+      M = BddManager();
+    }
+    Globals = NewGlobals;
+    NumSlots = Frame;
+    for (int V = 0; V != 5 * Frame; ++V)
+      M.newVar();
+    Slots.resize(Frame);
+    std::iota(Slots.begin(), Slots.end(), 0);
+    AllE = M.varSet(railVars(Slots, {RailE}));
+    AllC = M.varSet(railVars(Slots, {RailC}));
+    AllSE = M.varSet(railVars(Slots, {RailSE}));
+    AllEC = M.varSet(railVars(Slots, {RailE, RailC}));
+    std::map<int, int> Ren = railMap(Slots, RailE, RailSE);
+    Ren.merge(railMap(Slots, RailC, RailSC));
+    ToSummary = M.renaming(Ren);
+    Ren = railMap(Slots, RailSE, RailE);
+    Ren.merge(railMap(Slots, RailSC, RailC));
+    FromSummary = M.renaming(Ren);
+  }
+};
+
+Session::Session() : M(std::make_unique<Impl>()) {}
+Session::~Session() = default;
+
+struct Bebop::Impl {
+  const BProgram &Prog;
+  StatsRegistry *Stats;
+  /// The session, this checker's own when none was given.
+  std::unique_ptr<Session> Own;
+  Session::Impl &S;
+  BddManager &M;
+
+  /// This run's procedures, in program order, and their indices by name.
+  std::vector<ProcInfo *> Procs;
+  std::unordered_map<std::string_view, int> ProcIndex;
+  /// The nodes this run gave path edges, which it clears when it dies.
+  std::vector<NodeInfo *> Touched;
+  /// This run's number (Session::Impl::Runs).
+  uint64_t RunId = 0;
+  int NumGlobals = 0;
+  uint64_t Rank = 0;
+  std::deque<std::pair<int, int>> Worklist;
 
   // First observed assertion failure.
   bool Failed = false;
   int FailProc = -1, FailNode = -1;
   Node FailStates = BddManager::False;
 
-  /// The bebop.steps, bebop.pe_updates and bebop.summary_updates not yet
-  /// published (publishCounters).
-  uint64_t Steps = 0, PEUpdates = 0, SummaryUpdates = 0;
+  /// The bebop.steps, bebop.pe_updates, bebop.summary_updates and
+  /// bebop.relations_reused not yet published (publishCounters).
+  uint64_t Steps = 0, PEUpdates = 0, SummaryUpdates = 0, RelationsReused = 0;
+  /// bddNodes() of the last run.
+  size_t ReachNodes = 0;
 
   // -- Layout ----------------------------------------------------------------
-  static int railVar(int Slot, Rail R) { return 5 * Slot + R; }
-
-  /// Rails \p Rails of the slots \p Slots.
-  static std::vector<int> railVars(const std::vector<int> &Slots,
-                                   std::initializer_list<Rail> Rails) {
-    std::vector<int> Out;
-    for (int V : Slots)
-      for (Rail R : Rails)
-        Out.push_back(railVar(V, R));
-    return Out;
-  }
-
-  /// Renames rail \p From to rail \p To for the slots \p Slots.
-  static std::map<int, int> railMap(const std::vector<int> &Slots, Rail From,
-                                    Rail To) {
-    std::map<int, int> Ren;
-    for (int V : Slots)
-      Ren[railVar(V, From)] = railVar(V, To);
-    return Ren;
-  }
-
   /// The slot of variable \p Name in \p PI's frame: a local, else a
   /// parameter, else a global, the last declaration first, so locals
   /// and parameters shadow globals.
@@ -216,66 +304,99 @@ struct Bebop::Impl {
     return "<ret" + std::to_string(Slot - PI.RetBase) + ">";
   }
 
-  explicit Impl(const BProgram &P, StatsRegistry *Stats)
-      : Prog(P), Stats(Stats) {
+  Impl(const BProgram &P, StatsRegistry *Stats, Session *Given)
+      : Prog(P), Stats(Stats),
+        Own(Given ? nullptr : std::make_unique<Session>()),
+        S(*(Given ? Given : Own.get())->M), M(S.M) {
     TraceSpan Span("bebop.build", "bebop");
+    if (S.Busy)
+      throw std::logic_error("bebop::Session serves one checker at a time");
     NumGlobals = static_cast<int>(Prog.Globals.size());
-    int MaxFrame = NumGlobals;
-    Procs.resize(Prog.Procs.size());
+    int Frame = NumGlobals;
+    for (const BProc *BP : Prog.Procs)
+      Frame = std::max(Frame, NumGlobals +
+                                  static_cast<int>(BP->Params.size() +
+                                                   BP->Locals.size() +
+                                                   BP->NumReturns));
+    if (Prog.Globals != S.Globals || Frame > S.NumSlots)
+      S.start(Prog.Globals, Frame);
+
+    RunId = ++S.Runs;
+    Procs.reserve(Prog.Procs.size());
+    ProcIndex.reserve(Prog.Procs.size());
     for (size_t I = 0; I != Prog.Procs.size(); ++I) {
       const BProc *BP = Prog.Procs[I];
-      ProcInfo &PI = Procs[I];
-      PI.Proc = BP;
       ProcIndex[BP->Name] = static_cast<int>(I);
-      PI.Cfg = &BP->cfg();
-      PI.LocalBase = NumGlobals + static_cast<int>(BP->Params.size());
-      PI.RetBase = PI.LocalBase + static_cast<int>(BP->Locals.size());
-      MaxFrame =
-          std::max(MaxFrame, PI.RetBase + static_cast<int>(BP->NumReturns));
-      PI.Nodes.resize(PI.Cfg->numNodes());
+      auto [It, New] = S.Procs.try_emplace(BP->Serial);
+      ProcInfo &PI = It->second;
+      if (New)
+        layOut(PI, *BP);
+      PI.LastRun = RunId;
+      Procs.push_back(&PI);
     }
+    // No later program has these procedures.
+    std::erase_if(S.Procs, [this](const auto &Entry) {
+      return Entry.second.LastRun != RunId;
+    });
 
-    for (int V = 0; V != 5 * MaxFrame; ++V)
-      M.newVar();
-    Slots.resize(MaxFrame);
-    std::iota(Slots.begin(), Slots.end(), 0);
-    AllE = M.varSet(railVars(Slots, {RailE}));
-    AllC = M.varSet(railVars(Slots, {RailC}));
-    AllSE = M.varSet(railVars(Slots, {RailSE}));
-    AllEC = M.varSet(railVars(Slots, {RailE, RailC}));
-    std::map<int, int> Ren = railMap(Slots, RailE, RailSE);
-    Ren.merge(railMap(Slots, RailC, RailSC));
-    ToSummary = M.renaming(Ren);
-    Ren = railMap(Slots, RailSE, RailE);
-    Ren.merge(railMap(Slots, RailSC, RailC));
-    FromSummary = M.renaming(Ren);
-
-    // Enforce BDDs need the slot variables allocated first.
-    for (ProcInfo &PI : Procs)
-      if (PI.Proc->Enforce) {
-        std::vector<int> Ch;
-        PI.EnforceBdd = encode(PI, PI.Proc->Enforce, Ch);
-        PI.EnforceBdd = M.exists(PI.EnforceBdd, M.varSet(Ch));
-      }
-
-    // Call sites.
-    for (size_t I = 0; I != Procs.size(); ++I) {
-      const ProcCfg &Cfg = *Procs[I].Cfg;
-      for (int N = 0; N != Cfg.numNodes(); ++N) {
-        if (Cfg.node(N).Op != NodeOp::Call)
-          continue;
-        auto It = ProcIndex.find(Cfg.node(N).Stmt->Callee);
+    // Call sites; a binding built for another callee starts over.
+    for (size_t I = 0; I != Procs.size(); ++I)
+      for (auto &[N, CS] : Procs[I]->Calls) {
+        auto It = ProcIndex.find(Procs[I]->Cfg->node(N).Stmt->Callee);
         assert(It != ProcIndex.end() && "verified program");
-        Procs[I].Calls[N].Callee = It->second;
-        CallSites[It->second].emplace_back(static_cast<int>(I), N);
+        ProcInfo &Callee = *Procs[It->second];
+        if (CS.CalleeSerial != Callee.Proc->Serial) {
+          CS = CallStep();
+          CS.CalleeSerial = Callee.Proc->Serial;
+        }
+        CS.Callee = It->second;
+        Callee.CallSites.emplace_back(static_cast<int>(I), N);
       }
+    S.Busy = true;
+  }
+
+  /// Leaves the session's entries as the next checker expects them.
+  ~Impl() {
+    for (NodeInfo *NI : Touched) {
+      NI->PE = BddManager::False;
+      NI->Log.clear();
+    }
+    for (ProcInfo *PI : Procs)
+      PI->clearRun();
+    S.Busy = false;
+  }
+
+  /// Notes that this run reads a relation last read in run \p LastRead:
+  /// the first read of one built by an earlier run counts as reused.
+  void read(uint64_t &LastRead, Node Rel) {
+    if (LastRead == RunId)
+      return;
+    RelationsReused += Rel != Unbuilt;
+    LastRead = RunId;
+  }
+
+  /// Lays out the new entry \p PI of \p BP: its frame, node table, call
+  /// nodes and enforce BDD.
+  void layOut(ProcInfo &PI, const BProc &BP) {
+    PI.Proc = &BP;
+    PI.Cfg = &BP.cfg();
+    PI.LocalBase = NumGlobals + static_cast<int>(BP.Params.size());
+    PI.RetBase = PI.LocalBase + static_cast<int>(BP.Locals.size());
+    PI.Nodes.resize(PI.Cfg->numNodes());
+    for (int N = 0; N != PI.Cfg->numNodes(); ++N)
+      if (PI.Cfg->node(N).Op == NodeOp::Call)
+        PI.Calls[N];
+    if (BP.Enforce) {
+      std::vector<int> Ch;
+      PI.EnforceBdd = encode(PI, BP.Enforce, Ch);
+      PI.EnforceBdd = M.exists(PI.EnforceBdd, M.varSet(Ch));
     }
   }
 
   int ensureChoice(size_t K) {
-    while (ChoiceVars.size() <= K)
-      ChoiceVars.push_back(M.newVar());
-    return ChoiceVars[K];
+    while (S.ChoiceVars.size() <= K)
+      S.ChoiceVars.push_back(M.newVar());
+    return S.ChoiceVars[K];
   }
 
   // -- Expression encoding ------------------------------------------------
@@ -338,6 +459,7 @@ struct Bebop::Impl {
   /// and renames.
   Node stmtRel(ProcInfo &PI, int NodeId) {
     NodeInfo &NI = PI.Nodes[NodeId];
+    read(NI.RelRead, NI.Rel);
     if (NI.Rel != Unbuilt)
       return NI.Rel;
     const CfgNode &N = PI.Cfg->node(NodeId);
@@ -366,7 +488,8 @@ struct Bebop::Impl {
   CallStep &callStep(ProcInfo &Caller, int NodeId, bool WithOut) {
     CallStep &CS = Caller.Calls.at(NodeId);
     const BStmt *CallS = Caller.Cfg->node(NodeId).Stmt;
-    const ProcInfo &Callee = Procs[CS.Callee];
+    const ProcInfo &Callee = *Procs[CS.Callee];
+    read(CS.InRead, CS.In);
     if (CS.In == Unbuilt) {
       // Globals pass through; parameters take the encoded arguments.
       std::vector<int> Choices;
@@ -380,7 +503,7 @@ struct Bebop::Impl {
                                 Arg));
       }
       CS.In = M.exists(B, M.varSet(Choices));
-      CS.Changed.assign(Slots.begin(), Slots.begin() + NumGlobals);
+      CS.Changed.assign(S.Slots.begin(), S.Slots.begin() + NumGlobals);
       for (const std::string &T : CallS->Targets)
         CS.Changed.push_back(slotOf(Caller, T));
     }
@@ -406,18 +529,18 @@ struct Bebop::Impl {
   /// What a step across the call \p CS quantifies: rails \p A and \p B
   /// of every slot and rail \p R of the caller variables the call changes.
   VarSet callQuant(const CallStep &CS, Rail A, Rail B, Rail R) {
-    std::vector<int> Quant = railVars(Slots, {A, B});
+    std::vector<int> Quant = railVars(S.Slots, {A, B});
     for (int V : CS.Changed)
       Quant.push_back(railVar(V, R));
     return M.varSet(Quant);
   }
 
-  /// Post-state of executing non-call node \p NodeId on states \p S:
-  /// S' = rename_{N->C}(exists(C_t)(S & Rel)).
-  Node post(ProcInfo &PI, int NodeId, Node S) {
+  /// Post-state of executing non-call node \p NodeId on states \p St:
+  /// St' = rename_{N->C}(exists(C_t)(St & Rel)).
+  Node post(ProcInfo &PI, int NodeId, Node St) {
     Node Rel = stmtRel(PI, NodeId);
     const NodeInfo &NI = PI.Nodes[NodeId];
-    Node R = M.rename(M.andExists(S, Rel, NI.PostQuant), NI.PostRename);
+    Node R = M.rename(M.andExists(St, Rel, NI.PostQuant), NI.PostRename);
     return PI.Cfg->node(NodeId).Op == NodeOp::Assign
                ? M.mkAnd(R, PI.EnforceBdd)
                : R;
@@ -437,10 +560,12 @@ struct Bebop::Impl {
 
   // -- Propagation -------------------------------------------------------
   void updatePE(int ProcIdx, int NodeId, Node Add) {
-    NodeInfo &NI = Procs[ProcIdx].Nodes[NodeId];
+    NodeInfo &NI = Procs[ProcIdx]->Nodes[NodeId];
     Node U = M.mkOr(NI.PE, Add);
     if (U == NI.PE)
       return;
+    if (NI.Log.empty())
+      Touched.push_back(&NI);
     NI.PE = U;
     NI.Log.emplace_back(++Rank, U);
     Worklist.emplace_back(ProcIdx, NodeId);
@@ -449,7 +574,7 @@ struct Bebop::Impl {
 
   void seedEntry(int ProcIdx, Node EntryStatesE, int CallerProc,
                  int CallerNode) {
-    ProcInfo &PI = Procs[ProcIdx];
+    ProcInfo &PI = *Procs[ProcIdx];
     Node NewStates = M.mkAnd(EntryStatesE, M.mkNot(PI.EntrySeen));
     if (NewStates == BddManager::False)
       return;
@@ -461,22 +586,22 @@ struct Bebop::Impl {
   }
 
   void processCall(int ProcIdx, int NodeId) {
-    ProcInfo &Caller = Procs[ProcIdx];
-    Node S = Caller.Nodes[NodeId].PE;
-    if (S == BddManager::False)
+    ProcInfo &Caller = *Procs[ProcIdx];
+    Node St = Caller.Nodes[NodeId].PE;
+    if (St == BddManager::False)
       return;
     CallStep &CS = callStep(Caller, NodeId, /*WithOut=*/false);
-    ProcInfo &Callee = Procs[CS.Callee];
+    ProcInfo &Callee = *Procs[CS.Callee];
 
     // 1. Propagate entry states into the callee.
-    Node EntrySE = M.andExists(S, CS.In, AllEC);
-    seedEntry(CS.Callee, M.rename(EntrySE, FromSummary), ProcIdx, NodeId);
+    Node EntrySE = M.andExists(St, CS.In, S.AllEC);
+    seedEntry(CS.Callee, M.rename(EntrySE, S.FromSummary), ProcIdx, NodeId);
 
     // 2. Apply the callee summary, if any.
     if (Callee.Summary == BddManager::False)
       return;
     callStep(Caller, NodeId, /*WithOut=*/true);
-    Node Left = M.mkAnd(M.mkAnd(S, CS.In), CS.Out);
+    Node Left = M.mkAnd(M.mkAnd(St, CS.In), CS.Out);
     Node Comb = M.andExists(Left, Callee.Summary, CS.SummaryQuant);
     Node Out = M.mkAnd(M.rename(Comb, CS.ChangedNToC), Caller.EnforceBdd);
     for (int Succ : Caller.Cfg->node(NodeId).Succs)
@@ -484,7 +609,7 @@ struct Bebop::Impl {
   }
 
   void updateSummary(int ProcIdx) {
-    ProcInfo &PI = Procs[ProcIdx];
+    ProcInfo &PI = *Procs[ProcIdx];
     // Only the globals and parameters are ever constrained on the E rail
     // (seedEntry), so projecting the parameters and locals off the C
     // rail leaves E (globals+params) and C (globals+rets): rename them
@@ -496,25 +621,24 @@ struct Bebop::Impl {
       PI.SummaryProject = M.varSet(Quant);
     }
     Node ExitPE = PI.Nodes[PI.Cfg->exit()].PE;
-    Node Sum = M.rename(M.exists(ExitPE, PI.SummaryProject), ToSummary);
+    Node Sum = M.rename(M.exists(ExitPE, PI.SummaryProject), S.ToSummary);
 
     Node U = M.mkOr(PI.Summary, Sum);
     if (U == PI.Summary)
       return;
     PI.Summary = U;
     PI.SummaryLog.emplace_back(++Rank, U);
-    auto It = CallSites.find(ProcIdx);
-    if (It != CallSites.end())
-      for (const auto &[CP, CN] : It->second)
-        Worklist.emplace_back(CP, CN);
+    for (const auto &[CP, CN] : PI.CallSites)
+      Worklist.emplace_back(CP, CN);
     ++SummaryUpdates;
   }
 
   void checkAssert(int ProcIdx, int NodeId) {
     if (Failed)
       return;
-    ProcInfo &PI = Procs[ProcIdx];
+    ProcInfo &PI = *Procs[ProcIdx];
     NodeInfo &NI = PI.Nodes[NodeId];
+    read(NI.BadRead, NI.Bad);
     if (NI.Bad == Unbuilt) {
       const CfgNode &N = PI.Cfg->node(NodeId);
       std::vector<int> Ch;
@@ -541,7 +665,7 @@ struct Bebop::Impl {
         break;
       auto [ProcIdx, NodeId] = Worklist.front();
       Worklist.pop_front();
-      ProcInfo &PI = Procs[ProcIdx];
+      ProcInfo &PI = *Procs[ProcIdx];
       const CfgNode &N = PI.Cfg->node(NodeId);
       ++Steps;
 
@@ -572,6 +696,7 @@ struct Bebop::Impl {
     Publish("bebop.steps", Steps);
     Publish("bebop.pe_updates", PEUpdates);
     Publish("bebop.summary_updates", SummaryUpdates);
+    Publish("bebop.relations_reused", RelationsReused);
   }
 
   // -- Trace reconstruction -------------------------------------------------
@@ -592,7 +717,7 @@ struct Bebop::Impl {
   /// Earliest rank at which (Proc,Node)'s PE intersects \p X (< Bound);
   /// 0 if never.
   uint64_t earliestRank(int ProcIdx, int NodeId, Node X, uint64_t Bound) {
-    for (const auto &[R, Cum] : Procs[ProcIdx].Nodes[NodeId].Log) {
+    for (const auto &[R, Cum] : Procs[ProcIdx]->Nodes[NodeId].Log) {
       if (R >= Bound)
         break;
       if (M.mkAnd(Cum, X) != BddManager::False)
@@ -614,12 +739,12 @@ struct Bebop::Impl {
     CallStep &CS = callStep(PI, NodeId, /*WithOut=*/true);
     Node XN = M.rename(X, M.renaming(railMap(CS.Changed, RailC, RailN)));
     Node Left = M.mkAnd(M.mkAnd(CS.In, CS.Out), XN);
-    return M.andExists(Left, before(Procs[CS.Callee].SummaryLog, RankBound),
+    return M.andExists(Left, before(Procs[CS.Callee]->SummaryLog, RankBound),
                        callQuant(CS, RailSE, RailSC, RailN));
   }
 
   void pushStep(std::vector<TraceStep> &Steps, int ProcIdx, int NodeId) {
-    const CfgNode &N = Procs[ProcIdx].Cfg->node(NodeId);
+    const CfgNode &N = Procs[ProcIdx]->Cfg->node(NodeId);
     // Entry is no statement; an exit step is pushed only where a callee
     // returns. Skips are kept when they originate from a real C statement
     // (the abstraction may have erased its effect on the predicates, but
@@ -627,7 +752,7 @@ struct Bebop::Impl {
     if (N.Op == NodeOp::Entry ||
         (N.Op == NodeOp::Skip && (!N.Stmt || N.Stmt->OriginId < 0)))
       return;
-    Steps.push_back({Procs[ProcIdx].Proc->Name, N.Stmt, N.Op,
+    Steps.push_back({Procs[ProcIdx]->Proc->Name, N.Stmt, N.Op,
                      N.Stmt ? N.Stmt->OriginId : -1});
   }
 
@@ -643,7 +768,7 @@ struct Bebop::Impl {
 
   ProcTrace traceWithin(int ProcIdx, int NodeId, Node X,
                         uint64_t RankBound) {
-    ProcInfo &PI = Procs[ProcIdx];
+    ProcInfo &PI = *Procs[ProcIdx];
     std::vector<TraceStep> Rev; // Built backwards.
     int Cur = NodeId;
     Node CurX = X;
@@ -658,7 +783,7 @@ struct Bebop::Impl {
         std::reverse(Rev.begin(), Rev.end());
         Out.Steps = std::move(Rev);
         // Context half of the path edge.
-        Out.EntryStates = M.exists(CurX, AllC);
+        Out.EntryStates = M.exists(CurX, S.AllC);
         Out.EntryRank = R0;
         return Out;
       }
@@ -688,13 +813,13 @@ struct Bebop::Impl {
         // the callee exit states consistent with (BestY -> CurX).
         CallStep &CS = callStep(PI, BestPred, /*WithOut=*/true);
         int CalleeIdx = CS.Callee;
-        ProcInfo &Callee = Procs[CalleeIdx];
+        ProcInfo &Callee = *Procs[CalleeIdx];
         Node W = M.mkAnd(M.mkAnd(BestY, CS.In), CS.Out);
         Node XN =
             M.rename(CurX, M.renaming(railMap(CS.Changed, RailC, RailN)));
         // Over the callee's (SE, SC), renamed to its (E, C).
         Node Z = M.andExists(W, XN, callQuant(CS, RailE, RailC, RailN));
-        Z = M.rename(Z, FromSummary);
+        Z = M.rename(Z, S.FromSummary);
         Node ExitTarget =
             M.mkAnd(Z, before(Callee.Nodes[Callee.Cfg->exit()].Log, R0));
         if (ExitTarget != BddManager::False) {
@@ -732,7 +857,7 @@ struct Bebop::Impl {
       Tail = std::move(Combined);
 
       // Ascend to the caller that seeded these entry states.
-      ProcInfo &PI = Procs[ProcIdx];
+      ProcInfo &PI = *Procs[ProcIdx];
       const ProcInfo::EntryRec *Rec = nullptr;
       for (const auto &E : PI.EntryLog) {
         if (E.Rank > T.EntryRank)
@@ -746,11 +871,11 @@ struct Bebop::Impl {
         return Tail; // Entry procedure reached.
 
       // Caller states at the call node consistent with the entry states.
-      ProcInfo &Caller = Procs[Rec->CallerProc];
+      ProcInfo &Caller = *Procs[Rec->CallerProc];
       const CallStep &CS = callStep(Caller, Rec->CallerNode, /*WithOut=*/false);
       Node EntrySE =
-          M.rename(M.mkAnd(T.EntryStates, Rec->States), ToSummary);
-      Node CallerX = M.andExists(CS.In, EntrySE, AllSE);
+          M.rename(M.mkAnd(T.EntryStates, Rec->States), S.ToSummary);
+      Node CallerX = M.andExists(CS.In, EntrySE, S.AllSE);
       CallerX = M.mkAnd(CallerX,
                         before(Caller.Nodes[Rec->CallerNode].Log, Rec->Rank));
 
@@ -772,8 +897,8 @@ struct Bebop::Impl {
 // Public interface
 //===----------------------------------------------------------------------===//
 
-Bebop::Bebop(const BProgram &P, StatsRegistry *Stats)
-    : M(std::make_unique<Impl>(P, Stats)) {}
+Bebop::Bebop(const BProgram &P, StatsRegistry *Stats, Session *S)
+    : M(std::make_unique<Impl>(P, Stats, S)) {}
 
 Bebop::~Bebop() = default;
 
@@ -784,30 +909,37 @@ CheckResult Bebop::run(const std::string &EntryProc,
   CheckResult R;
   R.AssertViolated = M->Failed;
   if (M->Failed) {
-    R.FailingProc = M->Procs[M->FailProc].Proc->Name;
-    R.FailingStmt = M->Procs[M->FailProc].Cfg->node(M->FailNode).Stmt;
+    R.FailingProc = M->Procs[M->FailProc]->Proc->Name;
+    R.FailingStmt = M->Procs[M->FailProc]->Cfg->node(M->FailNode).Stmt;
     R.Trace = M->buildTrace();
   }
+  // Untouched nodes' path edges are False.
+  std::vector<Node> Roots = {BddManager::False};
+  for (const ProcInfo *PI : M->Procs)
+    Roots.push_back(PI->Summary);
+  for (const NodeInfo *NI : M->Touched)
+    Roots.push_back(NI->PE);
+  M->ReachNodes = M->M.nodeCount(Roots);
   if (M->Stats) {
     M->publishCounters();
-    // Peak node count is a gauge: across CEGAR iterations (and merged
+    // The node count is a gauge: across CEGAR iterations (and merged
     // registries) the maximum, not the sum or the last value, is the
     // quantity the paper's tables report.
-    M->Stats->setMax("bebop.bdd_nodes", M->M.numNodes());
+    M->Stats->setMax("bebop.bdd_nodes", M->ReachNodes);
     M->M.reportStats(*M->Stats, "bebop.bdd.");
   }
   if (Span.enabled()) {
     Span.arg("violated", R.AssertViolated ? "yes" : "no");
-    Span.arg("bdd_nodes", static_cast<uint64_t>(M->M.numNodes()));
+    Span.arg("bdd_nodes", static_cast<uint64_t>(M->ReachNodes));
   }
   return R;
 }
 
-size_t Bebop::bddNodes() const { return M->M.numNodes(); }
+size_t Bebop::bddNodes() const { return M->ReachNodes; }
 
 const ProcCfg *Bebop::cfg(const std::string &Proc) const {
   auto It = M->ProcIndex.find(Proc);
-  return It == M->ProcIndex.end() ? nullptr : M->Procs[It->second].Cfg;
+  return It == M->ProcIndex.end() ? nullptr : M->Procs[It->second]->Cfg;
 }
 
 std::optional<std::vector<std::map<std::string, bool>>>
@@ -816,12 +948,12 @@ Bebop::reachableAtLabel(const std::string &Proc,
   auto It = M->ProcIndex.find(Proc);
   if (It == M->ProcIndex.end())
     return std::nullopt;
-  Impl::ProcInfo &PI = M->Procs[It->second];
+  const ProcInfo &PI = *M->Procs[It->second];
   int NodeId = PI.Cfg->nodeOfLabel(Label);
   if (NodeId < 0)
     return std::nullopt;
   // Project the path edge to the current state.
-  Node Reach = M->M.exists(PI.Nodes[NodeId].PE, M->AllE);
+  Node Reach = M->M.exists(PI.Nodes[NodeId].PE, M->S.AllE);
   std::vector<std::map<std::string, bool>> Out;
   M->M.forEachCube(Reach, [&](const std::map<int, bool> &Cube) {
     std::map<std::string, bool> Named;

@@ -61,11 +61,40 @@ struct CheckResult {
   std::vector<TraceStep> Trace;
 };
 
+/// What checkers of successive versions of one program share: the BDD
+/// manager and, per procedure, the work that depends only on the
+/// procedure (its statement relations, assert conditions, enforce and
+/// identity BDDs, interned quantifier sets and renamings, call bindings
+/// and node tables). SLAM's CEGAR loop passes one session to every
+/// round's checker, so a procedure the abstraction memo hands to the
+/// next round keeps what earlier rounds built for it. Entries are keyed
+/// by BProc::Serial, never by address; a call binding also by its
+/// callee's serial. The session starts over when the globals change or
+/// a frame outgrows its variables, and drops the entries of procedures
+/// a checker's program no longer has. It serves one checker at a time.
+class Session {
+public:
+  Session();
+  ~Session();
+  Session(const Session &) = delete;
+  Session &operator=(const Session &) = delete;
+
+private:
+  friend class Bebop;
+  struct Impl;
+  std::unique_ptr<Impl> M;
+};
+
 /// The model checker. Construct once per boolean program, call run(),
 /// then query invariants / results.
 class Bebop {
 public:
-  explicit Bebop(const bp::BProgram &P, StatsRegistry *Stats = nullptr);
+  /// A checker of \p P. With \p S, it reuses and extends what the
+  /// session holds, and \p S must outlive it and serve no other checker
+  /// meanwhile (std::logic_error otherwise); without, it makes its own.
+  /// Either way the answers are the same.
+  explicit Bebop(const bp::BProgram &P, StatsRegistry *Stats = nullptr,
+                 Session *S = nullptr);
   ~Bebop();
 
   /// Runs reachability from \p EntryProc (globals and parameters
@@ -94,7 +123,11 @@ public:
   bool labelReachable(const std::string &Proc,
                       const std::string &Label) const;
 
-  /// Peak BDD node count (reported in benchmarks).
+  /// The number of distinct BDD nodes reachable from the path edges and
+  /// summaries of the last run() (0 before it): the size of the state
+  /// sets the run computed, which does not depend on what else the
+  /// manager holds, so a checker with a session and one without report
+  /// the same count.
   size_t bddNodes() const;
 
   /// The control-flow graph the checker explores for procedure \p Proc:

@@ -6,10 +6,16 @@
 
 #include "bp/BPAst.h"
 
+#include <atomic>
 #include <cctype>
 
 using namespace slam;
 using namespace slam::bp;
+
+uint64_t BProc::nextSerial() {
+  static std::atomic<uint64_t> Next{1};
+  return Next.fetch_add(1, std::memory_order_relaxed);
+}
 
 //===----------------------------------------------------------------------===//
 // Expression helpers with light folding

@@ -24,6 +24,7 @@
 #include "bp/Cfg.h"
 #include "support/SourceLoc.h"
 
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -124,6 +125,10 @@ struct BProc {
   /// Section 5.1's data invariant; assumed between every statement.
   const BExpr *Enforce = nullptr;
   BStmt *Body = nullptr;
+  /// A number no other procedure of the process gets, before or after
+  /// this one dies: caches that outlive a program (bebop::Session) key
+  /// on it, since a later procedure may reuse this one's address.
+  const uint64_t Serial = nextSerial();
 
   bool hasLocal(const std::string &Name) const {
     for (const std::string &L : Locals)
@@ -144,6 +149,8 @@ struct BProc {
   const ProcCfg &cfg() const;
 
 private:
+  static uint64_t nextSerial();
+
   mutable std::once_flag CfgOnce;
   mutable std::unique_ptr<const ProcCfg> Cfg;
 };

@@ -439,7 +439,6 @@ Value Interpreter::callFunction(const FuncDecl &F,
       int Obj = lvalueObject(*I.S->Lhs);
       if (Obj < 0 || Status != Outcome::Finished) {
         Status = Outcome::RuntimeError;
-        StopAt = I.S;
         break;
       }
       store(Obj, V);
@@ -454,6 +453,8 @@ Value Interpreter::callFunction(const FuncDecl &F,
       std::vector<Value> CallArgs;
       for (const Expr *A : I.S->CallE->Ops)
         CallArgs.push_back(eval(*A));
+      if (Status != Outcome::Finished)
+        break;
       Value V = callFunction(*I.S->CallE->Callee, std::move(CallArgs));
       if (Status != Outcome::Finished)
         break;
@@ -461,7 +462,6 @@ Value Interpreter::callFunction(const FuncDecl &F,
         int Obj = lvalueObject(*I.S->Lhs);
         if (Obj < 0) {
           Status = Outcome::RuntimeError;
-          StopAt = I.S;
           break;
         }
         store(Obj, V);
@@ -501,6 +501,10 @@ Value Interpreter::callFunction(const FuncDecl &F,
       Pc = Flat.Code.size();
       break;
     }
+    // A run stops at the innermost statement that erred: a callee's
+    // statement, if the error came from inside the call, stays.
+    if (Status == Outcome::RuntimeError && !StopAt)
+      StopAt = I.S;
   }
 
   Stack.pop_back();

@@ -43,6 +43,10 @@ SlamResult slamtool::checkProgram(const Program &P,
   if (Options.Cegar.Incremental)
     C2bpOpts.Memo = &Memo;
 
+  // One BDD manager for the loop: a procedure the memo reuses keeps its
+  // relations and call bindings (bebop::Session).
+  bebop::Session Session;
+
   auto CacheHits = [&] {
     return S->get("prover.cache_hits") + S->get("prover.neg_cache_hits");
   };
@@ -81,7 +85,7 @@ SlamResult slamtool::checkProgram(const Program &P,
 
     // Phase 2: model checking.
     Timer BebopTime;
-    std::optional<bebop::Bebop> Checker(std::in_place, *BP, S);
+    std::optional<bebop::Bebop> Checker(std::in_place, *BP, S, &Session);
     bebop::CheckResult Check = Checker->run(Options.Cegar.EntryProc);
     Rec.BebopSeconds = BebopTime.seconds();
     Rec.BddNodes = Checker->bddNodes();

@@ -32,7 +32,8 @@ namespace slamtool {
 /// One row of the CEGAR flight recorder: what a single
 /// abstract-check-refine iteration cost and what it produced. Counter
 /// fields are per-iteration deltas of the run's StatsRegistry; the BDD
-/// node count is the checker's live total after the Bebop phase.
+/// node count is the checker's bddNodes(), the size of the round's path
+/// edges and summaries.
 struct IterationRecord {
   int Iteration = 0;        ///< 1-based iteration number.
   size_t Predicates = 0;    ///< Predicates entering the iteration.
@@ -41,7 +42,7 @@ struct IterationRecord {
   uint64_t Cubes = 0;       ///< Cubes enumerated by the C2bp searches.
   uint64_t ProcsReused = 0;  ///< Procedures reused whole from the memo.
   uint64_t ProcsRebuilt = 0; ///< Procedures planned and abstracted.
-  uint64_t BddNodes = 0;    ///< BDD nodes live after model checking.
+  uint64_t BddNodes = 0;    ///< Nodes of the path edges and summaries.
   double C2bpSeconds = 0;
   double BebopSeconds = 0;
   double NewtonSeconds = 0;

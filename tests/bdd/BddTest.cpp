@@ -77,6 +77,28 @@ TEST_F(BddTest, CubesPartitionTheOnSet) {
   EXPECT_EQ(Count, OnSet);
 }
 
+// Shared nodes count once, terminals included, and the count of a
+// function does not depend on what else its manager has built.
+TEST_F(BddTest, NodeCountIsPerFunctionNotPerManager) {
+  Node A = M.varNode(V[0]), B = M.varNode(V[1]);
+  Node AB = M.mkAnd(A, B);
+  EXPECT_EQ(M.nodeCount({}), 0u);
+  EXPECT_EQ(M.nodeCount({BddManager::False}), 1u);
+  EXPECT_EQ(M.nodeCount({AB}), 4u);       // v0, v1 and both terminals.
+  EXPECT_EQ(M.nodeCount({AB, B, AB}), 4u); // v1 is AB's high child.
+  Node X = M.mkXor(A, M.varNode(V[2]));
+  // v0 tests v2 on both sides, with opposite polarities.
+  EXPECT_EQ(M.nodeCount({X}), 5u);
+
+  BddManager Other;
+  for (int I = 0; I != 5; ++I)
+    Other.newVar();
+  Other.mkOr(Other.varNode(V[3]), Other.varNode(V[4])); // Unrelated work.
+  Node OX = Other.mkXor(Other.varNode(V[0]), Other.varNode(V[2]));
+  EXPECT_NE(Other.numNodes(), M.numNodes());
+  EXPECT_EQ(Other.nodeCount({OX}), M.nodeCount({X}));
+}
+
 //===----------------------------------------------------------------------===//
 // Property test: random 4-variable formulas against a truth-table oracle.
 //===----------------------------------------------------------------------===//

@@ -195,6 +195,44 @@ TEST_F(InterpTest, SignedOverflowIsRuntimeError) {
             Interpreter::Outcome::RuntimeError);
 }
 
+// A runtime error in a branch condition, a call argument or a return
+// expression stops the run at that statement; one inside a callee
+// stops it at the callee's statement, not at the call. Normalization
+// turns `return e;` into an assignment to the return value (with the
+// return's location) and a jump to the exit.
+TEST_F(InterpTest, RuntimeErrorStopsAtTheStatementThatErred) {
+  auto P = load("int g;\n"
+                "int id(int v) { return v; }\n"
+                "int div(int v) { return v / 0; }\n"
+                "void br(int x) { if (x / 0 > 1) { g = 1; } }\n"
+                "void ca(int x) { g = id(x / 0); }\n"
+                "int re(int x) { return x / 0; }\n"
+                "void in(int x) { g = div(x); }\n");
+  struct Case {
+    const char *Entry;
+    CStmtKind Kind;
+    unsigned Line;
+  };
+  const Case Cases[] = {{"br", CStmtKind::If, 4},
+                        {"ca", CStmtKind::CallStmt, 5},
+                        {"re", CStmtKind::Assign, 6},
+                        {"in", CStmtKind::Assign, 3}};
+  for (const Case &C : Cases) {
+    Interpreter I(*P, 1);
+    EXPECT_EQ(I.run(C.Entry, {Value::makeInt(3)}),
+              Interpreter::Outcome::RuntimeError)
+        << C.Entry;
+    ASSERT_TRUE(I.stopStmt() != nullptr) << C.Entry;
+    EXPECT_EQ(I.stopStmt()->Kind, C.Kind) << C.Entry;
+    EXPECT_EQ(I.stopStmt()->Loc.Line, C.Line) << C.Entry;
+  }
+  // The error of "ca" comes before the call: g keeps its value.
+  Interpreter I(*P, 1);
+  I.setGlobal("g", Value::makeInt(7));
+  I.run("ca", {Value::makeInt(3)});
+  EXPECT_EQ(I.getGlobal("g").I, 7);
+}
+
 TEST_F(InterpTest, StepLimitOnInfiniteLoop) {
   auto P = load("void f() { int x; x = 0; while (x == 0) { x = 0; } }");
   Interpreter I(*P, 1);

@@ -170,6 +170,53 @@ TEST(PipelineFlags, HelpExitsZeroEverywhere) {
   }
 }
 
+// Every option line of every tool's --help starts its description, and
+// every continuation line its text, at one column. An option spec is the
+// leading tokens that start with '-' or '<'; a spec too long for the
+// column puts its description on the next line.
+TEST(PipelineFlags, HelpDescriptionsShareOneColumn) {
+  std::vector<std::string> Misplaced;
+  size_t Column = 0;
+  for (ToolKind Tool :
+       {ToolKind::Slam, ToolKind::C2bp, ToolKind::Bebop}) {
+    PipelineArgs PA;
+    testing::internal::CaptureStdout();
+    parse(Tool, {"--help"}, PA);
+    std::string Help = testing::internal::GetCapturedStdout();
+    size_t Lines = 0;
+    for (size_t Pos = 0, End; Pos < Help.size(); Pos = End + 1) {
+      End = Help.find('\n', Pos);
+      if (End == std::string::npos)
+        End = Help.size();
+      std::string Line = Help.substr(Pos, End - Pos);
+      if (Line.rfind("  ", 0) != 0)
+        continue; // Usage and prose.
+      size_t Col = Line.find_first_not_of(' ');
+      if (Col == 2) {
+        // Skip the option's spec tokens.
+        while (Col < Line.size() && (Line[Col] == '-' || Line[Col] == '<')) {
+          Col = Line.find(' ', Col);
+          Col = Col == std::string::npos ? Line.size()
+                                         : Line.find_first_not_of(' ', Col);
+          if (Col == std::string::npos)
+            Col = Line.size();
+        }
+        if (Col == Line.size())
+          continue; // The description is on the next line.
+      }
+      ++Lines;
+      if (!Column)
+        Column = Col;
+      if (Col != Column)
+        Misplaced.push_back(std::string(toolName(Tool)) + " column " +
+                            std::to_string(Col) + ": " + Line);
+    }
+    EXPECT_GT(Lines, 4u) << toolName(Tool);
+  }
+  EXPECT_EQ(Column, 26u);
+  EXPECT_TRUE(Misplaced.empty()) << testing::PrintToString(Misplaced);
+}
+
 TEST(PipelineFlags, UnknownOptionExitsTwoEverywhere) {
   for (ToolKind Tool :
        {ToolKind::Slam, ToolKind::C2bp, ToolKind::Bebop}) {

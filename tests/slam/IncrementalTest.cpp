@@ -261,6 +261,15 @@ std::string checkKey(const bebop::CheckResult &R, size_t BddNodes) {
   return Out.str();
 }
 
+/// Adds the predicates Newton discovered, \p New, to \p Preds.
+void addPredicates(const c2bp::PredicateSet &New, c2bp::PredicateSet &Preds) {
+  for (logic::ExprRef E : New.Globals)
+    Preds.addGlobal(E);
+  for (const auto &[Proc, V] : New.PerProc)
+    for (logic::ExprRef E : V)
+      Preds.addLocal(Proc, E);
+}
+
 c2bp::PredicateSet parsePreds(logic::LogicContext &Ctx,
                               const std::string &Text) {
   DiagnosticEngine Diags;
@@ -318,11 +327,7 @@ TEST(Incremental, EveryRoundMatchesAMemoLessAbstraction) {
             analyzeTrace(*P, Check.Trace, Ctx, NewtonProver, Preds);
         if (NR.Feasible || NR.NewPreds.totalCount() == 0)
           break;
-        for (logic::ExprRef E : NR.NewPreds.Globals)
-          Preds.addGlobal(E);
-        for (const auto &[Proc, V] : NR.NewPreds.PerProc)
-          for (logic::ExprRef E : V)
-            Preds.addLocal(Proc, E);
+        addPredicates(NR.NewPreds, Preds);
       }
       EXPECT_LE(Rounds, 20);
       if (M.Name == "dispatch8") {
@@ -402,6 +407,174 @@ TEST(Incremental, ProceduresAreReusedFromRoundTwoOnDispatch8) {
       EXPECT_EQ(Run.Stats.get("c2bp.procs_reused"), 0u);
     }
   }
+}
+
+namespace {
+
+/// The labels of the statements \p S stands for.
+void labelsOf(const bp::BStmt *S, std::vector<std::string> &Out) {
+  if (!S)
+    return;
+  if (S->Kind == bp::BStmtKind::Label)
+    Out.push_back(S->LabelName);
+  for (const bp::BStmt *Sub : S->Stmts)
+    labelsOf(Sub, Out);
+  for (const bp::BStmt *Sub : {S->Sub, S->Then, S->Else, S->Body})
+    labelsOf(Sub, Out);
+}
+
+/// A run of \p Checker on \p BP as a comparison key: checkKey, then the
+/// reachable states at every labelled statement. Counts the labels in
+/// \p Labels.
+std::string sessionKey(bebop::Bebop &Checker, const bp::BProgram &BP,
+                       bebop::CheckResult &Check, size_t &Labels) {
+  Check = Checker.run("main");
+  std::ostringstream Out;
+  Out << checkKey(Check, Checker.bddNodes());
+  for (const bp::BProc *Proc : BP.Procs) {
+    std::vector<std::string> Names;
+    labelsOf(Proc->Body, Names);
+    for (const std::string &L : Names) {
+      auto Cubes = Checker.reachableAtLabel(Proc->Name, L);
+      Out << Proc->Name << ':' << L << (Cubes ? "" : " unknown") << '\n';
+      for (const auto &Cube : Cubes.value_or(
+               std::vector<std::map<std::string, bool>>{})) {
+        for (const auto &[Var, Value] : Cube)
+          Out << ' ' << (Value ? "" : "!") << Var;
+        Out << '\n';
+      }
+      ++Labels;
+    }
+  }
+  return Out.str();
+}
+
+} // namespace
+
+// Every CEGAR round's checker over one bebop::Session answers as a fresh
+// checker does on the same program: the verdict, the failing statement,
+// the trace, the reachable states at every labelled statement and the
+// node count. With the memo on, reused procedures keep their relations
+// and call bindings; with it off, every round's procedures are new, and
+// nothing may be served for them, even where one lands at the address
+// of a freed one.
+TEST(Incremental, SessionCheckerMatchesAFreshCheckerEveryRound) {
+  std::vector<workloads::DriverModel> Models = workloads::table1Drivers();
+  Models.push_back(dispatch8());
+  for (bool UseMemo : {true, false}) {
+    for (const workloads::DriverModel &M : Models) {
+      SCOPED_TRACE(M.Name + (UseMemo ? " memo on" : " memo off"));
+      logic::LogicContext Ctx;
+      DiagnosticEngine Diags;
+      std::unique_ptr<cfront::Program> P = prepare(M, Diags);
+      ASSERT_TRUE(P) << Diags.str();
+      c2bp::PredicateSet Preds;
+      seedPredicates(Ctx, M.Spec, Preds);
+      c2bp::AbstractionMemo Memo;
+      c2bp::C2bpOptions Opts = baseOptions().C2bp;
+      if (UseMemo)
+        Opts.Memo = &Memo;
+      prover::Prover NewtonProver(Ctx);
+      StatsRegistry Stats;
+      bebop::Session Session;
+      int Rounds = 0;
+      size_t Labels = 0;
+      while (++Rounds <= 20) {
+        auto BP = c2bp::C2bpTool(*P, Preds, Ctx, Opts).run();
+        Memo.commit();
+        bebop::CheckResult Check, FreshCheck;
+        std::string Key, FreshKey;
+        {
+          bebop::Bebop Checker(*BP, &Stats, &Session);
+          Key = sessionKey(Checker, *BP, Check, Labels);
+        }
+        {
+          bebop::Bebop FreshChecker(*BP);
+          FreshKey = sessionKey(FreshChecker, *BP, FreshCheck, Labels);
+        }
+        ASSERT_EQ(Key, FreshKey) << "round " << Rounds;
+        if (!Check.AssertViolated)
+          break;
+        NewtonResult NR =
+            analyzeTrace(*P, Check.Trace, Ctx, NewtonProver, Preds);
+        if (NR.Feasible || NR.NewPreds.totalCount() == 0)
+          break;
+        addPredicates(NR.NewPreds, Preds);
+      }
+      EXPECT_LE(Rounds, 20);
+      EXPECT_GT(Labels, 0u);
+      if (M.Name == "dispatch8") {
+        EXPECT_EQ(Rounds, 9); // NumDispatch + 1.
+      }
+      // Only a procedure the memo hands on can have relations to reuse.
+      if (UseMemo && Rounds > 1) {
+        EXPECT_GT(Stats.get("bebop.relations_reused"), 0u);
+      } else {
+        EXPECT_EQ(Stats.get("bebop.relations_reused"), 0u);
+      }
+    }
+  }
+}
+
+// A new predicate over a callee's local leaves its signature alone, so
+// the memo hands its caller to the next round, but the callee's frame
+// grows and its return slot moves: the reused caller's call binding must
+// be rebuilt for the rebuilt callee. main's frame is the larger, so the
+// session keeps its manager.
+TEST(Incremental, SessionRebindsAReusedCallerToARebuiltCallee) {
+  const char *Source = R"(
+    int callee(int x) { int y; int z; y = x; z = 0; return y; }
+    void main() {
+      int a; int b; int c;
+      b = 1; c = 1;
+      a = callee(1);
+      assert(a == 1);
+    }
+  )";
+  const char *Rounds[] = {
+      "callee:\ny == 1\nmain:\na == 1, b == 1, c == 1\n",
+      "callee:\ny == 1, z == 0\nmain:\na == 1, b == 1, c == 1\n"};
+  logic::LogicContext Ctx;
+  DiagnosticEngine Diags;
+  auto P = cfront::frontend(Source, Diags);
+  ASSERT_TRUE(P) << Diags.str();
+  c2bp::AbstractionMemo Memo;
+  c2bp::C2bpOptions Opts = baseOptions().C2bp;
+  Opts.Memo = &Memo;
+  bebop::Session Session;
+  for (int I = 0; I != 2; ++I) {
+    SCOPED_TRACE(I + 1);
+    StatsRegistry Stats;
+    auto BP = c2bp::C2bpTool(*P, parsePreds(Ctx, Rounds[I]), Ctx, Opts, &Stats)
+                  .run();
+    Memo.commit();
+    EXPECT_EQ(Stats.get("c2bp.procs_reused"), I == 0 ? 0u : 1u);
+    bebop::CheckResult Check, FreshCheck;
+    size_t Labels = 0;
+    std::string Key;
+    {
+      bebop::Bebop Checker(*BP, &Stats, &Session);
+      Key = sessionKey(Checker, *BP, Check, Labels);
+    }
+    bebop::Bebop FreshChecker(*BP);
+    EXPECT_EQ(Key, sessionKey(FreshChecker, *BP, FreshCheck, Labels));
+    // The callee may return false, so the assert may fail.
+    EXPECT_TRUE(Check.AssertViolated);
+  }
+}
+
+// A session serves one checker at a time.
+TEST(Incremental, SessionRefusesASecondLiveChecker) {
+  DiagnosticEngine Diags;
+  auto BP = bp::parseBProgram("void main() begin skip; end", Diags);
+  ASSERT_TRUE(BP && bp::verifyBProgram(*BP, Diags)) << Diags.str();
+  bebop::Session Session;
+  {
+    bebop::Bebop First(*BP, nullptr, &Session);
+    EXPECT_THROW(bebop::Bebop(*BP, nullptr, &Session), std::logic_error);
+  }
+  bebop::Bebop Next(*BP, nullptr, &Session);
+  EXPECT_FALSE(Next.run("main").AssertViolated);
 }
 
 // The memo holds one program's facts, so it refuses a second program, a

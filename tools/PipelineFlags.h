@@ -117,11 +117,11 @@ inline void printHelp(ToolKind Tool) {
     std::printf(
         "usage: bebop <program.bp> [options]\n\n"
         "Model-checks a boolean program.\n\n"
-        "  --entry <proc>           entry procedure (default: main)\n"
-        "  --invariant <proc> <lbl> print the reachable-state invariant "
-        "at\n"
-        "                           a labeled statement\n"
-        "  --trace                  print the counterexample trace on "
+        "  --entry <proc>          entry procedure (default: main)\n"
+        "  --invariant <proc> <lbl>\n"
+        "                          print the reachable-state invariant at\n"
+        "                          a labeled statement\n"
+        "  --trace                 print the counterexample trace on "
         "failure\n"
         "%s",
         Common);

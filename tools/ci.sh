@@ -15,10 +15,12 @@
 #   observability  slam with --trace-out/--stats-json on the example
 #              programs; validates both emitted JSON documents
 #   incremental  the Incremental ctest cases (memo on vs off: the examples'
-#              answers and final predicates, and every round of a
-#              generated driver against a memo-less abstraction); then
-#              slam --stats-json asserts that the cross-iteration memo
-#              reuses procedures on locking.c and dispatch.c
+#              answers and final predicates, every round of a generated
+#              driver against a memo-less abstraction, and every round's
+#              checker over one Bebop session against a fresh checker);
+#              then slam --stats-json asserts that the cross-iteration
+#              memo reuses procedures on locking.c and dispatch.c, and
+#              that the session reuses Bebop relations on dispatch.c
 #   determinism  c2bp and slam on the examples, three times at -j 1
 #              (ASLR on) and five times each at -j 2/4, and bebop on a
 #              multi-procedure example and on Table 2's reverse three
@@ -27,7 +29,8 @@
 #              (c2bp.cubes_checked, c2bp.witness_hits,
 #              c2bp.procs_reused, c2bp.procs_rebuilt, prover.calls,
 #              slam.iterations,
-#              bebop.steps, bebop.pe_updates, bebop.summary_updates)
+#              bebop.steps, bebop.pe_updates, bebop.summary_updates,
+#              bebop.relations_reused)
 #              and the gauge bebop.bdd_nodes
 #   debug      Debug build (assertions on; every other job defines
 #              NDEBUG) + full ctest suite; then the determinism cases
@@ -111,13 +114,15 @@ run_incremental() {
   cmake -B "$ROOT/build" -S "$ROOT" -DSLAM_SANITIZE=
   cmake --build "$ROOT/build" -j --target slam slam_tests
   # The memo may only save work: with it on or off, the answers, the
-  # final predicates and each round's boolean program must be equal.
+  # final predicates and each round's boolean program must be equal,
+  # and so must each round's answers with and without a Bebop session.
   ctest --test-dir "$ROOT/build" --output-on-failure -R Incremental
   local TMP EX="$ROOT/examples/programs" BIN="$ROOT/build/tools"
   TMP="$(mktemp -d)"
   trap 'rm -rf "$TMP"' RETURN
   # Later rounds refine one procedure and reuse the others whole; irp.c
-  # and locking_bug.c end in round 1, so they have nothing to reuse.
+  # and locking_bug.c end in round 1, so they have nothing to reuse. On
+  # dispatch.c the reused procedures' Bebop relations are reused too.
   "$BIN/slam" "$EX/locking.c" --lock AcquireLock,ReleaseLock \
     --stats-json "$TMP/locking.json" > /dev/null
   "$BIN/slam" "$EX/dispatch.c" --lock AcquireLock,ReleaseLock \
@@ -125,9 +130,14 @@ run_incremental() {
   python3 - "$TMP/locking.json" "$TMP/dispatch.json" <<'PY'
 import json, sys
 for path in sys.argv[1:]:
-    reused = json.load(open(path))["counters"].get("c2bp.procs_reused", 0)
+    counters = json.load(open(path))["counters"]
+    reused = counters.get("c2bp.procs_reused", 0)
     assert reused > 0, f"{path}: the memo reused no procedure"
     print(f"ci: {path.split('/')[-1]}: c2bp.procs_reused={reused}")
+    if path.endswith("dispatch.json"):
+        rels = counters.get("bebop.relations_reused", 0)
+        assert rels > 0, f"{path}: the Bebop session reused no relation"
+        print(f"ci: dispatch.json: bebop.relations_reused={rels}")
 PY
 }
 
@@ -185,7 +195,7 @@ import json, sys
 name, tool, paths = sys.argv[1], sys.argv[2], sys.argv[3:]
 keys = ("c2bp.cubes_checked", "c2bp.witness_hits", "c2bp.procs_reused",
         "c2bp.procs_rebuilt", "prover.calls", "slam.iterations", "bebop.steps", "bebop.pe_updates",
-        "bebop.summary_updates", "bebop.bdd_nodes")
+        "bebop.summary_updates", "bebop.relations_reused", "bebop.bdd_nodes")
 # Counters and gauges (bebop.bdd_nodes is a gauge) in one map.
 runs = [{**doc["counters"], **doc["gauges"]}
         for doc in (json.load(open(p)) for p in paths)]
