@@ -15,12 +15,16 @@
 //      call formal, an enforce invariant). Each task owns a distinct
 //      output slot in the already-built skeleton.
 //
-//   2. **Execution**: one parallelFor over the planned tasks, in
+//   2. **Execution**: two parallelFors over the planned tasks, in
 //      which every task runs its own cube search on whichever worker
-//      claims it. Every worker owns a private prover and statistics
-//      registry, and one expression arena per procedure it ran tasks
-//      of (adopted by that procedure's arena afterwards); all workers'
-//      provers answer through the run's one shared prover cache. The
+//      claims it. The first runs the enforce tasks, each of which
+//      fills its procedure's model pool; the second runs every other
+//      task, whose searches over the procedure's scope predicates only
+//      read that pool, so no pool depends on the schedule. Every worker
+//      owns a private prover and statistics registry, and one
+//      expression arena per procedure it ran tasks of (adopted by that
+//      procedure's arena afterwards); all workers' provers answer
+//      through the run's one shared prover cache. The
 //      calling thread is worker 0, so one worker runs the same loop
 //      with no thread spawned. Tasks are pure functions of their
 //      captured inputs (prover answers are deterministic, caches are
@@ -163,6 +167,8 @@ struct C2bpTool::Impl {
     /// Predicates in scope: parallel vectors of formula and bp var name.
     std::vector<ExprRef> ScopePreds;
     std::vector<std::string> ScopeNames;
+    /// The models the enforce task's search over ScopePreds was handed.
+    ModelPool Pool;
   };
   std::vector<std::unique_ptr<FuncScope>> Scopes;
 
@@ -175,6 +181,9 @@ struct C2bpTool::Impl {
     std::function<void(CubeSearch &, bp::BProgram &)> Fn;
   };
   std::vector<DeferredTask> Pending;
+  /// The enforce tasks, one per rebuilt procedure; all run before
+  /// Pending.
+  std::vector<DeferredTask> Enforces;
 
   // Planning cursor: the current procedure's arena, proc and scope.
   bp::BProgram *BP = nullptr;
@@ -258,7 +267,7 @@ struct C2bpTool::Impl {
     S->BranchTaken = BranchTaken;
     FuncScope *FS = CurScope;
     defer([S, FS, Phi, this](CubeSearch &CS, bp::BProgram &Arena) {
-      Dnf D = CS.findF(FS->ScopePreds, Ctx.notE(Phi));
+      Dnf D = CS.findF(FS->ScopePreds, Ctx.notE(Phi), &FS->Pool);
       S->Cond = Arena.notE(dnfToBExpr(Arena, FS->ScopeNames, D));
     });
     return S;
@@ -358,8 +367,8 @@ struct C2bpTool::Impl {
       ExprRef C = conditionToLogic(Ctx, *S.Cond);
       FuncScope *FS = CurScope;
       defer([A, FS, C](CubeSearch &CS, bp::BProgram &Arena) {
-        A->Cond =
-            dnfToBExpr(Arena, FS->ScopeNames, CS.findF(FS->ScopePreds, C));
+        A->Cond = dnfToBExpr(Arena, FS->ScopeNames,
+                             CS.findF(FS->ScopePreds, C, &FS->Pool));
       });
       return A;
     }
@@ -406,10 +415,10 @@ struct C2bpTool::Impl {
       defer([A, U, FS](CubeSearch &CS, bp::BProgram &Arena) {
         Dnf Pos = logic::containsNullDeref(U.WpPos)
                       ? Dnf{}
-                      : CS.findF(FS->ScopePreds, U.WpPos);
+                      : CS.findF(FS->ScopePreds, U.WpPos, &FS->Pool);
         Dnf Neg = logic::containsNullDeref(U.WpNeg)
                       ? Dnf{}
-                      : CS.findF(FS->ScopePreds, U.WpNeg);
+                      : CS.findF(FS->ScopePreds, U.WpNeg, &FS->Pool);
         A->Exprs[U.Slot] = chooseFromDnfs(Arena, FS->ScopeNames, Pos, Neg);
       });
     }
@@ -496,8 +505,9 @@ struct C2bpTool::Impl {
           CallB->Exprs[K] = Arena.star();
           return;
         }
-        Dnf Pos = CS.findF(FS->ScopePreds, Translated);
-        Dnf Neg = CS.findF(FS->ScopePreds, Ctx.notE(Translated));
+        Dnf Pos = CS.findF(FS->ScopePreds, Translated, &FS->Pool);
+        Dnf Neg =
+            CS.findF(FS->ScopePreds, Ctx.notE(Translated), &FS->Pool);
         CallB->Exprs[K] = chooseFromDnfs(Arena, FS->ScopeNames, Pos, Neg);
       });
     }
@@ -583,12 +593,14 @@ struct C2bpTool::Impl {
         Proc->Locals.push_back(predName(E));
 
     if (Options.UseEnforce) {
-      defer([Proc, FS](CubeSearch &CS, bp::BProgram &Arena) {
-        Dnf Contradictions = CS.findContradictions(FS->ScopePreds);
+      Enforces.push_back({FS, [Proc, FS](CubeSearch &CS,
+                                         bp::BProgram &Arena) {
+        Dnf Contradictions =
+            CS.findContradictions(FS->ScopePreds, &FS->Pool);
         if (!Contradictions.empty())
           Proc->Enforce = Arena.notE(
               dnfToBExpr(Arena, FS->ScopeNames, Contradictions));
-      });
+      }});
     }
 
     bp::BStmt *Body = BP->makeStmt(bp::BStmtKind::Block);
@@ -625,12 +637,17 @@ struct C2bpTool::Impl {
   void runPending() {
     TraceSpan Span("c2bp.execute", "c2bp");
     if (Span.enabled())
-      Span.arg("tasks", static_cast<uint64_t>(Pending.size()));
+      Span.arg("tasks",
+               static_cast<uint64_t>(Enforces.size() + Pending.size()));
     for (auto &FS : Scopes)
       FS->WorkerArenas.resize(Workers.size());
-    parallelFor(static_cast<unsigned>(Workers.size()), Pending.size(),
-                [this](unsigned W, size_t I) { runTask(W, Pending[I]); });
-    Pending.clear();
+    // The pools are complete once the first loop returns; the second
+    // only reads them.
+    for (std::vector<DeferredTask> *Tasks : {&Enforces, &Pending}) {
+      parallelFor(static_cast<unsigned>(Workers.size()), Tasks->size(),
+                  [&](unsigned W, size_t I) { runTask(W, (*Tasks)[I]); });
+      Tasks->clear();
+    }
     // Results are merged in planning order by construction (tasks wrote
     // into position-addressed slots); all that remains is keeping the
     // worker-built expressions alive with their procedures, handing the
@@ -675,8 +692,9 @@ struct C2bpTool::Impl {
       }
     }
     // More workers than tasks would sit idle; build only those that run.
-    size_t NumWorkers = std::clamp<size_t>(Pending.size(), 1,
-                                           std::max(1, Options.NumWorkers));
+    size_t NumWorkers =
+        std::clamp<size_t>(std::max(Enforces.size(), Pending.size()), 1,
+                           std::max(1, Options.NumWorkers));
     for (size_t W = 0; W != NumWorkers; ++W)
       Workers.push_back(std::make_unique<Worker>(Ctx, &Cache));
     if (Span.enabled()) {

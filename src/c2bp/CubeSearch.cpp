@@ -9,6 +9,7 @@
 #include "logic/ExprUtils.h"
 
 #include <algorithm>
+#include <bit>
 
 using namespace slam;
 using namespace slam::c2bp;
@@ -17,79 +18,35 @@ using prover::Validity;
 
 namespace {
 
-/// The witnesses of one search: every verified model the prover handed
-/// back for one of its checks, kept as the truth of phi (bit 0) and of
-/// each cone predicate (bit 1 + its place in the cone). A witness that
-/// satisfies a cube refutes `cube => phi` when it falsifies phi, and
-/// `cube => !phi` when it satisfies phi.
-class WitnessPool {
-public:
-  WitnessPool(const std::vector<ExprRef> &V, const std::vector<int> &Indices,
-              ExprRef Phi)
-      : V(V), Indices(Indices), Phi(Phi),
-        Words((Indices.size() + 64) / 64), Mask(Words), Want(Words),
-        BitOf(V.size(), -1) {
-    for (size_t I = 0; I != Indices.size(); ++I)
-      BitOf[Indices[I]] = static_cast<int>(I) + 1;
-  }
+/// Words of a witness row, or of one half of a packed cube, over a cone
+/// of \p N predicates: bit 0 is phi, bit 1 + I the cone's I-th.
+size_t wordsFor(size_t N) { return (N + 64) / 64; }
 
-  /// Adds the prover's last witness, if it gave one. The model is
-  /// extended to the predicates its query did not mention.
-  void add(const prover::Model *Witness) {
-    if (!Witness)
-      return;
-    M = *Witness; // Reuses the scratch model's storage.
-    size_t Begin = Rows.size();
-    Rows.resize(Begin + Words, 0);
-    auto Set = [&](int Bit, ExprRef F) {
-      std::optional<bool> Holds = M.holds(F);
-      if (Holds && *Holds)
-        Rows[Begin + Bit / 64] |= uint64_t(1) << (Bit % 64);
-      return Holds.has_value();
-    };
-    bool Ok = Set(0, Phi);
-    for (size_t I = 0; Ok && I != Indices.size(); ++I)
-      Ok = Set(static_cast<int>(I) + 1, V[Indices[I]]);
-    for (size_t R = 0; Ok && R != Begin; R += Words)
-      Ok = !std::equal(Rows.begin() + R, Rows.begin() + R + Words,
-                       Rows.begin() + Begin);
-    if (!Ok)
-      Rows.resize(Begin);
-  }
+bool bitOf(const uint64_t *Words, size_t Bit) {
+  return Words[Bit / 64] >> (Bit % 64) & 1;
+}
 
-  /// Is some witness a model of \p C, and of phi (\p PhiValue true) or
-  /// of !phi (false) unless \p PhiValue is empty?
-  bool refutes(const Cube &C, std::optional<bool> PhiValue) {
-    std::fill(Mask.begin(), Mask.end(), 0);
-    std::fill(Want.begin(), Want.end(), 0);
-    auto Require = [&](int Bit, bool Value) {
-      Mask[Bit / 64] |= uint64_t(1) << (Bit % 64);
-      Want[Bit / 64] |= uint64_t(Value) << (Bit % 64);
-    };
-    if (PhiValue)
-      Require(0, *PhiValue);
-    for (const CubeLit &L : C)
-      Require(BitOf[L.Var], L.Positive);
-    for (size_t R = 0; R != Rows.size(); R += Words) {
-      size_t W = 0;
-      while (W != Words && (Rows[R + W] & Mask[W]) == Want[W])
-        ++W;
-      if (W == Words)
-        return true;
-    }
-    return false;
-  }
+void setBit(uint64_t *Words, size_t Bit) {
+  Words[Bit / 64] |= uint64_t(1) << (Bit % 64);
+}
 
-private:
-  const std::vector<ExprRef> &V;
-  const std::vector<int> &Indices;
-  ExprRef Phi;
-  size_t Words;
-  std::vector<uint64_t> Mask, Want; ///< refutes()'s scratch.
-  std::vector<int> BitOf;           ///< V index -> bit.
-  std::vector<uint64_t> Rows;       ///< Words per witness.
-  prover::Model M;                  ///< add()'s scratch.
-};
+/// Calls \p F on every set bit of \p Mask, in increasing order.
+template <typename Fn>
+void forEachBit(const uint64_t *Mask, size_t Words, Fn F) {
+  for (size_t W = 0; W != Words; ++W)
+    for (uint64_t B = Mask[W]; B; B &= B - 1)
+      F(W * 64 + std::countr_zero(B));
+}
+
+/// The packed cube \p C (mask, then polarity) as literals over V.
+Cube toCube(const std::vector<int> &Indices, const uint64_t *C,
+            size_t Words) {
+  Cube Out;
+  forEachBit(C, Words, [&](size_t Bit) {
+    Out.push_back({Indices[Bit - 1], bitOf(C + Words, Bit)});
+  });
+  return Out;
+}
 
 } // namespace
 
@@ -145,7 +102,8 @@ CubeSearch::coneOfInfluence(const std::vector<ExprRef> &V,
   return Out;
 }
 
-Dnf CubeSearch::search(const std::vector<ExprRef> &V, ExprRef Phi) {
+Dnf CubeSearch::search(const std::vector<ExprRef> &V, ExprRef Phi,
+                       const ModelPool *Seeds, ModelPool *Fill) {
   // Cone of influence shrinks the variable set per query (opt. 3). The
   // enforce query F(false) mentions no locations, so every predicate is
   // relevant to it.
@@ -156,83 +114,183 @@ Dnf CubeSearch::search(const std::vector<ExprRef> &V, ExprRef Phi) {
     for (size_t I = 0; I != V.size(); ++I)
       Indices.push_back(static_cast<int>(I));
   }
-  return searchRaw(V, Phi, Indices);
+  return searchRaw(V, Phi, Indices, Seeds, Fill);
 }
 
 Dnf CubeSearch::searchRaw(const std::vector<ExprRef> &V, ExprRef Phi,
-                          const std::vector<int> &Indices) {
-  WitnessPool Witnesses(V, Indices, Phi);
+                          const std::vector<int> &Indices,
+                          const ModelPool *Seeds, ModelPool *Fill) {
+  const size_t N = Indices.size(), Words = wordsFor(N);
   uint64_t CubesChecked = 0, WitnessHits = 0; // Added to Stats once.
-  // A check some witness refutes is answered "not valid" without a
-  // query: the witnessed query is satisfiable, so the prover (sound for
-  // Unsat) could only have said Sat or Unknown.
-  auto Refuted = [&](const Cube &C, std::optional<bool> PhiValue) {
-    bool Hit = Witnesses.refutes(C, PhiValue);
-    WitnessHits += Hit;
-    return Hit;
+
+  // The witnesses: one row of Words per verified model, phi at bit 0
+  // and cone position I at bit 1 + I. A row that satisfies a cube
+  // refutes `cube => phi` when phi is clear, `cube => !phi` when it is
+  // set, and the vacuity check either way.
+  std::vector<uint64_t> Rows;
+  prover::Model M; // Scratch: holds() extends the model it evaluates on.
+  auto KeepRow = [&](size_t Begin) {
+    for (size_t R = 0; R != Begin; R += Words)
+      if (std::equal(Rows.begin() + R, Rows.begin() + R + Words,
+                     Rows.begin() + Begin))
+        return false;
+    return true;
+  };
+  // Adds the prover's last witness, if it gave one, extended to the
+  // predicates its query did not mention.
+  auto AddWitness = [&](const prover::Model *Witness) {
+    if (!Witness)
+      return;
+    M = *Witness; // Reuses the scratch model's storage.
+    size_t Begin = Rows.size();
+    Rows.resize(Begin + Words, 0);
+    auto Set = [&](size_t Bit, ExprRef F) {
+      std::optional<bool> Holds = M.holds(F);
+      if (Holds && *Holds)
+        setBit(&Rows[Begin], Bit);
+      return Holds.has_value();
+    };
+    bool Ok = Set(0, Phi);
+    for (size_t I = 0; Ok && I != N; ++I)
+      Ok = Set(I + 1, V[Indices[I]]);
+    if (!Ok || !KeepRow(Begin)) {
+      Rows.resize(Begin);
+      return;
+    }
+    if (Fill) { // The enforce search: Indices is all of V.
+      Fill->Models.push_back(M);
+      Fill->Rows.insert(Fill->Rows.end(), Rows.begin() + Begin, Rows.end());
+    }
+  };
+  // A pool's model gives a row once phi is evaluated on a copy of it;
+  // its cone bits are the pool row's.
+  if (Seeds) {
+    for (size_t J = 0; J != Seeds->Models.size(); ++J) {
+      M = Seeds->Models[J];
+      std::optional<bool> PhiHolds = M.holds(Phi);
+      if (!PhiHolds)
+        continue;
+      const uint64_t *PoolRow = &Seeds->Rows[J * wordsFor(V.size())];
+      size_t Begin = Rows.size();
+      Rows.resize(Begin + Words, 0);
+      Rows[Begin] = *PhiHolds;
+      for (size_t I = 0; I != N; ++I)
+        if (bitOf(PoolRow, Indices[I] + 1))
+          setBit(&Rows[Begin], I + 1);
+      if (!KeepRow(Begin))
+        Rows.resize(Begin);
+    }
+  }
+
+  // A packed cube is 2 * Words words: the mask of its cone positions,
+  // then the polarity of each (set = positive), both at bit 1 + I. Ext
+  // is the candidate every check below is about.
+  const size_t Stride = 2 * Words;
+  std::vector<uint64_t> Ext(Stride);
+  const uint64_t *C = Ext.data();
+  // Is some witness a model of the cube, and of phi (PhiValue true) or
+  // of !phi (false) unless PhiValue is empty? A check some witness
+  // refutes is answered "not valid" without a query: the witnessed
+  // query is satisfiable, so the prover (sound for Unsat) could only
+  // have said Sat or Unknown.
+  auto Refuted = [&](std::optional<bool> PhiValue) {
+    uint64_t Mask0 = C[0] | uint64_t(PhiValue.has_value());
+    uint64_t Want0 = C[Words] | uint64_t(PhiValue.value_or(false));
+    for (size_t R = 0; R != Rows.size(); R += Words) {
+      if ((Rows[R] & Mask0) != Want0)
+        continue;
+      size_t W = 1;
+      while (W != Words && (Rows[R + W] & C[W]) == C[Words + W])
+        ++W;
+      if (W == Words) {
+        ++WitnessHits;
+        return true;
+      }
+    }
+    return false;
   };
   auto Valid = [&](Validity Answer) {
-    Witnesses.add(P.witness());
+    AddWitness(P.witness());
     return Answer == Validity::Valid;
+  };
+  // Does \p Set hold a subset of the candidate: a cube whose literals
+  // all appear in it?
+  auto HoldsSubsetOf = [&](const std::vector<uint64_t> &Set) {
+    for (size_t S = 0; S != Set.size(); S += Stride) {
+      size_t W = 0;
+      while (W != Words && (Set[S + W] & ~C[W]) == 0 &&
+             ((Set[S + Words + W] ^ C[Words + W]) & Set[S + W]) == 0)
+        ++W;
+      if (W == Words)
+        return true;
+    }
+    return false;
+  };
+  std::vector<ExprRef> Lits;
+  auto Concretize = [&] {
+    Lits.clear();
+    forEachBit(C, Words, [&](size_t Bit) {
+      ExprRef E = V[Indices[Bit - 1]];
+      Lits.push_back(bitOf(C + Words, Bit) ? E : Ctx.notE(E));
+    });
+    return Ctx.andE(Lits);
   };
 
   // The empty cube: is phi already valid?
   if (!Phi->isFalse() && Valid(P.implies(Ctx.trueE(), Phi)))
     return {Cube{}};
 
-  int MaxLen = Options.MaxCubeLength < 0
-                   ? static_cast<int>(Indices.size())
-                   : std::min<int>(Options.MaxCubeLength,
-                                   static_cast<int>(Indices.size()));
+  size_t MaxLen = Options.MaxCubeLength < 0
+                      ? N
+                      : std::min<size_t>(Options.MaxCubeLength, N);
 
   ExprRef NotPhi = Ctx.notE(Phi);
   Dnf Result;
-  std::vector<Cube> Rejected; // Cubes shown to imply !Phi.
-  std::vector<Cube> Live;     // Cubes to extend, current length.
-  Live.push_back({});         // Seed: the empty cube (length 0).
-
-  // Subset test over literal-sorted cubes (for pruning supersets of
-  // accepted implicants and of contradiction cubes, whichever parent
-  // they were extended from).
-  auto HasSubsetIn = [](const std::vector<Cube> &Set, const Cube &C) {
-    for (const Cube &S : Set) {
-      size_t I = 0;
-      for (const CubeLit &L : C) {
-        if (I < S.size() && S[I] == L)
-          ++I;
-      }
-      if (I == S.size())
-        return true;
-    }
-    return false;
+  std::vector<uint64_t> Accepted; // Result, packed.
+  std::vector<uint64_t> Rejected; // Cubes shown to imply !Phi.
+  std::vector<uint64_t> Live(Stride, 0); // Cubes to extend: the empty one.
+  std::vector<uint64_t> Next;
+  auto Keep = [&](std::vector<uint64_t> &List) {
+    List.insert(List.end(), Ext.begin(), Ext.end());
+  };
+  auto Accept = [&] {
+    Result.push_back(toCube(Indices, C, Words));
+    Keep(Accepted);
   };
 
-  for (int Len = 1; Len <= MaxLen && !Live.empty(); ++Len) {
-    std::vector<Cube> Next;
-    for (const Cube &C : Live) {
-      int MaxVar = C.empty() ? -1 : C.back().Var;
-      for (int Idx : Indices) {
-        if (Idx <= MaxVar)
-          continue;
+  for (size_t Len = 1; Len <= MaxLen && !Live.empty(); ++Len) {
+    Next.clear();
+    for (size_t L = 0; L != Live.size(); L += Stride) {
+      const uint64_t *Parent = &Live[L];
+      // Extend past the cube's last position, so each cube comes once.
+      size_t First = 1;
+      for (size_t W = Words; W-- != 0;)
+        if (Parent[W]) {
+          First = W * 64 + 64 - std::countl_zero(Parent[W]);
+          break;
+        }
+      for (size_t Bit = First; Bit <= N; ++Bit) {
         for (bool Positive : {true, false}) {
-          Cube Ext = C;
-          Ext.push_back({Idx, Positive});
+          std::copy(Parent, Parent + Stride, Ext.begin());
+          setBit(&Ext[0], Bit);
+          if (Positive)
+            setBit(&Ext[Words], Bit);
           if (Options.PruneSupersets &&
-              (HasSubsetIn(Result, Ext) || HasSubsetIn(Rejected, Ext)))
+              (HoldsSubsetOf(Accepted) || HoldsSubsetOf(Rejected)))
             continue;
           ++CubesChecked;
           // The witnesses are scanned first: a cube a witness satisfies
           // cannot concretize to a syntactic false.
           ExprRef EC = nullptr;
           bool Implies = false;
-          if (!Refuted(Ext, false)) {
-            EC = concretize(V, Ext);
+          if (!Refuted(false)) {
+            EC = Concretize();
             if (EC->isFalse()) {
               // Syntactically contradictory (b && !b can't arise here,
               // but folding may still produce false): an implicant of
               // anything, useful only for the enforce query.
               if (Phi->isFalse())
-                Result.push_back(std::move(Ext));
+                Accept();
               continue;
             }
             Implies = Valid(P.implies(EC, Phi));
@@ -241,31 +299,29 @@ Dnf CubeSearch::searchRaw(const std::vector<ExprRef> &V, ExprRef Phi,
             // A vacuous (unsatisfiable) cube implies anything but
             // denotes no concrete state; it contributes nothing to the
             // disjunction and would only clutter the output.
-            if (!Phi->isFalse() && !Refuted(Ext, std::nullopt)) {
+            if (!Phi->isFalse() && !Refuted(std::nullopt)) {
               prover::Satisfiability Sat = P.checkSat(EC);
-              Witnesses.add(P.witness());
+              AddWitness(P.witness());
               if (Sat == prover::Satisfiability::Unsat) {
-                Rejected.push_back(std::move(Ext));
+                Keep(Rejected);
                 continue;
               }
             }
-            Result.push_back(Ext);
-            if (Options.PruneSupersets)
-              continue; // Supersets are redundant (prime implicants).
-            Next.push_back(std::move(Ext));
+            Accept();
+            if (!Options.PruneSupersets)
+              Keep(Next); // Else supersets are redundant (prime implicants).
             continue;
           }
-          if (Options.PruneSupersets && !Phi->isFalse() &&
-              !Refuted(Ext, true) &&
-              Valid(P.implies(EC ? EC : concretize(V, Ext), NotPhi))) {
-            Rejected.push_back(std::move(Ext));
+          if (Options.PruneSupersets && !Phi->isFalse() && !Refuted(true) &&
+              Valid(P.implies(EC ? EC : Concretize(), NotPhi))) {
+            Keep(Rejected);
             continue; // No superset can imply phi non-vacuously.
           }
-          Next.push_back(std::move(Ext));
+          Keep(Next);
         }
       }
     }
-    Live = std::move(Next);
+    Live.swap(Next);
   }
   if (Stats && CubesChecked)
     Stats->add("c2bp.cubes_checked", CubesChecked);
@@ -274,11 +330,18 @@ Dnf CubeSearch::searchRaw(const std::vector<ExprRef> &V, ExprRef Phi,
   return Result;
 }
 
-Dnf CubeSearch::findContradictions(const std::vector<ExprRef> &V) {
-  return search(V, Ctx.falseE());
+Dnf CubeSearch::findContradictions(const std::vector<ExprRef> &V,
+                                   ModelPool *Pool) {
+  if (Pool) {
+    Pool->V = V;
+    Pool->Models.clear();
+    Pool->Rows.clear();
+  }
+  return search(V, Ctx.falseE(), nullptr, Pool);
 }
 
-Dnf CubeSearch::findF(const std::vector<ExprRef> &V, ExprRef Phi) {
+Dnf CubeSearch::findF(const std::vector<ExprRef> &V, ExprRef Phi,
+                      const ModelPool *Pool) {
   if (Phi->isTrue())
     return {Cube{}};
   if (Phi->isFalse())
@@ -291,7 +354,7 @@ Dnf CubeSearch::findF(const std::vector<ExprRef> &V, ExprRef Phi) {
     if (Ctx.notE(V[I]) == Phi)
       return {Cube{{static_cast<int>(I), false}}};
   }
-  return search(V, Phi);
+  return search(V, Phi, Pool && Pool->V == V ? Pool : nullptr, nullptr);
 }
 
 ExprRef CubeSearch::concretizeF(const std::vector<ExprRef> &V,

@@ -30,7 +30,16 @@
 /// "not valid" without building its query, without a cache lookup and
 /// without a prover call (c2bp.witness_hits counts them). The prover
 /// could only have said Sat or Unknown there, which the search treats
-/// alike, so the result is the same as without witnesses.
+/// alike, so the result is the same as without witnesses. A findF may
+/// also start from a ModelPool: the models the enforce search over the
+/// same V was handed, each with its row over all of V. The search takes
+/// the cone bits from the row and evaluates phi on a copy of the model.
+///
+/// The loop is bit-packed: a cube is a (mask, polarity) pair of words
+/// over the cone's positions, a witness is a row of words (phi, then
+/// each cone predicate), and the superset test against an implicant or
+/// a rejected cube is two word operations per word. Only an accepted
+/// cube becomes a Cube.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +48,7 @@
 
 #include "logic/AliasOracle.h"
 #include "logic/Expr.h"
+#include "prover/Model.h"
 #include "prover/Prover.h"
 #include "support/Stats.h"
 
@@ -72,6 +82,23 @@ struct CubeSearchOptions {
   bool PruneSupersets = true;
 };
 
+/// The verified models one enforce search (findContradictions) was
+/// handed, each extended by evaluating every predicate of its V in
+/// order, with that row of truth values. A findF over the same V seeds
+/// its witnesses from it. Filled by one search and only read after.
+class ModelPool {
+public:
+  size_t size() const { return Models.size(); }
+
+private:
+  friend class CubeSearch;
+  std::vector<logic::ExprRef> V;
+  std::vector<prover::Model> Models;
+  /// One row per model, in the search's layout over all of V: bit 1 + I
+  /// is the truth of V[I] (bit 0, phi's, is clear).
+  std::vector<uint64_t> Rows;
+};
+
 /// Computes F_V and G_V against one prover instance.
 class CubeSearch {
 public:
@@ -83,12 +110,16 @@ public:
   /// F_V(Phi): prime implicants of Phi over the predicates \p V.
   /// For Phi = false this returns the empty disjunction (contradictory
   /// cubes denote no concrete state); the enforce computation uses
-  /// findContradictions instead.
-  Dnf findF(const std::vector<logic::ExprRef> &V, logic::ExprRef Phi);
+  /// findContradictions instead. A \p Pool over the same V seeds the
+  /// search's witnesses; one over another V is ignored.
+  Dnf findF(const std::vector<logic::ExprRef> &V, logic::ExprRef Phi,
+            const ModelPool *Pool = nullptr);
 
   /// Section 5.1: the mutually inconsistent cubes F_V(false), used to
-  /// build the per-procedure enforce invariant.
-  Dnf findContradictions(const std::vector<logic::ExprRef> &V);
+  /// build the per-procedure enforce invariant. Fills \p Pool, if
+  /// given, with the search's witnesses over V.
+  Dnf findContradictions(const std::vector<logic::ExprRef> &V,
+                         ModelPool *Pool = nullptr);
 
   /// E(F_V(Phi)) as a formula (disjunction of concretized cubes).
   logic::ExprRef concretizeF(const std::vector<logic::ExprRef> &V,
@@ -106,9 +137,13 @@ public:
 private:
   /// Cone-of-influence restriction, then the raw enumeration — the path
   /// shared by findF and findContradictions.
-  Dnf search(const std::vector<logic::ExprRef> &V, logic::ExprRef Phi);
+  /// \p Seeds is read (a findF's pool) or filled (the enforce
+  /// search's); it is null or over V.
+  Dnf search(const std::vector<logic::ExprRef> &V, logic::ExprRef Phi,
+             const ModelPool *Seeds, ModelPool *Fill);
   Dnf searchRaw(const std::vector<logic::ExprRef> &V, logic::ExprRef Phi,
-                const std::vector<int> &Indices);
+                const std::vector<int> &Indices, const ModelPool *Seeds,
+                ModelPool *Fill);
 
   logic::LogicContext &Ctx;
   prover::Prover &P;

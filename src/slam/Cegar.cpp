@@ -14,6 +14,8 @@
 #include "support/Timer.h"
 #include "support/Trace.h"
 
+#include <cstdio>
+
 using namespace slam;
 using namespace slam::slamtool;
 using namespace slam::cfront;
@@ -175,4 +177,30 @@ std::optional<SlamResult> slamtool::checkSafety(
   c2bp::PredicateSet Seeds;
   seedPredicates(Ctx, Spec, Seeds);
   return checkProgram(*P, Seeds, Ctx, Options, Stats);
+}
+
+std::string
+slamtool::formatFlightLog(const std::vector<IterationRecord> &Log) {
+  char Line[160];
+  std::snprintf(Line, sizeof(Line),
+                "%5s %6s %7s %6s %7s %9s %10s %9s %9s %10s %6s\n", "iter",
+                "preds", "prover", "hits", "cubes", "procs", "bdd-nodes",
+                "c2bp(ms)", "bebop(ms)", "newton(ms)", "new");
+  std::string Out = Line;
+  for (const IterationRecord &Rec : Log) {
+    std::snprintf(Line, sizeof(Line),
+                  "%5d %6zu %7llu %6llu %7llu %5llu/%-3llu "
+                  "%10llu %9.3f %9.3f %10.3f %6zu\n",
+                  Rec.Iteration, Rec.Predicates,
+                  static_cast<unsigned long long>(Rec.ProverCalls),
+                  static_cast<unsigned long long>(Rec.CacheHits),
+                  static_cast<unsigned long long>(Rec.Cubes),
+                  static_cast<unsigned long long>(Rec.ProcsReused),
+                  static_cast<unsigned long long>(Rec.ProcsRebuilt),
+                  static_cast<unsigned long long>(Rec.BddNodes),
+                  Rec.C2bpSeconds * 1e3, Rec.BebopSeconds * 1e3,
+                  Rec.NewtonSeconds * 1e3, Rec.NewPredicates);
+    Out += Line;
+  }
+  return Out;
 }

@@ -90,6 +90,10 @@ std::optional<SlamResult> checkSafety(std::string_view Source,
                                       const PipelineOptions &Options = {},
                                       StatsRegistry *Stats = nullptr);
 
+/// The flight recorder as `slam --report` prints it: a header, then one
+/// row per round, with each layer's time in milliseconds.
+std::string formatFlightLog(const std::vector<IterationRecord> &Log);
+
 } // namespace slamtool
 } // namespace slam
 

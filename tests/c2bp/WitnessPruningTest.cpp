@@ -1,12 +1,13 @@
 //===- WitnessPruningTest.cpp - Cube search vs a witness-free oracle ------===//
 //
 // The cube search answers a check some verified model already refutes
-// without asking the prover. These tests compare its F_V and
-// contradiction DNFs with a reference enumeration written here: the
-// same algorithm without witnesses, which asks a fresh Prover (and so a
-// fresh cache) for every single check. The two must agree exactly, on
-// the searches of the Table 2 programs and on seeded random EUF + LIA
-// formulas.
+// without asking the prover, and a search may start from the models an
+// enforce search was handed (a ModelPool). These tests compare its F_V
+// and contradiction DNFs, with and without a pool, with a reference
+// enumeration written here: the same algorithm without witnesses, which
+// asks a fresh Prover (and so a fresh cache) for every single check.
+// They must agree exactly, on the searches of the Table 2 programs, on
+// seeded random EUF + LIA formulas and on a cone wider than one word.
 //
 //===----------------------------------------------------------------------===//
 
@@ -214,12 +215,15 @@ TEST(WitnessPruning, Table2SearchesMatchAWitnessFreeEnumeration) {
       logic::WPEngine WP(Ctx, Oracle);
       CubeSearch CS(Ctx, Prover, Oracle, Options, &Stats);
       ReferenceSearch Ref(Ctx, CS, Options);
-      EXPECT_EQ(CS.findContradictions(V), Ref.findContradictions(V));
+      ModelPool Pool;
+      EXPECT_EQ(CS.findContradictions(V, &Pool), Ref.findContradictions(V));
       std::vector<ExprRef> Phis;
       collectSearches(Ctx, WP, V, F->Body, Phis);
       for (ExprRef Phi : Phis) {
         SCOPED_TRACE(Phi->str());
-        EXPECT_EQ(CS.findF(V, Phi), Ref.findF(V, Phi));
+        Dnf D = CS.findF(V, Phi);
+        EXPECT_EQ(D, Ref.findF(V, Phi));
+        EXPECT_EQ(CS.findF(V, Phi, &Pool), D);
       }
       Searches += Phis.size() + 1;
     }
@@ -289,8 +293,11 @@ private:
   std::mt19937 Rng;
 };
 
+// Each case also seeds findF from the pool of a findContradictions over
+// the same V: the DNF and the cubes checked must not change.
 TEST(WitnessPruning, RandomFormulasMatchAWitnessFreeEnumeration) {
-  StatsRegistry Stats;
+  StatsRegistry Stats, PooledStats;
+  uint64_t UnpooledHits = 0, UnpooledCubes = 0; // CS's findF calls.
   logic::ShapeAliasOracle Oracle;
   std::mt19937 Seeds(20011);
   int NonEmpty = 0;
@@ -313,16 +320,137 @@ TEST(WitnessPruning, RandomFormulasMatchAWitnessFreeEnumeration) {
       Phi = Gen.parse(Gen.formula(2, V));
     SCOPED_TRACE("case " + std::to_string(Case) + ": " + Phi->str());
     CubeSearch CS(Ctx, Prover, Oracle, Options, &Stats);
+    CubeSearch Pooled(Ctx, Prover, Oracle, Options, &PooledStats);
     ReferenceSearch Ref(Ctx, CS, Options);
+    ModelPool Pool;
+    EXPECT_EQ(CS.findContradictions(V, &Pool), Ref.findContradictions(V));
+    uint64_t HitsBefore = Stats.get("c2bp.witness_hits");
+    uint64_t CubesBefore = Stats.get("c2bp.cubes_checked");
     for (ExprRef F : {Phi, Ctx.notE(Phi)}) {
       Dnf D = CS.findF(V, F);
       EXPECT_EQ(D, Ref.findF(V, F));
+      EXPECT_EQ(Pooled.findF(V, F, &Pool), D);
       NonEmpty += !D.empty();
     }
-    EXPECT_EQ(CS.findContradictions(V), Ref.findContradictions(V));
+    UnpooledHits += Stats.get("c2bp.witness_hits") - HitsBefore;
+    UnpooledCubes += Stats.get("c2bp.cubes_checked") - CubesBefore;
   }
   EXPECT_GT(NonEmpty, 100);
   EXPECT_GT(Stats.get("c2bp.witness_hits"), 5000u);
+  // The pooled searches answer more checks from witnesses.
+  EXPECT_GT(PooledStats.get("c2bp.witness_hits"), UnpooledHits);
+  EXPECT_EQ(PooledStats.get("c2bp.cubes_checked"), UnpooledCubes);
+}
+
+/// Parses each of \p Texts.
+std::vector<ExprRef> parseAll(logic::LogicContext &Ctx,
+                              const std::vector<std::string> &Texts) {
+  std::vector<ExprRef> Out;
+  DiagnosticEngine Diags;
+  for (const std::string &T : Texts) {
+    Out.push_back(parseExpr(Ctx, T, Diags));
+    EXPECT_TRUE(Out.back() != nullptr) << T << ": " << Diags.str();
+  }
+  return Out;
+}
+
+// 70 predicates in one cone: a witness row and each half of a packed
+// cube take two words, and implicants join positions of both.
+TEST(WitnessPruning, ConeWiderThanAWordMatchesAWitnessFreeEnumeration) {
+  logic::LogicContext Ctx;
+  StatsRegistry Stats;
+  prover::Prover Prover(Ctx, &Stats);
+  logic::ShapeAliasOracle Oracle;
+  CubeSearchOptions Options;
+  Options.MaxCubeLength = 2;
+  std::vector<std::string> Texts;
+  for (int I = 0; I != 35; ++I) {
+    Texts.push_back("x == " + std::to_string(I));
+    Texts.push_back("y == " + std::to_string(I));
+  }
+  std::vector<ExprRef> V = parseAll(Ctx, Texts);
+  CubeSearch CS(Ctx, Prover, Oracle, Options, &Stats);
+  ReferenceSearch Ref(Ctx, CS, Options);
+  ModelPool Pool;
+  EXPECT_EQ(CS.findContradictions(V, &Pool), Ref.findContradictions(V));
+  EXPECT_GT(Pool.size(), 0u);
+  for (ExprRef Phi : parseAll(Ctx, {"x + y == 40", "x > 31 || y < 2"})) {
+    SCOPED_TRACE(Phi->str());
+    EXPECT_EQ(CS.coneOfInfluence(V, Phi).size(), V.size());
+    Dnf D = CS.findF(V, Phi);
+    EXPECT_EQ(D, Ref.findF(V, Phi));
+    EXPECT_EQ(CS.findF(V, Phi, &Pool), D);
+    // Some implicant uses a predicate past the first word.
+    EXPECT_TRUE(std::any_of(D.begin(), D.end(), [](const Cube &C) {
+      return C.back().Var >= 63;
+    }));
+  }
+}
+
+// A cube whose literals fold to false (a predicate and its negation,
+// both in V) is a contradiction that prunes its supersets without a
+// query, so they are neither checked nor reported.
+TEST(WitnessPruning, SyntacticContradictionsPruneTheirSupersets) {
+  logic::LogicContext Ctx;
+  StatsRegistry Stats;
+  prover::Prover Prover(Ctx, &Stats);
+  logic::ShapeAliasOracle Oracle;
+  CubeSearchOptions Options;
+  std::vector<ExprRef> V =
+      parseAll(Ctx, {"x < 5", "y == 1", "!(x < 5)", "!(y == 1)"});
+  ASSERT_TRUE(Ctx.andE(V[0], V[2])->isFalse());
+  CubeSearch CS(Ctx, Prover, Oracle, Options, &Stats);
+  ReferenceSearch Ref(Ctx, CS, Options);
+  Dnf D = CS.findContradictions(V);
+  EXPECT_EQ(D, Ref.findContradictions(V));
+  // {x < 5, !(x < 5)} in the two polarities that fold to false,
+  // likewise for y == 1, and no superset of them.
+  EXPECT_EQ(D.size(), 4u);
+  for (const Cube &C : D)
+    EXPECT_EQ(C.size(), 2u);
+}
+
+// A pool is only read by a search over the very predicates it was
+// built over: over a permutation of them it is ignored, and the search
+// does exactly the work of one without a pool.
+TEST(WitnessPruning, APoolOverOtherPredicatesIsIgnored) {
+  logic::LogicContext Ctx;
+  logic::ShapeAliasOracle Oracle;
+  CubeSearchOptions Options;
+  std::vector<ExprRef> V =
+      parseAll(Ctx, {"x == 0", "x == 1", "y > 2", "y < 5", "x < y"});
+  std::vector<ExprRef> Permuted(V.rbegin(), V.rend());
+  ExprRef Phi = parseAll(Ctx, {"x + y > 3"})[0];
+  auto Build = [&](const std::vector<ExprRef> &Over) {
+    prover::Prover Prover(Ctx);
+    CubeSearch CS(Ctx, Prover, Oracle, Options);
+    ModelPool Pool;
+    CS.findContradictions(Over, &Pool);
+    return Pool;
+  };
+  ModelPool OverV = Build(V), OverPermuted = Build(Permuted);
+  ASSERT_GT(OverV.size(), 0u);
+  struct Run {
+    Dnf D;
+    uint64_t Hits, Calls;
+  };
+  auto Search = [&](const ModelPool *Pool) {
+    StatsRegistry Stats;
+    prover::Prover Prover(Ctx, &Stats);
+    CubeSearch CS(Ctx, Prover, Oracle, Options, &Stats);
+    Dnf D = CS.findF(Permuted, Phi, Pool);
+    return Run{D, Stats.get("c2bp.witness_hits"), Stats.get("prover.calls")};
+  };
+  Run Alone = Search(nullptr), Foreign = Search(&OverV),
+      Own = Search(&OverPermuted);
+  EXPECT_FALSE(Alone.D.empty());
+  EXPECT_EQ(Foreign.D, Alone.D);
+  EXPECT_EQ(Foreign.Hits, Alone.Hits);
+  EXPECT_EQ(Foreign.Calls, Alone.Calls);
+  // The pool built over the same predicates does answer checks.
+  EXPECT_EQ(Own.D, Alone.D);
+  EXPECT_GT(Own.Hits, Alone.Hits);
+  EXPECT_LT(Own.Calls, Alone.Calls);
 }
 
 } // namespace

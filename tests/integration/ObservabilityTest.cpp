@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
+#include <sstream>
 
 using namespace slam;
 using namespace slam::slamtool;
@@ -204,6 +206,54 @@ TEST(Observability, UntracedRunRecordsNothing) {
   EXPECT_EQ(R->V, SlamResult::Verdict::Validated);
   // The flight recorder still fills in (it does not depend on tracing).
   EXPECT_EQ(R->FlightLog.size(), static_cast<size_t>(R->Iterations));
+}
+
+// `slam --report`'s table on examples/programs/locking.c: the layer
+// times are milliseconds, so a round's time no longer reads 0.000.
+TEST(Observability, FlightLogTablePrintsLayerMilliseconds) {
+  std::ifstream In(SLAM_EXAMPLES_DIR "/locking.c");
+  std::ostringstream Source;
+  Source << In.rdbuf();
+  ASSERT_FALSE(Source.str().empty());
+  logic::LogicContext Ctx;
+  DiagnosticEngine Diags;
+  auto R = checkSafety(Source.str(),
+                       SafetySpec::lockDiscipline("AcquireLock",
+                                                  "ReleaseLock"),
+                       Ctx, Diags);
+  ASSERT_TRUE(R.has_value()) << Diags.str();
+  std::istringstream Table(formatFlightLog(R->FlightLog));
+  auto Columns = [](const std::string &Line) {
+    std::istringstream In(Line);
+    std::vector<std::string> Out;
+    for (std::string Word; In >> Word;)
+      Out.push_back(Word);
+    return Out;
+  };
+  std::string Line;
+  ASSERT_TRUE(std::getline(Table, Line));
+  std::vector<std::string> Header = Columns(Line);
+  ASSERT_EQ(Header.size(), 11u) << Line;
+  EXPECT_EQ(Header[7], "c2bp(ms)");
+  EXPECT_EQ(Header[8], "bebop(ms)");
+  EXPECT_EQ(Header[9], "newton(ms)");
+  size_t Rows = 0;
+  for (; std::getline(Table, Line); ++Rows) {
+    SCOPED_TRACE(Line);
+    std::vector<std::string> Row = Columns(Line);
+    ASSERT_EQ(Row.size(), Header.size());
+    double Sum = 0;
+    for (size_t C = 7; C != 10; ++C) {
+      size_t Used = 0;
+      double Ms = std::stod(Row[C], &Used);
+      EXPECT_EQ(Used, Row[C].size());
+      EXPECT_GE(Ms, 0);
+      Sum += Ms;
+    }
+    EXPECT_GT(Sum, 0); // A round takes at least a microsecond.
+  }
+  EXPECT_EQ(Rows, R->FlightLog.size());
+  EXPECT_EQ(Rows, 2u);
 }
 
 TEST(Observability, AliasFactsAreBuiltOnceAndPlanSpansCountProcedures) {

@@ -146,6 +146,7 @@ PY
 for_each_example_case() {
   local EX="$ROOT/examples/programs"
   "$1" c2bp-partition c2bp "$EX/partition.c" "$EX/partition.preds"
+  "$1" c2bp-qsort c2bp "$EX/qsort.c" "$EX/qsort.preds" -k 3
   "$1" slam-locking slam "$EX/locking.c" --lock AcquireLock,ReleaseLock
   "$1" slam-locking_bug slam "$EX/locking_bug.c" \
     --lock AcquireLock,ReleaseLock

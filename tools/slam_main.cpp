@@ -84,24 +84,9 @@ int main(int argc, char **argv) {
     std::printf("\n");
   }
 
-  if (Obs.wantReport()) {
-    std::printf("\nCEGAR flight recorder:\n");
-    std::printf("%5s %6s %7s %6s %7s %9s %10s %9s %9s %9s %6s\n", "iter",
-                "preds", "prover", "hits", "cubes", "procs", "bdd-nodes",
-                "c2bp(s)", "bebop(s)", "newton(s)", "new");
-    for (const slamtool::IterationRecord &Rec : R->FlightLog)
-      std::printf("%5d %6zu %7llu %6llu %7llu %5llu/%-3llu "
-                  "%10llu %9.3f %9.3f %9.3f %6zu\n",
-                  Rec.Iteration, Rec.Predicates,
-                  static_cast<unsigned long long>(Rec.ProverCalls),
-                  static_cast<unsigned long long>(Rec.CacheHits),
-                  static_cast<unsigned long long>(Rec.Cubes),
-                  static_cast<unsigned long long>(Rec.ProcsReused),
-                  static_cast<unsigned long long>(Rec.ProcsRebuilt),
-                  static_cast<unsigned long long>(Rec.BddNodes),
-                  Rec.C2bpSeconds, Rec.BebopSeconds, Rec.NewtonSeconds,
-                  Rec.NewPredicates);
-  }
+  if (Obs.wantReport())
+    std::printf("\nCEGAR flight recorder:\n%s",
+                slamtool::formatFlightLog(R->FlightLog).c_str());
 
   if (!Obs.finish("slam", Stats))
     return 2;
