@@ -6,15 +6,10 @@
 //
 // Without a points-to analysis, Morris' axiom must case-split on every
 // syntactically possible alias pair (2^k disjuncts for k locations); the
-// analysis prunes no-alias pairs outright. Compares:
-//
-//   * the points-to-backed oracle (Das / Andersen / Steensgaard modes)
-//     against the purely syntactic shape oracle,
-//
-// on the pointer-rich Table 2 programs. The shape to observe: prover
-// calls and WP sizes drop sharply with the analysis on, and the three
-// points-to modes behave identically here (the paper's drivers likewise
-// needed only flow-insensitive precision).
+// analysis prunes no-alias pairs outright. Compares the oracle backed by
+// Das's one-level flow analysis with the purely syntactic shape oracle
+// (c2bp --no-alias) on the pointer-rich Table 2 programs. The shape to
+// observe: prover calls and WP sizes drop sharply with the analysis on.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,12 +23,11 @@ using namespace slam::benchutil;
 namespace {
 
 void BM_Alias(benchmark::State &State, const workloads::Workload *W,
-              bool UseAnalysis, alias::Mode Mode) {
+              bool UseAnalysis) {
   for (auto _ : State) {
     c2bp::C2bpOptions Options;
     Options.Cubes.MaxCubeLength = 3;
     Options.UseAliasAnalysis = UseAnalysis;
-    Options.AliasMode = Mode;
     RunRow Row = runTable2(*W, Options, /*RunBebop=*/false);
     State.counters["prover_calls"] =
         static_cast<double>(Row.ProverCalls);
@@ -52,39 +46,26 @@ int main(int argc, char **argv) {
               "(Section 4.2), k = 3\n");
   std::printf("%-10s %-12s %12s %10s\n", "program", "oracle",
               "prover calls", "c2bp (s)");
-  struct Config {
-    const char *Name;
-    bool Use;
-    alias::Mode Mode;
-  };
-  const Config Configs[] = {
-      {"das", true, alias::Mode::Das},
-      {"andersen", true, alias::Mode::Andersen},
-      {"steensgaard", true, alias::Mode::Steensgaard},
-      {"syntactic", false, alias::Mode::Das},
-  };
   for (const workloads::Workload *W :
        {&workloads::partitionWorkload(), &workloads::listfindWorkload(),
         &workloads::reverseWorkload()}) {
-    for (const Config &C : Configs) {
+    for (bool Use : {true, false}) {
       c2bp::C2bpOptions Options;
       Options.Cubes.MaxCubeLength = 3;
-      Options.UseAliasAnalysis = C.Use;
-      Options.AliasMode = C.Mode;
+      Options.UseAliasAnalysis = Use;
       RunRow Row = runTable2(*W, Options, /*RunBebop=*/false);
-      std::printf("%-10s %-12s %12llu %10.2f\n", W->Name.c_str(), C.Name,
+      std::printf("%-10s %-12s %12llu %10.2f\n", W->Name.c_str(),
+                  Use ? "das" : "syntactic",
                   static_cast<unsigned long long>(Row.ProverCalls),
                   Row.C2bpSeconds);
     }
   }
 
   benchmark::RegisterBenchmark("alias/partition_das", BM_Alias,
-                               &workloads::partitionWorkload(), true,
-                               alias::Mode::Das)
+                               &workloads::partitionWorkload(), true)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("alias/partition_syntactic", BM_Alias,
-                               &workloads::partitionWorkload(), false,
-                               alias::Mode::Das)
+                               &workloads::partitionWorkload(), false)
       ->Unit(benchmark::kMillisecond);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

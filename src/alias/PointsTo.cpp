@@ -1,4 +1,4 @@
-//===- PointsTo.cpp - Inclusion/unification constraint solving -------------===//
+//===- PointsTo.cpp - One-level-flow constraint solving -------------------===//
 //
 // Part of the SLAM/C2bp reproduction. MIT license; see LICENSE.
 //
@@ -162,31 +162,22 @@ int PointsTo::retCell(const FuncDecl *F) const {
 void PointsTo::addCopy(int From, int To) {
   if (From < 0 || To < 0 || From == To)
     return;
-  CopyEdges[From].insert(To);
-  // Das and Steensgaard do not distinguish direction below the top
-  // level; Steensgaard merges even top-level flows. Copy edges created
-  // by loads/stores are added through addLoad/addStore, so a symmetric
-  // top-level flow only occurs in Steensgaard mode.
-  if (M == Mode::Steensgaard)
-    CopyEdges[To].insert(From);
+  CopyEdges[From].insert(To); // Top-level flow is directional.
 }
 
 void PointsTo::addLoad(int Dst, int Ptr) {
   if (Dst < 0 || Ptr < 0)
     return;
+  // One-level flow: reading through a pointer also merges backwards.
   Loads.emplace_back(Dst, Ptr);
-  // One-level flow / unification: reading through a pointer also merges
-  // backwards.
-  if (M != Mode::Andersen)
-    Stores.emplace_back(Ptr, Dst);
+  Stores.emplace_back(Ptr, Dst);
 }
 
 void PointsTo::addStore(int Ptr, int Src) {
   if (Ptr < 0 || Src < 0)
     return;
   Stores.emplace_back(Ptr, Src);
-  if (M != Mode::Andersen)
-    Loads.emplace_back(Src, Ptr);
+  Loads.emplace_back(Src, Ptr);
 }
 
 void PointsTo::addAddressOf(int Ptr, int Target) {
@@ -433,7 +424,7 @@ void Builder::genCall(const Stmt &S) {
 
 } // namespace
 
-PointsTo::PointsTo(const Program &P, Mode M) : M(M) {
+PointsTo::PointsTo(const Program &P, Mode) {
   TraceSpan Span("alias.points_to", "alias");
   // Pre-create field cells for every record so oracle queries about
   // fields the program never touches still resolve.

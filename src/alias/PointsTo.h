@@ -6,13 +6,10 @@
 ///
 /// \file
 /// Flow-insensitive, context-insensitive may-point-to analysis over the
-/// normalized program — the role Das's one-level-flow algorithm [12]
-/// plays in the paper. Three precision modes are provided:
-///
-///   * Andersen — inclusion-based (directional) constraints;
-///   * Das — directional top-level assignments, equality below one
-///     level of dereference (one-level flow);
-///   * Steensgaard — fully equality-based (every flow is symmetric).
+/// normalized program: Das's one-level-flow algorithm [12], as in the
+/// paper. Top-level assignments flow one way; below one level of
+/// dereference, flow is an equality (a load also stores back, a store
+/// also loads back).
 ///
 /// Abstract cells: one per variable, one per (struct, field) pair
 /// (field-based heap abstraction), one summary cell per array's
@@ -33,7 +30,10 @@
 namespace slam {
 namespace alias {
 
-enum class Mode { Andersen, Das, Steensgaard };
+/// The one analysis there is. The type and PointsTo's parameter of it
+/// remain only because the benchmark harness still names them; they go
+/// with CegarOptions::Incremental once it stops.
+enum class Mode { Das };
 
 /// One abstract memory cell.
 struct Cell {
@@ -57,9 +57,8 @@ struct Cell {
 /// The analysis result: may-point-to sets over abstract cells.
 class PointsTo {
 public:
-  PointsTo(const cfront::Program &P, Mode M = Mode::Das);
-
-  Mode mode() const { return M; }
+  /// The Mode is ignored (see Mode).
+  PointsTo(const cfront::Program &P, Mode = Mode::Das);
 
   /// Abstract cells a C lvalue expression may denote.
   std::set<int> locationCells(const cfront::Expr &Lvalue) const;
@@ -101,7 +100,6 @@ private:
   void seedBoundaryCells();
   void solve();
 
-  Mode M;
   std::vector<Cell> Cells;
   std::map<const cfront::VarDecl *, int> VarCells;
   std::map<std::pair<const cfront::RecordDecl *, std::string>, int>

@@ -45,8 +45,8 @@ namespace c2bp {
 
 /// What abstraction needs of the program besides its predicates.
 struct ProgramFacts {
-  ProgramFacts(const cfront::Program &P, alias::Mode Mode)
-      : P(P), PT(P, Mode), MR(P, PT) {}
+  explicit ProgramFacts(const cfront::Program &P)
+      : P(P), PT(P), MR(P, PT) {}
 
   /// \p F's signature over its local predicates \p Locals, recomputed
   /// only when they differ from the last call's for \p F.
@@ -88,12 +88,11 @@ public:
   ProgramFacts &bind(const cfront::Program &P, logic::LogicContext &Ctx,
                      const C2bpOptions &O) {
     auto Output = [](const C2bpOptions &X) {
-      return std::tuple(X.Cubes.MaxCubeLength, X.Cubes.ConeOfInfluence,
-                        X.Cubes.PruneSupersets, X.UseEnforce,
-                        X.UseAliasAnalysis, X.AliasMode);
+      return std::tuple(X.Cubes.MaxCubeLength, X.UseEnforce,
+                        X.UseAliasAnalysis);
     };
     if (!Facts) {
-      Facts = std::make_unique<ProgramFacts>(P, O.AliasMode);
+      Facts = std::make_unique<ProgramFacts>(P);
       BoundCtx = &Ctx;
       BoundOptions = O;
     } else if (&Facts->P != &P || BoundCtx != &Ctx ||

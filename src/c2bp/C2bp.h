@@ -56,6 +56,8 @@ struct C2bpOptions {
   /// Use the points-to analysis to prune Morris disjuncts; without it
   /// the purely syntactic shape oracle is used.
   bool UseAliasAnalysis = true;
+  /// Read by nothing; it remains only because the benchmark harness
+  /// still names it (see alias::Mode).
   alias::Mode AliasMode = alias::Mode::Das;
   /// Worker threads for the per-statement cube searches. Every N runs
   /// the same plan-then-execute loop: the statement-level abstraction

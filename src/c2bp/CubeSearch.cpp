@@ -108,7 +108,7 @@ Dnf CubeSearch::search(const std::vector<ExprRef> &V, ExprRef Phi,
   // enforce query F(false) mentions no locations, so every predicate is
   // relevant to it.
   std::vector<int> Indices;
-  if (Options.ConeOfInfluence && !Phi->isFalse()) {
+  if (!Phi->isFalse()) {
     Indices = coneOfInfluence(V, Phi);
   } else {
     for (size_t I = 0; I != V.size(); ++I)
@@ -275,8 +275,7 @@ Dnf CubeSearch::searchRaw(const std::vector<ExprRef> &V, ExprRef Phi,
           setBit(&Ext[0], Bit);
           if (Positive)
             setBit(&Ext[Words], Bit);
-          if (Options.PruneSupersets &&
-              (HoldsSubsetOf(Accepted) || HoldsSubsetOf(Rejected)))
+          if (HoldsSubsetOf(Accepted) || HoldsSubsetOf(Rejected))
             continue;
           ++CubesChecked;
           // The witnesses are scanned first: a cube a witness satisfies
@@ -307,12 +306,10 @@ Dnf CubeSearch::searchRaw(const std::vector<ExprRef> &V, ExprRef Phi,
                 continue;
               }
             }
-            Accept();
-            if (!Options.PruneSupersets)
-              Keep(Next); // Else supersets are redundant (prime implicants).
+            Accept(); // Its supersets are redundant (prime implicants).
             continue;
           }
-          if (Options.PruneSupersets && !Phi->isFalse() && !Refuted(true) &&
+          if (!Phi->isFalse() && !Refuted(true) &&
               Valid(P.implies(EC ? EC : Concretize(), NotPhi))) {
             Keep(Rejected);
             continue; // No superset can imply phi non-vacuously.

@@ -70,16 +70,11 @@ struct CubeLit {
 using Cube = std::vector<CubeLit>;
 using Dnf = std::vector<Cube>;
 
-/// Tuning knobs (each is an ablation axis in bench/).
+/// The one tuning knob: the cone of influence and the superset pruning
+/// always run.
 struct CubeSearchOptions {
   /// Maximum cube length; -1 = |V| (exact).
   int MaxCubeLength = -1;
-  /// Optimization 3: restrict V to predicates sharing (aliased)
-  /// locations with phi before enumerating.
-  bool ConeOfInfluence = true;
-  /// Optimization 1: prune supersets of implicants and of
-  /// contradiction cubes. Disabling enumerates every cube (ablation).
-  bool PruneSupersets = true;
 };
 
 /// The verified models one enforce search (findContradictions) was

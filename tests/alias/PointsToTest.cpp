@@ -48,21 +48,15 @@ TEST_F(PointsToTest, CopyPropagates) {
   EXPECT_TRUE(PT.pointsToSet(*Q).count(PT.varCell(X)));
 }
 
-TEST_F(PointsToTest, AndersenIsDirectional) {
-  // q = p must not make p point to q's other targets in Andersen mode.
+TEST_F(PointsToTest, TopLevelCopyIsDirectional) {
+  // q = p must not make p point to q's other targets.
   const char *Src =
       "void f() { int x; int y; int *p; int *q; p = &x; q = &y; q = p; }";
   auto P = load(Src);
+  PointsTo PT(*P);
   const VarDecl *Y = var(*P, "f", "y");
   const VarDecl *Pp = var(*P, "f", "p");
-  {
-    PointsTo PT(*P, Mode::Andersen);
-    EXPECT_FALSE(PT.pointsToSet(*Pp).count(PT.varCell(Y)));
-  }
-  {
-    PointsTo PT(*P, Mode::Steensgaard);
-    EXPECT_TRUE(PT.pointsToSet(*Pp).count(PT.varCell(Y)));
-  }
+  EXPECT_FALSE(PT.pointsToSet(*Pp).count(PT.varCell(Y)));
 }
 
 TEST_F(PointsToTest, LoadThroughDoublePointer) {
@@ -74,7 +68,7 @@ TEST_F(PointsToTest, LoadThroughDoublePointer) {
       q = *pp;
     }
   )");
-  PointsTo PT(*P, Mode::Andersen);
+  PointsTo PT(*P);
   const VarDecl *X = var(*P, "f", "x");
   const VarDecl *Q = var(*P, "f", "q");
   EXPECT_TRUE(PT.pointsToSet(*Q).count(PT.varCell(X)));
@@ -89,7 +83,7 @@ TEST_F(PointsToTest, StoreThroughPointer) {
       q = p;
     }
   )");
-  PointsTo PT(*P, Mode::Andersen);
+  PointsTo PT(*P);
   const VarDecl *X = var(*P, "f", "x");
   const VarDecl *Q = var(*P, "f", "q");
   EXPECT_TRUE(PT.pointsToSet(*Q).count(PT.varCell(X)));
@@ -104,7 +98,7 @@ TEST_F(PointsToTest, FieldsAreFieldBased) {
       t = a->next;
     }
   )");
-  PointsTo PT(*P, Mode::Andersen);
+  PointsTo PT(*P);
   const VarDecl *T = var(*P, "f", "t");
   const VarDecl *B = var(*P, "f", "b");
   // t = a->next reads what was stored: t may point where b points.
@@ -133,7 +127,7 @@ TEST_F(PointsToTest, PartitionPointersNotAddressTaken) {
       return newl;
     }
   )");
-  PointsTo PT(*P); // Das mode, as in the paper.
+  PointsTo PT(*P);
   for (const char *Name : {"curr", "prev", "newl", "nextcurr"})
     EXPECT_FALSE(PT.isAddressTaken(*var(*P, "partition", Name))) << Name;
 }
@@ -161,7 +155,7 @@ TEST_F(PointsToTest, CallBindsActualsToFormals) {
       r = g(p);
     }
   )");
-  PointsTo PT(*P, Mode::Andersen);
+  PointsTo PT(*P);
   const VarDecl *X = var(*P, "f", "x");
   const VarDecl *Q = var(*P, "g", "q");
   const VarDecl *R = var(*P, "f", "r");
@@ -183,7 +177,7 @@ TEST_F(PointsToTest, ArrayElementsSummarized) {
   EXPECT_TRUE(PT.pointsToSet(*Pp).count(PT.elemCell(A)));
 }
 
-TEST_F(PointsToTest, DasAtLeastAsPreciseAsSteensgaard) {
+TEST_F(PointsToTest, SourcesOfOneTargetStayApart) {
   const char *Src = R"(
     void f() {
       int x; int y;
@@ -195,14 +189,16 @@ TEST_F(PointsToTest, DasAtLeastAsPreciseAsSteensgaard) {
     }
   )";
   auto P = load(Src);
-  PointsTo Das(*P, Mode::Das);
-  PointsTo Steens(*P, Mode::Steensgaard);
-  // In both, r points to x and y. In Steensgaard, p and q are merged
-  // with r so each also points to both; in Das, p keeps only x.
+  PointsTo PT(*P);
+  // r points to x and y; p keeps only x (a unification-based analysis
+  // would merge p and q through r).
   const VarDecl *Pp = var(*P, "f", "p");
+  const VarDecl *R = var(*P, "f", "r");
+  const VarDecl *X = var(*P, "f", "x");
   const VarDecl *Y = var(*P, "f", "y");
-  EXPECT_FALSE(Das.pointsToSet(*Pp).count(Das.varCell(Y)));
-  EXPECT_TRUE(Steens.pointsToSet(*Pp).count(Steens.varCell(Y)));
+  EXPECT_TRUE(PT.pointsToSet(*R).count(PT.varCell(X)));
+  EXPECT_TRUE(PT.pointsToSet(*R).count(PT.varCell(Y)));
+  EXPECT_FALSE(PT.pointsToSet(*Pp).count(PT.varCell(Y)));
 }
 
 } // namespace

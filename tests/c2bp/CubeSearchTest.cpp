@@ -2,7 +2,11 @@
 
 #include "c2bp/CubeSearch.h"
 
+#include "alias/Oracle.h"
 #include "c2bp/CExprToLogic.h"
+#include "c2bp/PredicateSet.h"
+#include "cfront/Normalize.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -136,20 +140,56 @@ TEST_F(CubeSearchTest, MaxCubeLengthTrades) {
 }
 
 TEST_F(CubeSearchTest, ConeOfInfluenceSavesQueries) {
+  // Only the predicates over x can matter to x < 4, so the search over
+  // all five checks the cubes of a search over those two alone.
   auto V = preds({"x < 5", "x == 2", "a == 1", "b == 2", "c == 3"});
-  CubeSearchOptions NoCone;
-  NoCone.ConeOfInfluence = false;
-  CubeSearch CS1 = make(NoCone);
-  CS1.findF(V, parse("x < 4"));
-  uint64_t Without = cubesChecked();
-
-  CubeSearch CS2 = make();
-  Dnf D = CS2.findF(V, parse("x < 4"));
-  uint64_t With = cubesChecked() - Without;
-  EXPECT_LT(With, Without);
-  // Same result.
+  CubeSearch CS = make();
+  EXPECT_EQ(CS.coneOfInfluence(V, parse("x < 4")), (std::vector<int>{0, 1}));
+  CS.findF(preds({"x < 5", "x == 2"}), parse("x < 4"));
+  uint64_t InCone = cubesChecked();
+  Dnf D = CS.findF(V, parse("x < 4"));
+  EXPECT_EQ(cubesChecked() - InCone, InCone);
   ASSERT_EQ(D.size(), 1u);
+  ASSERT_EQ(D[0].size(), 1u);
   EXPECT_EQ(D[0][0].Var, 1);
+  EXPECT_TRUE(D[0][0].Positive);
+}
+
+/// The size of each predicate's cone among the predicates of \p W's
+/// procedure \p Proc, under the workload's points-to oracle.
+std::vector<size_t> coneSizes(const workloads::Workload &W,
+                              const std::string &Proc) {
+  logic::LogicContext Ctx;
+  DiagnosticEngine Diags;
+  auto P = cfront::frontend(W.Source, Diags);
+  EXPECT_TRUE(P != nullptr) << Diags.str();
+  auto Preds = parsePredicateFile(Ctx, W.Predicates, Diags);
+  EXPECT_TRUE(Preds.has_value()) << Diags.str();
+  if (!P || !Preds)
+    return {};
+  alias::PointsTo PT(*P);
+  alias::ProgramAliasOracle Oracle(PT, *P, P->findFunction(Proc));
+  prover::Prover Prover(Ctx);
+  CubeSearch CS(Ctx, Prover, Oracle, CubeSearchOptions());
+  const std::vector<ExprRef> &V = Preds->forProc(Proc);
+  std::vector<size_t> Sizes;
+  for (ExprRef E : V)
+    Sizes.push_back(CS.coneOfInfluence(V, E).size());
+  return Sizes;
+}
+
+// Section 5.2: the cone keeps kmp's searches small, but in reverse every
+// pointer may alias every other, so each predicate's cone is all of
+// mark's predicates ("reverse defeats COI", EXPERIMENTS.md).
+TEST(CubeSearchCone, ReverseDefeatsTheConeAndKmpDoesNot) {
+  std::vector<size_t> Reverse = coneSizes(workloads::reverseWorkload(), "mark");
+  EXPECT_EQ(Reverse, std::vector<size_t>(7, 7));
+  std::vector<size_t> Kmp = coneSizes(workloads::kmpWorkload(), "kmpsearch");
+  ASSERT_EQ(Kmp.size(), 6u);
+  for (size_t Size : Kmp)
+    EXPECT_LT(Size, 6u);
+  // i >= 0 is alone; the five predicates over j and m share one cone.
+  EXPECT_EQ(Kmp, (std::vector<size_t>{1, 5, 5, 5, 5, 5}));
 }
 
 TEST_F(CubeSearchTest, SyntacticFastPathNeedsNoProver) {

@@ -83,7 +83,7 @@ private:
 
   Dnf search(const std::vector<ExprRef> &V, ExprRef Phi) {
     std::vector<int> Indices;
-    if (Options.ConeOfInfluence && !Phi->isFalse()) {
+    if (!Phi->isFalse()) {
       Indices = CS.coneOfInfluence(V, Phi);
     } else {
       for (size_t I = 0; I != V.size(); ++I)
@@ -105,8 +105,7 @@ private:
           for (bool Positive : {true, false}) {
             Cube Ext = C;
             Ext.push_back({Idx, Positive});
-            if (Options.PruneSupersets &&
-                (hasSubsetIn(Result, Ext) || hasSubsetIn(Rejected, Ext)))
+            if (hasSubsetIn(Result, Ext) || hasSubsetIn(Rejected, Ext))
               continue;
             ExprRef EC = CS.concretize(V, Ext);
             if (EC->isFalse()) {
@@ -120,12 +119,9 @@ private:
                 continue;
               }
               Result.push_back(Ext);
-              if (!Options.PruneSupersets)
-                Next.push_back(Ext);
               continue;
             }
-            if (Options.PruneSupersets && !Phi->isFalse() &&
-                valid(EC, Ctx.notE(Phi))) {
+            if (!Phi->isFalse() && valid(EC, Ctx.notE(Phi))) {
               Rejected.push_back(Ext);
               continue;
             }
@@ -308,8 +304,6 @@ TEST(WitnessPruning, RandomFormulasMatchAWitnessFreeEnumeration) {
     prover::Prover Prover(Ctx, &Stats); // One cache for the case.
     RandomFormulas Gen(Ctx, Seeds());
     CubeSearchOptions Options;
-    Options.PruneSupersets = Case % 5 != 4;
-    Options.ConeOfInfluence = Case % 3 != 2;
     std::vector<ExprRef> V;
     while (V.size() != size_t(3 + Case % 3))
       if (ExprRef E = Gen.parse(Gen.atom());

@@ -610,8 +610,6 @@ TEST(Incremental, MemoServesOneProgramAndOneSetOfOptions) {
   NoEnforce.UseEnforce = false;
   c2bp::C2bpOptions NoAlias = Opts;
   NoAlias.UseAliasAnalysis = false;
-  c2bp::C2bpOptions Steensgaard = Opts;
-  Steensgaard.AliasMode = alias::Mode::Steensgaard;
-  for (const c2bp::C2bpOptions &Bad : {K2, NoEnforce, NoAlias, Steensgaard})
+  for (const c2bp::C2bpOptions &Bad : {K2, NoEnforce, NoAlias})
     EXPECT_THROW(Abstract(*P, Ctx, Bad), std::invalid_argument);
 }
