@@ -58,21 +58,21 @@ private:
     GotoTargets.clear();
     LoopDepth = 0;
 
+    // C2bp and Bebop name a variable by its spelling, so a local or
+    // parameter that shadows a global would be taken for it.
     std::set<std::string> Names;
-    for (VarDecl *V : F.Params)
+    for (VarDecl *V : F.Params) {
       if (!Names.insert(V->Name).second)
         error(V->Loc, "duplicate parameter '" + V->Name + "'");
+      if (P.findGlobal(V->Name))
+        error(V->Loc, "parameter '" + V->Name + "' shadows a global");
+    }
     for (VarDecl *V : F.Locals) {
       if (!Names.insert(V->Name).second)
         error(V->Loc, "duplicate local '" + V->Name + "'");
       if (P.findGlobal(V->Name))
-        Diags.warning(V->Loc,
-                      "local '" + V->Name + "' shadows a global variable");
+        error(V->Loc, "local '" + V->Name + "' shadows a global");
     }
-    for (VarDecl *V : F.Params)
-      if (P.findGlobal(V->Name))
-        Diags.warning(V->Loc,
-                      "parameter '" + V->Name + "' shadows a global");
 
     if (!F.Body)
       return; // Extern.

@@ -132,12 +132,11 @@ TEST_F(SemaTest, DuplicateDeclarations) {
   expectError("void f() { l: ; l: ; }", "duplicate label");
 }
 
-TEST_F(SemaTest, ShadowingWarns) {
-  DiagnosticEngine Diags;
-  auto P = parseProgram("int x; void f() { int x; x = 1; }", Diags);
-  ASSERT_TRUE(P != nullptr);
-  EXPECT_TRUE(analyze(*P, Diags));
-  EXPECT_NE(Diags.str().find("shadows"), std::string::npos);
+TEST_F(SemaTest, ShadowingIsAnError) {
+  expectError("int x; void f() { int x; x = 1; }",
+              "local 'x' shadows a global");
+  expectError("int x; void f(int x) { x = 1; }",
+              "parameter 'x' shadows a global");
 }
 
 TEST_F(SemaTest, AddressOfRequiresLocation) {
