@@ -15,6 +15,7 @@
 #include "PipelineFlags.h"
 #include "c2bp/C2bp.h"
 #include "cfront/Normalize.h"
+#include "logic/ExprUtils.h"
 
 #include <cstdio>
 #include <fstream>
@@ -60,11 +61,23 @@ int main(int argc, char **argv) {
   }
   logic::LogicContext Ctx;
   auto Preds = c2bp::parsePredicateFile(Ctx, PredText, Diags);
-  if (Preds)
+  if (Preds) {
     for (const auto &[Scope, _] : Preds->PerProc)
       if (!Program->findFunction(Scope))
         Diags.error(SourceLoc(), "predicate scope '" + Scope +
                                      "' names no procedure");
+    // A global predicate over a procedure's variable would be read as a
+    // global; names the program does not declare stay auxiliary.
+    for (logic::ExprRef E : Preds->Globals)
+      for (const std::string &Name : logic::collectVars(E))
+        for (const cfront::FuncDecl *F : Program->Functions)
+          if (F->findLocalOrParam(Name)) {
+            Diags.error(SourceLoc(), "global predicate '" + E->str() +
+                                         "' names '" + Name +
+                                         "', declared in '" + F->Name + "'");
+            break;
+          }
+  }
   if (!Preds || Diags.hasErrors()) {
     std::fprintf(stderr, "%s", Diags.str().c_str());
     Obs.finish("c2bp", Stats);
