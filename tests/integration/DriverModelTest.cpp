@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 using namespace slam;
 using namespace slam::workloads;
 using slamtool::SlamResult;
@@ -56,6 +59,18 @@ TEST(DriverModels, SizesFollowThePaperOrdering) {
   EXPECT_EQ(Lines("openclos"), 575u);
   EXPECT_EQ(Lines("srdriver"), 2643u);
   EXPECT_EQ(Lines("log"), 1009u);
+}
+
+// examples/programs/floppy.c is the floppy model as a file the tools
+// read (tools/ci.sh runs slam on it); it must stay the generator's.
+TEST(DriverModels, FloppyExampleIsTheGeneratedModel) {
+  std::ifstream In(SLAM_EXAMPLES_DIR "/floppy.c");
+  ASSERT_TRUE(In.good());
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  for (const DriverModel &M : table1Drivers())
+    if (M.Name == "floppy")
+      EXPECT_EQ(Buf.str(), M.Source);
 }
 
 TEST(DriverModels, DiscoveredPredicatesRoundTripThroughTheParser) {

@@ -21,7 +21,8 @@
 #              then slam --stats-json asserts that the cross-iteration
 #              memo reuses procedures on locking.c and dispatch.c, and
 #              that the session reuses Bebop relations on dispatch.c
-#   determinism  c2bp and slam on the examples, three times at -j 1
+#   determinism  c2bp and slam on the examples (the floppy driver model's
+#              BUG FOUND among them), three times at -j 1
 #              (ASLR on) and five times each at -j 2/4, and bebop on a
 #              multi-procedure example and on Table 2's reverse three
 #              times (it has no -j);
@@ -153,6 +154,7 @@ for_each_example_case() {
   "$1" slam-irp slam "$EX/irp.c" --irp CompleteRequest,MarkPending
   "$1" slam-dispatch slam "$EX/dispatch.c" --lock AcquireLock,ReleaseLock
   "$1" slam-void_callee slam "$EX/void_callee.c"
+  "$1" slam-floppy slam "$EX/floppy.c" --lock AcquireLock,ReleaseLock
   "$1" bebop-frames bebop "$EX/frames.bp" --trace
   "$1" bebop-reverse bebop \
     "$ROOT/tests/integration/table2_golden/reverse.k3.bp" --entry mark --trace
