@@ -82,6 +82,8 @@ public:
 
   /// Creates the next variable (level == index).
   int newVar();
+  /// The number of variables created.
+  int numVars() const { return NumVars; }
 
   size_t numNodes() const { return Nodes.size(); }
 

@@ -18,8 +18,8 @@
 // Path edges PE(n) live over (E, C) and summaries over (SE, SC), so a
 // caller and its callee share slots without colliding: a call binds the
 // caller's C/N rails to the callee's SE/SC rails, as a recursive call
-// always did. The session allocates 5 x the largest frame variables
-// once, then the choice variables. All renames used (N->C, SE->E,
+// always did. The session allocates 5 x the largest frame variables,
+// then the choice variables. All renames used (N->C, SE->E,
 // E->SE / C->SC, C_t->N_t) are order-preserving by construction. A
 // name resolves by scanning the procedure's locals, its parameters,
 // then the globals, last declaration first (slotOf). Near-identical
@@ -35,7 +35,9 @@
 // (callStep): In ties the callee's SE rail to the caller's C rail and
 // arguments, Out ties the caller's N rail of the globals and targets to
 // the callee's SC rail. Both are built on first use, with the choice
-// variables of `*` and `choose` quantified out, and the image (post,
+// variables of `*` and `choose` quantified out (so no kept BDD names a
+// choice variable, and a growing frame's slots may take over their
+// indices: Session::Impl::grow), and the image (post,
 // processCall) and the pre-image (preOp, trace reconstruction) read the
 // same ones. Likewise every variable set a step quantifies and every
 // renaming it applies is interned with the BDD manager, those over
@@ -48,9 +50,29 @@
 // relations, interned sets) live in a Session that the checkers of a
 // CEGAR loop share, keyed by BProc::Serial, so a procedure the memo
 // reuses keeps them; a call binding is rebuilt when its callee changes.
-// A checker builds entries for new procedures, drops those of procedures
-// its program lacks, and clears the path edges and summaries it set when
-// it dies. A checker given no session makes its own.
+// A checker whose program has the last one's procedure names in the
+// same order patches only the procedures whose serial changed; any
+// other program re-indexes them all. A checker given no session makes
+// its own.
+//
+// Resuming: the session also keeps the last run. Its Rank-th update
+// (an entry seed, a path edge, a summary) is Updates[Rank - 1], and a
+// path-edge update queues its node and a summary update its
+// procedure's call sites, so the updates are the worklist too: a run
+// pops them through a cursor. The run is deterministic, and before the
+// first seeding of a changed procedure only unchanged procedures do
+// anything: a changed one's call nodes may be queued (as call sites of
+// an unchanged callee whose summary grew), but they have no path edges
+// yet, so popping them changes nothing and takes no rank. So the next
+// checker undoes every update from the earliest such seeding on
+// (Session::Impl::rewind), moves the cursor back to the pop that made
+// it, and runs live from there. A queued summary update expands to the
+// callee's call sites when popped, so the restored queue holds the new
+// procedures' call sites where the old ones stood, as a fresh run's
+// would; they pop before the entry node that the seeding queues behind
+// them, so they find no path edges either way. A run starts from zero
+// when the entry procedure or StopAtFirstViolation differs from the
+// last run's. The step counters count live work only.
 //
 //===----------------------------------------------------------------------===//
 
@@ -60,10 +82,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <numeric>
 #include <stdexcept>
-#include <string_view>
 #include <unordered_map>
 
 using namespace slam;
@@ -108,7 +128,7 @@ struct CallStep {
 /// One CFG node's reachable states and, for a non-call node, its
 /// relation and what its image quantifies and renames.
 struct NodeInfo {
-  // Per run; a checker clears what it set (Bebop::Impl::Touched).
+  // The last run's; Session::Impl::rewind undoes them.
   Node PE = BddManager::False;
   /// (rank, cumulative PE) growth log for traces.
   std::vector<std::pair<uint64_t, Node>> Log;
@@ -125,17 +145,39 @@ struct NodeInfo {
   uint64_t RelRead = 0, BadRead = 0;
 };
 
-/// One procedure's layout, relations and, for the current run, its
+/// A position of the worklist: the next update to pop from, the next
+/// call site of a summary update, and the pops made before it.
+struct Cursor {
+  size_t Item = 0, Site = 0;
+  uint64_t Pops = 0;
+};
+
+/// One update of a run (Session::Impl::Updates).
+struct Update {
+  int Proc;
+  /// The node whose path edges grew, or SummaryUpdate or EntryUpdate.
+  int NodeId;
+};
+constexpr int SummaryUpdate = -1, EntryUpdate = -2;
+
+/// One procedure's layout, relations and, for the last run, its
 /// reachable states.
 struct ProcInfo {
   const BProc *Proc = nullptr;
   const ProcCfg *Cfg = nullptr;
+  /// Copies of the procedure's serial and name: a later checker reads
+  /// them when the procedure may be gone.
+  uint64_t Serial = 0;
+  std::string Name;
   /// The frame's first local slot and first <retK> slot.
   int LocalBase = 0, RetBase = 0;
 
   std::vector<NodeInfo> Nodes;
   /// Per call node: its binding (callStep).
   std::map<int, CallStep> Calls;
+  /// The call sites of this procedure in the last program: (caller
+  /// index, caller node), in order.
+  std::vector<std::pair<int, int>> CallSites;
 
   Node EnforceBdd = BddManager::True; // Over the C rail.
   /// E <-> C over the globals and parameters (identity).
@@ -146,9 +188,7 @@ struct ProcInfo {
   /// The last run whose program has this procedure.
   uint64_t LastRun = 0;
 
-  // Per run; a checker clears them (clearRun).
-  /// The call sites of this procedure: (caller index, caller node).
-  std::vector<std::pair<int, int>> CallSites;
+  // The last run's; Session::Impl::rewind undoes them.
   Node Summary = BddManager::False;
   std::vector<std::pair<uint64_t, Node>> SummaryLog;
   Node EntrySeen = BddManager::False;
@@ -157,16 +197,12 @@ struct ProcInfo {
     Node States; // Over the E rail.
     int CallerProc;
     int CallerNode;
+    Node Seen; // EntrySeen after it.
   };
   std::vector<EntryRec> EntryLog;
-
-  /// Clears the per-run fields but the nodes'.
-  void clearRun() {
-    CallSites.clear();
-    Summary = EntrySeen = BddManager::False;
-    SummaryLog.clear();
-    EntryLog.clear();
-  }
+  /// The worklist position of the pop that first seeded it (EntryLog
+  /// not empty).
+  Cursor Seeded;
 };
 
 int railVar(int Slot, Rail R) { return 5 * Slot + R; }
@@ -190,17 +226,23 @@ std::map<int, int> railMap(const std::vector<int> &Slots, Rail From,
   return Ren;
 }
 
+/// The last of a (rank, cumulative set) log, False if it is empty.
+Node lastOf(const std::vector<std::pair<uint64_t, Node>> &Log) {
+  return Log.empty() ? BddManager::False : Log.back().second;
+}
+
 } // namespace
 
 struct Session::Impl {
   BddManager M;
   /// The globals and the number of slots the manager's variables are
-  /// laid out for; NumSlots < 0 before the first checker.
+  /// laid out for; Started is false before the first checker.
   std::vector<std::string> Globals;
-  int NumSlots = -1;
+  bool Started = false;
+  int NumSlots = 0;
   /// Every slot, and sets and renamings over all of them, interned
-  /// once; one that names slots outside a procedure's frame leaves that
-  /// procedure's BDDs alone.
+  /// once per frame size; one that names slots outside a procedure's
+  /// frame leaves that procedure's BDDs alone.
   std::vector<int> Slots;
   VarSet AllE, AllC, AllSE, AllEC;
   /// E/C -> SE/SC and back, for summaries and for entry states that
@@ -210,22 +252,54 @@ struct Session::Impl {
   std::vector<int> ChoiceVars;
   /// Per procedure, by BProc::Serial.
   std::unordered_map<uint64_t, ProcInfo> Procs;
+  /// The last program's procedures in program order, and their indices
+  /// by name.
+  std::vector<ProcInfo *> Order;
+  std::unordered_map<std::string, int> Index;
   /// Checkers constructed so far; whether one is alive.
   uint64_t Runs = 0;
   bool Busy = false;
 
-  /// Starts over with a fresh manager laid out for \p NewGlobals and
-  /// \p Frame slots.
-  void start(const std::vector<std::string> &NewGlobals, int Frame) {
-    if (NumSlots >= 0) {
-      Procs.clear();
-      ChoiceVars.clear();
-      M = BddManager();
-    }
+  // The last run, which the next checker resumes (see the file comment).
+  std::vector<Update> Updates;
+  Cursor Next;
+  /// The nodes given path edges, in the order of their first update.
+  std::vector<NodeInfo *> Touched;
+  std::string Entry;
+  bool StopAtFirstViolation = true;
+  /// The first observed assertion failure, and the updates made before
+  /// it was found.
+  bool Failed = false;
+  int FailProc = -1, FailNode = -1;
+  Node FailStates = BddManager::False;
+  size_t FailRank = 0;
+
+  /// Starts over with a fresh manager laid out for \p NewGlobals.
+  void start(const std::vector<std::string> &NewGlobals) {
+    M = BddManager();
     Globals = NewGlobals;
-    NumSlots = Frame;
-    for (int V = 0; V != 5 * Frame; ++V)
+    Started = true;
+    NumSlots = 0;
+    ChoiceVars.clear();
+    Procs.clear();
+    Order.clear();
+    Index.clear();
+    Updates.clear();
+    Next = Cursor();
+    Touched.clear();
+    Failed = false;
+    grow(0);
+  }
+
+  /// Widens the frame to \p Frame slots. No BDD the session keeps names
+  /// a choice variable (they are quantified out of every relation), so
+  /// the new slots take over the indices of the choice variables below
+  /// 5 x \p Frame, and later choices take fresh ones above.
+  void grow(int Frame) {
+    std::erase_if(ChoiceVars, [Frame](int V) { return V < 5 * Frame; });
+    while (M.numVars() < 5 * Frame)
       M.newVar();
+    NumSlots = Frame;
     Slots.resize(Frame);
     std::iota(Slots.begin(), Slots.end(), 0);
     AllE = M.varSet(railVars(Slots, {RailE}));
@@ -238,6 +312,33 @@ struct Session::Impl {
     Ren = railMap(Slots, RailSE, RailE);
     Ren.merge(railMap(Slots, RailSC, RailC));
     FromSummary = M.renaming(Ren);
+  }
+
+  /// Undoes the last run's updates after the first \p Keep, and its
+  /// failure if found after them. Order must be the run's procedures.
+  void rewind(size_t Keep) {
+    for (; Updates.size() > Keep; Updates.pop_back()) {
+      auto [P, N] = Updates.back();
+      ProcInfo &PI = *Order[P];
+      if (N >= 0) {
+        NodeInfo &NI = PI.Nodes[N];
+        NI.Log.pop_back();
+        NI.PE = lastOf(NI.Log);
+      } else if (N == SummaryUpdate) {
+        PI.SummaryLog.pop_back();
+        PI.Summary = lastOf(PI.SummaryLog);
+      } else {
+        PI.EntryLog.pop_back();
+        PI.EntrySeen =
+            PI.EntryLog.empty() ? BddManager::False : PI.EntryLog.back().Seen;
+      }
+    }
+    while (!Touched.empty() && Touched.back()->Log.empty())
+      Touched.pop_back();
+    if (Failed && FailRank > Keep)
+      Failed = false;
+    if (Keep == 0)
+      Next = Cursor();
   }
 };
 
@@ -253,24 +354,19 @@ struct Bebop::Impl {
   BddManager &M;
 
   /// This run's procedures, in program order, and their indices by name.
-  std::vector<ProcInfo *> Procs;
-  std::unordered_map<std::string_view, int> ProcIndex;
-  /// The nodes this run gave path edges, which it clears when it dies.
-  std::vector<NodeInfo *> Touched;
+  std::vector<ProcInfo *> &Procs;
+  std::unordered_map<std::string, int> &ProcIndex;
   /// This run's number (Session::Impl::Runs).
   uint64_t RunId = 0;
   int NumGlobals = 0;
-  uint64_t Rank = 0;
-  std::deque<std::pair<int, int>> Worklist;
+  /// The worklist position of the current pop.
+  Cursor Popped;
 
-  // First observed assertion failure.
-  bool Failed = false;
-  int FailProc = -1, FailNode = -1;
-  Node FailStates = BddManager::False;
-
-  /// The bebop.steps, bebop.pe_updates, bebop.summary_updates and
-  /// bebop.relations_reused not yet published (publishCounters).
-  uint64_t Steps = 0, PEUpdates = 0, SummaryUpdates = 0, RelationsReused = 0;
+  /// The bebop.steps, bebop.pe_updates, bebop.summary_updates,
+  /// bebop.relations_reused and bebop.steps_resumed not yet published
+  /// (publishCounters).
+  uint64_t Steps = 0, PEUpdates = 0, SummaryUpdates = 0, RelationsReused = 0,
+           StepsResumed = 0;
   /// bddNodes() of the last run.
   size_t ReachNodes = 0;
 
@@ -304,26 +400,94 @@ struct Bebop::Impl {
     return "<ret" + std::to_string(Slot - PI.RetBase) + ">";
   }
 
+  /// The slots \p BP's frame needs.
+  int frameOf(const BProc &BP) const {
+    return NumGlobals + static_cast<int>(BP.Params.size() + BP.Locals.size() +
+                                         BP.NumReturns);
+  }
+
   Impl(const BProgram &P, StatsRegistry *Stats, Session *Given)
       : Prog(P), Stats(Stats),
         Own(Given ? nullptr : std::make_unique<Session>()),
-        S(*(Given ? Given : Own.get())->M), M(S.M) {
+        S(*(Given ? Given : Own.get())->M), M(S.M), Procs(S.Order),
+        ProcIndex(S.Index) {
     TraceSpan Span("bebop.build", "bebop");
     if (S.Busy)
       throw std::logic_error("bebop::Session serves one checker at a time");
     NumGlobals = static_cast<int>(Prog.Globals.size());
-    int Frame = NumGlobals;
-    for (const BProc *BP : Prog.Procs)
-      Frame = std::max(Frame, NumGlobals +
-                                  static_cast<int>(BP->Params.size() +
-                                                   BP->Locals.size() +
-                                                   BP->NumReturns));
-    if (Prog.Globals != S.Globals || Frame > S.NumSlots)
-      S.start(Prog.Globals, Frame);
-
+    if (!S.Started || Prog.Globals != S.Globals)
+      S.start(Prog.Globals);
     RunId = ++S.Runs;
-    Procs.reserve(Prog.Procs.size());
-    ProcIndex.reserve(Prog.Procs.size());
+
+    // The same procedure names in the same order: patch the changed.
+    std::vector<int> Changed;
+    bool SameNames = Prog.Procs.size() == Procs.size();
+    for (size_t I = 0; SameNames && I != Prog.Procs.size(); ++I)
+      if (Prog.Procs[I]->Serial != Procs[I]->Serial) {
+        SameNames = Prog.Procs[I]->Name == Procs[I]->Name;
+        Changed.push_back(static_cast<int>(I));
+      }
+    if (SameNames)
+      patch(Changed);
+    else
+      reindex();
+    S.Busy = true;
+  }
+
+  /// Leaves the last run to the next checker.
+  ~Impl() { S.Busy = false; }
+
+  /// Replaces the procedures at the indices \p Changed, having moved
+  /// the last run back to the first seeding of any of them.
+  void patch(const std::vector<int> &Changed) {
+    const ProcInfo *First = nullptr;
+    int Frame = S.NumSlots;
+    for (int I : Changed) {
+      const ProcInfo &Old = *Procs[I];
+      if (!Old.EntryLog.empty() &&
+          (!First || Old.EntryLog[0].Rank < First->EntryLog[0].Rank))
+        First = &Old;
+      Frame = std::max(Frame, frameOf(*Prog.Procs[I]));
+    }
+    if (First) {
+      // The pop of a path-edge update of an unchanged caller made it.
+      Cursor At = First->Seeded;
+      assert(At.Site == 0 && "seeded from a call site of a summary");
+      S.rewind(First->EntryLog[0].Rank - 1);
+      S.Next = At;
+    }
+    if (Frame > S.NumSlots)
+      S.grow(Frame);
+
+    // The old versions' call sites leave their callees' lists first, so
+    // a new version inherits only its unchanged callers'.
+    for (int I : Changed)
+      for (const auto &[N, CS] : Procs[I]->Calls)
+        std::erase(Procs[CS.Callee]->CallSites, std::pair(I, N));
+    for (int I : Changed) {
+      ProcInfo &Old = *Procs[I];
+      auto [It, New] = S.Procs.try_emplace(Prog.Procs[I]->Serial);
+      assert(New && "a serial at two indices");
+      ProcInfo &PI = It->second;
+      layOut(PI, *Prog.Procs[I]);
+      PI.CallSites = std::move(Old.CallSites);
+      S.Procs.erase(Old.Serial);
+      Procs[I] = &PI;
+    }
+    for (int I : Changed)
+      bindCalls(I);
+  }
+
+  /// Indexes every procedure of the program anew, from a run of zero.
+  void reindex() {
+    S.rewind(0);
+    int Frame = std::max(S.NumSlots, NumGlobals);
+    for (const BProc *BP : Prog.Procs)
+      Frame = std::max(Frame, frameOf(*BP));
+    if (Frame > S.NumSlots)
+      S.grow(Frame);
+    Procs.clear();
+    ProcIndex.clear();
     for (size_t I = 0; I != Prog.Procs.size(); ++I) {
       const BProc *BP = Prog.Procs[I];
       ProcIndex[BP->Name] = static_cast<int>(I);
@@ -332,38 +496,29 @@ struct Bebop::Impl {
       if (New)
         layOut(PI, *BP);
       PI.LastRun = RunId;
+      PI.CallSites.clear();
       Procs.push_back(&PI);
     }
     // No later program has these procedures.
     std::erase_if(S.Procs, [this](const auto &Entry) {
       return Entry.second.LastRun != RunId;
     });
-
-    // Call sites; a binding built for another callee starts over.
     for (size_t I = 0; I != Procs.size(); ++I)
-      for (auto &[N, CS] : Procs[I]->Calls) {
-        auto It = ProcIndex.find(Procs[I]->Cfg->node(N).Stmt->Callee);
-        assert(It != ProcIndex.end() && "verified program");
-        ProcInfo &Callee = *Procs[It->second];
-        if (CS.CalleeSerial != Callee.Proc->Serial) {
-          CS = CallStep();
-          CS.CalleeSerial = Callee.Proc->Serial;
-        }
-        CS.Callee = It->second;
-        Callee.CallSites.emplace_back(static_cast<int>(I), N);
-      }
-    S.Busy = true;
+      bindCalls(static_cast<int>(I));
   }
 
-  /// Leaves the session's entries as the next checker expects them.
-  ~Impl() {
-    for (NodeInfo *NI : Touched) {
-      NI->PE = BddManager::False;
-      NI->Log.clear();
+  /// Points the call nodes of procedure \p I at their callees, and adds
+  /// them to the callees' call sites.
+  void bindCalls(int I) {
+    for (auto &[N, CS] : Procs[I]->Calls) {
+      auto It = ProcIndex.find(Procs[I]->Cfg->node(N).Stmt->Callee);
+      assert(It != ProcIndex.end() && "verified program");
+      CS.Callee = It->second;
+      std::vector<std::pair<int, int>> &Sites = Procs[It->second]->CallSites;
+      Sites.insert(std::lower_bound(Sites.begin(), Sites.end(),
+                                    std::pair(I, N)),
+                   {I, N});
     }
-    for (ProcInfo *PI : Procs)
-      PI->clearRun();
-    S.Busy = false;
   }
 
   /// Notes that this run reads a relation last read in run \p LastRead:
@@ -380,6 +535,8 @@ struct Bebop::Impl {
   void layOut(ProcInfo &PI, const BProc &BP) {
     PI.Proc = &BP;
     PI.Cfg = &BP.cfg();
+    PI.Serial = BP.Serial;
+    PI.Name = BP.Name;
     PI.LocalBase = NumGlobals + static_cast<int>(BP.Params.size());
     PI.RetBase = PI.LocalBase + static_cast<int>(BP.Locals.size());
     PI.Nodes.resize(PI.Cfg->numNodes());
@@ -489,6 +646,12 @@ struct Bebop::Impl {
     CallStep &CS = Caller.Calls.at(NodeId);
     const BStmt *CallS = Caller.Cfg->node(NodeId).Stmt;
     const ProcInfo &Callee = *Procs[CS.Callee];
+    if (CS.CalleeSerial != Callee.Serial) {
+      int Index = CS.Callee;
+      CS = CallStep();
+      CS.CalleeSerial = Callee.Serial;
+      CS.Callee = Index;
+    }
     read(CS.InRead, CS.In);
     if (CS.In == Unbuilt) {
       // Globals pass through; parameters take the encoded arguments.
@@ -559,16 +722,21 @@ struct Bebop::Impl {
   }
 
   // -- Propagation -------------------------------------------------------
+  /// Logs update \p U; returns its rank.
+  uint64_t log(Update U) {
+    S.Updates.push_back(U);
+    return S.Updates.size();
+  }
+
   void updatePE(int ProcIdx, int NodeId, Node Add) {
     NodeInfo &NI = Procs[ProcIdx]->Nodes[NodeId];
     Node U = M.mkOr(NI.PE, Add);
     if (U == NI.PE)
       return;
     if (NI.Log.empty())
-      Touched.push_back(&NI);
+      S.Touched.push_back(&NI);
     NI.PE = U;
-    NI.Log.emplace_back(++Rank, U);
-    Worklist.emplace_back(ProcIdx, NodeId);
+    NI.Log.emplace_back(log({ProcIdx, NodeId}), U);
     ++PEUpdates;
   }
 
@@ -578,9 +746,11 @@ struct Bebop::Impl {
     Node NewStates = M.mkAnd(EntryStatesE, M.mkNot(PI.EntrySeen));
     if (NewStates == BddManager::False)
       return;
+    if (PI.EntryLog.empty())
+      PI.Seeded = Popped;
     PI.EntrySeen = M.mkOr(PI.EntrySeen, NewStates);
-    PI.EntryLog.push_back(
-        {++Rank, NewStates, CallerProc, CallerNode});
+    PI.EntryLog.push_back({log({ProcIdx, EntryUpdate}), NewStates,
+                           CallerProc, CallerNode, PI.EntrySeen});
     Node Seed = M.mkAnd(M.mkAnd(NewStates, identity(PI)), PI.EnforceBdd);
     updatePE(ProcIdx, PI.Cfg->entry(), Seed);
   }
@@ -627,14 +797,12 @@ struct Bebop::Impl {
     if (U == PI.Summary)
       return;
     PI.Summary = U;
-    PI.SummaryLog.emplace_back(++Rank, U);
-    for (const auto &[CP, CN] : PI.CallSites)
-      Worklist.emplace_back(CP, CN);
+    PI.SummaryLog.emplace_back(log({ProcIdx, SummaryUpdate}), U);
     ++SummaryUpdates;
   }
 
   void checkAssert(int ProcIdx, int NodeId) {
-    if (Failed)
+    if (S.Failed)
       return;
     ProcInfo &PI = *Procs[ProcIdx];
     NodeInfo &NI = PI.Nodes[NodeId];
@@ -648,23 +816,56 @@ struct Bebop::Impl {
     Node Fail = M.mkAnd(NI.PE, NI.Bad);
     if (Fail == BddManager::False)
       return;
-    Failed = true;
-    FailProc = ProcIdx;
-    FailNode = NodeId;
-    FailStates = Fail;
+    S.Failed = true;
+    S.FailProc = ProcIdx;
+    S.FailNode = NodeId;
+    S.FailStates = Fail;
+    S.FailRank = S.Updates.size();
   }
 
   // -- Main loop ------------------------------------------------------------
+  /// Moves the worklist's cursor to the next queued node, a path-edge
+  /// update's or a call site of a summary update's procedure; false if
+  /// none is left.
+  bool advance() {
+    Cursor &C = S.Next;
+    for (; C.Item != S.Updates.size(); ++C.Item, C.Site = 0) {
+      auto [P, N] = S.Updates[C.Item];
+      if (N >= 0 ? C.Site == 0
+                 : N == SummaryUpdate && C.Site < Procs[P]->CallSites.size())
+        return true;
+    }
+    return false;
+  }
+
+  /// Pops the node at the cursor.
+  std::pair<int, int> pop() {
+    Cursor &C = S.Next;
+    auto [P, N] = S.Updates[C.Item];
+    ++C.Pops;
+    if (N >= 0) {
+      ++C.Site;
+      return {P, N};
+    }
+    return Procs[P]->CallSites[C.Site++];
+  }
+
   void run(const std::string &EntryProc, bool StopAtFirstViolation) {
     auto It = ProcIndex.find(EntryProc);
     assert(It != ProcIndex.end() && "unknown entry procedure");
-    seedEntry(It->second, BddManager::True, -1, -1);
+    if (EntryProc != S.Entry ||
+        StopAtFirstViolation != S.StopAtFirstViolation) {
+      S.rewind(0);
+      S.Entry = EntryProc;
+      S.StopAtFirstViolation = StopAtFirstViolation;
+    }
+    StepsResumed = S.Next.Pops;
+    if (S.Updates.empty())
+      seedEntry(It->second, BddManager::True, -1, -1);
 
-    while (!Worklist.empty()) {
-      if (Failed && StopAtFirstViolation)
-        break;
-      auto [ProcIdx, NodeId] = Worklist.front();
-      Worklist.pop_front();
+    while (!(S.Failed && StopAtFirstViolation) && advance()) {
+      Popped = S.Next;
+      auto [ProcIdx, NodeId] = pop();
       ProcInfo &PI = *Procs[ProcIdx];
       const CfgNode &N = PI.Cfg->node(NodeId);
       ++Steps;
@@ -697,6 +898,7 @@ struct Bebop::Impl {
     Publish("bebop.pe_updates", PEUpdates);
     Publish("bebop.summary_updates", SummaryUpdates);
     Publish("bebop.relations_reused", RelationsReused);
+    Publish("bebop.steps_resumed", StepsResumed);
   }
 
   // -- Trace reconstruction -------------------------------------------------
@@ -841,10 +1043,10 @@ struct Bebop::Impl {
   /// Full interprocedural trace ending at the failing node.
   std::vector<TraceStep> buildTrace() {
     std::vector<TraceStep> Steps;
-    int ProcIdx = FailProc;
-    int NodeId = FailNode;
-    Node X = FailStates;
-    uint64_t Bound = Rank + 1;
+    int ProcIdx = S.FailProc;
+    int NodeId = S.FailNode;
+    Node X = S.FailStates;
+    uint64_t Bound = S.Updates.size() + 1;
 
     // The failing assert itself.
     pushStep(Steps, ProcIdx, NodeId);
@@ -906,18 +1108,19 @@ CheckResult Bebop::run(const std::string &EntryProc,
                        bool StopAtFirstViolation) {
   TraceSpan Span("bebop.run", "bebop");
   M->run(EntryProc, StopAtFirstViolation);
+  const Session::Impl &S = M->S;
   CheckResult R;
-  R.AssertViolated = M->Failed;
-  if (M->Failed) {
-    R.FailingProc = M->Procs[M->FailProc]->Proc->Name;
-    R.FailingStmt = M->Procs[M->FailProc]->Cfg->node(M->FailNode).Stmt;
+  R.AssertViolated = S.Failed;
+  if (S.Failed) {
+    R.FailingProc = M->Procs[S.FailProc]->Name;
+    R.FailingStmt = M->Procs[S.FailProc]->Cfg->node(S.FailNode).Stmt;
     R.Trace = M->buildTrace();
   }
   // Untouched nodes' path edges are False.
   std::vector<Node> Roots = {BddManager::False};
   for (const ProcInfo *PI : M->Procs)
     Roots.push_back(PI->Summary);
-  for (const NodeInfo *NI : M->Touched)
+  for (const NodeInfo *NI : S.Touched)
     Roots.push_back(NI->PE);
   M->ReachNodes = M->M.nodeCount(Roots);
   if (M->Stats) {

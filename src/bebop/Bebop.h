@@ -69,9 +69,12 @@ struct CheckResult {
 /// round's checker, so a procedure the abstraction memo hands to the
 /// next round keeps what earlier rounds built for it. Entries are keyed
 /// by BProc::Serial, never by address; a call binding also by its
-/// callee's serial. The session starts over when the globals change or
-/// a frame outgrows its variables, and drops the entries of procedures
-/// a checker's program no longer has. It serves one checker at a time.
+/// callee's serial. The session also keeps the last run, and the next
+/// checker resumes it from just before the first call of a procedure
+/// whose serial changed, with the same answers as a run from zero. The
+/// session starts over when the globals change, widens its frame when
+/// a procedure outgrows it, and drops the entries of procedures a
+/// checker's program no longer has. It serves one checker at a time.
 class Session {
 public:
   Session();

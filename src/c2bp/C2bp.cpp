@@ -148,14 +148,14 @@ struct C2bpTool::Impl {
   AbstractionMemo OwnMemo;
   AbstractionMemo &Memo;
   ProgramFacts &Facts;
-  std::map<const FuncDecl *, ProcSignature> Signatures;
 
   /// Per-procedure planning state, kept alive until every task has run
   /// (tasks reference the oracle and the scope vectors).
   struct FuncScope {
     const FuncDecl *F = nullptr;
+    /// F's index among the memo's procedures.
+    size_t Index = 0;
     bp::BProc *Proc = nullptr;
-    std::vector<unsigned> Key; ///< procKey(F).
     /// Owns every node of Proc: planning allocates here, and it adopts
     /// WorkerArenas[W], where worker W ran this procedure's tasks.
     std::shared_ptr<bp::BProgram> Arena = std::make_shared<bp::BProgram>();
@@ -195,30 +195,12 @@ struct C2bpTool::Impl {
       : P(P), Preds(Preds), Ctx(Ctx), Options(Options), Stats(Stats),
         Memo(Options.Memo ? *Options.Memo : OwnMemo),
         Facts(Memo.bind(P, Ctx, Options)) {
-    for (const FuncDecl *F : P.Functions)
-      Signatures.emplace(F, Facts.signature(*F, Preds.forProc(F->Name)));
+    Memo.update(Preds);
   }
 
-  /// What F's boolean program is a function of, besides the facts the
-  /// memo is bound to: its scope predicates (globals, then locals), its
-  /// own signature and every callee's, as expression ids with each list
-  /// prefixed by its length.
-  std::vector<unsigned> procKey(const FuncDecl &F) const {
-    std::vector<unsigned> Key;
-    auto Add = [&Key](const std::vector<ExprRef> &V) {
-      Key.push_back(static_cast<unsigned>(V.size()));
-      for (ExprRef E : V)
-        Key.push_back(E->id());
-    };
-    Add(Preds.Globals);
-    Add(Preds.forProc(F.Name));
-    Add(Signatures.at(&F).Formals);
-    Add(Signatures.at(&F).Returns);
-    for (const FuncDecl *Callee : Facts.MR.callees(&F)) {
-      Add(Signatures.at(Callee).Formals);
-      Add(Signatures.at(Callee).Returns);
-    }
-    return Key;
+  /// \p F's signature over its local predicates.
+  const ProcSignature &signature(const FuncDecl *F) const {
+    return Memo.proc(F).Sig;
   }
 
   static std::string predName(ExprRef E) { return E->str(); }
@@ -352,7 +334,7 @@ struct C2bpTool::Impl {
     }
     case CStmtKind::Return: {
       bp::BStmt *R = stmt(bp::BStmtKind::Return, S);
-      const ProcSignature &Sig = Signatures.at(CurScope->F);
+      const ProcSignature &Sig = signature(CurScope->F);
       for (ExprRef E : Sig.Returns)
         R->Exprs.push_back(BP->varRef(predName(E)));
       return R;
@@ -427,7 +409,7 @@ struct C2bpTool::Impl {
 
   bp::BStmt *abstractCall(const Stmt &S) {
     const FuncDecl *Callee = S.CallE->Callee;
-    const ProcSignature &Sig = Signatures.at(Callee);
+    const ProcSignature &Sig = signature(Callee);
     FuncScope *FS = CurScope;
 
     // Formal -> actual substitution map (logic terms).
@@ -575,7 +557,7 @@ struct C2bpTool::Impl {
   void abstractFunction(const FuncDecl &F) {
     enterFunction(F);
     FuncScope *FS = CurScope;
-    const ProcSignature &Sig = Signatures.at(&F);
+    const ProcSignature &Sig = signature(&F);
 
     bp::BProc *Proc = BP->makeProc();
     FS->Proc = Proc;
@@ -656,7 +638,8 @@ struct C2bpTool::Impl {
       for (auto &Arena : FS->WorkerArenas)
         if (Arena)
           FS->Arena->adopt(std::move(Arena));
-      Memo.stageProc(FS->F, {std::move(FS->Key), FS->Proc, FS->Arena});
+      Memo.stageProc(FS->Index,
+                     {Memo.key(FS->Index), FS->Proc, FS->Arena});
     }
     if (Stats)
       for (auto &W : Workers)
@@ -671,18 +654,20 @@ struct C2bpTool::Impl {
       TraceSpan PlanSpan("c2bp.plan", "c2bp");
       for (ExprRef E : Preds.Globals)
         Out->Globals.push_back(predName(E));
-      for (const FuncDecl *F : P.Functions) {
-        if (!F->Body)
+      const std::vector<AbstractionMemo::ProcState> &Procs = Memo.procs();
+      for (size_t I = 0; I != Procs.size(); ++I) {
+        const FuncDecl &F = *Procs[I].F;
+        if (!F.Body)
           continue;
-        std::vector<unsigned> Key = procKey(*F);
-        if (const auto *Hit = Memo.findProc(F, Key)) {
-          Out->Procs.push_back(Hit->Proc);
-          Out->adopt(Hit->Arena);
+        const AbstractionMemo::ProcEntry &Hit = Procs[I].Committed;
+        if (Hit.Proc && Hit.Key == Memo.key(I)) {
+          Out->Procs.push_back(Hit.Proc);
+          Out->adopt(Hit.Arena);
           ++Reused;
           continue;
         }
-        abstractFunction(*F);
-        CurScope->Key = std::move(Key);
+        abstractFunction(F);
+        CurScope->Index = I;
         Out->Procs.push_back(CurScope->Proc);
         Out->adopt(CurScope->Arena);
       }

@@ -192,7 +192,9 @@ Dnf CubeSearch::searchRaw(const std::vector<ExprRef> &V, ExprRef Phi,
   // of !phi (false) unless PhiValue is empty? A check some witness
   // refutes is answered "not valid" without a query: the witnessed
   // query is satisfiable, so the prover (sound for Unsat) could only
-  // have said Sat or Unknown.
+  // have said Sat or Unknown. The row that refutes one moves to the
+  // front, where the checks of the candidates after it look first; the
+  // answer does not depend on the rows' order.
   auto Refuted = [&](std::optional<bool> PhiValue) {
     uint64_t Mask0 = C[0] | uint64_t(PhiValue.has_value());
     uint64_t Want0 = C[Words] | uint64_t(PhiValue.value_or(false));
@@ -204,6 +206,7 @@ Dnf CubeSearch::searchRaw(const std::vector<ExprRef> &V, ExprRef Phi,
         ++W;
       if (W == Words) {
         ++WitnessHits;
+        std::rotate(Rows.begin(), Rows.begin() + R, Rows.begin() + R + Words);
         return true;
       }
     }

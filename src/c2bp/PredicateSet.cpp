@@ -32,8 +32,9 @@ bool PredicateSet::addLocal(const std::string &Proc, ExprRef E) {
 
 std::optional<PredicateSet>
 c2bp::parsePredicateFile(logic::LogicContext &Ctx, std::string_view Text,
-                         DiagnosticEngine &Diags) {
+                         DiagnosticEngine &Diags, PredicateLines *Lines) {
   PredicateSet Out;
+  PredicateLines Where;
   std::string Scope; // Empty until the first header.
   bool SawHeader = false;
 
@@ -53,6 +54,7 @@ c2bp::parsePredicateFile(logic::LogicContext &Ctx, std::string_view Text,
     if (Line.back() == ':' &&
         Line.find_first_of("=<>!&|()") == std::string_view::npos) {
       Scope = std::string(trim(Line.substr(0, Line.size() - 1)));
+      Where.Scopes.try_emplace(Scope, static_cast<unsigned>(LineNo));
       SawHeader = true;
       continue;
     }
@@ -81,19 +83,21 @@ c2bp::parsePredicateFile(logic::LogicContext &Ctx, std::string_view Text,
                     "predicate '" + Piece + "' is constant");
         return std::nullopt;
       }
-      if (Scope == "global")
-        Out.addGlobal(E);
-      else
-        Out.addLocal(Scope, E);
+      if (Scope == "global" ? Out.addGlobal(E) : Out.addLocal(Scope, E))
+        (Scope == "global" ? Where.Globals : Where.PerProc[Scope])
+            .push_back(static_cast<unsigned>(LineNo));
     }
   }
   // A local copy's formal would shadow the global predicate variable.
   for (const auto &[Proc, Preds] : Out.PerProc)
-    for (ExprRef E : Preds)
-      if (std::ranges::find(Out.Globals, E) != Out.Globals.end()) {
-        Diags.error(SourceLoc(), "predicate '" + E->str() + "' of '" + Proc +
-                                     "' is already global");
+    for (size_t I = 0; I != Preds.size(); ++I)
+      if (std::ranges::find(Out.Globals, Preds[I]) != Out.Globals.end()) {
+        Diags.error(SourceLoc(Where.PerProc[Proc][I], 1),
+                    "predicate '" + Preds[I]->str() + "' of '" + Proc +
+                        "' is already global");
         return std::nullopt;
       }
+  if (Lines)
+    *Lines = std::move(Where);
   return Out;
 }

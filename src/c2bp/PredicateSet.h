@@ -60,10 +60,24 @@ struct PredicateSet {
   }
 };
 
-/// Parses a predicate file; nullopt on error.
+/// Where a predicate file put its scopes and predicates, for
+/// diagnostics; kept apart from the PredicateSet, which the CEGAR loop
+/// copies every round.
+struct PredicateLines {
+  /// The line of each scope's first header, "global" included.
+  std::map<std::string, unsigned> Scopes;
+  /// The line of each predicate, parallel to PredicateSet::Globals and
+  /// PredicateSet::PerProc.
+  std::vector<unsigned> Globals;
+  std::map<std::string, std::vector<unsigned>> PerProc;
+};
+
+/// Parses a predicate file; nullopt on error. With \p Lines, also
+/// records where each scope and predicate is.
 std::optional<PredicateSet> parsePredicateFile(logic::LogicContext &Ctx,
                                                std::string_view Text,
-                                               DiagnosticEngine &Diags);
+                                               DiagnosticEngine &Diags,
+                                               PredicateLines *Lines = nullptr);
 
 } // namespace c2bp
 } // namespace slam

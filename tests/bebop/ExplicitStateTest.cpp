@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 using namespace slam;
@@ -132,117 +133,151 @@ std::string exprList(Rng &R, const std::vector<std::string> &Names, int N) {
   return Out;
 }
 
-/// Random non-recursive program: main and 1-3 procedures p1..p3 over
-/// the globals g0 (and g1). p<I> calls only p<J> with J > I, so the
-/// call stack stays bounded. Every procedure declares the locals l0
-/// (and l1), so frames reuse names, and p1 also declares a local g0
-/// that shadows the global. Callees take 0-2 parameters x0, x1 and
-/// return 0-2 values; asserts may sit in any procedure.
-std::string randomMultiProcProgram(Rng &R) {
-  int NumProcs = 2 + static_cast<int>(R.range(3));
-  int NumGlobals = 1 + static_cast<int>(R.range(2));
-  std::vector<int> Params(NumProcs, 0), Rets(NumProcs, 0);
-  for (int I = 1; I != NumProcs; ++I) {
-    Params[I] = static_cast<int>(R.range(3));
-    Rets[I] = static_cast<int>(R.range(3));
+/// The shape of a random multi-procedure program: main and 1-3
+/// procedures p1..p3 over the globals g0 (and g1); each callee takes
+/// 0-2 parameters x0, x1 and returns 0-2 values.
+struct ProgramShape {
+  int NumProcs = 0, NumGlobals = 0;
+  std::vector<int> Params, Rets;
+};
+
+ProgramShape randomShape(Rng &R) {
+  ProgramShape S;
+  S.NumProcs = 2 + static_cast<int>(R.range(3));
+  S.NumGlobals = 1 + static_cast<int>(R.range(2));
+  S.Params.assign(S.NumProcs, 0);
+  S.Rets.assign(S.NumProcs, 0);
+  for (int I = 1; I != S.NumProcs; ++I) {
+    S.Params[I] = static_cast<int>(R.range(3));
+    S.Rets[I] = static_cast<int>(R.range(3));
   }
-  auto ProcName = [](int I) {
-    return I == 0 ? std::string("main") : "p" + std::to_string(I);
+  return S;
+}
+
+std::string procName(int I) {
+  return I == 0 ? std::string("main") : "p" + std::to_string(I);
+}
+
+/// Random procedure \p I of a program of shape \p Shape. p<I> calls only
+/// p<J> with J > I, so the call stack stays bounded. Every procedure
+/// declares the locals l0 (and l1), so frames reuse names, and p1 also
+/// declares a local g0 that shadows the global. Asserts may sit in any
+/// procedure. With \p Labels, every statement has a label L<k>.
+std::string randomProc(Rng &R, const ProgramShape &Shape, int I,
+                       bool Labels) {
+  const std::vector<int> &Params = Shape.Params, &Rets = Shape.Rets;
+  int NumProcs = Shape.NumProcs;
+  int NumLabels = 0;
+  auto Label = [&] {
+    return Labels ? "L" + std::to_string(NumLabels++) + ": " : "";
   };
-  std::string Out = "decl " + nameList("g", NumGlobals) + ";\n";
-  for (int I = 0; I != NumProcs; ++I) {
-    std::vector<std::string> Names;
-    for (int G = 0; G != NumGlobals; ++G)
-      Names.push_back("g" + std::to_string(G));
-    for (int Pm = 0; Pm != Params[I]; ++Pm)
-      Names.push_back("x" + std::to_string(Pm));
-    int NumLocals = 1 + static_cast<int>(R.range(2));
-    std::string Locals = nameList("l", NumLocals);
-    for (int L = 0; L != NumLocals; ++L)
-      Names.push_back("l" + std::to_string(L));
-    if (I == 1)
-      Locals += ", g0";
-    Out += (Rets[I] ? "bool<" + std::to_string(Rets[I]) + ">" : "void") +
-           " " + ProcName(I) + "(" + nameList("x", Params[I]) +
-           ") begin\n  decl " + Locals + ";\n";
-    // N distinct targets.
-    auto Targets = [&](int N) {
-      std::vector<std::string> Pool = Names;
-      std::string T;
-      for (int K = 0; K != N; ++K) {
-        size_t Pick = R.range(Pool.size());
-        T += (K ? ", " : "") + Pool[Pick];
-        Pool.erase(Pool.begin() + Pick);
+  std::vector<std::string> Names;
+  for (int G = 0; G != Shape.NumGlobals; ++G)
+    Names.push_back("g" + std::to_string(G));
+  for (int Pm = 0; Pm != Params[I]; ++Pm)
+    Names.push_back("x" + std::to_string(Pm));
+  int NumLocals = 1 + static_cast<int>(R.range(2));
+  std::string Locals = nameList("l", NumLocals);
+  for (int L = 0; L != NumLocals; ++L)
+    Names.push_back("l" + std::to_string(L));
+  if (I == 1)
+    Locals += ", g0";
+  std::string Out = (Rets[I] ? "bool<" + std::to_string(Rets[I]) + ">"
+                             : "void") +
+                    " " + procName(I) + "(" + nameList("x", Params[I]) +
+                    ") begin\n  decl " + Locals + ";\n";
+  // N distinct targets.
+  auto Targets = [&](int N) {
+    std::vector<std::string> Pool = Names;
+    std::string T;
+    for (int K = 0; K != N; ++K) {
+      size_t Pick = R.range(Pool.size());
+      T += (K ? ", " : "") + Pool[Pick];
+      Pool.erase(Pool.begin() + Pick);
+    }
+    return T;
+  };
+  // Over variables only, so that it can hold on every path.
+  auto Assertion = [&] {
+    return std::string("assert(") + (R.range(2) ? "!" : "") +
+           Names[R.range(Names.size())] + " || " +
+           Names[R.range(Names.size())] + ");\n";
+  };
+  auto Call = [&](const std::string &Pad) {
+    int J = I + 1 + static_cast<int>(R.range(NumProcs - I - 1));
+    std::string Lhs = Rets[J] && R.range(3) ? Targets(Rets[J]) + " := " : "";
+    Out += Pad + Label() + Lhs + "call " + procName(J) + "(" +
+           exprList(R, Names, Params[J]) + ");\n";
+  };
+  std::function<void(int, int)> Emit = [&](int Count, int Indent) {
+    std::string Pad(2 * Indent, ' ');
+    for (int K = 0; K != Count; ++K) {
+      switch (R.range(8)) {
+      case 0:
+      case 1: {
+        int N = 1 + static_cast<int>(R.range(2));
+        Out += Pad + Label() + Targets(N) + " := " + exprList(R, Names, N) +
+               ";\n";
+        break;
       }
-      return T;
-    };
-    // Over variables only, so that it can hold on every path.
-    auto Assertion = [&] {
-      return std::string("assert(") + (R.range(2) ? "!" : "") +
-             Names[R.range(Names.size())] + " || " +
-             Names[R.range(Names.size())] + ");\n";
-    };
-    auto Call = [&](const std::string &Pad) {
-      int J = I + 1 + static_cast<int>(R.range(NumProcs - I - 1));
-      std::string Lhs =
-          Rets[J] && R.range(3) ? Targets(Rets[J]) + " := " : "";
-      Out += Pad + Lhs + "call " + ProcName(J) + "(" +
-             exprList(R, Names, Params[J]) + ");\n";
-    };
-    std::function<void(int, int)> Emit = [&](int Count, int Indent) {
-      std::string Pad(2 * Indent, ' ');
-      for (int K = 0; K != Count; ++K) {
-        switch (R.range(8)) {
-        case 0:
-        case 1: {
-          int N = 1 + static_cast<int>(R.range(2));
-          Out += Pad + Targets(N) + " := " + exprList(R, Names, N) + ";\n";
-          break;
-        }
-        case 2:
-          Out += Pad + "assume(" + randomBExpr(R, Names, 1) + ");\n";
-          break;
-        case 3:
-          Out += Pad + "if (" + randomBExpr(R, Names, 1) + ") begin\n";
-          Emit(1, Indent + 1);
-          if (I && R.range(3) == 0)
-            Out += Pad + "  return" + (Rets[I] ? " " : "") +
-                   exprList(R, Names, Rets[I]) + ";\n";
-          Out += Pad + "end else begin\n";
+      case 2:
+        Out += Pad + Label() + "assume(" + randomBExpr(R, Names, 1) + ");\n";
+        break;
+      case 3:
+        Out += Pad + Label() + "if (" + randomBExpr(R, Names, 1) +
+               ") begin\n";
+        Emit(1, Indent + 1);
+        if (I && R.range(3) == 0)
+          Out += Pad + "  " + Label() + "return" + (Rets[I] ? " " : "") +
+                 exprList(R, Names, Rets[I]) + ";\n";
+        Out += Pad + "end else begin\n";
+        Emit(1, Indent + 1);
+        Out += Pad + "end\n";
+        break;
+      case 4:
+        if (Indent < 2) {
+          Out += Pad + Label() + "while (*) begin\n";
           Emit(1, Indent + 1);
           Out += Pad + "end\n";
           break;
-        case 4:
-          if (Indent < 2) {
-            Out += Pad + "while (*) begin\n";
-            Emit(1, Indent + 1);
-            Out += Pad + "end\n";
-            break;
-          }
-          [[fallthrough]];
-        case 5:
-          if (I + 1 != NumProcs)
-            Call(Pad);
-          break;
-        case 6:
-          Out += Pad + Assertion();
-          break;
-        default:
-          Out += Pad + "skip;\n";
-          break;
         }
+        [[fallthrough]];
+      case 5:
+        if (I + 1 != NumProcs)
+          Call(Pad);
+        break;
+      case 6:
+        Out += Pad + Label() + Assertion();
+        break;
+      default:
+        Out += Pad + Label() + "skip;\n";
+        break;
       }
-    };
-    Emit(1 + static_cast<int>(R.range(3)), 1);
-    if (I + 1 != NumProcs)
-      Call("  ");
-    Emit(static_cast<int>(R.range(2)), 1);
-    if (I == 0)
-      Out += "  " + Assertion();
-    if (Rets[I])
-      Out += "  return " + exprList(R, Names, Rets[I]) + ";\n";
-    Out += "end\n";
-  }
+    }
+  };
+  Emit(1 + static_cast<int>(R.range(3)), 1);
+  if (I + 1 != NumProcs)
+    Call("  ");
+  Emit(static_cast<int>(R.range(2)), 1);
+  if (I == 0)
+    Out += "  " + Label() + Assertion();
+  if (Rets[I])
+    Out += "  " + Label() + "return " + exprList(R, Names, Rets[I]) + ";\n";
+  Out += "end\n";
+  return Out;
+}
+
+/// The declaration of the globals of a program of shape \p Shape.
+std::string globalsDecl(const ProgramShape &Shape) {
+  return "decl " + nameList("g", Shape.NumGlobals) + ";\n";
+}
+
+/// Random non-recursive program (see randomShape and randomProc).
+std::string randomMultiProcProgram(Rng &R) {
+  ProgramShape Shape = randomShape(R);
+  std::string Out = globalsDecl(Shape);
+  for (int I = 0; I != Shape.NumProcs; ++I)
+    Out += randomProc(R, Shape, I, /*Labels=*/false);
   return Out;
 }
 
@@ -552,5 +587,80 @@ TEST_P(BebopVsExplicitCalls, VerdictsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Random, BebopVsExplicitCalls,
                          ::testing::Range(0, 50));
+
+/// A run of \p Checker on \p P as a comparison key: the verdict, the
+/// failing statement, every trace step, the node count and the
+/// reachable states at every label.
+std::string runKey(Bebop &Checker, const BProgram &P, bool Stop) {
+  CheckResult R = Checker.run("main", Stop);
+  std::string Out = std::to_string(R.AssertViolated) + ' ' + R.FailingProc +
+                    ' ' + (R.FailingStmt ? printBStmt(*R.FailingStmt) : "") +
+                    '\n';
+  for (const TraceStep &Step : R.Trace)
+    Out += Step.ProcName + ' ' + std::to_string(static_cast<int>(Step.Op)) +
+           ' ' + (Step.Stmt ? printBStmt(*Step.Stmt) : "<exit>") + '\n';
+  Out += "bdd nodes " + std::to_string(Checker.bddNodes()) + '\n';
+  for (const BProc *Proc : P.Procs)
+    for (int L = 0; Checker.cfg(Proc->Name)->nodeOfLabel(
+                        "L" + std::to_string(L)) >= 0;
+         ++L)
+      Out += Proc->Name + ":L" + std::to_string(L) + ' ' +
+             Checker.invariantAtLabel(Proc->Name, "L" + std::to_string(L)) +
+             '\n';
+  return Out;
+}
+
+// A session resumes its last run up to the first seeding of a changed
+// procedure. Each round replaces one procedure of a random program by a
+// new random body with the same signature, keeping the other procedures'
+// BProcs, and the session checker must answer as a fresh checker does.
+// Callers often share a callee, whose summary updates queue the call
+// sites of changed callers; odd seeds run to the full fixpoint.
+class BebopSessionResumeMatchesFresh : public ::testing::TestWithParam<int> {};
+
+TEST_P(BebopSessionResumeMatchesFresh, EveryRound) {
+  Rng R{static_cast<uint64_t>(GetParam()) * 0xD1B54A32D192ED03ULL + 3};
+  bool Stop = GetParam() % 2 == 0;
+  ProgramShape Shape = randomShape(R);
+  std::vector<std::string> Bodies;
+  for (int I = 0; I != Shape.NumProcs; ++I)
+    Bodies.push_back(randomProc(R, Shape, I, /*Labels=*/true));
+  // Every parsed version stays alive: a round's program borrows its
+  // unchanged procedures from earlier ones.
+  std::vector<std::unique_ptr<BProgram>> Versions;
+  std::vector<BProc *> Current(Shape.NumProcs);
+  Session S;
+  StatsRegistry Stats;
+  for (int Round = 0; Round != 8; ++Round) {
+    int Changed = Round == 0 ? -1 : static_cast<int>(R.range(Shape.NumProcs));
+    if (Changed >= 0)
+      Bodies[Changed] = randomProc(R, Shape, Changed, /*Labels=*/true);
+    std::string Source = globalsDecl(Shape);
+    for (const std::string &Body : Bodies)
+      Source += Body;
+    DiagnosticEngine Diags;
+    Versions.push_back(parseBProgram(Source, Diags));
+    ASSERT_TRUE(Versions.back() && verifyBProgram(*Versions.back(), Diags))
+        << Diags.str() << "\n" << Source;
+    for (int I = 0; I != Shape.NumProcs; ++I)
+      if (Round == 0 || I == Changed)
+        Current[I] = Versions.back()->Procs[I];
+    BProgram P;
+    P.Globals = Versions.back()->Globals;
+    P.Procs = Current;
+
+    std::string Key;
+    {
+      Bebop Checker(P, &Stats, &S);
+      Key = runKey(Checker, P, Stop);
+    }
+    Bebop Fresh(P);
+    EXPECT_EQ(Key, runKey(Fresh, P, Stop)) << "round " << Round << "\n"
+                                           << Source;
+   }
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, BebopSessionResumeMatchesFresh,
+                         ::testing::Range(0, 40));
 
 } // namespace

@@ -50,6 +50,30 @@ TEST_F(PredicateSetTest, DeduplicatesWithinScope) {
   EXPECT_EQ(PS->forProc("f").size(), 1u);
 }
 
+// Diagnostics name a scope's first header and a predicate's line; a
+// duplicate keeps the line of its first occurrence.
+TEST_F(PredicateSetTest, RecordsLines) {
+  PredicateLines Lines;
+  auto PS = parsePredicateFile(Ctx, R"(global:
+  lock == 1
+f:
+  x == 0, y == 0
+  x == 0
+global:
+f:
+
+  z == 0
+)",
+                               Diags, &Lines);
+  ASSERT_TRUE(PS.has_value()) << Diags.str();
+  EXPECT_EQ(Lines.Scopes, (std::map<std::string, unsigned>{{"global", 1},
+                                                            {"f", 3}}));
+  EXPECT_EQ(Lines.Globals, std::vector<unsigned>{2});
+  EXPECT_EQ(Lines.PerProc["f"], (std::vector<unsigned>{4, 4, 9}));
+  ASSERT_EQ(PS->forProc("f").size(), 3u);
+  EXPECT_EQ(PS->forProc("f")[2]->str(), "z == 0");
+}
+
 TEST_F(PredicateSetTest, AddForRefinement) {
   PredicateSet PS;
   logic::ExprRef E = Ctx.eq(Ctx.var("x"), Ctx.intLit(0));
@@ -82,9 +106,10 @@ TEST_F(PredicateSetTest, Errors) {
                            "main:\n x == 1\nglobal:\n x == 1\n"}) {
     Diags.clear();
     EXPECT_FALSE(parsePredicateFile(Ctx, Text, Diags).has_value()) << Text;
-    EXPECT_NE(
-        Diags.str().find("predicate 'x == 1' of 'main' is already global"),
-        std::string::npos)
+    std::string Line = Text[0] == 'g' ? "4" : "2";
+    EXPECT_NE(Diags.str().find(Line + ":1: error: predicate 'x == 1' of "
+                                      "'main' is already global"),
+              std::string::npos)
         << Diags.str();
   }
 }

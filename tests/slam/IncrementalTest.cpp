@@ -74,17 +74,17 @@ PipelineOptions baseOptions() {
   return O;
 }
 
-/// A generated driver with 8 dispatch routines: it validates in
-/// NumDispatch + 1 = 9 rounds, each refining one dispatch routine.
-workloads::DriverModel dispatch8() {
+/// A generated driver with \p N dispatch routines: it validates in
+/// N + 1 rounds, each refining one dispatch routine.
+workloads::DriverModel dispatchModel(int N) {
   workloads::DriverConfig C;
-  C.Name = "dispatch8";
-  C.NumDispatch = 8;
+  C.Name = "dispatch" + std::to_string(N);
+  C.NumDispatch = N;
   return workloads::generateDriver(C);
 }
 
 void runDispatch8(PipelineOptions Options, PipeRun &R) {
-  workloads::DriverModel M = dispatch8();
+  workloads::DriverModel M = dispatchModel(8);
   logic::LogicContext Ctx;
   DiagnosticEngine Diags;
   auto Res = checkSafety(M.Source, M.Spec, Ctx, Diags, Options, &R.Stats);
@@ -165,6 +165,29 @@ TEST(Incremental, ExamplesAnswerTheSameWithAndWithoutTheMemo) {
     EXPECT_EQ(Keys[true], Keys[false]) << File;
     EXPECT_EQ(Preds[true], Preds[false]) << File;
   }
+}
+
+// Round 2 of examples/programs/locking.c rebuilds main, whose new
+// predicates grow the largest frame from 2 to 4 slots; the session
+// widens its frame and keeps the lock routines' relations. main is the
+// entry procedure, so the round's run starts from zero all the same.
+TEST(Incremental, LockingExampleKeepsItsSessionWhenTheFrameGrows) {
+  std::ifstream In(std::string(SLAM_EXAMPLES_DIR) + "/locking.c");
+  ASSERT_TRUE(In);
+  std::ostringstream Source;
+  Source << In.rdbuf();
+  logic::LogicContext Ctx;
+  DiagnosticEngine Diags;
+  StatsRegistry Stats;
+  auto R = checkSafety(
+      Source.str(), SafetySpec::lockDiscipline("AcquireLock", "ReleaseLock"),
+      Ctx, Diags, baseOptions(), &Stats);
+  ASSERT_TRUE(R.has_value()) << Diags.str();
+  EXPECT_EQ(R->V, SlamResult::Verdict::Validated);
+  ASSERT_EQ(R->Iterations, 2);
+  EXPECT_EQ(R->FlightLog[1].ProcsReused, 2u);
+  EXPECT_GT(Stats.get("bebop.relations_reused"), 0u);
+  EXPECT_EQ(Stats.get("bebop.steps_resumed"), 0u);
 }
 
 TEST(Incremental, NonIncrementalLogsNoReuse) {
@@ -290,7 +313,7 @@ c2bp::PredicateSet parsePreds(logic::LogicContext &Ctx,
 // this suite).
 TEST(Incremental, EveryRoundMatchesAMemoLessAbstraction) {
   std::vector<workloads::DriverModel> Models = workloads::table1Drivers();
-  Models.push_back(dispatch8());
+  Models.push_back(dispatchModel(8));
   for (int Workers : {1, 4}) {
     for (const workloads::DriverModel &M : Models) {
       SCOPED_TRACE(M.Name + " -j " + std::to_string(Workers));
@@ -341,7 +364,8 @@ TEST(Incremental, EveryRoundMatchesAMemoLessAbstraction) {
 // A new predicate over a callee's formal enters the callee's signature,
 // so every caller is rebuilt; one over a callee's local leaves the
 // signature alone, so the callers are reused; a new global predicate
-// enters every procedure's scope.
+// enters every procedure's scope; a scope that loses all its
+// predicates rebuilds its procedure alone.
 TEST(Incremental, CalleeSignatureChangeRebuildsItsCallers) {
   const char *Source = R"(
     int g;
@@ -355,8 +379,9 @@ TEST(Incremental, CalleeSignatureChangeRebuildsItsCallers) {
       "caller:\na == 1\ncallee:\ny == 1, x == 1, y == 2\nother:\nb == 2\n",
       "global:\ng == 1\ncaller:\na == 1\ncallee:\ny == 1, x == 1, y == 2\n"
       "other:\nb == 2\n",
+      "global:\ng == 1\ncaller:\na == 1\ncallee:\ny == 1, x == 1, y == 2\n",
   };
-  const uint64_t WantRebuilt[] = {3, 2, 1, 3};
+  const uint64_t WantRebuilt[] = {3, 2, 1, 3, 1};
   logic::LogicContext Ctx;
   DiagnosticEngine Diags;
   auto P = cfront::frontend(Source, Diags);
@@ -365,7 +390,7 @@ TEST(Incremental, CalleeSignatureChangeRebuildsItsCallers) {
   c2bp::C2bpOptions Opts = baseOptions().C2bp;
   Opts.Memo = &Memo;
   std::string Previous;
-  for (int I = 0; I != 4; ++I) {
+  for (int I = 0; I != 5; ++I) {
     SCOPED_TRACE(I + 1);
     c2bp::PredicateSet Preds = parsePreds(Ctx, Rounds[I]);
     StatsRegistry Stats;
@@ -455,12 +480,14 @@ std::string sessionKey(bebop::Bebop &Checker, const bp::BProgram &BP,
 // checker does on the same program: the verdict, the failing statement,
 // the trace, the reachable states at every labelled statement and the
 // node count. With the memo on, reused procedures keep their relations
-// and call bindings; with it off, every round's procedures are new, and
-// nothing may be served for them, even where one lands at the address
-// of a freed one.
+// and call bindings, and a round resumes the last one's run up to the
+// first seeding of a rebuilt procedure; with it off, every round's
+// procedures are new, and nothing may be served for them, even where
+// one lands at the address of a freed one.
 TEST(Incremental, SessionCheckerMatchesAFreshCheckerEveryRound) {
   std::vector<workloads::DriverModel> Models = workloads::table1Drivers();
-  Models.push_back(dispatch8());
+  Models.push_back(dispatchModel(8));
+  Models.push_back(dispatchModel(16));
   for (bool UseMemo : {true, false}) {
     for (const workloads::DriverModel &M : Models) {
       SCOPED_TRACE(M.Name + (UseMemo ? " memo on" : " memo off"));
@@ -506,11 +533,17 @@ TEST(Incremental, SessionCheckerMatchesAFreshCheckerEveryRound) {
       if (M.Name == "dispatch8") {
         EXPECT_EQ(Rounds, 9); // NumDispatch + 1.
       }
-      // Only a procedure the memo hands on can have relations to reuse.
+      if (M.Name == "dispatch16") {
+        EXPECT_EQ(Rounds, 17);
+      }
+      // Only a procedure the memo hands on can have relations to reuse,
+      // or steps of its last run to resume.
       if (UseMemo && Rounds > 1) {
         EXPECT_GT(Stats.get("bebop.relations_reused"), 0u);
+        EXPECT_GT(Stats.get("bebop.steps_resumed"), 0u);
       } else {
         EXPECT_EQ(Stats.get("bebop.relations_reused"), 0u);
+        EXPECT_EQ(Stats.get("bebop.steps_resumed"), 0u);
       }
     }
   }

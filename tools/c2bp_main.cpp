@@ -60,21 +60,23 @@ int main(int argc, char **argv) {
     return 1;
   }
   logic::LogicContext Ctx;
-  auto Preds = c2bp::parsePredicateFile(Ctx, PredText, Diags);
+  c2bp::PredicateLines Lines;
+  auto Preds = c2bp::parsePredicateFile(Ctx, PredText, Diags, &Lines);
   if (Preds) {
     for (const auto &[Scope, _] : Preds->PerProc)
       if (!Program->findFunction(Scope))
-        Diags.error(SourceLoc(), "predicate scope '" + Scope +
-                                     "' names no procedure");
+        Diags.error(SourceLoc(Lines.Scopes.at(Scope), 1),
+                    "predicate scope '" + Scope + "' names no procedure");
     // A global predicate over a procedure's variable would be read as a
     // global; names the program does not declare stay auxiliary.
-    for (logic::ExprRef E : Preds->Globals)
-      for (const std::string &Name : logic::collectVars(E))
+    for (size_t I = 0; I != Preds->Globals.size(); ++I)
+      for (const std::string &Name : logic::collectVars(Preds->Globals[I]))
         for (const cfront::FuncDecl *F : Program->Functions)
           if (F->findLocalOrParam(Name)) {
-            Diags.error(SourceLoc(), "global predicate '" + E->str() +
-                                         "' names '" + Name +
-                                         "', declared in '" + F->Name + "'");
+            Diags.error(SourceLoc(Lines.Globals[I], 1),
+                        "global predicate '" + Preds->Globals[I]->str() +
+                            "' names '" + Name + "', declared in '" +
+                            F->Name + "'");
             break;
           }
   }

@@ -19,8 +19,9 @@
 #              driver against a memo-less abstraction, and every round's
 #              checker over one Bebop session against a fresh checker);
 #              then slam --stats-json asserts that the cross-iteration
-#              memo reuses procedures on locking.c and dispatch.c, and
-#              that the session reuses Bebop relations on dispatch.c
+#              memo reuses procedures on locking.c and dispatch.c, that
+#              the session reuses Bebop relations on both, and that it
+#              resumes the last round's run on dispatch.c
 #   determinism  c2bp and slam on the examples (the floppy driver model's
 #              BUG FOUND among them), three times at -j 1
 #              (ASLR on) and five times each at -j 2/4, and bebop on a
@@ -31,7 +32,7 @@
 #              c2bp.procs_reused, c2bp.procs_rebuilt, prover.calls,
 #              slam.iterations,
 #              bebop.steps, bebop.pe_updates, bebop.summary_updates,
-#              bebop.relations_reused)
+#              bebop.relations_reused, bebop.steps_resumed)
 #              and the gauge bebop.bdd_nodes
 #   debug      Debug build (assertions on; every other job defines
 #              NDEBUG) + full ctest suite; then the determinism cases
@@ -122,8 +123,10 @@ run_incremental() {
   TMP="$(mktemp -d)"
   trap 'rm -rf "$TMP"' RETURN
   # Later rounds refine one procedure and reuse the others whole; irp.c
-  # and locking_bug.c end in round 1, so they have nothing to reuse. On
-  # dispatch.c the reused procedures' Bebop relations are reused too.
+  # and locking_bug.c end in round 1, so they have nothing to reuse. The
+  # reused procedures' Bebop relations are reused too, on locking.c
+  # across a frame that grows, and on dispatch.c each round resumes the
+  # last one's run up to the first call of the rebuilt procedure.
   "$BIN/slam" "$EX/locking.c" --lock AcquireLock,ReleaseLock \
     --stats-json "$TMP/locking.json" > /dev/null
   "$BIN/slam" "$EX/dispatch.c" --lock AcquireLock,ReleaseLock \
@@ -135,10 +138,13 @@ for path in sys.argv[1:]:
     reused = counters.get("c2bp.procs_reused", 0)
     assert reused > 0, f"{path}: the memo reused no procedure"
     print(f"ci: {path.split('/')[-1]}: c2bp.procs_reused={reused}")
+    rels = counters.get("bebop.relations_reused", 0)
+    assert rels > 0, f"{path}: the Bebop session reused no relation"
+    print(f"ci: {path.split('/')[-1]}: bebop.relations_reused={rels}")
     if path.endswith("dispatch.json"):
-        rels = counters.get("bebop.relations_reused", 0)
-        assert rels > 0, f"{path}: the Bebop session reused no relation"
-        print(f"ci: dispatch.json: bebop.relations_reused={rels}")
+        resumed = counters.get("bebop.steps_resumed", 0)
+        assert resumed > 0, f"{path}: no round resumed the last run"
+        print(f"ci: dispatch.json: bebop.steps_resumed={resumed}")
 PY
 }
 
@@ -198,7 +204,8 @@ import json, sys
 name, tool, paths = sys.argv[1], sys.argv[2], sys.argv[3:]
 keys = ("c2bp.cubes_checked", "c2bp.witness_hits", "c2bp.procs_reused",
         "c2bp.procs_rebuilt", "prover.calls", "slam.iterations", "bebop.steps", "bebop.pe_updates",
-        "bebop.summary_updates", "bebop.relations_reused", "bebop.bdd_nodes")
+        "bebop.summary_updates", "bebop.relations_reused", "bebop.steps_resumed",
+        "bebop.bdd_nodes")
 # Counters and gauges (bebop.bdd_nodes is a gauge) in one map.
 runs = [{**doc["counters"], **doc["gauges"]}
         for doc in (json.load(open(p)) for p in paths)]
