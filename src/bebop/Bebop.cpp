@@ -236,10 +236,11 @@ Node lastOf(const std::vector<std::pair<uint64_t, Node>> &Log) {
 struct Session::Impl {
   BddManager M;
   /// The globals and the number of slots the manager's variables are
-  /// laid out for; Started is false before the first checker.
+  /// laid out for (-1 before grow()); Started is false before the
+  /// first checker.
   std::vector<std::string> Globals;
   bool Started = false;
-  int NumSlots = 0;
+  int NumSlots = -1;
   /// Every slot, and sets and renamings over all of them, interned
   /// once per frame size; one that names slots outside a procedure's
   /// frame leaves that procedure's BDDs alone.
@@ -276,10 +277,11 @@ struct Session::Impl {
 
   /// Starts over with a fresh manager laid out for \p NewGlobals.
   void start(const std::vector<std::string> &NewGlobals) {
-    M = BddManager();
+    if (Started)
+      M = BddManager();
     Globals = NewGlobals;
     Started = true;
-    NumSlots = 0;
+    NumSlots = -1;
     ChoiceVars.clear();
     Procs.clear();
     Order.clear();
@@ -288,7 +290,6 @@ struct Session::Impl {
     Next = Cursor();
     Touched.clear();
     Failed = false;
-    grow(0);
   }
 
   /// Widens the frame to \p Frame slots. No BDD the session keeps names
