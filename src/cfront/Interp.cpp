@@ -118,7 +118,7 @@ Value Interpreter::getGlobal(const std::string &Name) const {
   return Objects[Globals.at(G)].Scalar;
 }
 
-int Interpreter::slotOf(const VarDecl *V) {
+int Interpreter::slotOf(const VarDecl *V) const {
   if (V->isGlobal())
     return Globals.at(V);
   return Stack.back().Slots.at(V);
@@ -529,166 +529,80 @@ Interpreter::Outcome Interpreter::run(const std::string &Func,
 // Predicate evaluation (logic terms against the concrete state)
 //===----------------------------------------------------------------------===//
 
-namespace {
-using logic::ExprKind;
-using logic::ExprRef;
-} // namespace
+std::optional<Value> Interpreter::evalLogic(logic::ExprRef E) const {
+  using logic::ExprKind;
+  using logic::ExprRef;
+  using logic::Result;
+  // The objects as the evaluator's store: a location evaluates to the
+  // pointer to its object, and a leaf to the scalar that object holds.
+  struct ObjectStore final : logic::Store {
+    const Interpreter &In;
+    explicit ObjectStore(const Interpreter &In)
+        : Store(/*NullIsZero=*/false), In(In) {}
 
-std::optional<Value> Interpreter::evalLogic(ExprRef E) const {
-  auto LocObject = [this](ExprRef Loc,
-                          auto &&Self) -> std::optional<int> {
-    switch (Loc->kind()) {
-    case ExprKind::Var: {
-      const VarDecl *V = nullptr;
-      if (!Stack.empty())
-        V = Stack.back().F->findLocalOrParam(Loc->name());
-      if (!V)
-        V = P.findGlobal(Loc->name());
-      if (!V)
-        return std::nullopt;
-      if (V->isGlobal())
-        return Globals.at(V);
-      auto It = Stack.back().Slots.find(V);
-      return It == Stack.back().Slots.end() ? std::optional<int>()
-                                            : std::optional<int>(It->second);
+    Result leaf(ExprRef App) override {
+      if (App->kind() == ExprKind::AddrOf)
+        return location(App->op(0));
+      Result Loc = location(App);
+      if (!Loc.defined())
+        return Loc;
+      // Whole structs and arrays have no scalar value.
+      const Object &O = In.Objects[Loc.V.Obj];
+      return O.K == Object::Kind::Cell ? Result::of(O.Scalar)
+                                       : Result::undefined();
     }
-    case ExprKind::Deref: {
-      std::optional<Value> Ptr = evalLogic(Loc->op(0));
-      if (!Ptr || Ptr->isNull() || Ptr->K != Value::Kind::Ptr)
-        return std::nullopt;
-      return Ptr->Obj;
-    }
-    case ExprKind::Field: {
-      std::optional<int> Base = Self(Loc->op(0), Self);
-      if (!Base)
-        return std::nullopt;
-      const Object &O = Objects[*Base];
-      auto It = O.Fields.find(Loc->name());
-      if (It == O.Fields.end())
-        return std::nullopt;
-      return It->second;
-    }
-    case ExprKind::Index: {
-      std::optional<int> Base = Self(Loc->op(0), Self);
-      std::optional<Value> Idx = evalLogic(Loc->op(1));
-      if (!Base || !Idx || Idx->K != Value::Kind::Int)
-        return std::nullopt;
-      const Object *O = &Objects[*Base];
-      if (O->K == Object::Kind::Cell) {
-        if (O->Scalar.isNull() || O->Scalar.K != Value::Kind::Ptr)
-          return std::nullopt;
-        O = &Objects[O->Scalar.Obj];
+
+    static Result object(int Obj) { return Result::of(Value::makePtr(Obj)); }
+
+    Result location(ExprRef Loc) {
+      switch (Loc->kind()) {
+      case ExprKind::Var: {
+        const VarDecl *V = nullptr;
+        if (!In.Stack.empty())
+          V = In.Stack.back().F->findLocalOrParam(Loc->name());
+        if (!V)
+          V = In.P.findGlobal(Loc->name());
+        return V ? object(In.slotOf(V)) : Result::undefined();
       }
-      if (O->K != Object::Kind::Array || Idx->I < 0 ||
-          Idx->I >= static_cast<int64_t>(O->Elements.size()))
-        return std::nullopt;
-      return O->Elements[static_cast<size_t>(Idx->I)];
+      case ExprKind::Deref: {
+        Result Ptr = logic::evaluate(Loc->op(0), *this);
+        if (Ptr.defined() && (Ptr.V.K != Value::Kind::Ptr || Ptr.V.isNull()))
+          return Result::undefined();
+        return Ptr;
+      }
+      case ExprKind::Field: {
+        Result Base = location(Loc->op(0));
+        if (!Base.defined())
+          return Base;
+        const Object &O = In.Objects[Base.V.Obj];
+        auto It = O.Fields.find(Loc->name());
+        return It == O.Fields.end() ? Result::undefined() : object(It->second);
+      }
+      case ExprKind::Index: {
+        Result Base = location(Loc->op(0));
+        if (!Base.defined())
+          return Base;
+        Result Idx = logic::evaluate(Loc->op(1), *this);
+        if (!Idx.defined())
+          return Idx;
+        const Object *O = &In.Objects[Base.V.Obj];
+        if (O->K == Object::Kind::Cell) { // A pointer: index its target.
+          if (O->Scalar.isNull() || O->Scalar.K != Value::Kind::Ptr)
+            return Result::undefined();
+          O = &In.Objects[O->Scalar.Obj];
+        }
+        int64_t I = Idx.V.I;
+        if (Idx.V.K != Value::Kind::Int || O->K != Object::Kind::Array ||
+            I < 0 || I >= static_cast<int64_t>(O->Elements.size()))
+          return Result::undefined();
+        return object(O->Elements[static_cast<size_t>(I)]);
+      }
+      default:
+        return Result::undefined();
+      }
     }
-    default:
-      return std::nullopt;
-    }
-  };
+  } State(*this);
 
-  switch (E->kind()) {
-  case ExprKind::IntLit:
-    return Value::makeInt(E->intValue());
-  case ExprKind::NullLit:
-    return Value::null();
-  case ExprKind::BoolLit:
-    return Value::makeInt(E->boolValue());
-  case ExprKind::Var:
-  case ExprKind::Deref:
-  case ExprKind::Field:
-  case ExprKind::Index: {
-    std::optional<int> Obj = LocObject(E, LocObject);
-    if (!Obj)
-      return std::nullopt;
-    const Object &O = Objects[*Obj];
-    if (O.K != Object::Kind::Cell)
-      return std::nullopt; // Whole structs/arrays have no scalar value.
-    return O.Scalar;
-  }
-  case ExprKind::AddrOf: {
-    std::optional<int> Obj = LocObject(E->op(0), LocObject);
-    if (!Obj)
-      return std::nullopt;
-    return Value::makePtr(*Obj);
-  }
-  default:
-    break;
-  }
-
-  // Compound terms/formulas.
-  auto Int = [](const std::optional<Value> &V) -> std::optional<int64_t> {
-    if (!V || V->K != Value::Kind::Int)
-      return std::nullopt;
-    return V->I;
-  };
-  auto Arith = [](ExprKind Kind, std::optional<int64_t> L,
-                  std::optional<int64_t> R) -> std::optional<Value> {
-    std::optional<int64_t> V =
-        L && R ? logic::arith(Kind, *L, *R) : std::nullopt;
-    return V ? std::optional<Value>(Value::makeInt(*V)) : std::nullopt;
-  };
-  switch (E->kind()) {
-  case ExprKind::Neg:
-    return Arith(ExprKind::Sub, 0, Int(evalLogic(E->op(0))));
-  case ExprKind::Add:
-  case ExprKind::Sub:
-  case ExprKind::Mul:
-  case ExprKind::Div:
-  case ExprKind::Mod:
-    return Arith(E->kind(), Int(evalLogic(E->op(0))),
-                 Int(evalLogic(E->op(1))));
-  case ExprKind::Eq:
-  case ExprKind::Ne: {
-    auto L = evalLogic(E->op(0));
-    auto R = evalLogic(E->op(1));
-    if (!L || !R)
-      return std::nullopt;
-    bool Equal = *L == *R;
-    return Value::makeInt(E->kind() == ExprKind::Eq ? Equal : !Equal);
-  }
-  case ExprKind::Lt:
-  case ExprKind::Le:
-  case ExprKind::Gt:
-  case ExprKind::Ge: {
-    auto L = Int(evalLogic(E->op(0)));
-    auto R = Int(evalLogic(E->op(1)));
-    if (!L || !R)
-      return std::nullopt;
-    switch (E->kind()) {
-    case ExprKind::Lt:
-      return Value::makeInt(*L < *R);
-    case ExprKind::Le:
-      return Value::makeInt(*L <= *R);
-    case ExprKind::Gt:
-      return Value::makeInt(*L > *R);
-    default:
-      return Value::makeInt(*L >= *R);
-    }
-  }
-  case ExprKind::Not: {
-    auto V = Int(evalLogic(E->op(0)));
-    if (!V)
-      return std::nullopt;
-    return Value::makeInt(*V == 0);
-  }
-  case ExprKind::And:
-  case ExprKind::Or: {
-    bool IsAnd = E->kind() == ExprKind::And;
-    for (ExprRef Op : E->operands()) {
-      auto V = Int(evalLogic(Op));
-      if (!V)
-        return std::nullopt;
-      if (IsAnd && *V == 0)
-        return Value::makeInt(0);
-      if (!IsAnd && *V != 0)
-        return Value::makeInt(1);
-    }
-    return Value::makeInt(IsAnd ? 1 : 0);
-  }
-  default:
-    return std::nullopt;
-  }
+  Result R = logic::evaluate(E, State);
+  return R.defined() ? std::optional<Value>(R.V) : std::nullopt;
 }

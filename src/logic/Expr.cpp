@@ -48,6 +48,26 @@ std::optional<int64_t> logic::arith(ExprKind Kind, int64_t A, int64_t B) {
   }
 }
 
+bool logic::compare(ExprKind Kind, int64_t A, int64_t B) {
+  switch (Kind) {
+  case ExprKind::Eq:
+    return A == B;
+  case ExprKind::Ne:
+    return A != B;
+  case ExprKind::Lt:
+    return A < B;
+  case ExprKind::Le:
+    return A <= B;
+  case ExprKind::Gt:
+    return A > B;
+  case ExprKind::Ge:
+    return A >= B;
+  default:
+    assert(false && "compare() requires a comparison kind");
+    return false;
+  }
+}
+
 ExprKind logic::negateCmp(ExprKind Kind) {
   switch (Kind) {
   case ExprKind::Eq:
@@ -232,41 +252,12 @@ ExprRef LogicContext::boolLit(bool Value) { return Value ? True : False; }
 
 ExprRef LogicContext::cmp(ExprKind Kind, ExprRef L, ExprRef R) {
   assert(isCmpKind(Kind) && "cmp() requires a comparison kind");
-  // Fold comparisons of equal pure terms.
-  if (L == R) {
-    switch (Kind) {
-    case ExprKind::Eq:
-    case ExprKind::Le:
-    case ExprKind::Ge:
-      return True;
-    case ExprKind::Ne:
-    case ExprKind::Lt:
-    case ExprKind::Gt:
-      return False;
-    default:
-      break;
-    }
-  }
+  // Fold comparisons of equal pure terms: they compare as equal values.
+  if (L == R)
+    return boolLit(compare(Kind, 0, 0));
   // Fold comparisons of integer constants.
-  if (L->kind() == ExprKind::IntLit && R->kind() == ExprKind::IntLit) {
-    int64_t A = L->intValue(), B = R->intValue();
-    switch (Kind) {
-    case ExprKind::Eq:
-      return boolLit(A == B);
-    case ExprKind::Ne:
-      return boolLit(A != B);
-    case ExprKind::Lt:
-      return boolLit(A < B);
-    case ExprKind::Le:
-      return boolLit(A <= B);
-    case ExprKind::Gt:
-      return boolLit(A > B);
-    case ExprKind::Ge:
-      return boolLit(A >= B);
-    default:
-      break;
-    }
-  }
+  if (L->kind() == ExprKind::IntLit && R->kind() == ExprKind::IntLit)
+    return boolLit(compare(Kind, L->intValue(), R->intValue()));
   return make(Kind, 0, "", {L, R});
 }
 

@@ -278,6 +278,10 @@ bool isCmpKind(ExprKind Kind);
 /// models, the constant folder and the reference interpreter.
 std::optional<int64_t> arith(ExprKind Kind, int64_t A, int64_t B);
 
+/// \p A op \p B for op one of the six comparison kinds. The one integer
+/// comparison of the concrete evaluator and the constant folder.
+bool compare(ExprKind Kind, int64_t A, int64_t B);
+
 } // namespace logic
 } // namespace slam
 

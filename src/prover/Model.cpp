@@ -24,25 +24,6 @@ bool sameSymbol(ExprRef A, ExprRef B) {
   return A->kind() != ExprKind::Field || A->name() == B->name();
 }
 
-std::optional<bool> compare(ExprKind Kind, int64_t A, int64_t B) {
-  switch (Kind) {
-  case ExprKind::Eq:
-    return A == B;
-  case ExprKind::Ne:
-    return A != B;
-  case ExprKind::Lt:
-    return A < B;
-  case ExprKind::Le:
-    return A <= B;
-  case ExprKind::Gt:
-    return A > B;
-  case ExprKind::Ge:
-    return A >= B;
-  default:
-    return std::nullopt;
-  }
-}
-
 } // namespace
 
 Model::Entry *Model::find(ExprRef App, int64_t Arg0, int64_t Arg1) {
@@ -127,70 +108,18 @@ bool Model::define(ExprRef App, int64_t Value) {
   return apply(App, Value).has_value();
 }
 
+logic::Result Model::leaf(ExprRef App) {
+  std::optional<int64_t> V = apply(App, std::nullopt);
+  return V ? logic::Result::of(logic::Value::makeInt(*V))
+           : logic::Result::poison();
+}
+
 std::optional<int64_t> Model::value(ExprRef E) {
-  switch (E->kind()) {
-  case ExprKind::IntLit:
-    return E->intValue();
-  case ExprKind::NullLit:
-    return 0;
-  case ExprKind::Var:
-  case ExprKind::AddrOf:
-  case ExprKind::Deref:
-  case ExprKind::Field:
-  case ExprKind::Index:
-    return apply(E, std::nullopt);
-  case ExprKind::Neg: {
-    std::optional<int64_t> V = value(E->op(0));
-    if (!V)
-      return std::nullopt;
-    return logic::arith(ExprKind::Sub, 0, *V);
-  }
-  case ExprKind::Add:
-  case ExprKind::Sub:
-  case ExprKind::Mul:
-  case ExprKind::Div:
-  case ExprKind::Mod: {
-    std::optional<int64_t> L = value(E->op(0));
-    std::optional<int64_t> R = value(E->op(1));
-    if (!L || !R)
-      return std::nullopt;
-    return logic::arith(E->kind(), *L, *R);
-  }
-  default:
-    return std::nullopt; // A formula is not a term.
-  }
+  logic::Result R = logic::evaluate(E, *this);
+  return R.defined() ? std::optional<int64_t>(R.V.I) : std::nullopt;
 }
 
 std::optional<bool> Model::holds(ExprRef F) {
-  switch (F->kind()) {
-  case ExprKind::BoolLit:
-    return F->boolValue();
-  case ExprKind::Not: {
-    std::optional<bool> V = holds(F->op(0));
-    if (!V)
-      return std::nullopt;
-    return !*V;
-  }
-  case ExprKind::And:
-  case ExprKind::Or: {
-    bool IsAnd = F->kind() == ExprKind::And;
-    bool Result = IsAnd;
-    for (ExprRef Op : F->operands()) {
-      std::optional<bool> V = holds(Op);
-      if (!V)
-        return std::nullopt;
-      Result = IsAnd ? Result && *V : Result || *V;
-    }
-    return Result;
-  }
-  default: {
-    if (!logic::isCmpKind(F->kind()))
-      return std::nullopt;
-    std::optional<int64_t> L = value(F->op(0));
-    std::optional<int64_t> R = value(F->op(1));
-    if (!L || !R)
-      return std::nullopt;
-    return compare(F->kind(), *L, *R);
-  }
-  }
+  logic::Result R = logic::evaluate(F, *this);
+  return R.defined() ? std::optional<bool>(R.V.I != 0) : std::nullopt;
 }
