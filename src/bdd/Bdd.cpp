@@ -452,22 +452,28 @@ void BddManager::forEachCube(
 }
 
 size_t BddManager::nodeCount(const std::vector<Node> &Roots) const {
-  std::vector<uint8_t> Seen(Nodes.size());
-  std::vector<Node> Stack;
+  // A node is seen when its mark is this call's epoch, so a call costs
+  // the nodes it reaches, not the manager's size.
+  if (++CountEpoch == 0) { // Wrapped: no mark may equal a later epoch.
+    std::fill(CountMarks.begin(), CountMarks.end(), 0);
+    CountEpoch = 1;
+  }
+  CountMarks.resize(Nodes.size(), 0);
+  CountStack.clear();
   size_t Count = 0;
   auto Visit = [&](Node N) {
-    if (Seen[N])
+    if (CountMarks[N] == CountEpoch)
       return;
-    Seen[N] = 1;
+    CountMarks[N] = CountEpoch;
     ++Count;
     if (N > True)
-      Stack.push_back(N);
+      CountStack.push_back(N);
   };
   for (Node R : Roots)
     Visit(R);
-  while (!Stack.empty()) {
-    Node N = Stack.back();
-    Stack.pop_back();
+  while (!CountStack.empty()) {
+    Node N = CountStack.back();
+    CountStack.pop_back();
     Visit(Nodes[N].Lo);
     Visit(Nodes[N].Hi);
   }

@@ -137,7 +137,8 @@ public:
 
   /// The number of distinct nodes, terminals included, reachable from
   /// \p Roots. Diagrams are canonical for a variable order, so the count
-  /// depends only on the functions, not on what else this manager holds.
+  /// depends only on the functions, not on what else this manager holds;
+  /// so does its cost, once amortized.
   size_t nodeCount(const std::vector<Node> &Roots) const;
 
   /// Evaluates F under a total assignment (missing vars read false).
@@ -228,6 +229,11 @@ private:
   std::vector<IteFrame> IteStack;
   std::vector<AndExFrame> AndExStack;
   std::vector<RenameFrame> RenameStack;
+  // nodeCount's scratch: a node's mark is the epoch of the last call
+  // that reached it.
+  mutable std::vector<uint32_t> CountMarks;
+  mutable uint32_t CountEpoch = 0;
+  mutable std::vector<Node> CountStack;
 };
 
 } // namespace bdd

@@ -99,6 +99,23 @@ TEST_F(BddTest, NodeCountIsPerFunctionNotPerManager) {
   EXPECT_EQ(Other.nodeCount({OX}), M.nodeCount({X}));
 }
 
+// Counting between growths of the manager: every count starts afresh
+// (a mark left by an earlier count would hide a node) and covers the
+// nodes built since.
+TEST_F(BddTest, NodeCountIsExactAsTheManagerGrows) {
+  Node First = M.mkXor(M.varNode(V[0]), M.varNode(V[1]));
+  const size_t FirstCount = M.nodeCount({First});
+  ASSERT_EQ(FirstCount, 5u);
+  Node Chain = BddManager::True;
+  for (int I = 0; I != 200; ++I) {
+    int Var = M.newVar();
+    Chain = M.mkAnd(Chain, M.varNode(Var)); // One new node per variable.
+    EXPECT_EQ(M.nodeCount({Chain}), static_cast<size_t>(I) + 3);
+    EXPECT_EQ(M.nodeCount({First}), FirstCount);
+    EXPECT_EQ(M.nodeCount({First, Chain}), static_cast<size_t>(I) + 6);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Property test: random 4-variable formulas against a truth-table oracle.
 //===----------------------------------------------------------------------===//
