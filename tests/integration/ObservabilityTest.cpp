@@ -10,7 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "slam/Cegar.h"
-#include "support/Json.h"
+#include "support/JsonCheck.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>

@@ -2,7 +2,7 @@
 
 #include "support/Histogram.h"
 
-#include "support/Json.h"
+#include "support/JsonCheck.h"
 #include "support/Stats.h"
 
 #include <gtest/gtest.h>

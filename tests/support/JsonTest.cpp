@@ -1,6 +1,7 @@
 //===- JsonTest.cpp -------------------------------------------------------===//
 
 #include "support/Json.h"
+#include "support/JsonCheck.h"
 
 #include <gtest/gtest.h>
 

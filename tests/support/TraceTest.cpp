@@ -2,7 +2,7 @@
 
 #include "support/Trace.h"
 
-#include "support/Json.h"
+#include "support/JsonCheck.h"
 #include "support/ParallelFor.h"
 
 #include <gtest/gtest.h>
