@@ -295,6 +295,38 @@ TEST_F(InterpTest, EvalLogicAgainstState) {
   EXPECT_FALSE(Probe.Undefined.has_value());
 }
 
+// An undefined operand (mystery is no variable) does not hide a defined
+// one that decides a connective.
+TEST_F(InterpTest, EvalLogicConnectivesDecideAroundUndefined) {
+  auto P = load(R"(
+    typedef struct cell { int val; struct cell *next; } *list;
+    void f(list curr) { L: assert(curr != NULL); }
+  )");
+  struct Probe : StepHook {
+    Interpreter *I = nullptr;
+    logic::LogicContext *Ctx = nullptr;
+    std::map<std::string, std::optional<Value>> Values;
+    void onStep(const Stmt &, bool) override {
+      DiagnosticEngine D;
+      for (const char *Text : {"mystery->val > 0 || curr != NULL",
+                               "mystery->val > 0 && curr == NULL",
+                               "mystery->val > 0 || curr == NULL"})
+        Values[Text] = I->evalLogic(c2bp::parseExpr(*Ctx, Text, D));
+    }
+    void afterStore(const Stmt &) override {}
+  } Probe;
+  Interpreter I(*P, 1);
+  Probe.I = &I;
+  Probe.Ctx = &Ctx;
+  I.run("f", {Value::makePtr(I.allocStruct(P->Types.findRecord("cell")))},
+        &Probe);
+  ASSERT_TRUE(Probe.Values.at("mystery->val > 0 || curr != NULL"));
+  EXPECT_EQ(Probe.Values.at("mystery->val > 0 || curr != NULL")->I, 1);
+  ASSERT_TRUE(Probe.Values.at("mystery->val > 0 && curr == NULL"));
+  EXPECT_EQ(Probe.Values.at("mystery->val > 0 && curr == NULL")->I, 0);
+  EXPECT_FALSE(Probe.Values.at("mystery->val > 0 || curr == NULL"));
+}
+
 TEST_F(InterpTest, EvalLogicOverflowHasNoValue) {
   auto P = load("void f(int x, int y, int z) { L: assert(y != 0); }");
   struct Probe : StepHook {

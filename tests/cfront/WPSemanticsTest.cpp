@@ -70,6 +70,7 @@ TEST_P(WPSemantics, MorrisAxiomIsExact) {
   logic::ShapeAliasOracle Oracle;
   logic::WPEngine Engine(Ctx, Oracle);
 
+  int Undefined = 0; // Trials where WP(s, phi) or phi has no value.
   for (int Trial = 0; Trial != 24; ++Trial) {
     std::string StmtText = Stmts[R.range(std::size(Stmts))];
     std::string PredText = Preds[R.range(std::size(Preds))];
@@ -136,13 +137,19 @@ TEST_P(WPSemantics, MorrisAxiomIsExact) {
     auto Out = I.run("f", {PV, QV, XV, YV, IV, JV}, &Probe);
     ASSERT_EQ(Out, Interpreter::Outcome::Finished) << StmtText;
 
-    if (!Probe.Before || !Probe.After)
-      continue; // Undefined (e.g. NULL deref in the predicate): skip.
+    if (!Probe.Before || !Probe.After) {
+      ++Undefined; // E.g. a NULL dereference in the predicate: skip.
+      continue;
+    }
     EXPECT_EQ(Probe.Before->I != 0, Probe.After->I != 0)
         << "WP(" << StmtText << ", " << PredText << ") = " << Wp->str()
         << "\npre-state value " << Probe.Before->I
         << " but post-state phi " << Probe.After->I;
   }
+  // Every trial has a value on both sides: where a WP's alias case split
+  // dereferences NULL, a defined operand decides the connective around
+  // it. With strict connectives every seed would skip trials here.
+  EXPECT_LE(Undefined, 0) << "trials skipped as undefined";
 }
 
 INSTANTIATE_TEST_SUITE_P(Heaps, WPSemantics, ::testing::Range(0, 25));
