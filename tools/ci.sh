@@ -40,9 +40,11 @@
 #              identical stdout and exit status
 #   bench      perfbench --smoke: builds the benchmark harness (the only
 #              source of Tables 1 and 2) and checks its known answers
+#   size       prints the line counts of the tracked files under src/ and
+#              tools/ and of the whole tree (a report, not a gate)
 #   all        every job above, in order
 #
-# Usage: tools/ci.sh [default|tsan|asan|release|observability|incremental|determinism|debug|bench|all]
+# Usage: tools/ci.sh [default|tsan|asan|release|observability|incremental|determinism|debug|bench|size|all]
 #
 #===----------------------------------------------------------------------===#
 
@@ -254,6 +256,14 @@ run_bench() {
   python3 "$ROOT/perfbench/run.py" --smoke
 }
 
+run_size() {
+  echo "=== ci: size: lines of the tracked files ==="
+  local SRC ALL
+  SRC="$(git -C "$ROOT" ls-files -z src tools | (cd "$ROOT" && xargs -0 cat) | wc -l)"
+  ALL="$(git -C "$ROOT" ls-files -z | (cd "$ROOT" && xargs -0 cat) | wc -l)"
+  echo "ci: src/ + tools/: $SRC lines; whole tree: $ALL lines"
+}
+
 case "$JOB" in
   default) run_default ;;
   tsan)    run_tsan ;;
@@ -264,7 +274,8 @@ case "$JOB" in
   determinism) run_determinism ;;
   debug)   run_debug ;;
   bench)   run_bench ;;
-  all)     run_default; run_tsan; run_asan; run_release; run_observability; run_incremental; run_determinism; run_debug; run_bench ;;
-  *) echo "ci.sh: unknown job '$JOB' (default|tsan|asan|release|observability|incremental|determinism|debug|bench|all)" >&2; exit 2 ;;
+  size)    run_size ;;
+  all)     run_default; run_tsan; run_asan; run_release; run_observability; run_incremental; run_determinism; run_debug; run_bench; run_size ;;
+  *) echo "ci.sh: unknown job '$JOB' (default|tsan|asan|release|observability|incremental|determinism|debug|bench|size|all)" >&2; exit 2 ;;
 esac
 echo "=== ci: $JOB passed ==="
